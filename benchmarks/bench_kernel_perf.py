@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import AdaptivePolicy, PerformanceModeler, QoSTarget
+from repro.core import AdaptivePolicy, PerformanceModeler, QoSTarget, StaticPolicy
 from repro.experiments import run_policy, web_scenario
 from repro.obs.profile import Stopwatch
 from repro.queueing import mm1k_blocking
@@ -116,6 +116,37 @@ def test_vec_backend_end_to_end_speedup():
     )
     assert vec.control_series == des.control_series
     assert vec.vm_hours == des.vm_hours
+    assert t_vec < t_des
+
+
+def test_vec_backend_end_to_end_saturated_speedup():
+    """des-vec must not be slower than scalar des on a rejecting fleet.
+
+    Jitterless web at scale 400 for 6 h on an undersized Static-75: all
+    instances are full for long stretches, so array blocks shrink to a
+    few arrivals and the fleet runs those spans on its event-granular
+    path.  Counts and series must match scalar des exactly.
+    """
+    scale = 400.0
+    base = web_scenario(scale=scale, horizon=6 * 3600.0, track_fleet_series=True)
+    scenario = base.with_updates(workload=WebWorkload(service_jitter=0.0).scaled(scale))
+
+    watch = Stopwatch()
+    des = run_policy(scenario, StaticPolicy(75), seed=0, backend="des")
+    t_des = watch.restart()
+    vec = run_policy(scenario, StaticPolicy(75), seed=0, backend="des-vec")
+    t_vec = watch.restart()
+
+    print(
+        f"\nend-to-end saturated Static-75 scale=400: des={t_des:.2f}s "
+        f"des-vec={t_vec:.2f}s speedup={t_des / t_vec:.1f}x, "
+        f"{des.rejected} of {des.total_requests} rejected"
+    )
+    assert des.rejected > 0
+    for name in ("total_requests", "accepted", "completed", "rejected", "vm_hours"):
+        assert getattr(vec, name) == getattr(des, name), name
+    assert vec.control_series == des.control_series
+    assert vec.fleet_series == des.fleet_series
     assert t_vec < t_des
 
 

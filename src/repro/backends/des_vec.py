@@ -265,6 +265,7 @@ class DESVecBackend:
             profile.count("arrivals", plane.arrivals_processed)
             profile.count("completions", plane.completions_processed)
             profile.count("spans", plane.spans)
+            profile.count("event_spans", plane.event_spans)
             profile.count("compactions", ctx.engine.compactions)
             if tracer is not None:
                 tracer.emit(

@@ -12,7 +12,10 @@ Epoch model
 The ``des-vec`` backend drives the fleet with an *epoch loop*: before
 every engine event (control alerts, Algorithm-1 decisions, VM boots,
 monitor samples) it calls :meth:`advance` up to the event's timestamp.
-``advance`` consumes the pending arrival buffer in *blocks*:
+``advance`` consumes the pending arrival buffer of that *span* on one of
+two exact paths.
+
+The **block path** consumes arrivals in *blocks*:
 
 1. drain completions up to the next arrival (:meth:`SoAQueues.drain`);
 2. if every active station is full, bulk-reject arrivals up to the
@@ -25,13 +28,28 @@ monitor samples) it calls :meth:`advance` up to the event's timestamp.
    cyclic assignment reproduces the scalar balancer's pointer walk,
    arrival by arrival.
 
+The **event path** (:func:`~repro.sim.batch.event_span`) replays the
+span one arrival at a time over plain floats: a completion heap, a live
+count of full stations, bisection over all-full stretches, and the
+balancer's pointer walk.  Each block costs a few dozen numpy calls, so
+the block path wins while blocks are long and collapses when a rejecting
+fleet cuts them to a few arrivals each; the event path costs a few
+microseconds per arrival whatever the load.  Each span runs on the path
+chosen from what the previous span observed — arrivals per block, or per
+block break on the event path — against
+:data:`EVENT_PATH_MAX_ARRIVALS_PER_BLOCK`.  Both paths apply the same
+float operations in the same per-station order, so the choice moves
+time only (the path-invariance property in
+``tests/test_batch_engine.py``).
+
 Statistics are flushed once per ``advance`` span: completions are
 merged across drain waves, sorted by departure time, and recorded
 through the monitor/metrics *bulk* interfaces, whose arithmetic is
 documented (and tested) to be exact for the jitterless cross-check
 scenarios.  Because span boundaries are engine events — never block
 boundaries — every recorded quantity is invariant to the block size
-(the hypothesis property test in ``tests/test_batch_engine.py``).
+and to the span path (hypothesis properties in
+``tests/test_batch_engine.py``).
 
 Fidelity to the scalar fleet, and the two documented deviations:
 
@@ -52,7 +70,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, PlacementError
 from ..metrics.collector import MetricsCollector
-from ..sim.batch import SoAQueues
+from ..sim.batch import SoAQueues, event_span, safe_block_length
 from ..sim.engine import Engine
 from ..workloads.base import ServiceTimeSampler
 from .datacenter import Datacenter
@@ -61,6 +79,18 @@ from .monitor import Monitor
 from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec
 
 __all__ = ["VectorFleet"]
+
+#: Arrivals per block (per block break on the event path) in the
+#: previous span below which the next span runs on the event-granular
+#: path.  Measured per span on one 2-core x86 host: an assign/drain
+#: block costs ~80 µs of numpy dispatch and an arrival on the event path
+#: 2-5 µs, so the paths cost the same at ~25 arrivals per block on the
+#: saturated Static-75 web day @1/400 and at ~40 on the adaptive web day
+#: @1/100.  The threshold sits well below that crossover: saturated
+#: spans run 1-3 arrivals per block and gain 8-10x, while spans near the
+#: crossover gain little and would pay the event path's per-span read
+#: and write of every live station (~0.3 ms at 150 stations).
+EVENT_PATH_MAX_ARRIVALS_PER_BLOCK = 10
 
 
 class VectorFleet:
@@ -143,10 +173,13 @@ class VectorFleet:
         self._span_rejected = 0
         self._pending_destroy: List[Tuple[float, int]] = []
         self._accepting: Optional[bool] = None
+        # -- span path (see _span) -------------------------------------
+        self._event_path = False
         # -- counters --------------------------------------------------
         self.arrivals_processed = 0
         self.completions_processed = 0
         self.spans = 0
+        self.event_spans = 0
 
     def _emit_vm(self, event_type: str, idx: int, t: Optional[float] = None, **fields: object) -> None:
         """Trace one instance lifecycle transition (no-op untraced)."""
@@ -355,10 +388,7 @@ class VectorFleet:
         events.  Flushes span statistics so the event's control logic
         observes exactly the pre-epoch state.
         """
-        t_end = float(t_end)
-        self._consume_arrivals(t_end)
-        self._drain_until(t_end, strict=True)
-        self._flush(t_end)
+        self._span(float(t_end), strict=True)
 
     def finish(self, horizon: float) -> None:
         """Close the data plane at the horizon (completions inclusive).
@@ -368,20 +398,72 @@ class VectorFleet:
         horizon — the scalar engine fires those events, while the epoch
         loop's strict drains exclude them.
         """
-        horizon = float(horizon)
-        self._consume_arrivals(horizon)
-        self._drain_until(horizon, strict=False)
-        self._flush(horizon)
+        self._span(float(horizon), strict=False)
 
-    def _consume_arrivals(self, t_end: float) -> None:
-        """Admit or reject every buffered arrival strictly before ``t_end``."""
+    def _span(self, t_end: float, strict: bool) -> None:
+        """Consume and drain one span, then flush it.
+
+        The span runs on the path the previous span's load picked (see
+        the module docstring); its own arrivals per block pick the next.
+        Spans without arrivals say nothing about the load and keep the
+        current path.
+        """
+        before = self._pos
+        event_path = self._use_event_path()
+        if event_path:
+            blocks = self._consume_events(t_end, strict)
+        else:
+            blocks = self._consume_arrivals(t_end)
+            self._drain_until(t_end, strict=strict)
+        arrivals = self._pos - before
+        if arrivals:
+            self._event_path = arrivals < EVENT_PATH_MAX_ARRIVALS_PER_BLOCK * blocks
+        self._flush(t_end, event_path)
+
+    def _use_event_path(self) -> bool:
+        """Whether the next span runs on the event-granular path."""
+        return self._event_path
+
+    def _consume_events(self, t_end: float, strict: bool) -> int:
+        """The event-granular span path; returns its block breaks (see
+        :class:`~repro.sim.batch.EventSpan`)."""
+        times = self._times
+        i = self._pos
+        span = event_span(
+            self._soa,
+            self._active,
+            self._live_idx,
+            times,
+            self._services,
+            i,
+            t_end,
+            strict,
+            self._rr,
+        )
+        for lo, hi in span.rejected:
+            self._accept_block(times, i, lo)
+            self._reject_block(times, lo, hi)
+            i = hi
+        self._accept_block(times, i, span.stop)
+        if span.completions is not None:
+            self._chunks.append(span.completions)
+        self._pending_destroy.extend(span.emptied)
+        self._pos = span.stop
+        self._rr = span.rr
+        return span.breaks
+
+    def _consume_arrivals(self, t_end: float) -> int:
+        """Admit or reject every buffered arrival strictly before
+        ``t_end`` in blocks; returns the number of blocks."""
         soa = self._soa
         times = self._times
         services = self._services
         i = self._pos
         n = times.size
         k = self.capacity
+        blocks = 0
         while i < n and times[i] < t_end:
+            blocks += 1
             t_arr = float(times[i])
             self._drain_until(t_arr, strict=False)
             act = self._active_idx
@@ -406,8 +488,7 @@ class VectorFleet:
             order_open = order[open_mask[order]]
             stations = act[order_open]
             n_open = stations.size
-            occ_open = occ[order_open]
-            l_safe = int(np.min(np.arange(n_open) + (k - occ_open) * n_open))
+            l_safe = safe_block_length(occ[order_open], k)
             if open_mask.all():
                 t_full = t_end
             else:
@@ -422,6 +503,7 @@ class VectorFleet:
             self._rr = int((order_open[(block - 1) % n_open] + 1) % na)
             i = j
         self._pos = i
+        return blocks
 
     # ------------------------------------------------------------------
     # internals
@@ -458,6 +540,8 @@ class VectorFleet:
 
     def _accept_block(self, times: np.ndarray, i: int, j: int) -> None:
         count = j - i
+        if count <= 0:
+            return
         self._span_accepted += count
         tracer = self._tracer
         if tracer is not None:
@@ -480,7 +564,7 @@ class VectorFleet:
             for t in times[i:j].tolist():
                 tracer.emit("request.rejected", t)
 
-    def _flush(self, t_end: float) -> None:
+    def _flush(self, t_end: float, event_path: bool) -> None:
         """Post the span's accumulated effects in deterministic order."""
         completions = 0
         chunks = self._chunks
@@ -533,6 +617,8 @@ class VectorFleet:
                 self._m_spans.inc()
                 self._m_flushed.inc(accepted + rejected + completions)
             self.spans += 1
+            if event_path:
+                self.event_spans += 1
             self._last_span_t = t_end
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

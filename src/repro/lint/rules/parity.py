@@ -72,6 +72,7 @@ VEC_ONLY = frozenset(
         "arrivals_processed",
         "completions_processed",
         "spans",
+        "event_spans",
     }
 )
 

@@ -11,6 +11,7 @@ cross-validates the event-driven results at full paper scale.
 
 from .batch import (
     SoAQueues,
+    event_span,
     fifo_departures,
     fifo_departures_grouped,
     round_robin_departures,
@@ -36,6 +37,7 @@ __all__ = [
     "Engine",
     "EventHandle",
     "SoAQueues",
+    "event_span",
     "fifo_departures",
     "fifo_departures_grouped",
     "round_robin_departures",

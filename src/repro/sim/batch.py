@@ -31,19 +31,29 @@ Exactness invariants (documented in ``docs/performance.md``):
   round-robin block so no station ever exceeds its capacity, which is
   exactly the condition under which blocked assignment reproduces the
   scalar balancer's pointer walk (see ``VectorFleet``).
+* **One arithmetic, two granularities** — :func:`event_span` replays a
+  span arrival by arrival over plain floats with the very operations
+  :meth:`SoAQueues.assign` / :meth:`SoAQueues.drain` apply to arrays
+  (``arr + svc/speed`` at an idle start, ``max(dep, head_arr) +
+  head_svc/speed`` at a promotion), so the block and event paths leave
+  bitwise-identical departures behind.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from bisect import bisect_left
+from heapq import heapify, heappop, heappush
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 
 __all__ = [
+    "EventSpan",
     "SoAQueues",
+    "event_span",
     "fifo_departures",
     "fifo_departures_grouped",
     "round_robin_departures",
@@ -344,3 +354,160 @@ class SoAQueues:
             f"<SoAQueues k={self.capacity} slots={self.allocated}/"
             f"{self.svc_end.size}>"
         )
+
+
+class EventSpan(NamedTuple):
+    """What :func:`event_span` did to one span of arrivals."""
+
+    #: Index of the first arrival at or after the span end.
+    stop: int
+    #: Round-robin pointer (a position in the dispatch order) afterwards.
+    rr: int
+    #: ``(i, j)`` index ranges of rejected arrivals, in time order and
+    #: never adjacent; every other arrival in ``[start, stop)`` was admitted.
+    rejected: List[Tuple[int, int]]
+    #: ``(departures, arrivals, effective_services)`` of the completed
+    #: requests, or ``None`` when nothing completed.
+    completions: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    #: ``(departure, station)`` of every drain-only station that emptied.
+    emptied: List[Tuple[float, int]]
+    #: Arrivals that found a dispatch station freed from full since the
+    #: previous arrival, plus rejection runs: the events that end a
+    #: block on the block path.
+    breaks: int
+
+
+def event_span(
+    soa: SoAQueues,
+    dispatch: Sequence[int],
+    drain_set: Sequence[int],
+    times: np.ndarray,
+    services: np.ndarray,
+    start: int,
+    t_end: float,
+    strict: bool,
+    rr: int,
+) -> EventSpan:
+    """Admit ``times[start:]`` up to ``t_end`` one arrival at a time.
+
+    The event-granular twin of blocked assign/drain waves, for spans
+    where blocks would hold only a few arrivals each.  The state of the
+    ``drain_set`` stations is read into plain Python floats once, a
+    heap of ``(svc_end, position)`` completes what is due before each
+    arrival, and the state is written back once at the end:
+
+    * an arrival goes to the first non-full station of ``dispatch`` at
+      or after position ``rr``, cyclically (the round-robin balancer's
+      walk), and the pointer moves past it;
+    * while every dispatch station is full (a live count, so the test
+      is O(1)) arrivals are rejected in bulk up to the next completion
+      with one bisection;
+    * completions are those with ``svc_end <= t_end`` — ``< t_end``
+      when ``strict`` — and stations of ``drain_set`` outside
+      ``dispatch`` only complete, never admit.
+
+    ``dispatch`` must be a subset of ``drain_set``; ``services`` are
+    raw draws, divided by the station speed at service start.
+    """
+    k = soa.capacity
+    na = len(dispatch)
+    in_dispatch = set(dispatch)
+    stations = list(dispatch) + [int(s) for s in drain_set if s not in in_dispatch]
+    idx = np.array(stations, dtype=np.intp)
+    inf = math.inf
+    end = soa.svc_end[idx].tolist()
+    cur_arr = soa.cur_arr[idx].tolist()
+    cur_svc = soa.cur_svc[idx].tolist()
+    speed = soa.speed[idx].tolist()
+    qlen = soa.qlen[idx].tolist()
+    qa = [row[:n] for row, n in zip(soa.q_arr[idx].tolist(), qlen)]
+    qs = [row[:n] for row, n in zip(soa.q_svc[idx].tolist(), qlen)]
+    occ = [n + (e != inf) for n, e in zip(qlen, end)]
+    nfull = sum(o >= k for o in occ[:na])
+    heap = [(e, p) for p, e in enumerate(end) if e != inf]
+    heapify(heap)
+
+    stop = int(np.searchsorted(times, t_end, side="left"))
+    tl = times[start:stop].tolist()
+    sl = services[start:stop].tolist()
+    n = len(tl)
+    # The last drain bound: "< t_end" is "<= the float just below t_end".
+    t_last = math.nextafter(t_end, -inf) if strict else t_end
+    done_rows: List[Tuple[float, float, float]] = []
+    record = done_rows.append
+    push, pop = heappush, heappop
+    emptied: List[Tuple[float, int]] = []
+    rejected: List[Tuple[int, int]] = []
+    breaks = 0
+    freed_at = -1
+    i = 0
+    while True:
+        t = tl[i] if i < n else t_last
+        while heap and heap[0][0] <= t:
+            done, p = pop(heap)
+            record((done, cur_arr[p], cur_svc[p]))
+            o = occ[p]
+            if o == k and p < na:
+                nfull -= 1
+                if freed_at != i:
+                    freed_at = i
+                    breaks += 1
+            occ[p] = o - 1
+            q = qa[p]
+            if q:
+                a = q.pop(0)
+                s = qs[p].pop(0) / speed[p]
+                cur_arr[p] = a
+                cur_svc[p] = s
+                e = (done if done > a else a) + s
+                end[p] = e
+                push(heap, (e, p))
+            else:
+                end[p] = inf
+                if p >= na:
+                    emptied.append((done, stations[p]))
+        if i == n:
+            break
+        if nfull == na:
+            # The paper's rejection condition: reject in bulk up to the
+            # next completion (all of the span when nothing can admit).
+            j = bisect_left(tl, heap[0][0], i) if heap and na else n
+            if rejected and rejected[-1][1] == start + i:
+                rejected[-1] = (rejected[-1][0], start + j)
+            else:
+                rejected.append((start + i, start + j))
+                breaks += 1
+            i = j
+            continue
+        p = rr
+        while occ[p] >= k:
+            p = p + 1 if p + 1 < na else 0
+        o = occ[p]
+        if o == 0:
+            s = sl[i] / speed[p]
+            cur_arr[p] = t
+            cur_svc[p] = s
+            e = t + s
+            end[p] = e
+            push(heap, (e, p))
+        else:
+            qa[p].append(t)
+            qs[p].append(sl[i])
+        o += 1
+        occ[p] = o
+        if o == k:
+            nfull += 1
+        rr = p + 1 if p + 1 < na else 0
+        i += 1
+
+    if stations:
+        soa.svc_end[idx] = end
+        soa.cur_arr[idx] = cur_arr
+        soa.cur_svc[idx] = cur_svc
+        soa.qlen[idx] = [len(q) for q in qa]
+        if k > 1:
+            pad = [0.0] * (k - 1)
+            soa.q_arr[idx] = [(q + pad)[: k - 1] for q in qa]
+            soa.q_svc[idx] = [(q + pad)[: k - 1] for q in qs]
+    completions = tuple(np.array(done_rows).T) if done_rows else None
+    return EventSpan(start + n, rr, rejected, completions, emptied, breaks)

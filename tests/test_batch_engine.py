@@ -10,15 +10,19 @@ are a *performance* change and not a *semantics* change:
    scientific scenarios must agree **bit-for-bit** on the control
    trajectory and exactly on every count; the fluid backend ties in as
    the third independent implementation of the same control plane.
-3. A hypothesis property — the ``max_block`` batching knob changes
-   wall-clock only: any block size yields the identical
-   :class:`~repro.backends.base.RunMetrics`.
+3. Hypothesis properties — the ``max_block`` batching knob and the
+   per-span choice between the block and the event-granular path change
+   wall-clock only: any block size, and any routing of spans to either
+   path, yields the identical :class:`~repro.backends.base.RunMetrics`
+   and admission trace.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,17 +30,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.datacenter import Datacenter
+from repro.cloud.failures import FailureInjector
 from repro.cloud.monitor import Monitor
 from repro.cloud.vecfleet import VectorFleet
-from repro.core import AdaptivePolicy
+from repro.core import AdaptivePolicy, StaticPolicy
+from repro.economy import PricingModel, SpotPolicy
 from repro.errors import ConfigurationError
 from repro.experiments import run_policy, scientific_scenario, web_scenario
 from repro.backends import DESVecBackend
+from repro.obs.bus import RingBufferSink, TraceBus
 from repro.metrics.collector import MetricsCollector
 from repro.workloads.base import ServiceTimeSampler
 from repro.sim import (
     Engine,
     SoAQueues,
+    event_span,
     fifo_departures,
     fifo_departures_grouped,
     round_robin_departures,
@@ -193,6 +201,30 @@ def test_soa_speed_divides_service_at_start():
     np.testing.assert_array_equal(np.sort(dep), np.array([5.0, 10.0]))
 
 
+def test_event_span_matches_waves_and_respects_strictness():
+    """One full station, two arrivals: the first is queued, the second
+    rejected; the span end decides whether the completion at exactly
+    ``t_end`` is taken (inclusive) or left for the next span (strict)."""
+    def run(strict):
+        soa = SoAQueues(capacity=2)
+        idx = soa.alloc()
+        soa.assign(np.array([idx]), np.array([0.0]), np.array([5.0]))
+        span = event_span(
+            soa, [idx], [idx], np.array([1.0, 2.0]), np.array([3.0, 3.0]), 0, 5.0, strict, 0
+        )
+        return soa, span
+
+    soa, span = run(strict=True)
+    assert (span.stop, span.rr, span.rejected) == (2, 0, [(1, 2)])
+    assert span.completions is None
+    assert soa.occupancy(np.array([0]))[0] == 2
+    soa, span = run(strict=False)
+    np.testing.assert_array_equal(span.completions[0], [5.0])
+    # The queued request starts at the departure (Lindley), as a wave would.
+    waves = soa.drain(np.array([0]), 100.0)
+    np.testing.assert_array_equal(waves[0][1], [8.0])
+
+
 def test_engine_peek_skips_cancelled_and_reports_next_time():
     eng = Engine()
     first = eng.schedule(1.0, lambda: None)
@@ -329,6 +361,65 @@ def test_jittered_web_still_matches_scalar():
     assert vec.mean_response_time == pytest.approx(des.mean_response_time, rel=1e-9)
 
 
+@pytest.fixture(scope="module")
+def saturated():
+    """Undersized static fleets on the jitterless web night at 1/400:
+    the regime where every instance is full and requests are rejected."""
+    scale = 400.0
+    base = web_scenario(scale=scale, horizon=HORIZON, track_fleet_series=True)
+    scenario = base.with_updates(
+        workload=WebWorkload(service_jitter=0.0).scaled(scale)
+    )
+    return {
+        m: {
+            backend: run_policy(scenario, StaticPolicy(m), seed=0, backend=backend)
+            for backend in ("des", "des-vec")
+        }
+        for m in (20, 40, 75)
+    }
+
+
+@pytest.mark.parametrize("m", [20, 40, 75])
+def test_saturated_static_matches_scalar(saturated, m):
+    des, vec = saturated[m]["des"], saturated[m]["des-vec"]
+    assert des.rejected > 0, "the cell must reject to exercise saturation"
+    for name in (
+        "total_requests",
+        "accepted",
+        "completed",
+        "rejected",
+        "qos_violations",
+        "vm_hours",
+        "control_series",
+        "fleet_series",
+    ):
+        assert getattr(vec, name) == getattr(des, name), name
+    # Bulk vs per-request accumulation differ in the last ulp only.
+    assert vec.mean_response_time == pytest.approx(des.mean_response_time, rel=1e-12)
+    assert vec.response_time_std == pytest.approx(des.response_time_std, rel=1e-12)
+
+
+def test_span_path_routing_follows_the_load():
+    """The path choice is read off the load: the adaptive web day, which
+    rarely fills an instance, stays on the block path; the undersized
+    Static-75 day at 1/400 spends most spans on the event path."""
+    day = web_scenario(scale=100.0, horizon=24 * 3600.0)
+    adaptive = run_policy(
+        day,
+        AdaptivePolicy(update_interval=day.update_interval, lead_time=day.lead_time),
+        seed=0,
+        backend="des-vec",
+    ).profile["counters"]
+    assert adaptive["event_spans"] <= 0.05 * adaptive["spans"]
+    static = run_policy(
+        web_scenario(scale=400.0, horizon=24 * 3600.0),
+        StaticPolicy(75),
+        seed=0,
+        backend="des-vec",
+    ).profile["counters"]
+    assert static["event_spans"] > 0.5 * static["spans"]
+
+
 # ---------------------------------------------------------------------------
 # batching invariance property
 # ---------------------------------------------------------------------------
@@ -343,25 +434,119 @@ def _normalized(metrics):
     return dataclasses.replace(metrics, wall_seconds=0.0)
 
 
-_REFERENCE = None
+_REFERENCES = {}
 
 
-def _reference():
-    global _REFERENCE
-    if _REFERENCE is None:
-        _REFERENCE = _normalized(
-            run_policy(_PROP_SCENARIO, AdaptivePolicy(), seed=0, backend="des-vec")
+def _prop_policy(saturated):
+    # Static-20 is undersized for this scenario: it rejects requests.
+    return StaticPolicy(20) if saturated else AdaptivePolicy()
+
+
+def _reference(saturated):
+    if saturated not in _REFERENCES:
+        _REFERENCES[saturated] = _normalized(
+            run_policy(_PROP_SCENARIO, _prop_policy(saturated), seed=0, backend="des-vec")
         )
-    return _REFERENCE
+    return _REFERENCES[saturated]
 
 
-@settings(max_examples=12, deadline=None)
-@given(max_block=st.integers(min_value=1, max_value=4096))
-def test_max_block_choice_never_changes_results(max_block):
-    got = run_policy(
-        _PROP_SCENARIO,
-        AdaptivePolicy(),
-        seed=0,
-        backend=DESVecBackend(max_block=max_block),
+@settings(max_examples=16, deadline=None)
+@given(max_block=st.integers(min_value=1, max_value=4096), saturated=st.booleans())
+def test_max_block_choice_never_changes_results(max_block, saturated):
+    reference = _reference(saturated)
+    assert reference.rejected > 0 or not saturated
+    # Left to choose, the saturated fleet's short blocks would route
+    # most spans to the event path, where max_block plays no part.
+    with mock.patch.object(VectorFleet, "_use_event_path", lambda self: False):
+        got = run_policy(
+            _PROP_SCENARIO,
+            _prop_policy(saturated),
+            seed=0,
+            backend=DESVecBackend(max_block=max_block),
+        )
+    assert _normalized(got) == reference
+
+
+# ---------------------------------------------------------------------------
+# span-path invariance property
+# ---------------------------------------------------------------------------
+
+_ADMISSION_EVENTS = ("admission.state", "request.admitted", "request.rejected")
+_PATH_SCALE = 20_000.0
+
+
+def _path_scenario(k, jitter, boot_delay):
+    scale = _PATH_SCALE
+    workload = WebWorkload() if jitter else WebWorkload(service_jitter=0.0)
+    workload = workload.scaled(scale)
+    base = web_scenario(scale=scale, horizon=24 * 3600.0)
+    # Eq. 1: k = floor(Ts / Tr); aim Ts mid-way between k and k + 1.
+    qos = dataclasses.replace(
+        base.qos, max_response_time=(k + 0.5) * workload.base_service_time
     )
-    assert _normalized(got) == _reference()
+    scenario = base.with_updates(
+        workload=workload, qos=qos, boot_delay=boot_delay, track_fleet_series=True
+    )
+    assert scenario.capacity == k
+    return scenario
+
+
+def _path_policy(kind, instances, crash_times, seed):
+    if kind == "static":
+        policy = StaticPolicy(instances)
+    elif kind == "adaptive":
+        policy = AdaptivePolicy()
+    else:
+        policy = SpotPolicy(0.3, pricing=PricingModel(spot_mtbf=1800.0))
+    if crash_times:
+        attach = policy.attach
+
+        def attach_and_arm(ctx):
+            attach(ctx)
+            FailureInjector(
+                ctx.engine,
+                ctx.fleet,
+                np.random.default_rng(seed),
+                schedule=crash_times,
+                horizon=ctx.horizon,
+            ).start()
+
+        policy.attach = attach_and_arm
+    return policy
+
+
+def _run_on_paths(scenario, make_policy, choose):
+    bus = TraceBus(RingBufferSink(maxlen=1 << 20), events=_ADMISSION_EVENTS)
+    with mock.patch.object(VectorFleet, "_use_event_path", choose):
+        got = run_policy(scenario, make_policy(), seed=0, backend="des-vec", trace=bus)
+    return _normalized(got), list(bus.sink.events), got.profile["counters"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3]),
+    jitter=st.booleans(),
+    boot_delay=st.sampled_from([0.0, 120.0, 600.0]),
+    kind=st.sampled_from(["static", "adaptive", "spot"]),
+    instances=st.integers(min_value=2, max_value=40),
+    crash_times=st.lists(
+        st.floats(min_value=60.0, max_value=24 * 3600.0 - 60.0), max_size=4
+    ),
+    mix_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_span_path_choice_never_changes_results(
+    k, jitter, boot_delay, kind, instances, crash_times, mix_seed
+):
+    scenario = _path_scenario(k, jitter, boot_delay)
+
+    def make_policy():
+        return _path_policy(kind, instances, crash_times, mix_seed)
+
+    mix = random.Random(mix_seed)
+    block = _run_on_paths(scenario, make_policy, lambda self: False)
+    event = _run_on_paths(scenario, make_policy, lambda self: True)
+    mixed = _run_on_paths(scenario, make_policy, lambda self: mix.random() < 0.5)
+    assert block[2]["event_spans"] == 0
+    assert event[2]["event_spans"] == event[2]["spans"] > 0
+    assert block[0] == event[0] == mixed[0]
+    assert block[1] == event[1] == mixed[1]
