@@ -38,7 +38,6 @@ from .core import (
 )
 from .experiments import (
     PolicySpec,
-    RunResult,
     ScenarioConfig,
     run_policy,
     run_replications,
@@ -95,7 +94,6 @@ __all__ = [
     "run_policy",
     "run_replications",
     "PolicySpec",
-    "RunResult",
 ]
 
 

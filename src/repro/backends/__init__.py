@@ -12,16 +12,18 @@ policy) and "how to run it":
   flow evaluation (approximate data plane, exact control plane, fast
   at any scale).
 
-Both produce the unified :class:`~repro.backends.base.RunMetrics` and
-both execute the same :mod:`repro.core.controlplane` code, which is
-what makes them cross-checkable.  This package is the only module
+All three subclass :class:`~repro.backends.base.ExecutionBackend`, so
+they share one run lifecycle and produce the unified
+:class:`~repro.backends.base.RunMetrics`, and all three execute the
+same :mod:`repro.core.controlplane` code, which is what makes them
+cross-checkable.  This package is the only module
 allowed to import both engines (``repro.sim`` event kernel *and*
 ``repro.sim.fluid``) — see ``docs/architecture.md``.
 """
 
 from .base import BACKENDS, ExecutionBackend, RunMetrics, resolve_backend
 from .des import DESBackend, build_context
-from .des_vec import DESVecBackend, build_vec_context
+from .des_vec import DESVecBackend
 from .fluid import FluidBackend
 
 __all__ = [
@@ -33,5 +35,4 @@ __all__ = [
     "DESVecBackend",
     "FluidBackend",
     "build_context",
-    "build_vec_context",
 ]

@@ -1,13 +1,18 @@
-"""Execution-backend protocol and the unified run-metrics record.
+"""The shared run lifecycle and the unified run-metrics record.
 
 A *backend* is a way of executing one ``(scenario, policy)``
-replication: the event-per-request DES (:class:`~repro.backends.des.DESBackend`)
+replication: the event-per-request DES
+(:class:`~repro.backends.des.DESBackend`), the batched
+structure-of-arrays DES (:class:`~repro.backends.des_vec.DESVecBackend`)
 or the interval-analytical fluid engine
-(:class:`~repro.backends.fluid.FluidBackend`).  Both satisfy
-:class:`ExecutionBackend` and both return the same
-:class:`RunMetrics` record, so everything downstream — replication
-fan-out, persistence, figures, the CLI perf summary, trace validation —
-works identically regardless of how the run was executed.
+(:class:`~repro.backends.fluid.FluidBackend`).  All three subclass
+:class:`ExecutionBackend`, whose one :meth:`~ExecutionBackend.run` owns
+the lifecycle — trace bus, ``run.start``/``run.end``, profile phases,
+metrics registry and telemetry stream, :class:`RunMetrics` assembly —
+and all three return the same :class:`RunMetrics` record, so
+everything downstream — replication fan-out, persistence, figures, the
+CLI perf summary, trace validation — works identically regardless of
+how the run was executed.
 
 This package is deliberately the **only** place in the library that
 imports both engines (enforced by the ``layering`` lint rule): the
@@ -18,18 +23,13 @@ nothing about the other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
-
-try:
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - py3.7 fallback, not supported
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
+from types import SimpleNamespace
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..obs.bus import TraceBus, TraceConfig
+from ..obs.metrics import MetricsConfig, RunTelemetry
+from ..obs.profile import RunProfile, Stopwatch
 
 __all__ = ["RunMetrics", "ExecutionBackend", "resolve_backend", "BACKENDS"]
 
@@ -90,7 +90,7 @@ class RunMetrics:
         ``tests/test_backend_xcheck.py`` compares bit-for-bit.  Empty
         for policies without a control plane (Static-N on the DES).
     backend:
-        ``"des"`` or ``"fluid"``.
+        ``"des"``, ``"des-vec"`` or ``"fluid"``.
     cache_hits, cache_misses:
         Algorithm-1 decision-cache counters of the run's modeler
         (both 0 for policies without one, e.g. Static-N).
@@ -173,12 +173,66 @@ class RunMetrics:
         return min(1.0, met / self.total_requests)
 
 
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """One way of executing a ``(scenario, policy)`` replication."""
+class RunState(SimpleNamespace):
+    """One replication in flight, handed to every lifecycle hook.
+
+    :meth:`ExecutionBackend.run` sets the arguments of the run
+    (``scenario``, ``policy``, ``seed``, ``balancer``), the trace bus
+    (``tracer``), the metrics config and its ``registry``, and
+    ``telemetry`` once :meth:`~ExecutionBackend.start_telemetry` built
+    it; a backend's hooks hang their own state on it (``ctx``,
+    ``ledger``, ``control`` …).
+    """
+
+
+class Collected(NamedTuple):
+    """What a backend's :meth:`~ExecutionBackend.collect` hook reports."""
+
+    #: The backend's :class:`RunMetrics` fields (everything but the
+    #: run's identity, ``wall_seconds``, ``backend``, ``profile`` and
+    #: ``telemetry``, which the lifecycle fills in).
+    fields: Dict[str, object]
+    #: Profile counters, in report order.
+    counters: Dict[str, int]
+    #: Serving fleet size at the end (the telemetry's ``fleet.size``).
+    fleet: int
+    #: ``run.end`` time and the engine event count it reports.
+    end: Tuple[float, int]
+
+
+def economy_fields(totals) -> Dict[str, object]:
+    """The :class:`RunMetrics` economy fields of an
+    :class:`~repro.economy.ledger.EconomyTotals` (none when ``None``)."""
+    if totals is None:
+        return {}
+    return dict(
+        revenue=totals.revenue,
+        cost=totals.cost,
+        penalty=totals.penalty,
+        profit=totals.profit,
+        spot_vm_hours=totals.spot_vm_hours,
+        revocations=totals.revocations,
+    )
+
+
+class ExecutionBackend:
+    """One way of executing a ``(scenario, policy)`` replication.
+
+    :meth:`run` is the whole lifecycle; a backend supplies three hooks,
+    each handed the run's :class:`RunState`:
+
+    * :meth:`build` wires the data plane, attaches the policy and
+      installs the ledger and telemetry (profile phase ``build``);
+    * :meth:`drive` executes the run (phase ``run``);
+    * :meth:`collect` reports a :class:`Collected` (phase
+      ``finalize``).
+    """
 
     #: Backend tag stamped into every :class:`RunMetrics` it produces.
-    name: str
+    name: str = ""
+    #: Whether the backend has a per-request data plane a load
+    #: balancer can steer.
+    balances: bool = True
 
     def run(
         self,
@@ -186,12 +240,132 @@ class ExecutionBackend(Protocol):
         policy,
         seed: int = 0,
         balancer=None,
-        trace=None,
-        audit=None,
-        metrics=None,
+        trace: Optional[Union[TraceConfig, TraceBus]] = None,
+        metrics: Optional[MetricsConfig] = None,
     ) -> RunMetrics:
-        """Execute one replication and return its unified metrics."""
-        ...  # pragma: no cover - protocol body
+        """Execute one replication and return its unified metrics.
+
+        Parameters
+        ----------
+        trace:
+            ``None`` (default) runs untraced.  A
+            :class:`~repro.obs.bus.TraceConfig` builds (and closes) a
+            per-run bus — this is the picklable form the parallel path
+            needs.  A ready :class:`~repro.obs.bus.TraceBus` is used
+            as-is and left open, so callers can inspect an in-memory
+            ring buffer after the run.
+        metrics:
+            Optional :class:`~repro.obs.metrics.MetricsConfig`.  When
+            set, the run carries a metrics registry and a
+            ``metrics.snapshot`` series; the finalized telemetry lands
+            in :attr:`RunMetrics.telemetry` (and on disk when the config
+            has a ``path``).
+        """
+        if balancer is not None and not self.balances:
+            raise ConfigurationError(
+                f"the {self.name} backend has no per-request data plane; "
+                "load balancers only apply to backend='des'"
+            )
+        profile = RunProfile()
+        owns_bus = isinstance(trace, TraceConfig)
+        tracer = trace.build(scenario.name, policy.name, seed) if owns_bus else trace
+        run = RunState(
+            scenario=scenario, policy=policy, seed=seed, balancer=balancer,
+            tracer=tracer, metrics=metrics, registry=None, telemetry=None,
+        )
+        try:
+            if tracer is not None:
+                tracer.emit(
+                    "run.start",
+                    0.0,
+                    scenario=scenario.name,
+                    policy=policy.name,
+                    seed=int(seed),
+                )
+            with profile.phase("build"):
+                if metrics is not None:
+                    run.registry = metrics.build(scenario.qos.max_response_time)
+                self.build(run)
+            watch = Stopwatch()
+            with profile.phase("run"):
+                self.drive(run)
+            wall = watch.elapsed()
+            with profile.phase("finalize"):
+                out = self.collect(run)
+                f = out.fields
+                telemetry: dict = {}
+                if run.telemetry is not None:
+                    telemetry = run.telemetry.finalize(
+                        f["total_requests"],
+                        f["accepted"],
+                        f["rejected"],
+                        f["completed"],
+                        f["qos_violations"],
+                        out.fleet,
+                        cache_hits=f["cache_hits"],
+                        cache_misses=f["cache_misses"],
+                    )
+                    if metrics.path:
+                        run.telemetry.write_jsonl(
+                            metrics.resolve_path(scenario.name, policy.name, seed)
+                        )
+            for key, n in out.counters.items():
+                profile.count(key, n)
+            if tracer is not None:
+                t_end, events = out.end
+                tracer.emit("run.end", t_end, events=events, compactions=f["compactions"])
+                profile.count("trace_events", tracer.emitted)
+            return RunMetrics(
+                scenario=scenario.name,
+                policy=policy.name,
+                seed=seed,
+                wall_seconds=wall,
+                backend=self.name,
+                profile=profile.to_dict(),
+                telemetry=telemetry,
+                **f,
+            )
+        finally:
+            if run.telemetry is not None:
+                run.telemetry.close_stream()
+            if owns_bus and tracer is not None:
+                tracer.close()
+
+    def start_telemetry(self, run: RunState, **sources) -> RunTelemetry:
+        """Build the run's :class:`~repro.obs.metrics.RunTelemetry`.
+
+        Snapshots every ``metrics.interval`` seconds, falling back to
+        the scenario's control epoch; ``sources`` are the backend's
+        ``collector``/``fleet_size_fn``/``cache_fn`` readers.
+        """
+        metrics, scenario = run.metrics, run.scenario
+        run.telemetry = RunTelemetry(
+            run.registry,
+            metrics,
+            scenario.qos.max_response_time,
+            metrics.interval if metrics.interval is not None else scenario.update_interval,
+            tracer=run.tracer,
+            **sources,
+        )
+        if metrics.path and not metrics.history:
+            # History off + path on: stream each snapshot to disk as it
+            # is taken.
+            run.telemetry.open_stream(
+                metrics.resolve_path(scenario.name, run.policy.name, run.seed)
+            )
+        return run.telemetry
+
+    def build(self, run: RunState) -> None:  # pragma: no cover - abstract
+        """Wire the run: data plane, policy, ledger and telemetry."""
+        raise NotImplementedError
+
+    def drive(self, run: RunState) -> None:  # pragma: no cover - abstract
+        """Execute the built run up to the scenario horizon."""
+        raise NotImplementedError
+
+    def collect(self, run: RunState) -> Collected:  # pragma: no cover - abstract
+        """Report the driven run's fields, counters and end state."""
+        raise NotImplementedError
 
 
 def _make_des() -> "ExecutionBackend":
@@ -240,5 +414,5 @@ def resolve_backend(
         return spec
     raise ConfigurationError(
         f"cannot interpret {spec!r} as an execution backend; "
-        "pass 'des', 'fluid', or an ExecutionBackend instance"
+        "pass 'des', 'des-vec', 'fluid', or an ExecutionBackend instance"
     )

@@ -51,9 +51,6 @@ class SimulationContext:
     tracer:
         Optional :class:`repro.obs.bus.TraceBus` shared by every
         instrumented component of the run (``None`` = tracing off).
-    audit:
-        Optional :class:`repro.obs.audit.DecisionAuditLog` that records
-        every Algorithm-1 invocation for replay/explanation.
     registry:
         Optional :class:`repro.obs.metrics.MetricsRegistry` shared by
         every instrumented component (``None`` = metrics off).
@@ -74,5 +71,4 @@ class SimulationContext:
     provisioner: Optional[object] = field(default=None)
     analyzer: Optional[object] = field(default=None)
     tracer: Optional[object] = field(default=None)
-    audit: Optional[object] = field(default=None)
     registry: Optional[object] = field(default=None)

@@ -132,7 +132,7 @@ class ScalingAction:
 class ControlClock:
     """Mutable time source for control-plane observability off the DES.
 
-    The modeler's tracer/audit hooks need a ``time_fn``; inside the DES
+    The modeler's tracer hook needs a ``time_fn``; inside the DES
     that is ``lambda: engine.now``, and on analytical backends it is one
     of these, advanced by the :class:`ControlPlane` at each decision.
     """
@@ -235,7 +235,7 @@ class ControlPlane:
         ``prediction.issued``.
     clock:
         Optional :class:`ControlClock` advanced at each decision — the
-        ``time_fn`` to hand a traced/audited modeler off the DES.
+        ``time_fn`` to hand a traced modeler off the DES.
     registry:
         Optional :class:`repro.obs.metrics.MetricsRegistry`; each
         actuation then increments the ``control.decisions`` counter and

@@ -130,12 +130,8 @@ class PerformanceModeler:
         cache hit.  Needs ``time_fn`` for timestamps.
     time_fn:
         Zero-argument callable returning the current simulation time
-        (``lambda: engine.now``); required when ``tracer`` or
-        ``audit`` is set, ignored otherwise.
-    audit:
-        Optional :class:`repro.obs.audit.DecisionAuditLog` receiving a
-        :class:`~repro.obs.audit.DecisionRecord` per invocation — the
-        in-process form of the trace's ``decision`` events.
+        (``lambda: engine.now``); required when ``tracer`` is set,
+        ignored otherwise.
 
     Notes
     -----
@@ -161,7 +157,6 @@ class PerformanceModeler:
         cache_significant_digits: int = 3,
         tracer: Optional[object] = None,
         time_fn: Optional[Callable[[], float]] = None,
-        audit: Optional[object] = None,
     ) -> None:
         if decision_cache_size < 0:
             raise ConfigurationError(
@@ -205,15 +200,13 @@ class PerformanceModeler:
         self.response_percentile = response_percentile
         self._instance_model = instance_model
         self._dispatch_time = float(dispatch_time)
-        if (tracer is not None or audit is not None) and time_fn is None:
+        if tracer is not None and time_fn is None:
             raise ConfigurationError(
-                "a modeler with a tracer or audit log needs time_fn "
+                "a modeler with a tracer needs time_fn "
                 "(e.g. lambda: engine.now) to timestamp decisions"
             )
         #: Optional trace bus (``decision`` events).
         self.tracer = tracer
-        #: Optional decision audit log.
-        self.audit = audit
         #: Simulation-clock accessor for decision timestamps.
         self.time_fn = time_fn
 
@@ -321,7 +314,7 @@ class PerformanceModeler:
             )
         if self._cache_size == 0:
             decision = self._decide_uncached(arrival_rate, service_time, current_instances)
-            if self.tracer is not None or self.audit is not None:
+            if self.tracer is not None:
                 self._observe(decision, arrival_rate, service_time, current_instances, False)
             return decision
         start = min(max(int(current_instances), self.min_vms), self.max_vms)
@@ -331,7 +324,7 @@ class PerformanceModeler:
         if hit is not None:
             cache.move_to_end(key)
             self.cache_hits += 1
-            if self.tracer is not None or self.audit is not None:
+            if self.tracer is not None:
                 self._observe(hit, arrival_rate, service_time, current_instances, True)
             return hit
         decision = self._decide_uncached(arrival_rate, service_time, current_instances)
@@ -339,7 +332,7 @@ class PerformanceModeler:
         cache[key] = decision
         if len(cache) > self._cache_size:
             cache.popitem(last=False)
-        if self.tracer is not None or self.audit is not None:
+        if self.tracer is not None:
             self._observe(decision, arrival_rate, service_time, current_instances, False)
         return decision
 
@@ -351,48 +344,27 @@ class PerformanceModeler:
         current_instances: int,
         cache_hit: bool,
     ) -> None:
-        """Report one invocation to the tracer and/or audit log.
+        """Emit one invocation as a ``decision`` trace event.
 
-        Called only when at least one consumer is attached, so the
-        untraced :meth:`decide` path pays a single attribute check.
+        Called only when a tracer is attached, so the untraced
+        :meth:`decide` path pays a single attribute check.
         """
-        t = self.time_fn()
         perf = decision.predicted
-        if self.audit is not None:
-            from ..obs.audit import DecisionRecord
-
-            self.audit.record(
-                DecisionRecord(
-                    time=t,
-                    arrival_rate=arrival_rate,
-                    service_time=service_time,
-                    current=int(current_instances),
-                    chosen=decision.instances,
-                    iterations=decision.iterations,
-                    meets_qos=decision.meets_qos,
-                    cache_hit=cache_hit,
-                    path=tuple(decision.trace),
-                    rho=perf.rho,
-                    blocking=perf.blocking_probability,
-                    response=perf.response_time,
-                )
-            )
-        if self.tracer is not None:
-            self.tracer.emit(
-                "decision",
-                t,
-                arrival_rate=arrival_rate,
-                service_time=service_time,
-                current=int(current_instances),
-                chosen=decision.instances,
-                iterations=decision.iterations,
-                meets_qos=decision.meets_qos,
-                cache_hit=cache_hit,
-                path=list(decision.trace),
-                rho=perf.rho,
-                blocking=perf.blocking_probability,
-                response=perf.response_time,
-            )
+        self.tracer.emit(
+            "decision",
+            self.time_fn(),
+            arrival_rate=arrival_rate,
+            service_time=service_time,
+            current=int(current_instances),
+            chosen=decision.instances,
+            iterations=decision.iterations,
+            meets_qos=decision.meets_qos,
+            cache_hit=cache_hit,
+            path=list(decision.trace),
+            rho=perf.rho,
+            blocking=perf.blocking_probability,
+            response=perf.response_time,
+        )
 
     def _decide_uncached(
         self,

@@ -182,7 +182,6 @@ class AdaptivePolicy(ProvisioningPolicy):
         capacity: int,
         max_vms: int,
         tracer=None,
-        audit=None,
         time_fn=None,
     ) -> PerformanceModeler:
         """One Algorithm-1 modeler, identically parameterized on every
@@ -195,7 +194,6 @@ class AdaptivePolicy(ProvisioningPolicy):
             rho_max=self.rho_max,
             rejection_tolerance=self.rejection_tolerance,
             tracer=tracer,
-            audit=audit,
             time_fn=time_fn,
         )
 
@@ -206,7 +204,6 @@ class AdaptivePolicy(ProvisioningPolicy):
         capacity: int,
         max_vms: int,
         tracer=None,
-        audit=None,
         registry=None,
     ) -> ControlPlane:
         """A self-driving :class:`~repro.core.controlplane.ControlPlane`
@@ -226,14 +223,12 @@ class AdaptivePolicy(ProvisioningPolicy):
         if self.max_instances is not None:
             max_vms = self.max_instances
         clock = ControlClock()
-        observed = tracer is not None or audit is not None
         modeler = self._build_modeler(
             qos,
             capacity,
             max_vms,
             tracer=tracer,
-            audit=audit,
-            time_fn=clock if observed else None,
+            time_fn=clock if tracer is not None else None,
         )
         predictor = self.predictor_factory(SimpleNamespace(workload=workload))
         return ControlPlane(
@@ -253,14 +248,12 @@ class AdaptivePolicy(ProvisioningPolicy):
         max_vms = self.max_instances
         if max_vms is None:
             max_vms = ctx.datacenter.max_vms(ctx.fleet.vm_spec)
-        observed = ctx.tracer is not None or ctx.audit is not None
         modeler = self._build_modeler(
             ctx.qos,
             ctx.capacity,
             max_vms,
             tracer=ctx.tracer,
-            audit=ctx.audit,
-            time_fn=(lambda e=ctx.engine: e.now) if observed else None,
+            time_fn=(lambda e=ctx.engine: e.now) if ctx.tracer is not None else None,
         )
         provisioner = ApplicationProvisioner(
             engine=ctx.engine,

@@ -16,7 +16,7 @@ like-for-like:
   host's physical ceiling;
 * every instance is resized to ``s`` cores (linear speedup).
 
-The cost unit becomes **core-hours** (``RunResult.core_hours``), which
+The cost unit becomes **core-hours** (``RunMetrics.core_hours``), which
 equals VM-hours for the paper's one-core horizontal policies — so the
 ``bench_baseline_vertical`` benchmark can compare the two directly.
 """

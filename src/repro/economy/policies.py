@@ -52,7 +52,7 @@ class ProfitModeler(PerformanceModeler):
     """Profit-maximizing ``m*`` search over the M/M/1/K network.
 
     Inherits the full :class:`PerformanceModeler` surface — quantized
-    LRU decision cache, tracer/audit observability, the network
+    LRU decision cache, tracer observability, the network
     builder — and replaces only the uncached search.
     """
 
@@ -205,7 +205,6 @@ class ProfitPolicy(AdaptivePolicy):
         capacity: int,
         max_vms: int,
         tracer=None,
-        audit=None,
         time_fn=None,
     ) -> PerformanceModeler:
         return ProfitModeler(
@@ -218,7 +217,6 @@ class ProfitPolicy(AdaptivePolicy):
             rho_max=self.rho_max,
             rejection_tolerance=self.rejection_tolerance,
             tracer=tracer,
-            audit=audit,
             time_fn=time_fn,
         )
 

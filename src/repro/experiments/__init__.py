@@ -4,7 +4,7 @@
   evaluation setups (§V-B), optionally rate-rescaled.
 * :func:`run_policy` / :func:`run_replications` — one replication of
   (scenario, policy) → :class:`~repro.backends.base.RunMetrics`, on any
-  execution backend (``backend="des"`` or ``"fluid"``); ``workers=N``
+  execution backend (``backend="des"``, ``"des-vec"`` or ``"fluid"``); ``workers=N``
   dispatches replications to a process pool
   (:mod:`repro.experiments.parallel`).
 * :class:`PolicySpec` — picklable policy factory for the pool path.
@@ -29,7 +29,7 @@ from .figures import (
 )
 from .parallel import PolicySpec, default_workers, run_replications_parallel
 from .persist import load_results, result_from_dict, result_to_dict, save_results
-from .runner import RunMetrics, RunResult, build_context, run_policy, run_replications
+from .runner import RunMetrics, build_context, run_policy, run_replications
 from .scenario import ScenarioConfig, scientific_scenario, web_scenario
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "web_scenario",
     "scientific_scenario",
     "RunMetrics",
-    "RunResult",
     "build_context",
     "run_policy",
     "run_replications",

@@ -7,6 +7,7 @@ Installed as ``repro`` (and the legacy alias ``repro-experiments``)::
     repro run fig5 --scale 500 --seeds 0-1 --out results/
     repro run fig5 --workers 4
     repro run fig5 --backend fluid
+    repro run fig5 --backend des-vec
     repro run fig5-fluid
     repro run all --quick
     repro run fig5 --quick --trace traces/
@@ -74,6 +75,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .._version import __version__
+from ..backends import BACKENDS
 from ..errors import ConfigurationError, TraceSchemaError
 from ..metrics.report import format_markdown_table, format_table
 from ..obs.bus import TraceConfig
@@ -81,7 +83,7 @@ from ..obs.render import explain_decision, render_timeline, trace_summary_table
 from ..obs.schema import CONTROL_EVENTS, load_trace, validate_trace
 from ..sim.calendar import SECONDS_PER_DAY, SECONDS_PER_WEEK
 from . import figures
-from .runner import RunResult
+from .runner import RunMetrics
 from .seeds import parse_seeds
 
 __all__ = ["main", "available_experiments"]
@@ -183,7 +185,7 @@ def _perf_summary(data: "figures.FigureData") -> List[str]:
     for policy, runs in results.items():
         if not isinstance(runs, (list, tuple)) or not runs:
             continue
-        if not all(isinstance(r, RunResult) for r in runs):
+        if not all(isinstance(r, RunMetrics) for r in runs):
             continue
         walls = ", ".join(f"s{r.seed}={r.wall_seconds:.2f}s" for r in runs)
         hits = sum(r.cache_hits for r in runs)
@@ -565,10 +567,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     runp.add_argument(
         "--backend",
-        choices=("des", "fluid"),
+        choices=sorted(BACKENDS),
         default="des",
         help="execution backend for fig5/fig6 policy comparisons: the "
-        "discrete-event simulator (default) or the fluid-flow engine",
+        "discrete-event simulator (des, default), its batched "
+        "structure-of-arrays form (des-vec) or the fluid-flow engine",
     )
     runp.add_argument(
         "--trace",

@@ -24,7 +24,7 @@ from ..sim.rng import RandomStreams
 from ..workloads.scientific import ScientificWorkload
 from ..workloads.web import TABLE_II, WebWorkload
 from .parallel import PolicySpec
-from .runner import RunResult, run_replications
+from .runner import RunMetrics, run_replications
 from .scenario import ScenarioConfig, scientific_scenario, web_scenario
 
 __all__ = [
@@ -277,7 +277,7 @@ def policy_comparison(
         "QoS violations",
     ]
     rows: List[List[object]] = []
-    all_results: Dict[str, List[RunResult]] = {}
+    all_results: Dict[str, List[RunMetrics]] = {}
     for factory in policies:
         results = run_replications(
             scenario, factory, seeds=seeds, workers=workers, trace=trace,

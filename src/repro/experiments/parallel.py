@@ -21,9 +21,9 @@ backend:
   common-random-numbers discipline is a property of the seed, not of
   the execution order) — only the ``wall_seconds`` diagnostic and the
   ``profile`` timings differ, and both are excluded from
-  ``RunResult`` equality.  Observability counters (decision-cache
+  ``RunMetrics`` equality.  Observability counters (decision-cache
   hits/misses, heap compactions, event counts, phase profiles) are
-  carried *inside* each pickled ``RunResult``, so nothing measured in
+  carried *inside* each pickled ``RunMetrics``, so nothing measured in
   a worker process is lost when the pool shuts down;
 * the sequential path is the graceful fallback whenever the pool is
   not usable: ``workers <= 1``, an unpicklable scenario/factory, or a

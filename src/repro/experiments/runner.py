@@ -2,16 +2,14 @@
 
 One :func:`run_policy` call = one replication of (scenario, policy) on
 a chosen execution backend: ``backend="des"`` (default) wires the full
-event-per-request data plane, ``backend="fluid"`` evaluates the same
-control plane analytically (see :mod:`repro.backends`).  Either way the
-result is one unified :class:`~repro.backends.base.RunMetrics` record —
-response times normalized back to paper scale when the scenario is
-rescaled — so replication fan-out, persistence, figures, and the CLI
-perf summary need not care how a run was executed.
-
-``RunResult`` is kept as a module-level alias of :class:`RunMetrics`
-for the many call sites (and saved result sets) that predate the
-backend split.
+event-per-request data plane, ``backend="des-vec"`` the batched
+structure-of-arrays one, and ``backend="fluid"`` evaluates the same
+control plane analytically (see :mod:`repro.backends`).  Every backend
+runs the one :class:`~repro.backends.base.ExecutionBackend` lifecycle
+and returns one unified :class:`~repro.backends.base.RunMetrics`
+record — response times normalized back to paper scale when the
+scenario is rescaled — so replication fan-out, persistence, figures,
+and the CLI perf summary need not care how a run was executed.
 """
 
 from __future__ import annotations
@@ -25,10 +23,7 @@ from ..core.policies import ProvisioningPolicy
 from ..obs.bus import TraceBus, TraceConfig
 from .scenario import ScenarioConfig
 
-__all__ = ["RunResult", "RunMetrics", "build_context", "run_policy", "run_replications"]
-
-#: Backward-compatible alias — one result type across all backends.
-RunResult = RunMetrics
+__all__ = ["RunMetrics", "build_context", "run_policy", "run_replications"]
 
 
 def run_policy(
@@ -37,7 +32,6 @@ def run_policy(
     seed: int = 0,
     balancer: Optional[LoadBalancer] = None,
     trace: Optional[Union[TraceConfig, TraceBus]] = None,
-    audit: Optional[object] = None,
     backend: Union[str, ExecutionBackend, None] = "des",
     metrics: Optional[object] = None,
 ) -> RunMetrics:
@@ -52,26 +46,20 @@ def run_policy(
         needs.  A ready :class:`~repro.obs.bus.TraceBus` is used as-is
         and left open, so callers can inspect an in-memory ring buffer
         after the run.
-    audit:
-        Optional :class:`~repro.obs.audit.DecisionAuditLog` capturing
-        every Algorithm-1 invocation of this run.
     backend:
-        ``"des"`` (default), ``"fluid"``, or a ready
+        ``"des"`` (default), ``"des-vec"``, ``"fluid"``, or a ready
         :class:`~repro.backends.base.ExecutionBackend` instance.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsConfig`; the run's
         finalized telemetry (registry + ``metrics.snapshot`` series)
-        lands in ``RunMetrics.telemetry``.  Only forwarded when set, so
-        backend doubles without the parameter keep working.
+        lands in ``RunMetrics.telemetry``.
+
+    The run's Algorithm-1 decisions are ``decision`` trace events;
+    :meth:`repro.obs.audit.DecisionAuditLog.from_trace` turns them into
+    an explainable audit log.
     """
-    be = resolve_backend(backend)
-    if metrics is not None:
-        return be.run(
-            scenario, policy, seed=seed, balancer=balancer, trace=trace,
-            audit=audit, metrics=metrics,
-        )
-    return be.run(
-        scenario, policy, seed=seed, balancer=balancer, trace=trace, audit=audit
+    return resolve_backend(backend).run(
+        scenario, policy, seed=seed, balancer=balancer, trace=trace, metrics=metrics
     )
 
 

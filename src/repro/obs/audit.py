@@ -3,10 +3,9 @@
 The paper's modeler answers "how many instances?", but a black-box
 answer is useless when a run misbehaves: the operator needs the inputs
 (predicted ``λ``, monitored ``T_m``, current fleet) *and* the search
-trajectory that led to the chosen ``m``.  :class:`DecisionAuditLog`
-captures exactly that, either live (attached to a
-:class:`~repro.core.modeler.PerformanceModeler`) or reconstructed from
-a JSONL trace (:meth:`DecisionAuditLog.from_trace`), and
+trajectory that led to the chosen ``m``.  The modeler emits exactly
+that as ``decision`` trace events, :class:`DecisionAuditLog` rebuilds
+them from a trace (:meth:`DecisionAuditLog.from_trace`), and
 :func:`explain_record` renders one record as the step-by-step
 narrative the "explain this provisioning decision" workflow needs.
 
@@ -66,18 +65,16 @@ class DecisionRecord:
 class DecisionAuditLog:
     """Append-only record of modeler invocations.
 
-    Attach one to a modeler (``PerformanceModeler(..., audit=log)`` or
-    ``AdaptivePolicy(audit_log=log)``) to capture decisions live, or
-    rebuild one from a trace with :meth:`from_trace` — the two paths
-    produce identical records, which ``tests/test_obs_audit_profile.py``
-    asserts.
+    A view of a run's trace: :meth:`from_trace` is the only
+    constructor, rebuilding one :class:`DecisionRecord` per ``decision``
+    event (trace the run to audit it).
     """
 
     def __init__(self) -> None:
         self.records: List[DecisionRecord] = []
 
     def record(self, record: DecisionRecord) -> None:
-        """Append one invocation (called by the modeler)."""
+        """Append one invocation (called by :meth:`from_trace`)."""
         self.records.append(record)
 
     def __len__(self) -> int:

@@ -11,7 +11,7 @@ replications with :func:`aggregate_profiles` so the CLI perf summary
 is correct at any ``--workers`` value.
 
 Wall-clock numbers are inherently nondeterministic, so the runner
-stores the profile in a ``compare=False`` field of ``RunResult`` —
+stores the profile in a ``compare=False`` field of ``RunMetrics`` —
 bit-identity between the sequential and parallel backends is asserted
 on everything else.
 """
@@ -81,7 +81,7 @@ class RunProfile:
         self.counters[name] = self.counters.get(name, 0) + int(n)
 
     def to_dict(self) -> Dict[str, Dict[str, float]]:
-        """JSON-safe snapshot (the form stored on ``RunResult``)."""
+        """JSON-safe snapshot (the form stored on ``RunMetrics``)."""
         return {
             "phase_seconds": dict(self.phase_seconds),
             "counters": dict(self.counters),
@@ -116,7 +116,7 @@ def aggregate_profiles(
     """Sum serialized profiles (e.g. ``r.profile`` across replications).
 
     This is the cross-worker aggregation point: each pool worker ships
-    its profile back inside the pickled ``RunResult``, and the caller
+    its profile back inside the pickled ``RunMetrics``, and the caller
     folds them here instead of reading counters off engines that no
     longer exist.
     """

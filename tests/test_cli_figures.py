@@ -102,3 +102,23 @@ def test_cli_unknown_experiment():
 def test_cli_bad_seeds():
     with pytest.raises(SystemExit):
         main(["run", "fig4", "--seeds", "a,b"])
+
+
+def test_cli_run_accepts_every_backend(monkeypatch, capsys):
+    from repro.experiments import figures
+
+    built = []
+    fig5_data = figures.fig5_data
+
+    def recording_fig5_data(**kwargs):
+        data = fig5_data(**kwargs)
+        built.append(data)
+        return data
+
+    monkeypatch.setattr(figures, "fig5_data", recording_fig5_data)
+    argv = ["run", "fig5", "--quick", "--scale", "5000", "--seeds", "0"]
+    assert main(argv + ["--backend", "des-vec"]) == 0
+    (data,) = built
+    runs = [r for rs in data.raw["results"].values() for r in rs]
+    assert runs and {r.backend for r in runs} == {"des-vec"}
+    assert "Adaptive" in capsys.readouterr().out

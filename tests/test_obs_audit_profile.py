@@ -36,17 +36,17 @@ def small_scenario(**overrides):
 def test_modeler_requires_clock_when_observed():
     qos = QoSTarget(max_response_time=0.25, min_utilization=0.8)
     with pytest.raises(ConfigurationError):
-        PerformanceModeler(qos=qos, capacity=2, max_vms=10, audit=DecisionAuditLog())
+        PerformanceModeler(
+            qos=qos, capacity=2, max_vms=10, tracer=TraceBus(RingBufferSink())
+        )
 
 
-def test_live_audit_matches_trace_reconstruction():
+def test_audit_log_rebuilt_from_trace():
     sc = small_scenario()
     bus = TraceBus(RingBufferSink())
-    audit = DecisionAuditLog()
-    run_policy(sc, AdaptivePolicy(), seed=0, trace=bus, audit=audit)
-    assert len(audit) > 0
-    rebuilt = DecisionAuditLog.from_trace(bus.sink.events)
-    assert rebuilt.records == audit.records
+    result = run_policy(sc, AdaptivePolicy(), seed=0, trace=bus)
+    audit = DecisionAuditLog.from_trace(bus.sink.events)
+    assert len(audit) == result.cache_hits + result.cache_misses > 0
     # Every record is a full Algorithm-1 trajectory ending at chosen m.
     for rec in audit:
         assert rec.path[-1] == rec.chosen

@@ -14,7 +14,6 @@ from repro.experiments import (
 from repro.experiments.cli import main as cli_main
 from repro.obs import (
     CONTROL_EVENTS,
-    DecisionAuditLog,
     RingBufferSink,
     TraceBus,
     TraceConfig,
@@ -68,7 +67,7 @@ def test_traced_adaptive_run_emits_schema_valid_closed_loop():
     n_dec = sum(1 for e in events if e["type"] == "decision")
     n_act = sum(1 for e in events if e["type"] == "scaling.actuated")
     assert n_pred == n_dec == n_act > 0
-    # Decision-cache counters agree between trace and RunResult.
+    # Decision-cache counters agree between trace and RunMetrics.
     hits = sum(1 for e in events if e["type"] == "decision" and e["cache_hit"])
     assert hits == result.cache_hits
     assert n_dec == result.cache_hits + result.cache_misses
@@ -80,8 +79,7 @@ def test_tracing_does_not_change_run_results():
     traced = run_policy(
         sc, AdaptivePolicy(), seed=0, trace=TraceBus(RingBufferSink(maxlen=500_000))
     )
-    audited = run_policy(sc, AdaptivePolicy(), seed=0, audit=DecisionAuditLog())
-    assert strip_wall(plain) == strip_wall(traced) == strip_wall(audited)
+    assert strip_wall(plain) == strip_wall(traced)
 
 
 def test_event_filter_limits_jsonl_to_control_plane(tmp_path):
@@ -127,7 +125,7 @@ def test_parallel_traced_replications_write_one_file_per_seed(tmp_path):
 
 def test_worker_counters_survive_the_pool():
     # Satellite 1: cache and compaction counters must come back from
-    # worker processes inside the pickled RunResult.
+    # worker processes inside the pickled RunMetrics.
     sc = small_scenario()
     seq = run_replications(sc, PolicySpec(AdaptivePolicy), seeds=(0, 1), workers=1)
     par = run_replications(sc, PolicySpec(AdaptivePolicy), seeds=(0, 1), workers=2)
