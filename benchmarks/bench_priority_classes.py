@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cloud import WorkloadSource
 from repro.cloud.priority import HIGH, LOW, PriorityAdmissionControl
 from repro.core import StaticPolicy
 from repro.experiments import build_context, web_scenario
@@ -28,16 +29,23 @@ def run_mix(reserved_slots: int, seed: int = 0):
         ctx.fleet, ctx.monitor, reserved_slots=reserved_slots
     )
     rng = ctx.streams.get("priority.classes")
-    # Rewire the broker through the priority gate with a 30 % HIGH mix.
-    original_submit = ctx.admission.submit
 
     class _PriorityFrontDoor:
         def submit(self, arrival_time: float) -> bool:
             klass = HIGH if rng.random() < 0.3 else LOW
             return pac.submit(arrival_time, klass)
 
-    ctx.source._admission = _PriorityFrontDoor()
-    ctx.source.start()
+    # Route the arrivals through the priority gate with a 30 % HIGH mix.
+    # A source's front door is fixed at construction, so build one on
+    # the context's (not yet started) arrival stream.
+    source = WorkloadSource(
+        engine=ctx.engine,
+        workload=scenario.workload,
+        rng=ctx.streams.get("arrivals"),
+        admission=_PriorityFrontDoor(),
+        horizon=scenario.horizon,
+    )
+    source.start()
     ctx.engine.run(until=scenario.horizon)
     return pac, ctx.metrics
 

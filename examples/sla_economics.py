@@ -14,6 +14,7 @@ Usage::
 
 from __future__ import annotations
 
+from repro.cloud import WorkloadSource
 from repro.core import StaticPolicy
 from repro.core.sla import SLAAwareAdmission, SLAContract, SLAPortfolio
 from repro.experiments import build_context, web_scenario
@@ -42,8 +43,16 @@ def run(reservation_step: int):
             klass = "gold" if rng.random() < GOLD_SHARE else "bronze"
             return admission.submit(arrival_time, klass)
 
-    ctx.source._admission = FrontDoor()
-    ctx.source.start()
+    # A source's front door is fixed at construction, so build one on
+    # the context's (not yet started) arrival stream.
+    source = WorkloadSource(
+        engine=ctx.engine,
+        workload=scenario.workload,
+        rng=ctx.streams.get("arrivals"),
+        admission=FrontDoor(),
+        horizon=scenario.horizon,
+    )
+    source.start()
     ctx.engine.run(until=scenario.horizon)
     return admission
 

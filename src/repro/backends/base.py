@@ -8,7 +8,7 @@ or the interval-analytical fluid engine
 (:class:`~repro.backends.fluid.FluidBackend`).  All three subclass
 :class:`ExecutionBackend`, whose one :meth:`~ExecutionBackend.run` owns
 the lifecycle — trace bus, ``run.start``/``run.end``, profile phases,
-metrics registry and telemetry stream, :class:`RunMetrics` assembly —
+telemetry stream and metrics registry, :class:`RunMetrics` assembly —
 and all three return the same :class:`RunMetrics` record, so
 everything downstream — replication fan-out, persistence, figures, the
 CLI perf summary, trace validation — works identically regardless of
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..obs.bus import TraceBus, TraceConfig
@@ -178,10 +178,10 @@ class RunState(SimpleNamespace):
 
     :meth:`ExecutionBackend.run` sets the arguments of the run
     (``scenario``, ``policy``, ``seed``, ``balancer``), the trace bus
-    (``tracer``), the metrics config and its ``registry``, and
-    ``telemetry`` once :meth:`~ExecutionBackend.start_telemetry` built
-    it; a backend's hooks hang their own state on it (``ctx``,
-    ``ledger``, ``control`` …).
+    (``tracer``), the metrics config (``metrics``), and ``telemetry``
+    once :meth:`~ExecutionBackend.start_telemetry` built it; a
+    backend's hooks hang their own state on it (``ctx``, ``ledger``,
+    ``control`` …).
     """
 
 
@@ -198,6 +198,12 @@ class Collected(NamedTuple):
     fleet: int
     #: ``run.end`` time and the engine event count it reports.
     end: Tuple[float, int]
+    #: The control plane's actuation log, ``None`` without one (the
+    #: telemetry's ``control.decisions`` and ``fleet.target``).
+    actions: Optional[Sequence] = None
+    #: The vectorized data plane's ``(spans, flushed requests)``,
+    #: ``None`` off ``des-vec`` (the telemetry's ``batch.*``).
+    batch: Optional[Tuple[int, int]] = None
 
 
 def economy_fields(totals) -> Dict[str, object]:
@@ -256,10 +262,10 @@ class ExecutionBackend:
             ring buffer after the run.
         metrics:
             Optional :class:`~repro.obs.metrics.MetricsConfig`.  When
-            set, the run carries a metrics registry and a
-            ``metrics.snapshot`` series; the finalized telemetry lands
-            in :attr:`RunMetrics.telemetry` (and on disk when the config
-            has a ``path``).
+            set, the run carries a ``metrics.snapshot`` series and a
+            metrics registry assembled at finalize; the finalized
+            telemetry lands in :attr:`RunMetrics.telemetry` (and on
+            disk when the config has a ``path``).
         """
         if balancer is not None and not self.balances:
             raise ConfigurationError(
@@ -271,7 +277,7 @@ class ExecutionBackend:
         tracer = trace.build(scenario.name, policy.name, seed) if owns_bus else trace
         run = RunState(
             scenario=scenario, policy=policy, seed=seed, balancer=balancer,
-            tracer=tracer, metrics=metrics, registry=None, telemetry=None,
+            tracer=tracer, metrics=metrics, telemetry=None,
         )
         try:
             if tracer is not None:
@@ -283,8 +289,6 @@ class ExecutionBackend:
                     seed=int(seed),
                 )
             with profile.phase("build"):
-                if metrics is not None:
-                    run.registry = metrics.build(scenario.qos.max_response_time)
                 self.build(run)
             watch = Stopwatch()
             with profile.phase("run"):
@@ -296,14 +300,7 @@ class ExecutionBackend:
                 telemetry: dict = {}
                 if run.telemetry is not None:
                     telemetry = run.telemetry.finalize(
-                        f["total_requests"],
-                        f["accepted"],
-                        f["rejected"],
-                        f["completed"],
-                        f["qos_violations"],
-                        out.fleet,
-                        cache_hits=f["cache_hits"],
-                        cache_misses=f["cache_misses"],
+                        f, out.fleet, actions=out.actions, batch=out.batch
                     )
                     if metrics.path:
                         run.telemetry.write_jsonl(
@@ -340,7 +337,6 @@ class ExecutionBackend:
         """
         metrics, scenario = run.metrics, run.scenario
         run.telemetry = RunTelemetry(
-            run.registry,
             metrics,
             scenario.qos.max_response_time,
             metrics.interval if metrics.interval is not None else scenario.update_interval,

@@ -42,7 +42,6 @@ def build_context(
     seed: int = 0,
     balancer: Optional[LoadBalancer] = None,
     tracer: Optional[TraceBus] = None,
-    registry: Optional[object] = None,
     max_block: Optional[int] = None,
 ) -> SimulationContext:
     """Wire the data plane of one replication (no policy attached).
@@ -57,9 +56,8 @@ def build_context(
     all-instances-full test, evaluated in bulk).  Both planes draw the
     same streams in the same construction order.
 
-    ``tracer`` (a :class:`~repro.obs.bus.TraceBus`) and ``registry`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) are threaded into every
-    instrumented component; both default to ``None`` — observability
+    ``tracer`` (a :class:`~repro.obs.bus.TraceBus`) is threaded into
+    every instrumented component; ``None`` (the default) is tracing
     off.
     """
     streams = RandomStreams(seed)
@@ -80,7 +78,6 @@ def build_context(
         default_service_time=workload.mean_service_time,
         rate_sample_interval=scenario.rate_sample_interval,
         tracer=tracer,
-        registry=registry,
     )
     sampler = workload.service_sampler(streams.get("service"))
     capacity = scenario.capacity
@@ -106,7 +103,6 @@ def build_context(
             **plane,
             max_block=max_block,
             count_arrivals=scenario.count_arrivals,
-            registry=registry,
         )
         admission = None
     source = WorkloadSource(
@@ -132,7 +128,6 @@ def build_context(
         source=source,
         horizon=scenario.horizon,
         tracer=tracer,
-        registry=registry,
     )
 
 
@@ -145,10 +140,9 @@ class DESBackend(ExecutionBackend):
     max_block: Optional[int] = None
 
     def build(self, run: RunState) -> None:
-        scenario, tracer, registry = run.scenario, run.tracer, run.registry
+        scenario, tracer = run.scenario, run.tracer
         ctx = run.ctx = build_context(
-            scenario, run.seed, run.balancer, tracer=tracer, registry=registry,
-            max_block=self.max_block,
+            scenario, run.seed, run.balancer, tracer=tracer, max_block=self.max_block
         )
         run.policy.attach(ctx)
         # Economics is strictly opt-in: an unpriced run has no ledger
@@ -163,7 +157,6 @@ class DESBackend(ExecutionBackend):
                 collector=ctx.metrics,
                 vm_hours_fn=ctx.datacenter.vm_hours,
                 tracer=tracer,
-                registry=registry,
             )
             run.ledger.install(ctx.engine)
         if run.metrics is not None:
@@ -175,7 +168,7 @@ class DESBackend(ExecutionBackend):
                 cache_fn=(lambda md=modeler: (md.cache_hits, md.cache_misses))
                 if modeler is not None
                 else None,
-            ).install(ctx.engine)
+            ).install(ctx.engine, ctx.monitor)
         ctx.source.start()
 
     def drive(self, run: RunState) -> None:
@@ -221,5 +214,6 @@ class DESBackend(ExecutionBackend):
         )
         counters = {"events": engine.events_fired, "compactions": engine.compactions}
         return Collected(
-            fields, counters, ctx.fleet.serving_count, (now, engine.events_fired)
+            fields, counters, ctx.fleet.serving_count, (now, engine.events_fired),
+            actions=control.actions if control is not None else None,
         )

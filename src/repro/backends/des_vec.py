@@ -35,8 +35,8 @@ class DESVecBackend(DESBackend):
     :class:`~repro.cloud.vecfleet.VectorFleet`; everything else —
     policy, ledger, telemetry, metrics — is the scalar backend's.
     Traced runs additionally emit one ``batch.span`` summary per
-    non-empty epoch span, and the metrics registry additionally counts
-    spans and flushed requests.
+    non-empty epoch span, and the telemetry registry additionally
+    reports spans and flushed requests.
 
     Parameters
     ----------
@@ -80,4 +80,5 @@ class DESVecBackend(DESBackend):
             "event_spans": plane.event_spans,
             "compactions": engine.compactions,
         }
-        return out._replace(counters=counters)
+        flushed = plane.arrivals_processed + plane.completions_processed
+        return out._replace(counters=counters, batch=(plane.spans, flushed))

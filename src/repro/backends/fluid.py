@@ -76,7 +76,6 @@ class FluidBackend(ExecutionBackend):
                 capacity=scenario.capacity,
                 max_vms=datacenter.max_vms(DEFAULT_VM_SPEC),
                 tracer=run.tracer,
-                registry=run.registry,
             )
         elif not isinstance(policy, StaticPolicy):
             raise ConfigurationError(
@@ -126,13 +125,7 @@ class FluidBackend(ExecutionBackend):
                 violating_intervals=0,
                 revocations=len(run.revocations),
             )
-            publish_totals(
-                totals,
-                scenario.horizon,
-                violating_intervals=0,
-                tracer=run.tracer,
-                registry=run.registry,
-            )
+            publish_totals(totals, scenario.horizon, violating_intervals=0, tracer=run.tracer)
         fields = dict(
             total_requests=agg.total_requests,
             accepted=agg.accepted,
@@ -159,5 +152,6 @@ class FluidBackend(ExecutionBackend):
         )
         fleet = agg.fleet_series[-1][1] if agg.fleet_series else 0
         return Collected(
-            fields, {"intervals": agg.intervals}, fleet, (scenario.horizon, agg.intervals)
+            fields, {"intervals": agg.intervals}, fleet, (scenario.horizon, agg.intervals),
+            actions=control.actions if control is not None else None,
         )

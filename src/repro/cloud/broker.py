@@ -117,7 +117,14 @@ class WorkloadSource:
     Window generation runs at :data:`~repro.sim.events.PRIORITY_HIGH`
     so that a window's first arrival is in the event list before any
     same-instant completion fires.
+
+    The sink is fixed at construction: to route arrivals through a
+    different front door, build a new source with ``admission=`` (the
+    slots make a later write to a private attribute fail loudly
+    instead of being silently ignored).
     """
+
+    __slots__ = ("_engine", "_workload", "_rng", "_sink", "horizon", "generated", "_tracer")
 
     def __init__(
         self,
@@ -139,11 +146,8 @@ class WorkloadSource:
         self._engine = engine
         self._workload = workload
         self._rng = rng
-        self._admission = admission
         if sink is None:
-            sink = self._cursor = _ArrivalCursor(engine, admission)
-        else:
-            self._cursor = None
+            sink = _ArrivalCursor(engine, admission)
         self._sink = sink
         self.horizon = float(horizon)
         self.generated = 0

@@ -56,12 +56,9 @@ class Monitor:
         completion emits ``request.completed`` and each rate sample
         emits ``monitor.sample`` (carrying the current ``T_m``
         estimate); ``None`` keeps the hot path unchanged.
-    registry:
-        Optional :class:`repro.obs.metrics.MetricsRegistry`.  When set,
-        every recorded response also feeds the ``qos.response_time``
-        histogram (one buffered list append per completion on the
-        scalar path, one searchsorted per span on the bulk path);
-        ``None`` keeps the hot path unchanged.
+
+    A metrics-enabled run's :class:`~repro.obs.metrics.RunTelemetry`
+    observes every response recorded here (see its ``install``).
     """
 
     def __init__(
@@ -73,7 +70,6 @@ class Monitor:
         rate_sample_interval: Optional[float] = None,
         history_length: int = 4096,
         tracer: Optional[object] = None,
-        registry: Optional[object] = None,
     ) -> None:
         if default_service_time <= 0.0:
             raise ConfigurationError(
@@ -87,9 +83,6 @@ class Monitor:
         self._alpha = float(ewma_alpha)
         self._seen_completion = False
         self._tracer = tracer
-        self._resp_hist = (
-            registry.histogram("qos.response_time") if registry is not None else None
-        )
         # -- arrival-rate sampling ------------------------------------
         self._rate_interval = rate_sample_interval
         self._arrivals_in_window = 0
@@ -107,8 +100,6 @@ class Monitor:
     def record_response(self, response_time: float, service_time: float) -> None:
         """Observe one completed request (called by instances)."""
         self._metrics.record_response(response_time, service_time)
-        if self._resp_hist is not None:
-            self._resp_hist.observe(response_time)
         if self._seen_completion:
             self._tm += self._alpha * (service_time - self._tm)
         else:
@@ -161,8 +152,6 @@ class Monitor:
         if n == 0:
             return
         self._metrics.record_responses(response_times, services)
-        if self._resp_hist is not None:
-            self._resp_hist.observe_many(response_times)
         start = 0
         if not self._seen_completion:
             self._tm = float(services[0])

@@ -98,11 +98,8 @@ class VectorFleet:
 
     Parameters mirror :class:`~repro.cloud.fleet.ApplicationFleet`;
     additionally ``max_block`` caps the arrival-block size (purely a
-    memory/latency knob — results are block-size invariant),
-    ``count_arrivals`` enables the monitor's arrival-rate counter, and
-    ``registry`` (a :class:`repro.obs.metrics.MetricsRegistry`) counts
-    flushed spans and the requests they carried — span-cadence updates,
-    so the per-request hot loop stays untouched.
+    memory/latency knob — results are block-size invariant) and
+    ``count_arrivals`` enables the monitor's arrival-rate counter.
 
     Only round-robin dispatch is implemented: a ``balancer`` argument
     must be ``None`` or a :class:`RoundRobinBalancer` (other strategies
@@ -123,7 +120,6 @@ class VectorFleet:
         tracer: Optional[object] = None,
         max_block: int = 65_536,
         count_arrivals: bool = False,
-        registry: Optional[object] = None,
     ) -> None:
         if capacity < 1:
             raise ConfigurationError(f"queue capacity k must be >= 1, got {capacity}")
@@ -147,12 +143,6 @@ class VectorFleet:
         self._tracer = tracer
         self._max_block = int(max_block)
         self._count_arrivals = bool(count_arrivals)
-        if registry is not None:
-            self._m_spans = registry.counter("batch.spans")
-            self._m_flushed = registry.counter("batch.flushed_requests")
-        else:
-            self._m_spans = None
-            self._m_flushed = None
         self._last_span_t = 0.0
         # -- station state ---------------------------------------------
         self._soa = SoAQueues(self.capacity)
@@ -613,9 +603,6 @@ class VectorFleet:
                     stations=len(self._active),
                     width=t_end - self._last_span_t,
                 )
-            if self._m_spans is not None:
-                self._m_spans.inc()
-                self._m_flushed.inc(accepted + rejected + completions)
             self.spans += 1
             if event_path:
                 self.event_spans += 1

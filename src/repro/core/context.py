@@ -51,9 +51,6 @@ class SimulationContext:
     tracer:
         Optional :class:`repro.obs.bus.TraceBus` shared by every
         instrumented component of the run (``None`` = tracing off).
-    registry:
-        Optional :class:`repro.obs.metrics.MetricsRegistry` shared by
-        every instrumented component (``None`` = metrics off).
     """
 
     engine: Engine
@@ -71,4 +68,3 @@ class SimulationContext:
     provisioner: Optional[object] = field(default=None)
     analyzer: Optional[object] = field(default=None)
     tracer: Optional[object] = field(default=None)
-    registry: Optional[object] = field(default=None)

@@ -236,11 +236,10 @@ class ControlPlane:
     clock:
         Optional :class:`ControlClock` advanced at each decision — the
         ``time_fn`` to hand a traced modeler off the DES.
-    registry:
-        Optional :class:`repro.obs.metrics.MetricsRegistry`; each
-        actuation then increments the ``control.decisions`` counter and
-        updates the ``fleet.size`` / ``fleet.target`` gauges.  Control
-        decisions are epoch-cadence events, so the cost is negligible.
+
+    The :attr:`actions` log is also what a metrics-enabled run reports
+    as its ``control.decisions`` counter and ``fleet.target`` gauge
+    (:meth:`repro.obs.metrics.RunTelemetry.finalize`).
     """
 
     def __init__(
@@ -254,7 +253,6 @@ class ControlPlane:
         initial_instances: int = 0,
         tracer: Optional[object] = None,
         clock: Optional[ControlClock] = None,
-        registry: Optional[object] = None,
     ) -> None:
         if update_interval <= 0.0 or not math.isfinite(update_interval):
             raise ConfigurationError(
@@ -275,14 +273,6 @@ class ControlPlane:
         self.initial_instances = int(initial_instances)
         self.tracer = tracer
         self.clock = clock if clock is not None else ControlClock()
-        if registry is not None:
-            self._m_decisions = registry.counter("control.decisions")
-            self._m_fleet = registry.gauge("fleet.size")
-            self._m_target = registry.gauge("fleet.target")
-        else:
-            self._m_decisions = None
-            self._m_fleet = None
-            self._m_target = None
         #: Actuation log in time order (both backends).
         self.actions: List[ScalingAction] = []
 
@@ -324,10 +314,6 @@ class ControlPlane:
         before = self.actuator.serving_count
         decision = self.modeler.decide(predicted_rate, tm, max(1, before))
         after = self.actuator.scale_to(decision.instances)
-        if self._m_decisions is not None:
-            self._m_decisions.inc()
-            self._m_target.set(decision.instances)
-            self._m_fleet.set(after)
         if self.tracer is not None:
             self.tracer.emit(
                 "scaling.actuated",

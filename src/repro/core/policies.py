@@ -204,7 +204,6 @@ class AdaptivePolicy(ProvisioningPolicy):
         capacity: int,
         max_vms: int,
         tracer=None,
-        registry=None,
     ) -> ControlPlane:
         """A self-driving :class:`~repro.core.controlplane.ControlPlane`
         for analytical backends (no engine, monitor, or fleet).
@@ -241,7 +240,6 @@ class AdaptivePolicy(ProvisioningPolicy):
             initial_instances=self.initial_instances,
             tracer=tracer,
             clock=clock,
-            registry=registry,
         )
 
     def attach(self, ctx: SimulationContext) -> None:
@@ -262,7 +260,6 @@ class AdaptivePolicy(ProvisioningPolicy):
             monitor=ctx.monitor,
             initial_instances=self.initial_instances,
             tracer=ctx.tracer,
-            registry=ctx.registry,
         )
         predictor = self.predictor_factory(ctx)
         analyzer = WorkloadAnalyzer(

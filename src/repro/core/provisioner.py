@@ -48,9 +48,6 @@ class ApplicationProvisioner:
         Optional :class:`repro.obs.bus.TraceBus`; each actuation then
         emits a ``scaling.actuated`` event (before/target/after), the
         companion of the modeler's ``decision`` event.
-    registry:
-        Optional :class:`repro.obs.metrics.MetricsRegistry`, forwarded
-        to the control plane (decision counter, fleet gauges).
     """
 
     def __init__(
@@ -61,7 +58,6 @@ class ApplicationProvisioner:
         monitor: Monitor,
         initial_instances: int = 0,
         tracer: Optional[object] = None,
-        registry: Optional[object] = None,
     ) -> None:
         self._engine = engine
         self.control = ControlPlane(
@@ -71,7 +67,6 @@ class ApplicationProvisioner:
             initial_instances=initial_instances,
             tracer=tracer,
             clock=_EngineClock(engine),
-            registry=registry,
         )
         self.initial_instances = self.control.initial_instances
 

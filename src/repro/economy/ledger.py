@@ -42,22 +42,15 @@ def publish_totals(
     now: float,
     violating_intervals: int = 0,
     tracer=None,
-    registry=None,
 ) -> None:
-    """Publish end-of-run billing to the obs plane.
+    """Publish end-of-run billing to the trace as ``economy.summary``.
 
-    The single home of the literal ``economy.*`` metric names and the
-    ``economy.summary`` emit — used by :meth:`ProfitLedger.finalize`
-    (DES backends) and directly by the fluid backend, which bills from
-    aggregates without a ledger.
+    Used by :meth:`ProfitLedger.finalize` (DES backends) and directly
+    by the fluid backend, which bills from aggregates without a ledger.
+    The ``economy.*`` metrics are a view of the same totals, carried in
+    :class:`~repro.backends.base.RunMetrics` and assembled by
+    :meth:`repro.obs.metrics.RunTelemetry.finalize`.
     """
-    if registry is not None:
-        registry.gauge("economy.revenue").set(totals.revenue)
-        registry.gauge("economy.cost").set(totals.cost)
-        registry.gauge("economy.penalty").set(totals.penalty)
-        registry.gauge("economy.profit").set(totals.profit)
-        registry.gauge("economy.spot_vm_hours").set(totals.spot_vm_hours)
-        registry.counter("economy.revocations").set_total(totals.revocations)
     if tracer is not None:
         tracer.emit(
             "economy.summary",
@@ -143,9 +136,9 @@ class ProfitLedger:
         (read-only; the ledger samples its cumulative counters).
     vm_hours_fn:
         ``now -> cumulative VM-hours`` (the datacenter ledger).
-    tracer / registry:
-        Optional obs wiring: ``economy.interval`` / ``economy.summary``
-        trace events and the ``economy.*`` gauges/counters.
+    tracer:
+        Optional :class:`repro.obs.bus.TraceBus`: ``economy.interval``
+        / ``economy.summary`` trace events.
     """
 
     def __init__(
@@ -157,7 +150,6 @@ class ProfitLedger:
         collector=None,
         vm_hours_fn: Optional[Callable[[float], float]] = None,
         tracer=None,
-        registry=None,
         records: Sequence[IntervalRecord] = (),
     ) -> None:
         if not interval > 0.0:
@@ -173,7 +165,6 @@ class ProfitLedger:
         self._collector = collector
         self._vm_hours_fn = vm_hours_fn
         self._tracer = tracer
-        self._registry = registry
         self.records: List[IntervalRecord] = sorted(records)
         # Cumulative state at the last sample (delta baseline).
         self._last_t = 0.0
@@ -289,6 +280,5 @@ class ProfitLedger:
             now,
             violating_intervals=self.violating_intervals,
             tracer=self._tracer,
-            registry=self._registry,
         )
         return totals

@@ -201,12 +201,11 @@ def metrics_overhead(
 ) -> Dict[str, Any]:
     """Wall-clock of one adaptive web run metrics-off vs metrics-on.
 
-    The acceptance budget is a <=1.10x ratio: the registry is built
-    once per run, components hold pre-resolved instrument handles, and
-    the only live per-request cost is one identity check plus a
-    buffered list append into the response-time histogram (bucketing is
-    deferred and vectorized at the next snapshot read) — everything
-    else syncs from the existing collector counters at finalize time.
+    The acceptance budget is a <=1.10x ratio: the only live per-request
+    cost is the response-time histogram's buffered list append behind
+    the monitor's completion sink (bucketing is deferred and vectorized
+    at the next snapshot read) — every other instrument is assembled
+    from the run's own state at finalize time.
     """
     from ..obs.metrics import MetricsConfig
     from .runner import run_policy

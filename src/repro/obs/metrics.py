@@ -6,9 +6,11 @@ last-value :class:`Gauge` readings, and a deterministic fixed-boundary
 log-bucket :class:`Histogram` whose percentile queries return exact
 bucket bounds.  The design rules mirror the bus:
 
-* **zero cost when disabled** — components hold an optional
-  :class:`MetricsRegistry` and guard each observation with one identity
-  check, so a run without metrics executes exactly the seed code path;
+* **zero cost when disabled** — no simulation component holds a
+  registry: :class:`RunTelemetry` assembles it at finalize from state
+  the run already keeps, and only the response-time histogram is live
+  (fed from the monitor's completion sinks), so a run without metrics
+  executes exactly the seed code path;
 * **no wall clocks, no randomness** — every value is a function of the
   simulation, never of the host (the :mod:`repro.lint` determinism rule
   applies to this module like any other);
@@ -127,7 +129,7 @@ def response_time_bounds(qos_response_time: float) -> Tuple[float, ...]:
 
 
 class Counter:
-    """Monotone total.  Merge = exact integer/float addition."""
+    """A run total.  Merge = exact integer/float addition."""
 
     __slots__ = ("name", "value")
     kind = "counter"
@@ -136,11 +138,9 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
     def set_total(self, value: float) -> None:
-        """Overwrite the total (used to sync from an existing collector)."""
+        """Overwrite the total — how :meth:`RunTelemetry.finalize`
+        builds every counter from a total the run already keeps."""
         self.value = value
 
     def merge(self, other: "Counter") -> None:
@@ -358,10 +358,10 @@ class Histogram:
 class MetricsRegistry:
     """Name → metric map, validated against :data:`METRIC_NAMES`.
 
-    Creation is get-or-create: components look their instruments up by
-    name, and the first caller (typically the backend, which knows the
-    scenario's QoS target) fixes histogram boundaries.  Unknown names
-    or kind mismatches raise — the runtime twin of the lint rule.
+    Creation is get-or-create: the first call for a name (in a run,
+    :class:`RunTelemetry`, which knows the scenario's QoS target)
+    fixes histogram boundaries.  Unknown names or kind mismatches
+    raise — the runtime twin of the lint rule.
     """
 
     __slots__ = ("_metrics",)
@@ -524,30 +524,26 @@ class MetricsConfig:
             return p / f"{scenario}-{policy}-s{seed}.jsonl"
         return p
 
-    def build(self, qos_response_time: float) -> MetricsRegistry:
-        """A fresh registry with QoS-centered response-time buckets."""
-        registry = MetricsRegistry()
-        registry.histogram(
-            "qos.response_time", bounds=response_time_bounds(qos_response_time)
-        )
-        return registry
-
 
 class RunTelemetry:
     """Per-run snapshot sampler + registry finalizer.
 
     Built by a backend once per run when a :class:`MetricsConfig` is
     supplied.  On the DES backends :meth:`install` schedules a periodic
-    low-priority engine event that calls :meth:`sample`; the fluid
-    backend computes the same series from its integration grid via
-    :meth:`sample_grid`.  Either way :meth:`finalize` syncs the final
-    counter totals into the registry and returns the ``telemetry`` dict
-    attached to :class:`~repro.backends.base.RunMetrics`.
+    low-priority engine event that calls :meth:`sample` and feeds the
+    response-time histogram from the run's monitor; the fluid backend
+    computes the same series from its integration grid via
+    :meth:`sample_grid`.  Either way :meth:`finalize` assembles the
+    registry from the run's final state and returns the ``telemetry``
+    dict attached to :class:`~repro.backends.base.RunMetrics`.
+
+    The ``qos.response_time`` histogram (:attr:`response_time`, buckets
+    centered on the QoS target) is the only instrument live during the
+    run; every counter and gauge is created at :meth:`finalize`.
     """
 
     def __init__(
         self,
-        registry: MetricsRegistry,
         config: MetricsConfig,
         qos_response_time: float,
         interval: float,
@@ -558,7 +554,10 @@ class RunTelemetry:
     ) -> None:
         if interval <= 0.0:
             raise ConfigurationError(f"snapshot interval must be > 0, got {interval!r}")
-        self.registry = registry
+        self.registry = MetricsRegistry()
+        self.response_time = self.registry.histogram(
+            "qos.response_time", bounds=response_time_bounds(qos_response_time)
+        )
         self.config = config
         self.qos_response_time = float(qos_response_time)
         self.interval = float(interval)
@@ -576,8 +575,16 @@ class RunTelemetry:
         self._prev_violations = 0
 
     # -- engine-driven sampling (des / des-vec) ------------------------
-    def install(self, engine) -> None:
-        """Schedule the periodic snapshot tick on the engine."""
+    def install(self, engine, monitor) -> None:
+        """Schedule the periodic snapshot tick on the engine and feed
+        :attr:`response_time` from ``monitor``'s completion sinks.
+
+        The monitor's ``record_response`` / ``record_responses`` are
+        shadowed by call-through wrappers that observe each recorded
+        response: one ``observe`` per scalar completion and one
+        ``observe_many`` per non-empty batch, so both DES data planes
+        bucket (and Chan-merge) their responses in recording order.
+        """
         from ..sim.events import PRIORITY_LOW
 
         def _tick() -> None:
@@ -585,6 +592,21 @@ class RunTelemetry:
             engine.schedule(self.interval, _tick, PRIORITY_LOW)
 
         engine.schedule(self.interval, _tick, PRIORITY_LOW)
+
+        hist = self.response_time
+        record_one, record_batch = monitor.record_response, monitor.record_responses
+
+        def record_response(response_time, service_time):
+            record_one(response_time, service_time)
+            hist.observe(response_time)
+
+        def record_responses(response_times, service_times, completion_times=None):
+            record_batch(response_times, service_times, completion_times)
+            if np.size(service_times):
+                hist.observe_many(response_times)
+
+        monitor.record_response = record_response
+        monitor.record_responses = record_responses
 
     def sample(self, now: float) -> dict:
         """Take one snapshot of the run's QoS state at time ``now``.
@@ -620,7 +642,7 @@ class RunTelemetry:
             self._prev_completed = completed
             self._prev_violations = violations
         budget = 1.0 - self.config.slo_quantile
-        hist = self.registry.get("qos.response_time")
+        hist = self.response_time
         if self.cache_fn is not None:
             hits, misses = self.cache_fn()
         else:
@@ -649,11 +671,11 @@ class RunTelemetry:
             "cache_hits": hits,
             "cache_misses": misses,
             "cache_hit_ratio": hits / (hits + misses) if (hits + misses) else 0.0,
-            "p50": hist.percentile_bound(0.50) if hist is not None else 0.0,
-            "p95": hist.percentile_bound(0.95) if hist is not None else 0.0,
-            "p99": hist.percentile_bound(0.99) if hist is not None else 0.0,
-            "bounds": list(hist.bounds) if hist is not None else [],
-            "buckets": hist.cumulative_counts() if hist is not None else [],
+            "p50": hist.percentile_bound(0.50),
+            "p95": hist.percentile_bound(0.95),
+            "p99": hist.percentile_bound(0.99),
+            "bounds": list(hist.bounds),
+            "buckets": hist.cumulative_counts(),
         }
         if self.config.history:
             self.snapshots.append(snapshot)
@@ -708,32 +730,53 @@ class RunTelemetry:
     # -- finalization ---------------------------------------------------
     def finalize(
         self,
-        total,
-        accepted,
-        rejected,
-        completed,
-        violations,
+        fields: Dict[str, object],
         fleet: int,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
+        actions: Optional[Sequence] = None,
+        batch: Optional[Tuple[int, int]] = None,
     ) -> dict:
-        """Sync final totals into the registry and dump the telemetry.
+        """Assemble the registry from the run's state and dump the telemetry.
 
-        The request counters are *synced* from the run's collector
-        rather than incremented per request — the hot path pays only
-        for the histogram observation, and the totals still merge
-        correctly across replications (each run contributes its own
-        final counts).
+        Every counter and gauge is a view of a number the run already
+        keeps, set once here rather than incremented on the hot path:
+
+        * ``fields`` — the backend's
+          :class:`~repro.backends.base.RunMetrics` fields: request
+          totals, QoS violations, decision-cache counters, and the
+          ``economy.*`` totals when the run was priced (the economy
+          fields are present only then);
+        * ``fleet`` — the serving fleet size at the end;
+        * ``actions`` — the control plane's actuation log
+          (``control.decisions``, ``fleet.target``); ``None`` for
+          policies without a control plane;
+        * ``batch`` — the vectorized data plane's ``(spans, flushed
+          requests)``; ``None`` off ``des-vec``.
+
+        Each run contributes its own final totals, so the dumps still
+        merge correctly across replications.
         """
         reg = self.registry
-        reg.counter("requests.arrived").set_total(total)
-        reg.counter("requests.accepted").set_total(accepted)
-        reg.counter("requests.rejected").set_total(rejected)
-        reg.counter("requests.completed").set_total(completed)
-        reg.counter("qos.violations").set_total(violations)
-        reg.counter("control.cache_hits").set_total(cache_hits)
-        reg.counter("control.cache_misses").set_total(cache_misses)
+        reg.counter("requests.arrived").set_total(fields["total_requests"])
+        reg.counter("requests.accepted").set_total(fields["accepted"])
+        reg.counter("requests.rejected").set_total(fields["rejected"])
+        reg.counter("requests.completed").set_total(fields["completed"])
+        reg.counter("qos.violations").set_total(fields["qos_violations"])
+        reg.counter("control.cache_hits").set_total(fields["cache_hits"])
+        reg.counter("control.cache_misses").set_total(fields["cache_misses"])
         reg.gauge("fleet.size").set(int(fleet))
+        if actions is not None:
+            reg.counter("control.decisions").set_total(len(actions))
+            reg.gauge("fleet.target").set(actions[-1].target if actions else 0.0)
+        if batch is not None:
+            reg.counter("batch.spans").set_total(batch[0])
+            reg.counter("batch.flushed_requests").set_total(batch[1])
+        if "revenue" in fields:
+            reg.gauge("economy.revenue").set(fields["revenue"])
+            reg.gauge("economy.cost").set(fields["cost"])
+            reg.gauge("economy.penalty").set(fields["penalty"])
+            reg.gauge("economy.profit").set(fields["profit"])
+            reg.gauge("economy.spot_vm_hours").set(fields["spot_vm_hours"])
+            reg.counter("economy.revocations").set_total(fields["revocations"])
         return {
             "version": 1,
             "interval": self.interval,

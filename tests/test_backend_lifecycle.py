@@ -3,7 +3,8 @@
 :meth:`repro.backends.base.ExecutionBackend.run` owns the trace bus,
 the profile phases and the metrics stream for all three backends; these
 tests pin that contract on each of them, including the ``finally``
-path of a run that fails mid-flight.
+path of a run that fails mid-flight, and pin the metrics registry as a
+view of state the run already reports.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.backends import FluidBackend, resolve_backend
 from repro.cloud.loadbalancer import RoundRobinBalancer
 from repro.core import AdaptivePolicy, StaticPolicy
 from repro.core.policies import default_predictor
+from repro.economy import PricingModel, ProfitPolicy
 from repro.errors import ConfigurationError
 from repro.experiments import web_scenario
 from repro.obs.bus import JsonlSink, RingBufferSink, TraceBus, TraceConfig
@@ -131,3 +133,60 @@ def test_fluid_rejects_balancer_before_building_a_trace(tmp_path, built_buses):
         )
     assert built_buses == []
     assert not list(tmp_path.iterdir())
+
+
+#: Instruments every metrics-enabled run reports.
+BASE_METRICS = {
+    "requests.arrived", "requests.accepted", "requests.rejected",
+    "requests.completed", "qos.violations", "qos.response_time",
+    "control.cache_hits", "control.cache_misses", "fleet.size",
+}
+ECONOMY_FIELDS = ("revenue", "cost", "penalty", "profit", "spot_vm_hours", "revocations")
+PRICING = PricingModel(revenue_per_request=0.02, cost_per_core_hour=0.3)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "policy, priced",
+    [(AdaptivePolicy, False), (lambda: StaticPolicy(20), False),
+     (lambda: ProfitPolicy(pricing=PRICING), True)],
+    ids=["Adaptive", "Static-20", "Profit-priced"],
+)
+def test_registry_is_a_view_of_the_run(backend, policy, priced):
+    scenario = small_scenario()
+    if priced:
+        scenario = scenario.with_updates(pricing=PRICING)
+    policy = policy()
+    result = resolve_backend(backend).run(scenario, policy, metrics=MetricsConfig())
+    reg = result.telemetry["registry"]
+    value = {name: m.get("value") for name, m in reg.items()}
+
+    expected = set(BASE_METRICS)
+    controlled = not isinstance(policy, StaticPolicy)
+    if controlled:
+        expected |= {"control.decisions", "fleet.target"}
+    if backend == "des-vec":
+        expected |= {"batch.spans", "batch.flushed_requests"}
+    if priced:
+        expected |= {f"economy.{f}" for f in ECONOMY_FIELDS}
+    assert set(reg) == expected
+
+    assert value["requests.arrived"] == result.total_requests
+    assert value["requests.completed"] == result.completed
+    assert value["qos.violations"] == result.qos_violations
+    if controlled:
+        assert value["control.decisions"] == len(result.control_series)
+        assert value["fleet.size"] == value["fleet.target"] == result.control_series[-1][1]
+    else:
+        assert value["fleet.size"] == policy.instances
+    if backend == "des-vec":
+        counters = result.profile["counters"]
+        assert value["batch.spans"] == counters["spans"]
+        flushed = value["batch.flushed_requests"]
+        assert flushed == counters["arrivals"] + counters["completions"]
+        assert flushed == result.total_requests + result.completed
+    for f in ECONOMY_FIELDS if priced else ():
+        assert value[f"economy.{f}"] == getattr(result, f)
+    # The one live instrument observes every recorded response.
+    observed = reg["qos.response_time"]["count"]
+    assert observed == (0 if backend == "fluid" else result.completed)

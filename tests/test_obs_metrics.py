@@ -78,12 +78,10 @@ def test_response_time_bounds_bracket_the_qos_target():
 
 def test_counter_semantics_and_merge():
     c = Counter("requests.arrived")
-    c.inc()
-    c.inc(5)
-    assert c.value == 6
+    assert c.value == 0
     c.set_total(100)
     other = Counter("requests.arrived")
-    other.inc(11)
+    other.set_total(11)
     c.merge(other)
     assert c.value == 111
     assert c.to_dict() == {"kind": "counter", "value": 111}
@@ -247,7 +245,7 @@ def test_registry_get_or_create_returns_same_instrument():
 
 def test_registry_roundtrip_and_merge():
     reg = MetricsRegistry()
-    reg.counter("requests.accepted").inc(7)
+    reg.counter("requests.accepted").set_total(7)
     reg.gauge("fleet.size").set(12)
     reg.histogram("qos.response_time", bounds=[0.1, 1.0]).observe(0.5)
 
@@ -262,7 +260,7 @@ def test_registry_roundtrip_and_merge():
 
 def test_merge_telemetry_skips_metrics_off_runs():
     reg = MetricsRegistry()
-    reg.counter("requests.accepted").inc(3)
+    reg.counter("requests.accepted").set_total(3)
     dump = {"registry": reg.to_dict()}
     merged = merge_telemetry([{}, dump, {}, dump])
     assert merged["requests.accepted"]["value"] == 6
@@ -304,11 +302,10 @@ def test_metrics_config_resolve_path(tmp_path):
     assert p2.name == "web-Static-60-1.jsonl"
 
 
-def test_metrics_config_build_centers_histogram_on_qos_target():
-    reg = MetricsConfig().build(0.25)
-    hist = reg.get("qos.response_time")
-    assert hist is not None
-    assert hist.bounds == response_time_bounds(0.25)
+def test_run_telemetry_centers_histogram_on_qos_target():
+    tel = RunTelemetry(MetricsConfig(), 0.25, interval=100.0)
+    assert tel.registry.get("qos.response_time") is tel.response_time
+    assert tel.response_time.bounds == response_time_bounds(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +322,7 @@ class _FakeCollector:
 
 
 def _telemetry(collector, **kwargs):
-    cfg = MetricsConfig()
-    return RunTelemetry(
-        cfg.build(1.0), cfg, 1.0, interval=100.0, collector=collector, **kwargs
-    )
+    return RunTelemetry(MetricsConfig(), 1.0, interval=100.0, collector=collector, **kwargs)
 
 
 def test_snapshot_fields_are_integer_ratios():
@@ -356,13 +350,23 @@ def test_finalize_syncs_registry_and_dumps_history(tmp_path):
     tel = _telemetry(m, cache_fn=lambda: (5, 3))
     m.accepted = m.completed = 10
     tel.sample(100.0)
-    out = tel.finalize(12, 10, 2, 10, 1, fleet=4, cache_hits=5, cache_misses=3)
+    fields = dict(
+        total_requests=12, accepted=10, rejected=2, completed=10,
+        qos_violations=1, cache_hits=5, cache_misses=3,
+    )
+    out = tel.finalize(fields, fleet=4)
     reg = out["registry"]
     assert out["version"] == 1
     assert reg["requests.arrived"]["value"] == 12
     assert reg["qos.violations"]["value"] == 1
     assert reg["control.cache_hits"]["value"] == 5
     assert reg["fleet.size"]["value"] == 4
+    # No control plane, batch plane or pricing: none of their instruments.
+    assert sorted(reg) == [
+        "control.cache_hits", "control.cache_misses", "fleet.size",
+        "qos.response_time", "qos.violations", "requests.accepted",
+        "requests.arrived", "requests.completed", "requests.rejected",
+    ]
     assert len(out["snapshots"]) == 1
 
     stream = tel.write_jsonl(tmp_path / "tel.jsonl")
@@ -373,7 +377,7 @@ def test_finalize_syncs_registry_and_dumps_history(tmp_path):
 
 def test_history_false_keeps_no_snapshots():
     cfg = MetricsConfig(history=False)
-    tel = RunTelemetry(cfg.build(1.0), cfg, 1.0, interval=50.0, collector=_FakeCollector())
+    tel = RunTelemetry(cfg, 1.0, interval=50.0, collector=_FakeCollector())
     tel.sample(50.0)
     assert tel.snapshots == []
 
@@ -384,7 +388,7 @@ def test_history_false_streams_snapshots_to_path(tmp_path):
     dump the empty in-memory list)."""
     path = tmp_path / "tel.jsonl"
     cfg = MetricsConfig(history=False, path=str(path))
-    tel = RunTelemetry(cfg.build(1.0), cfg, 1.0, interval=50.0, collector=_FakeCollector())
+    tel = RunTelemetry(cfg, 1.0, interval=50.0, collector=_FakeCollector())
     tel.open_stream(path)
     tel.sample(50.0)
     tel.sample(100.0)
@@ -398,7 +402,7 @@ def test_history_false_streams_snapshots_to_path(tmp_path):
 def test_close_stream_publishes_partial_series_on_interrupt(tmp_path):
     path = tmp_path / "tel.jsonl"
     cfg = MetricsConfig(history=False, path=str(path))
-    tel = RunTelemetry(cfg.build(1.0), cfg, 1.0, interval=50.0, collector=_FakeCollector())
+    tel = RunTelemetry(cfg, 1.0, interval=50.0, collector=_FakeCollector())
     tel.open_stream(path)
     tel.sample(50.0)
     # The backend's finally path: close without finalize/write_jsonl.
@@ -414,7 +418,7 @@ def test_close_stream_publishes_partial_series_on_interrupt(tmp_path):
 def test_prometheus_round_trip_validates():
     m = _FakeCollector()
     tel = _telemetry(m)
-    hist = tel.registry.get("qos.response_time")
+    hist = tel.response_time
     for v in (0.01, 0.5, 0.9, 1.5, 200.0):
         hist.observe(v)
     m.accepted, m.completed, m.violations = 5, 5, 1

@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cloud import WorkloadSource
 from repro.cloud.priority import HIGH, LOW, PriorityAdmissionControl
+from repro.core import StaticPolicy
 from repro.errors import ConfigurationError
+from repro.experiments import build_context, web_scenario
 
 from helpers import make_env
 
@@ -87,3 +90,40 @@ def test_differentiated_loss_under_contention():
     assert high.total > 1000 and low.total > 1000
     assert high.rejection_rate < 0.5 * low.rejection_rate
     assert low.rejection_rate > 0.5  # overload really bites the low class
+
+
+def test_rebuilt_source_routes_every_arrival_through_the_priority_gate():
+    """Regression: the priority benchmark and the SLA example rewired the
+    front door by writing ``ctx.source._admission``, which the source
+    never reads (its arrival cursor keeps the gate it was built with),
+    so no class ever saw an arrival.  That write now fails; a source
+    built with ``admission=`` carries all the traffic."""
+    scenario = web_scenario(scale=5000.0, horizon=2 * 3600.0)
+    ctx = build_context(scenario, seed=0)
+    StaticPolicy(2).attach(ctx)  # undersized: rejects at any hour
+    pac = PriorityAdmissionControl(ctx.fleet, ctx.monitor, reserved_slots=1)
+    rng = ctx.streams.get("priority.classes")
+
+    class FrontDoor:
+        def submit(self, arrival_time: float) -> bool:
+            return pac.submit(arrival_time, HIGH if rng.random() < 0.3 else LOW)
+
+    with pytest.raises(AttributeError):
+        ctx.source._admission = FrontDoor()
+    source = WorkloadSource(
+        engine=ctx.engine,
+        workload=scenario.workload,
+        rng=ctx.streams.get("arrivals"),
+        admission=FrontDoor(),
+        horizon=scenario.horizon,
+    )
+    source.start()
+    ctx.engine.run(until=scenario.horizon)
+
+    m = ctx.metrics
+    classes = pac.per_class.values()
+    assert pac.per_class[HIGH].total > 0
+    assert pac.per_class[LOW].total > 0
+    assert sum(c.accepted for c in classes) == m.accepted
+    assert sum(c.rejected for c in classes) == m.rejected > 0
+    assert m.total_requests == source.generated
