@@ -43,14 +43,16 @@ reclaimable work, never phantom completions.
 
 from __future__ import annotations
 
+import copy
 import json
+import marshal
 import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..backends.base import RunMetrics
 from ..errors import ConfigurationError
@@ -145,6 +147,9 @@ class ResultStore:
         self.root = Path(root)
         self._manifest: Optional[Dict[str, dict]] = None
         self._manifest_stamp: Optional[object] = None
+        # Cell key -> (marshal snapshot of the entry, its encoded text)
+        # as of the last manifest this store wrote; see _manifest_text.
+        self._entry_text: Dict[str, Tuple[bytes, str]] = {}
 
     # ------------------------------------------------------------------
     # Paths
@@ -466,19 +471,55 @@ class ResultStore:
 
     def _write_manifest(self, manifest: Dict[str, dict]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "format": _MANIFEST_FORMAT,
-            "version": _MANIFEST_VERSION,
-            "campaign_schema": CAMPAIGN_SCHEMA_VERSION,
-            "cells": manifest,
-        }
-        _atomic_write(self.manifest_path, json.dumps(doc, indent=1, sort_keys=True))
+        _atomic_write(self.manifest_path, self._manifest_text(manifest))
         self._manifest = manifest
         try:
             stat = self.manifest_path.stat()
             self._manifest_stamp = (stat.st_mtime_ns, stat.st_size)
         except OSError:  # pragma: no cover - racing delete
             self._manifest_stamp = None
+
+    def _manifest_text(self, manifest: Dict[str, dict]) -> str:
+        """The manifest document as ``json.dumps(doc, indent=1, sort_keys=True)``.
+
+        Encoded a member at a time so a put re-encodes only the entries
+        that changed since this store's last write.  An entry encoded
+        on its own and re-indented two levels is exactly its text
+        inside the whole document, because the ``indent=1`` layout puts
+        each nesting level on its own lines and encoded JSON strings
+        never hold a raw newline.  A remembered text is reused only
+        while the entry's ``marshal`` bytes equal the snapshot taken
+        when it was encoded.  Marshal records every value's type and
+        exact bits (``1``, ``1.0`` and ``True`` differ, so do ``0.0``
+        and ``-0.0``), so equal bytes mean an identical encoding, which
+        ``==`` alone does not promise.  Entries marshal cannot write
+        (subclasses such as an ``IntEnum``) are re-encoded every time.
+        """
+        remembered, self._entry_text = self._entry_text, {}
+        cells = []
+        for key in sorted(manifest):
+            entry = manifest[key]
+            try:
+                snapshot: Optional[bytes] = marshal.dumps(entry, 2)
+            except ValueError:
+                snapshot = None
+            memo = remembered.get(key)
+            if snapshot is not None and memo is not None and memo[0] == snapshot:
+                text = memo[1]
+            else:
+                text = json.dumps(entry, indent=1, sort_keys=True).replace("\n", "\n  ")
+            if snapshot is not None:
+                self._entry_text[key] = (snapshot, text)
+            cells.append((key, text))
+        return _json_object(
+            [
+                ("campaign_schema", json.dumps(CAMPAIGN_SCHEMA_VERSION)),
+                ("cells", _json_object(cells, depth=1)),
+                ("format", json.dumps(_MANIFEST_FORMAT)),
+                ("version", json.dumps(_MANIFEST_VERSION)),
+            ],
+            depth=0,
+        )
 
     def _update_manifest(self, cell: Cell, status: str, **extra: object) -> None:
         entry = dict(cell.config())
@@ -532,8 +573,12 @@ class ResultStore:
         return "missing"
 
     def manifest(self) -> Dict[str, dict]:
-        """A copy of the manifest index (key → entry)."""
-        return dict(self._load_manifest())
+        """A copy of the manifest index (key → entry).
+
+        The entries are copies too: editing them leaves the store's
+        own view (``status_of``, the next manifest write) untouched.
+        """
+        return copy.deepcopy(self._load_manifest())
 
     def refresh_manifest(self, cells: Iterable[Cell]) -> Dict[str, dict]:
         """Re-derive manifest entries for ``cells`` from the filesystem.
@@ -577,7 +622,20 @@ class ResultStore:
             return changed
 
         self._mutate_manifest(heal)
-        return dict(healed)
+        return copy.deepcopy(healed)
+
+
+def _json_object(members: List[Tuple[str, str]], depth: int) -> str:
+    """A JSON object in the ``indent=1`` layout from encoded members.
+
+    ``members`` are ``(key, encoded value)`` pairs in key order; each
+    value must already be indented for nesting level ``depth + 1``.
+    """
+    if not members:
+        return "{}"
+    pad = "\n" + " " * (depth + 1)
+    body = ("," + pad).join(f"{json.dumps(key)}: {value}" for key, value in members)
+    return "{" + pad + body + "\n" + " " * depth + "}"
 
 
 def _fs_safe(owner: str) -> str:

@@ -22,6 +22,7 @@ Format history
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from pathlib import Path
@@ -53,15 +54,25 @@ _V1_FLUID_FIELDS = frozenset(
 )
 
 
+#: RunMetrics field names, in declaration order.
+_FIELDS = tuple(f.name for f in dataclasses.fields(RunMetrics))
+
+
 def result_to_dict(result: RunMetrics) -> dict:
     """Serialize one result to a JSON-safe dict (with a ``kind`` tag)."""
     if not isinstance(result, RunMetrics):
         raise ConfigurationError(
             f"cannot serialize {type(result).__name__}; expected RunMetrics"
         )
-    payload = dataclasses.asdict(result)
+    # What ``dataclasses.asdict`` returns, without its recursive copy of
+    # the (immutable) series tuples: only dict and list values can be
+    # mutated through the payload, so only those are deep-copied.
     # Tuples (fleet/control series) become lists in JSON; normalized on
     # load.
+    payload = {}
+    for name in _FIELDS:
+        value = getattr(result, name)
+        payload[name] = copy.deepcopy(value) if isinstance(value, (dict, list)) else value
     return {"kind": "metrics", "data": payload}
 
 

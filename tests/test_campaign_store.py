@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaigns import CampaignSpec, ResultStore
-from repro.campaigns.store import _MANIFEST_FORMAT
+from repro.campaigns.spec import CAMPAIGN_SCHEMA_VERSION
+from repro.campaigns.store import _MANIFEST_FORMAT, _MANIFEST_VERSION
+from repro.core import AdaptivePolicy
 from repro.errors import ConfigurationError
+from repro.experiments import web_scenario
+from repro.experiments.persist import result_to_dict
 from repro.experiments.runner import run_policy
+from repro.obs.metrics import MetricsConfig
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +105,20 @@ def test_manifest_tracks_statuses(tmp_path, spec, metrics):
     assert store.status_of(d) == "missing"
     doc = json.loads((tmp_path / "manifest.json").read_text())
     assert doc["format"] == _MANIFEST_FORMAT
+
+
+def test_manifest_copies_do_not_alias_the_store(tmp_path, spec, metrics):
+    store = ResultStore(tmp_path)
+    a, b = spec.expanded()[:2]
+    store.mark_screened(a, rejection_rate=0.5)
+    store.put(b, metrics)
+    store.manifest()[a.key()]["status"] = "failed"
+    store.manifest()[a.key()]["params"]["scale"] = -1.0
+    assert store.status_of(a) == "screened"
+    assert store.manifest()[a.key()]["params"] == a.config()["params"]
+    store.refresh_manifest([a, b])[b.key()]["status"] = "failed"
+    assert store.status_of(b) == "cached"
+    assert store.manifest()[b.key()]["status"] == "cached"
 
 
 def test_refresh_manifest_heals_after_crash(tmp_path, spec, metrics):
@@ -247,3 +270,151 @@ def test_durable_write_leaves_no_tmp_files(tmp_path, spec, metrics):
     store.put(cell, metrics)
     strays = [p for p in tmp_path.rglob("*") if ".tmp" in p.name]
     assert strays == []
+
+
+# ---------------------------------------------------------------------------
+# on-disk layout: every file is json.dumps(doc, indent=1, sort_keys=True)
+# ---------------------------------------------------------------------------
+def _reference_manifest(cells: dict) -> str:
+    doc = {
+        "format": _MANIFEST_FORMAT,
+        "version": _MANIFEST_VERSION,
+        "campaign_schema": CAMPAIGN_SCHEMA_VERSION,
+        "cells": cells,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_entries = st.dictionaries(st.text(max_size=8), _json_values, max_size=5)
+# Hex-like keys, as the store writes them, plus awkward ones.
+_keys = st.sampled_from(["00ab", "00ac", "ff", "k\u00e9y", 'q"uote', "back\\slash"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rounds=st.lists(st.dictionaries(_keys, _entries, max_size=4), min_size=1, max_size=4))
+def test_manifest_text_is_the_reference_encoding(rounds):
+    """Each write equals a whole-document encode, memo hits included.
+
+    Consecutive rounds share keys, so entries are rewritten both
+    unchanged and changed; the next test pins type-only changes.
+    """
+    with tempfile.TemporaryDirectory() as root:
+        store = ResultStore(root)
+        for cells in rounds:
+            store._write_manifest(copy.deepcopy(cells))
+            assert store.manifest_path.read_text() == _reference_manifest(cells)
+            # The same entries re-parsed from disk take the memo path.
+            store._write_manifest(json.loads(store.manifest_path.read_text())["cells"])
+            assert store.manifest_path.read_text() == _reference_manifest(cells)
+
+
+def test_manifest_memo_tells_equal_values_of_other_types_apart(tmp_path):
+    store = ResultStore(tmp_path)
+    for value in (1, 1.0, True, 0.0, -0.0, 0, False):
+        store._write_manifest({"k": {"v": value}})
+        assert store.manifest_path.read_text() == _reference_manifest({"k": {"v": value}})
+    store._write_manifest({})
+    assert store.manifest_path.read_text() == _reference_manifest({})
+
+
+_errors = st.text(
+    alphabet=st.sampled_from(list('ab \n\t"\\/\u00e9\u4e2d\U0001f600\r')), max_size=10
+)
+_store_ops = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # which of two stores on one root
+        st.integers(0, 3),  # which cell
+        st.one_of(
+            st.just(("put",)),
+            st.just(("delete",)),
+            st.tuples(st.just("failed"), _errors),
+            st.tuples(st.just("screened"), st.floats(0.0, 1.0) | st.sampled_from([0, 1])),
+        ),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_store_ops)
+def test_two_stores_taking_turns_write_the_reference_manifest(spec, metrics, ops):
+    """Two ``ResultStore`` instances on one root interleave updates of
+    the same and of different keys; after every step the manifest on
+    disk is the reference encoding of the merged entries."""
+    cells = spec.expanded()
+    with tempfile.TemporaryDirectory() as root:
+        stores = (ResultStore(root), ResultStore(root))
+        expected: dict = {}
+        for which, index, op in ops:
+            store, cell = stores[which], cells[index]
+            key = cell.key()
+            if op[0] == "delete":
+                store.delete(cell)
+                expected.pop(key, None)
+            else:
+                entry = dict(cell.config())
+                if op[0] == "put":
+                    store.put(cell, metrics)
+                    entry.update(status="cached", file=str(store.path_for(cell).relative_to(root)))
+                elif op[0] == "failed":
+                    store.mark_failed(cell, op[1])
+                    entry.update(status="failed", file=None, error=op[1])
+                else:
+                    store.mark_screened(cell, rejection_rate=op[1])
+                    entry.update(status="screened", file=None, rejection_rate=op[1])
+                # An update equal to the recorded entry is not rewritten.
+                if expected.get(key) != entry:
+                    expected[key] = entry
+            if store.manifest_path.exists():
+                assert store.manifest_path.read_text() == _reference_manifest(expected)
+        for store in stores:
+            assert store.manifest() == expected
+
+
+@pytest.fixture(scope="module")
+def observed_results():
+    """Adaptive web runs on every backend with metrics collection on."""
+    scenario = web_scenario(scale=5000.0, horizon=2 * 3600.0, track_fleet_series=True)
+    return [
+        run_policy(scenario, AdaptivePolicy(), seed=0, backend=backend, metrics=MetricsConfig())
+        for backend in ("des", "des-vec", "fluid")
+    ]
+
+
+def test_result_to_dict_matches_asdict_and_copies_mutables(observed_results):
+    for result in observed_results:
+        assert result.profile and result.telemetry
+        data = result_to_dict(result)["data"]
+        assert data == dataclasses.asdict(result)
+        before = copy.deepcopy((result.profile, result.telemetry))
+        for name in ("profile", "telemetry"):
+            for value in data[name].values():
+                if isinstance(value, (dict, list)):
+                    value.clear()
+            data[name]["injected"] = 1
+        assert (result.profile, result.telemetry) == before
+
+
+def test_artifacts_are_in_the_canonical_layout(tmp_path, spec, observed_results):
+    store = ResultStore(tmp_path)
+    for cell, result in zip(spec.expanded(), observed_results):
+        store.put(cell, result)
+    store.mark_failed(spec.expanded()[3], 'line one\nline "two" \\ \u00e9')
+    texts = [p.read_text() for p in tmp_path.glob("cells/*/*.json")]
+    texts.append(store.manifest_path.read_text())
+    assert len(texts) == 4
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
