@@ -4,11 +4,14 @@ Unlike the figure benchmarks (single-shot regenerations), these are
 true timing benchmarks with repeated rounds: event-loop throughput,
 Algorithm-1 latency, analytical-formula cost, and workload sampling —
 the quantities that determine how close to paper scale the DES can run.
+The ``*_MAX_S`` ceilings catch order-of-magnitude regressions (a lost
+vectorization, an accidentally quadratic loop), not host jitter.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from conftest import best_of
 
 from repro.core import AdaptivePolicy, PerformanceModeler, QoSTarget, StaticPolicy
 from repro.experiments import run_policy, web_scenario
@@ -16,6 +19,13 @@ from repro.obs.profile import Stopwatch
 from repro.queueing import mm1k_blocking
 from repro.sim import Engine, RandomStreams, round_robin_departures
 from repro.workloads import ScientificWorkload, WebWorkload
+
+# 3x the seconds recorded on a 1-core Intel Xeon @ 2.10 GHz (Python 3.11).
+ENGINE_50K_MAX_S = 3 * 0.023704
+ENGINE_500K_MAX_S = 3 * 0.23676
+ROUND_ROBIN_50K_MAX_S = 3 * 0.0011248
+DES_WEB_DAY_MAX_S = 3 * 3.5709
+DES_VEC_WEB_DAY_MAX_S = 3 * 0.89513
 
 
 def _chained_ticks(count: int) -> int:
@@ -43,6 +53,7 @@ def test_engine_event_throughput_500k(benchmark):
     """The 50 k chain at 10× — scalar event cost must scale linearly."""
     fired = benchmark(_chained_ticks, 500_000)
     assert fired == 500_000
+    assert benchmark.stats["min"] <= ENGINE_500K_MAX_S, benchmark.stats["min"]
 
 
 def _rr_workload(n: int, stations: int = 100, seed: int = 0):
@@ -69,20 +80,13 @@ def test_batched_vs_scalar_kernel_speedup():
     """Acceptance check: the batched kernel beats the scalar event loop ≥5×.
 
     Both sides process 50 k requests — the scalar engine fires one
-    chained event per request (the BENCH_PR1 ``engine_event_throughput``
+    chained event per request (``test_engine_event_throughput``'s
     kernel), the batched side computes all departures in one
     :func:`round_robin_departures` call.  Best-of-5 via
-    :class:`repro.obs.profile.Stopwatch`.
+    :class:`repro.obs.profile.Stopwatch`; each side also stays under
+    its absolute ceiling.
     """
     arrivals, services, stations = _rr_workload(50_000)
-
-    def best_of(fn, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            watch = Stopwatch()
-            fn()
-            best = min(best, watch.elapsed())
-        return best
 
     scalar = best_of(lambda: _chained_ticks(50_000))
     batched = best_of(lambda: round_robin_departures(arrivals, services, stations))
@@ -92,6 +96,8 @@ def test_batched_vs_scalar_kernel_speedup():
         f"batched={batched:.6f}s speedup={speedup:.1f}x"
     )
     assert speedup >= 5.0, (scalar, batched)
+    assert scalar <= ENGINE_50K_MAX_S, scalar
+    assert batched <= ROUND_ROBIN_50K_MAX_S, batched
 
 
 def test_vec_backend_end_to_end_speedup():
@@ -117,6 +123,8 @@ def test_vec_backend_end_to_end_speedup():
     assert vec.control_series == des.control_series
     assert vec.vm_hours == des.vm_hours
     assert t_vec < t_des
+    assert t_des <= DES_WEB_DAY_MAX_S, t_des
+    assert t_vec <= DES_VEC_WEB_DAY_MAX_S, t_vec
 
 
 def test_vec_backend_end_to_end_saturated_speedup():
@@ -177,10 +185,20 @@ def test_algorithm1_cached_decision_latency(benchmark):
 
 def test_cache_warm_hit_speedup():
     """Acceptance check: a warm cache hit is ≥10× faster than a cold search."""
-    from repro.experiments.bench import decision_latency
+    cold = PerformanceModeler(
+        qos=WEB_PEAK_QOS, capacity=2, max_vms=8000, decision_cache_size=0
+    )
+    warm = PerformanceModeler(qos=WEB_PEAK_QOS, capacity=2, max_vms=8000)
+    warm.decide(1200.0, 0.105, 55)  # prime
 
-    stats = decision_latency(iterations=200, repeats=5)
-    assert stats["speedup"] >= 10.0, stats
+    def decide_200(modeler):
+        for _ in range(200):
+            modeler.decide(1200.0, 0.105, 55)
+
+    t_cold = best_of(lambda: decide_200(cold))
+    t_warm = best_of(lambda: decide_200(warm))
+    print(f"\n200 decisions: cold={t_cold:.6f}s warm={t_warm:.6f}s")
+    assert t_cold >= 10.0 * t_warm, (t_cold, t_warm)
 
 
 def test_mm1k_blocking_formula(benchmark):

@@ -21,6 +21,8 @@ import os
 
 import pytest
 
+from repro.obs.profile import Stopwatch
+
 
 def web_scale() -> float:
     """Rate-scale factor for web DES benchmarks."""
@@ -30,6 +32,16 @@ def web_scale() -> float:
 def seeds() -> tuple:
     """Replication seeds for DES benchmarks."""
     return tuple(int(s) for s in os.environ.get("REPRO_SEEDS", "0").split(","))
+
+
+def best_of(fn, repeats: int = 5) -> float:
+    """Fastest of ``repeats`` timed calls of ``fn``, in seconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        watch = Stopwatch()
+        fn()
+        best = min(best, watch.elapsed())
+    return best
 
 
 @pytest.fixture(scope="session")

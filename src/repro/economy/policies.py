@@ -25,8 +25,8 @@ instance, ``Δ(m) = profit(m+1) − profit(m)``, is decreasing in ``m``
 ``Δ(m) ≤ 0``.  Warm-started from the current fleet size with a
 two-sided galloping bracket plus bisection, a steady-state decision
 costs ~3 network evaluations — the same order as a converged
-Algorithm-1 pass, which is what keeps the ``profit_policy_overhead``
-bench gate under 1.10x.
+Algorithm-1 pass, which is what keeps the per-decision cost within the
+1.35x of ``benchmarks/bench_overhead_gates.py::test_profit_policy_overhead``.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class ProfitModeler(PerformanceModeler):
         # the previous optimum by the offered load lands the warm start
         # within ~1 instance of the new optimum — the bracketing then
         # certifies it with 3-4 network evaluations, which is what
-        # keeps the ``profit_policy_overhead`` gate under 1.10x.  A
+        # keeps ``test_profit_policy_overhead`` under 1.35x.  A
         # pure accelerator: the certified answer does not depend on it.
         self._opt_hint: Optional[tuple] = None
 

@@ -15,8 +15,6 @@ Installed as ``repro`` (and the legacy alias ``repro-experiments``)::
     repro trace traces/ --validate --timeline 20
     repro metrics show telemetry/
     repro metrics export telemetry/web-Adaptive-s0.jsonl --format prometheus
-    repro bench --workers 4
-    repro bench --compare BENCH_PR6.json --tolerance 3.0
     repro lint src tests
     repro lint src --format json --baseline .reprolint.json
     repro campaign run campaigns/paper.toml --metrics
@@ -31,8 +29,7 @@ writes ``<experiment>.md`` (markdown table) and ``<experiment>.csv``.
 DES experiments also print a perf summary — per-replication wall-clock,
 engine event/compaction counts and Algorithm-1 decision-cache
 hits/misses — so performance regressions show up in every run, not only
-in the benchmark suite.  ``bench`` emits the kernel micro-benchmarks as
-JSON.
+in the benchmark suite.
 
 ``run --trace DIR`` writes one JSONL trace per (policy, seed)
 replication (control-plane events only unless ``--trace-requests``);
@@ -43,10 +40,7 @@ against the event schema.
 ``run --metrics DIR`` writes one ``metrics.snapshot`` JSONL stream per
 (policy, seed) replication; ``metrics show`` tabulates such streams and
 ``metrics export`` renders the latest snapshot in the Prometheus text
-exposition format (self-validated before printing).  ``bench
---compare OLD.json`` re-measures the named benchmark gates and exits
-non-zero if any slowed past ``--tolerance`` versus the committed
-baseline (:mod:`repro.experiments.benchcmp`).
+exposition format (self-validated before printing).
 
 ``campaign {run,status,report,agg}`` drives declarative scenario-grid
 campaigns (:mod:`repro.campaigns`): ``run`` executes/resumes a spec
@@ -615,32 +609,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="I",
         help="narrate Algorithm-1 decision #I recorded in the trace",
     )
-    benchp = sub.add_parser("bench", help="kernel micro-benchmarks, emitted as JSON")
-    benchp.add_argument("--events", type=int, default=50_000, help="chained events for the engine benchmark")
-    benchp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="also benchmark the parallel replication runner at this pool size",
-    )
-    benchp.add_argument("--quick", action="store_true", help="smaller iteration counts for CI smoke runs")
-    benchp.add_argument("--out", default=None, help="write the JSON report to this file as well")
-    benchp.add_argument(
-        "--compare",
-        default=None,
-        metavar="OLD.json",
-        help="regression mode: re-measure the named gates and diff against "
-        "this committed baseline (exit 1 on regression); --quick skips the "
-        "multi-second end-to-end gates",
-    )
-    benchp.add_argument(
-        "--tolerance",
-        type=float,
-        default=3.0,
-        help="slowdown ratio a gate may reach before failing --compare "
-        "(default 3.0 — generous, to ride out cross-host jitter)",
-    )
-
     metricsp = sub.add_parser(
         "metrics", help="tabulate/export metrics.snapshot JSONL streams"
     )
@@ -829,31 +797,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "metrics":
         return _metrics_command(args)
-
-    if args.command == "bench":
-        if args.compare:
-            from .benchcmp import compare_to_baseline, format_comparison
-
-            baseline_path = Path(args.compare)
-            if not baseline_path.is_file():
-                raise SystemExit(f"baseline not found: {baseline_path}")
-            baseline = json.loads(baseline_path.read_text())
-            results = compare_to_baseline(
-                baseline, tolerance=args.tolerance, quick=args.quick
-            )
-            print(format_comparison(results))
-            return 1 if any(r.regressed for r in results) else 0
-
-        from .bench import kernel_bench
-
-        report = kernel_bench(events=args.events, workers=args.workers, quick=args.quick)
-        blob = json.dumps(report, indent=2, sort_keys=True)
-        print(blob)
-        if args.out:
-            out_path = Path(args.out)
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            out_path.write_text(blob + "\n")
-        return 0
 
     targets = (
         list(available_experiments()) if args.experiment == "all" else [args.experiment]

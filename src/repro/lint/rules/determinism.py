@@ -21,10 +21,8 @@ Banned in any ``repro.*`` module outside the whitelist:
   no-clock invariant stays greppable in one module;
 * ambient entropy: ``os.urandom``, ``uuid.uuid1``/``uuid4``.
 
-Whitelisted modules: ``repro.sim.rng`` (the entropy root),
-``repro.obs.profile`` (the sanctioned clock), and
-``repro.experiments.bench`` / ``repro.experiments.benchcmp``
-(benchmarks exist to read the clock).
+Whitelisted modules: ``repro.sim.rng`` (the entropy root) and
+``repro.obs.profile`` (the sanctioned clock).
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ WHITELIST = frozenset(
     {
         "repro.sim.rng",
         "repro.obs.profile",
-        "repro.experiments.bench",
-        "repro.experiments.benchcmp",
     }
 )
 

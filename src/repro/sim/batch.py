@@ -1,7 +1,7 @@
 """Structure-of-arrays batch kernel for the vectorized DES data plane.
 
 The scalar engine dispatches one Python event per arrival and per
-completion — ~2.8 M events/s on the BENCH_PR1 host, which is what kept
+completion — ~2.8 M events/s on a 1-core Xeon, which is what kept
 the full-scale (scale ≥ 1 M) cells of ``campaigns/paper.toml`` on the
 fluid twin.  This module is the array core of the ``des-vec`` backend:
 per-instance queue state lives in flat numpy arrays (a *structure of

@@ -51,8 +51,6 @@ STREAM_REGISTRY: Dict[str, str] = {
     "analysis.sci": "workload characterization of the scientific trace",
     "fig3.arrivals": "figure-3 arrival realizations",
     "fig4.arrivals": "figure-4 arrival realizations",
-    "bench.web": "benchmark web-scenario arrivals",
-    "bench.kernels": "benchmark kernel input vectors",
 }
 
 

@@ -7,8 +7,11 @@ idioms it must leave alone.
 
 from __future__ import annotations
 
+import importlib.util
+
 from lint_support import by_rule, lint_tree
 
+from repro.lint.rules.determinism import WHITELIST
 from repro.obs.metrics import METRIC_NAMES
 from repro.obs.schema import EVENT_TYPES
 
@@ -87,6 +90,12 @@ def test_determinism_whitelist_and_seeded_construction_clean(tmp_path):
         rules=["determinism"],
     )
     assert result.findings == []
+
+
+def test_determinism_whitelist_names_existing_modules():
+    """A whitelist entry for a deleted module is a stale exemption."""
+    stale = [name for name in WHITELIST if importlib.util.find_spec(name) is None]
+    assert stale == []
 
 
 def test_determinism_vectorized_kernel_idioms(tmp_path):

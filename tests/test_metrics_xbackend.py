@@ -6,8 +6,8 @@ series is **bit-identical** between the scalar ``des`` and vectorized
 floats, so any divergence in bucketing, counter sync, or tick placement
 shows up as a hard failure here, not as drift.  Around that sit the
 fluid backend's grid-sampled series, the metrics-off zero-cost path,
-the parallel-merge contract, the campaign watch surface, the
-interrupt-path flush guarantee, and the benchmark-comparison gates.
+the parallel-merge contract, the campaign watch surface, and the
+interrupt-path flush guarantee.
 """
 
 from __future__ import annotations
@@ -18,13 +18,6 @@ import pytest
 
 from repro.core import AdaptivePolicy
 from repro.experiments import run_policy, web_scenario
-from repro.experiments.benchcmp import (
-    GateResult,
-    baseline_document,
-    compare_to_baseline,
-    format_comparison,
-    lookup_gate,
-)
 from repro.experiments.scenario import scientific_scenario
 from repro.obs.bus import JsonlSink, RingBufferSink, TraceBus
 from repro.obs.exporters import load_snapshots
@@ -283,43 +276,3 @@ def test_campaign_interrupt_flushes_borrowed_bus(tmp_path, monkeypatch):
     bus.emit("campaign.cell.failed", 0.0, key="k", error="interrupted")
     bus.close()
 
-
-# ---------------------------------------------------------------------------
-# bench --compare gates
-# ---------------------------------------------------------------------------
-
-
-def test_lookup_gate_reads_both_baseline_shapes():
-    legacy = {"scalar": {"engine_event_throughput_50k": {"min": 0.015}}}
-    assert lookup_gate(legacy, "engine_event_throughput_50k") == 0.015
-    uniform = {"gates": {"engine_event_throughput_50k": {"seconds": 0.02}}}
-    assert lookup_gate(uniform, "engine_event_throughput_50k") == 0.02
-    assert lookup_gate({}, "engine_event_throughput_50k") is None
-    # PR8 lease-scheduler gate rides the uniform shape only.
-    pr8 = {"gates": {"shard_orchestration_overhead": {"seconds": 1.02}}}
-    assert lookup_gate(pr8, "shard_orchestration_overhead") == 1.02
-
-
-def test_gate_result_regression_logic():
-    ok = GateResult("g", new_seconds=1.0, old_seconds=0.9, tolerance=2.0)
-    assert not ok.regressed and ok.ratio == pytest.approx(1.0 / 0.9)
-    bad = GateResult("g", new_seconds=3.0, old_seconds=1.0, tolerance=2.0)
-    assert bad.regressed
-    missing = GateResult("g", new_seconds=1.0, old_seconds=None, tolerance=2.0)
-    assert missing.ratio is None and not missing.regressed
-    report = format_comparison([ok, bad, missing])
-    assert "REGRESSED" in report and "no-baseline" in report
-
-
-def test_compare_to_baseline_measures_and_diffs():
-    baseline = {"gates": {"engine_event_throughput_50k": {"seconds": 1e9}}}
-    results = compare_to_baseline(
-        baseline, tolerance=2.0, gates=["engine_event_throughput_50k"]
-    )
-    assert len(results) == 1
-    assert results[0].new_seconds > 0
-    assert not results[0].regressed  # anything beats a 1e9 s baseline
-    doc = baseline_document(results)
-    assert doc["gates"]["engine_event_throughput_50k"]["seconds"] == (
-        results[0].new_seconds
-    )
