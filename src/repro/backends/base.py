@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..obs.bus import TraceBus, TraceConfig
 from ..obs.metrics import MetricsConfig, RunTelemetry
 from ..obs.profile import RunProfile, Stopwatch
+from .pool import run_pool
 
 __all__ = ["RunMetrics", "ExecutionBackend", "resolve_backend", "BACKENDS"]
 
@@ -47,8 +48,10 @@ class RunMetrics:
     Attributes
     ----------
     scenario, policy, seed:
-        Identification of the run.  The fluid backend is deterministic,
-        so ``seed`` merely echoes the requested replication index.
+        Identification of the run.  On the fluid backend the seed
+        reaches the result only through a Spot policy's revocation
+        schedule (scenarios with pricing); every other fluid result is
+        the same for all seeds.
     total_requests, accepted, completed, rejected:
         Arrival accounting.  Integers on the DES; *expected* counts
         (floats) on the fluid backend, where ``completed`` equals
@@ -77,6 +80,11 @@ class RunMetrics:
     wall_seconds:
         Host wall-clock of the run — the only field that is not a
         deterministic function of (scenario, policy, seed, backend).
+        When :meth:`ExecutionBackend.run_seeds` shares one run across
+        seeds (fluid results with equal revocation schedules), each
+        copy carries the ``wall_seconds`` and ``profile`` of the run
+        that produced it; fluid Spot seeds that share one control
+        pass leave the pass out of theirs.
     events:
         DES: engine events fired.  Fluid: integration intervals
         evaluated.  Either way, the backend's unit of work.
@@ -328,6 +336,41 @@ class ExecutionBackend:
             if owns_bus and tracer is not None:
                 tracer.close()
 
+    def run_seeds(
+        self,
+        scenario,
+        policy_factory: Callable[[], object],
+        seeds: Sequence[int],
+        *,
+        workers: Optional[int] = 1,
+        chunk_size: Optional[int] = None,
+        trace: Optional[Union[TraceConfig, TraceBus]] = None,
+        metrics: Optional[MetricsConfig] = None,
+    ) -> List[RunMetrics]:
+        """One replication per seed, in seed order.
+
+        The replication fan-out every caller goes through
+        (:func:`~repro.experiments.runner.run_replications`, the
+        campaign runner, the fluid prescreen).  ``policy_factory``
+        builds a fresh policy per replication.  ``workers > 1``
+        dispatches the seeds to a process pool
+        (:func:`repro.backends.pool.run_pool`); when the pool
+        is unusable, or with ``workers <= 1``, the seeds run here, one
+        :meth:`run` each.  A backend may override this to share work
+        across seeds, as long as every result equals its own
+        :meth:`run`.
+        """
+        if workers is not None and workers > 1:
+            results = run_pool(
+                self, scenario, policy_factory, seeds, workers, chunk_size, trace, metrics
+            )
+            if results is not None:
+                return results
+        return [
+            self.run(scenario, policy_factory(), seed=s, trace=trace, metrics=metrics)
+            for s in seeds
+        ]
+
     def start_telemetry(self, run: RunState, **sources) -> RunTelemetry:
         """Build the run's :class:`~repro.obs.metrics.RunTelemetry`.
 
@@ -393,7 +436,7 @@ def resolve_backend(
 
     ``None`` and ``"des"`` give the default DES backend, ``"des-vec"``
     the vectorized (batched structure-of-arrays) DES, ``"fluid"`` the
-    fluid backend, and an object with ``run`` + ``name`` passes
+    fluid backend, and an :class:`ExecutionBackend` instance passes
     through unchanged (so callers can hand in a pre-configured
     ``FluidBackend(dt=10.0)``).
     """
@@ -406,7 +449,7 @@ def resolve_backend(
                 f"unknown backend {spec!r}; expected one of {sorted(BACKENDS)}"
             )
         return factory()
-    if callable(getattr(spec, "run", None)) and hasattr(spec, "name"):
+    if isinstance(spec, ExecutionBackend):
         return spec
     raise ConfigurationError(
         f"cannot interpret {spec!r} as an execution backend; "

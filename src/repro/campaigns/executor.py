@@ -7,8 +7,9 @@ monolithic executor always had:
 
 * **grouping** — pending cells sharing ``(scenario, policy, backend)``
   run as one :func:`~repro.experiments.runner.run_replications` call,
-  so a campaign inherits the process-pool parallelism (and its
-  bit-identical-to-sequential guarantee) for free;
+  so a campaign inherits the backend's seed fan-out for free: the
+  process pool (and its bit-identical-to-sequential guarantee) for DES
+  groups, one shared control pass in-process for fluid groups;
 * **retry-on-worker-failure** — a group that dies in the pool is
   retried sequentially in-process up to ``spec.retries`` times before
   its cells are recorded as ``failed`` (the campaign continues with
@@ -157,7 +158,7 @@ def run_group(
     metrics: Optional[MetricsConfig] = None,
     claims=None,
 ) -> None:
-    """One (scenario, policy, backend) group through the pool, with retry.
+    """One (scenario, policy, backend) group through ``run_replications``, with retry.
 
     ``batch`` must already be claimed by the caller; each cell's lease
     is released as soon as its result (or failure record) is stored.

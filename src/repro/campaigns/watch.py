@@ -114,7 +114,10 @@ def watch_table(
 
     The ETA is the mean stored ``wall_seconds`` of finished cells times
     the unfinished count — crude, but it only has to answer "minutes or
-    hours?", and it improves as cells land.
+    hours?", and it improves as cells land.  It is rough for
+    fluid groups: a copied result carries the whole ``wall_seconds`` of
+    the run it copies, and a Spot seed's leaves out the control pass
+    its group shares.
     """
     if not isinstance(store, ResultStore):
         store = ResultStore(spec.store_path(store))

@@ -6,7 +6,7 @@
   (scenario, policy) → :class:`~repro.backends.base.RunMetrics`, on any
   execution backend (``backend="des"``, ``"des-vec"`` or ``"fluid"``); ``workers=N``
   dispatches replications to a process pool
-  (:mod:`repro.experiments.parallel`).
+  (:mod:`repro.backends.pool`).
 * :class:`PolicySpec` — picklable policy factory for the pool path.
 * :mod:`repro.experiments.figures` — one function per paper artifact.
 * ``repro-experiments`` CLI (:mod:`repro.experiments.cli`).

@@ -76,23 +76,29 @@ def run_replications(
     """Run several replications with independent seeds.
 
     ``policy_factory`` builds a fresh policy per replication so no
-    control-plane state leaks between runs.
+    control-plane state leaks between runs.  The fan-out itself is the
+    backend's :meth:`~repro.backends.base.ExecutionBackend.run_seeds`;
+    the fluid backend overrides it to share one control pass across
+    the seeds.
 
     Parameters
     ----------
     workers:
         ``<= 1`` (default) runs seeds sequentially in-process;
         ``> 1`` dispatches them to a process pool
-        (:mod:`repro.experiments.parallel`), which returns results in
+        (:mod:`repro.backends.pool`), which returns results in
         seed order, bit-identical to the sequential path apart from the
         ``wall_seconds`` diagnostic.  The factory must then be
         picklable — use :class:`~repro.experiments.parallel.PolicySpec`
         instead of a lambda; unpicklable factories fall back to the
-        sequential path with a log warning.
+        sequential path with a log warning.  The fluid backend runs
+        untraced, unmetered seeds in-process whatever ``workers`` says:
+        the work they share is one control pass, and a pool would only
+        add pickling.
     chunk_size:
         Seeds per pool dispatch (parallel path only).
     trace:
-        Forwarded to every :func:`run_policy` call.  With
+        Forwarded to every replication.  With
         ``workers > 1`` this must be a picklable
         :class:`~repro.obs.bus.TraceConfig` whose path resolves to a
         *directory* (or contains ``{seed}``-style placeholders) so each
@@ -108,23 +114,12 @@ def run_replications(
         inside each result's ``telemetry`` field and combine losslessly
         with :func:`repro.obs.metrics.merge_telemetry`.
     """
-    if workers is not None and workers > 1:
-        from .parallel import run_replications_parallel
-
-        return run_replications_parallel(
-            scenario,
-            policy_factory,
-            seeds,
-            workers=workers,
-            chunk_size=chunk_size,
-            trace=trace,
-            backend=backend,
-            metrics=metrics,
-        )
-    return [
-        run_policy(
-            scenario, policy_factory(), seed=s, trace=trace, backend=backend,
-            metrics=metrics,
-        )
-        for s in seeds
-    ]
+    return resolve_backend(backend).run_seeds(
+        scenario,
+        policy_factory,
+        seeds,
+        workers=workers,
+        chunk_size=chunk_size,
+        trace=trace,
+        metrics=metrics,
+    )

@@ -10,10 +10,12 @@ failing.  This rule flags the statically visible shapes:
 * a ``lambda`` or *nested* function passed as the callable of
   ``pool.submit(...)`` / ``pool.map(...)`` in any ``repro.*`` module
   that touches ``ProcessPoolExecutor``;
-* the same shapes passed as the *policy factory* (second positional
-  argument) of ``run_replications`` / ``run_replications_parallel``
-  calls inside the library — scripts and tests may rely on the logged
-  sequential fallback, the library itself must not;
+* the same shapes passed as the *policy factory* of
+  ``run_replications`` / ``run_replications_parallel`` /
+  ``ExecutionBackend.run_seeds`` (second positional argument) or
+  ``run_pool`` (third) calls inside the library — scripts and tests
+  may rely on the logged sequential fallback, the library itself must
+  not;
 * a dataclass field whose **default value** is a lambda
   (``x: Callable = lambda: ...`` or ``field(default=lambda: ...)``):
   every instance then carries an unpicklable attribute into the work
@@ -44,7 +46,12 @@ _HINT = (
 
 #: callable-position argument index per pool-crossing call name.
 _POOL_CALLS = {"submit": 0, "map": 0}
-_RUNNER_CALLS = {"run_replications": 1, "run_replications_parallel": 1}
+_RUNNER_CALLS = {
+    "run_replications": 1,
+    "run_replications_parallel": 1,
+    "run_seeds": 1,
+    "run_pool": 2,
+}
 
 
 def _nested_function_names(tree: ast.Module) -> Set[str]:

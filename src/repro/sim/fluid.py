@@ -243,10 +243,39 @@ class FluidSimulator:
         the DES semantics, where the adaptive provisioner repairs the
         fleet at its next alert.  The control *trajectory* is untouched,
         so cross-backend control comparisons remain bit-identical.
+
+        The run is :meth:`control_pass` followed by
+        :meth:`integrate_trajectory`.
+        """
+        self.control_pass(control, horizon)
+        return self.integrate_trajectory(
+            control, horizon, tracer=tracer, telemetry=telemetry, interventions=interventions
+        )
+
+    @staticmethod
+    def control_pass(control, horizon: float) -> None:
+        """Step ``control`` through its own alert schedule over ``[0, horizon)``.
+
+        The pass reads no flow state, so one finished pass can serve any
+        number of :meth:`integrate_trajectory` calls.
         """
         control.start()
         for alert in control.alert_times(horizon):
             control.step(alert)
+
+    def integrate_trajectory(
+        self,
+        control,
+        horizon: float,
+        tracer: Optional[object] = None,
+        telemetry: Optional[object] = None,
+        interventions: Optional[Sequence[float]] = None,
+    ) -> FluidAggregates:
+        """Integrate the flow under a finished control pass's fleet trajectory.
+
+        ``interventions`` are folded into the trajectory first, as in
+        :meth:`run_adaptive`; ``control`` itself is only read.
+        """
         m_changes: List[Tuple[float, int]] = list(control.trajectory)
         if not m_changes:
             # Every alert was skipped (predictor without history): the

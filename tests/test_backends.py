@@ -12,6 +12,7 @@ from repro.backends import (
 )
 from repro.cloud.loadbalancer import RoundRobinBalancer
 from repro.core import AdaptivePolicy, StaticPolicy
+from repro.economy import PricingModel, SpotPolicy
 from repro.errors import ConfigurationError
 from repro.experiments import (
     run_policy,
@@ -157,10 +158,24 @@ def test_fluid_replications_deterministic_across_seeds():
         scenario, lambda: StaticPolicy(10), seeds=(0, 1), backend="fluid"
     )
     assert [r.seed for r in results] == [0, 1]
-    # Seed is bookkeeping only on the analytical backend.
+    # Without a Spot policy the seed is bookkeeping only on the
+    # analytical backend.
     a, b = results
     assert (a.total_requests, a.vm_hours, a.rejection_rate) == (
         b.total_requests,
         b.vm_hours,
         b.rejection_rate,
+    )
+    # A Spot policy on a priced scenario reads its seed through the
+    # revocation schedule, so its seeds differ.
+    pricing = PricingModel(spot_mtbf=1800.0)
+    priced = web_scenario(scale=5000.0, horizon=2 * 3600.0, pricing=pricing)
+    a, b = run_replications(
+        priced, lambda: SpotPolicy(0.3, pricing=pricing), seeds=(0, 1), backend="fluid"
+    )
+    assert a.revocations > 0 and b.revocations > 0
+    assert (a.revocations, a.vm_hours, a.fleet_series) != (
+        b.revocations,
+        b.vm_hours,
+        b.fleet_series,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.campaigns import CampaignSpec, ResultStore, run_campaign
@@ -167,11 +169,30 @@ def test_trace_events_validate_against_schema(tmp_path):
     assert {"campaign.cell.start", "campaign.cell.done", "campaign.cell.cached"} <= types
 
 
-def test_parallel_pool_matches_sequential(tmp_path):
-    spec = _spec()
+def test_parallel_pool_matches_sequential(tmp_path, caplog):
+    # Fluid groups run in-process whatever `workers` says, so the pool
+    # is exercised with small des-vec cells.
+    spec = CampaignSpec.from_dict(
+        {
+            "campaign": {"name": "pool-test"},
+            "scenarios": [
+                {
+                    "scenario": "web",
+                    "scale": 5000.0,
+                    "horizon": 7200.0,
+                    "policies": ["adaptive", "static-20"],
+                    "backends": ["des-vec"],
+                    "seeds": "0-1",
+                }
+            ],
+        }
+    )
     seq, par = ResultStore(tmp_path / "seq"), ResultStore(tmp_path / "par")
     run_campaign(spec, store=seq, workers=1)
-    run_campaign(spec, store=par, workers=2)
+    with caplog.at_level(logging.WARNING, logger="repro.backends.pool"):
+        run_campaign(spec, store=par, workers=2)
+    # No fallback record: the pool really ran.
+    assert [r for r in caplog.records if r.name == "repro.backends.pool"] == []
     for cell in spec.expanded():
         a, b = seq.get(cell), par.get(cell)
         # wall_seconds is the one nondeterministic field RunMetrics compares;

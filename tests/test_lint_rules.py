@@ -504,6 +504,24 @@ def test_pool_safety_fires_on_lambda_policy_factory(tmp_path):
     assert "a lambda passed to run_replications()" in messages[0]
 
 
+def test_pool_safety_fires_on_lambda_factory_to_run_seeds(tmp_path):
+    # run_seeds is the one seed fan-out every caller reaches; its
+    # factory crosses the pool whenever workers > 1.
+    result = lint_tree(
+        tmp_path,
+        {
+            "repro/campaigns/junk.py": """
+                def go(backend, scenario):
+                    return backend.run_seeds(scenario, lambda: 3, [0, 1], workers=2)
+            """
+        },
+        rules=["pool-safety"],
+    )
+    messages = [f.message for f in by_rule(result, "pool-safety")]
+    assert len(messages) == 1
+    assert "a lambda passed to run_seeds()" in messages[0]
+
+
 def test_pool_safety_fires_on_lambda_dataclass_default(tmp_path):
     result = lint_tree(
         tmp_path,

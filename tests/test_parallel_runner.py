@@ -1,4 +1,4 @@
-"""Tests of the process-pool replication runner (repro.experiments.parallel)."""
+"""Tests of the process-pool replication runner (repro.backends.pool, repro.experiments.parallel)."""
 
 from __future__ import annotations
 
@@ -70,13 +70,13 @@ def test_chunk_size_does_not_change_results():
 
 def test_unpicklable_factory_falls_back_sequentially_with_log_warning(caplog):
     sc = small_scenario(track_fleet_series=False)
-    with caplog.at_level(logging.WARNING, logger="repro.experiments.parallel"):
+    with caplog.at_level(logging.WARNING, logger="repro.backends.pool"):
         results = run_replications_parallel(
             sc, lambda: StaticPolicy(10), seeds=(0, 1), workers=2
         )
     assert [r.seed for r in results] == [0, 1]
     records = [
-        r for r in caplog.records if r.name == "repro.experiments.parallel"
+        r for r in caplog.records if r.name == "repro.backends.pool"
     ]
     assert len(records) == 1
     assert records[0].levelno == logging.WARNING
