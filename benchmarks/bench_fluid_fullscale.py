@@ -9,12 +9,18 @@ trajectories must agree with the rate-scaled DES results.
 
 from __future__ import annotations
 
-from repro.experiments import fig5_fluid_fullscale, fig6_fluid_fullscale
+from repro.backends import FluidBackend
+from repro.experiments import fig5_data, fig6_data
 from repro.metrics import format_table
 
 
 def test_fig5_fluid_fullscale(benchmark):
-    data = benchmark.pedantic(fig5_fluid_fullscale, rounds=1, iterations=1)
+    data = benchmark.pedantic(
+        fig5_data,
+        kwargs=dict(scale=1.0, seeds=(0,), backend=FluidBackend()),
+        rounds=1,
+        iterations=1,
+    )
     print()
     print(format_table(data.headers, data.rows, title=data.title))
     results = {name: runs[0] for name, runs in data.raw["results"].items()}
@@ -44,7 +50,9 @@ def test_fig5_fluid_fullscale(benchmark):
 
 
 def test_fig6_fluid_crosscheck(benchmark):
-    data = benchmark.pedantic(fig6_fluid_fullscale, rounds=1, iterations=1)
+    data = benchmark.pedantic(
+        fig6_data, kwargs=dict(seeds=(0,), backend=FluidBackend()), rounds=1, iterations=1
+    )
     print()
     print(format_table(data.headers, data.rows, title=data.title))
     results = {name: runs[0] for name, runs in data.raw["results"].items()}

@@ -1,7 +1,7 @@
 """Sequential vs process-pool replication runner.
 
 Runs the adaptive web scenario across several seeds twice — once
-in-process, once through ``run_replications_parallel`` — and prints the
+in-process, once through ``run_replications(workers=N)`` — and prints the
 wall-clock comparison.  Correctness gates (bit-identical results, seed
 order) are hard assertions; the speedup itself is reported but not
 asserted, because it depends on the core count of the machine running
@@ -21,7 +21,7 @@ import os
 from conftest import seeds
 
 from repro.core import AdaptivePolicy
-from repro.experiments import PolicySpec, run_replications, run_replications_parallel
+from repro.experiments import PolicySpec, run_replications
 from repro.experiments.scenario import web_scenario
 from repro.obs.profile import Stopwatch
 
@@ -49,9 +49,7 @@ def test_parallel_runner_identical_and_timed(benchmark):
         watch = Stopwatch()
         seq = run_replications(scenario, spec, seeds=bench_seeds(), workers=1)
         t_seq = watch.restart()
-        par = run_replications_parallel(
-            scenario, spec, seeds=bench_seeds(), workers=workers
-        )
+        par = run_replications(scenario, spec, seeds=bench_seeds(), workers=workers)
         return seq, par, t_seq, watch.elapsed()
 
     seq, par, t_seq, t_par = benchmark.pedantic(both_paths, rounds=1, iterations=1)

@@ -390,9 +390,7 @@ def run_campaign(
     if workers is None:
         workers = spec.workers
     if workers == 0:  # 0 = auto: one worker per CPU
-        from ..experiments.parallel import default_workers
-
-        workers = default_workers()
+        workers = os.cpu_count() or 1
     pool_workers = max(1, int(workers))
     if metrics is not None and metrics.path is None:
         metrics = dataclasses.replace(

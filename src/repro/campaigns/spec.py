@@ -33,11 +33,11 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..backends.base import BACKENDS
+from ..backends.pool import PolicySpec
 from ..core.policies import AdaptivePolicy, StaticPolicy
 from ..economy.policies import ProfitPolicy, SpotPolicy
 from ..economy.pricing import PricingModel
 from ..errors import ConfigurationError
-from ..experiments.parallel import PolicySpec
 from ..experiments.scenario import ScenarioConfig, scientific_scenario, web_scenario
 from ..experiments.seeds import parse_seeds
 from ..sim.calendar import SECONDS_PER_DAY, SECONDS_PER_WEEK

@@ -29,16 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
-
-try:  # Protocol is typing-only; runtime_checkable keeps isinstance tests.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - py3.7 fallback, not supported
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
+from typing import Callable, List, Optional, Protocol, Tuple, runtime_checkable
 
 from ..errors import ConfigurationError, PredictionError
 from .modeler import PerformanceModeler, ProvisioningDecision

@@ -66,7 +66,6 @@ class ApplicationProvisioner:
             service_time_fn=monitor.mean_service_time,
             initial_instances=initial_instances,
             tracer=tracer,
-            clock=_EngineClock(engine),
         )
         self.initial_instances = self.control.initial_instances
 
@@ -93,26 +92,3 @@ class ApplicationProvisioner:
         """Analyzer callback: run Algorithm 1 and actuate the result."""
         self.control.on_estimate(self._engine.now, predicted_rate)
 
-
-class _EngineClock:
-    """A :class:`ControlClock` stand-in slaved to the simulation engine.
-
-    Writes from the control plane are discarded — the engine is the
-    single source of truth for DES time.
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: Engine) -> None:
-        self._engine = engine
-
-    @property
-    def now(self) -> float:
-        return self._engine.now
-
-    @now.setter
-    def now(self, value: float) -> None:
-        pass
-
-    def __call__(self) -> float:
-        return self._engine.now

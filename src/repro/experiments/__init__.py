@@ -9,9 +9,10 @@
   (:mod:`repro.backends.pool`).
 * :class:`PolicySpec` — picklable policy factory for the pool path.
 * :mod:`repro.experiments.figures` — one function per paper artifact.
-* ``repro-experiments`` CLI (:mod:`repro.experiments.cli`).
+* the ``repro`` CLI (:mod:`repro.experiments.cli`).
 """
 
+from ..backends.pool import PolicySpec
 from .figures import (
     SCI_STATIC_SIZES,
     WEB_STATIC_SIZES,
@@ -19,15 +20,11 @@ from .figures import (
     fig3_data,
     fig4_data,
     fig5_data,
-    fig5_fluid_fullscale,
     fig6_data,
-    fig6_fluid_fullscale,
-    fluid_policy_comparison,
     policy_comparison,
     table2_data,
     workload_analysis_data,
 )
-from .parallel import PolicySpec, default_workers, run_replications_parallel
 from .persist import load_results, result_from_dict, result_to_dict, save_results
 from .runner import RunMetrics, build_context, run_policy, run_replications
 from .scenario import ScenarioConfig, scientific_scenario, web_scenario
@@ -41,18 +38,13 @@ __all__ = [
     "run_policy",
     "run_replications",
     "PolicySpec",
-    "default_workers",
-    "run_replications_parallel",
     "FigureData",
     "table2_data",
     "fig3_data",
     "fig4_data",
     "fig5_data",
     "fig6_data",
-    "fig5_fluid_fullscale",
-    "fig6_fluid_fullscale",
     "policy_comparison",
-    "fluid_policy_comparison",
     "workload_analysis_data",
     "WEB_STATIC_SIZES",
     "SCI_STATIC_SIZES",

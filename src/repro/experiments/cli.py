@@ -1,6 +1,6 @@
 """Command-line entry point: regenerate any paper artifact.
 
-Installed as ``repro`` (and the legacy alias ``repro-experiments``)::
+Installed as ``repro``::
 
     repro list
     repro run table2
@@ -99,6 +99,33 @@ def available_experiments() -> Dict[str, str]:
     }
 
 
+#: Backend variants of Figures 5 and 6: id → (figure function, fixed
+#: keyword arguments, title).  They take --seeds, --workers, --trace and
+#: --metrics like ``fig5``/``fig6``; --scale and --backend do not apply.
+_VARIANTS = {
+    "fig5-fluid": (
+        figures.fig5_data,
+        dict(backend="fluid", scale=1.0, horizon=SECONDS_PER_WEEK),
+        "Figure 5 (full scale, fluid engine): web scenario",
+    ),
+    "fig6-fluid": (
+        figures.fig6_data,
+        dict(backend="fluid"),
+        "Figure 6 (fluid engine cross-check): scientific scenario",
+    ),
+    "fig5-fullscale": (
+        figures.fig5_data,
+        dict(backend="des-vec", scale=1.0, horizon=SECONDS_PER_WEEK),
+        "Figure 5 (full scale, vectorized DES): web scenario",
+    ),
+    "fig6-fullscale": (
+        figures.fig6_data,
+        dict(backend="des-vec"),
+        "Figure 6 (vectorized DES): scientific scenario",
+    ),
+}
+
+
 def _parse_seeds(spec: str) -> List[int]:
     """CLI adapter over the shared grammar (comma lists + ``0-9`` ranges)."""
     try:
@@ -151,20 +178,16 @@ def _build(experiment: str, args: argparse.Namespace) -> "figures.FigureData":
             seeds=seeds, workers=args.workers, trace=trace, backend=args.backend,
             metrics=metrics,
         )
-    if experiment == "fig5-fluid":
-        return figures.fig5_fluid_fullscale()
-    if experiment == "fig6-fluid":
-        return figures.fig6_fluid_fullscale()
-    if experiment == "fig5-fullscale":
-        # --quick shrinks the full-scale week the same way the campaign
-        # quick grid does: one day at rate scale 1/100.
-        if quick:
-            return figures.fig5_vec_fullscale(
-                scale=100.0, horizon=SECONDS_PER_DAY, seeds=seeds, workers=args.workers
-            )
-        return figures.fig5_vec_fullscale(seeds=seeds, workers=args.workers)
-    if experiment == "fig6-fullscale":
-        return figures.fig6_vec_fullscale(seeds=seeds, workers=args.workers)
+    if experiment in _VARIANTS:
+        figure, fixed, title = _VARIANTS[experiment]
+        if quick and experiment == "fig5-fullscale":
+            # One day at rate scale 1/100, as in the campaign quick grid.
+            fixed = dict(fixed, scale=100.0, horizon=SECONDS_PER_DAY)
+        data = figure(
+            seeds=seeds, workers=args.workers, trace=trace, metrics=metrics, **fixed
+        )
+        data.experiment_id, data.title = experiment, title
+        return data
     if experiment == "workload-analysis":
         return figures.workload_analysis_data(seed=seeds[0])
     raise SystemExit(f"unknown experiment {experiment!r}; try 'list'")

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backends.fluid import FluidBackend
+from ..backends.pool import PolicySpec
 from ..core.policies import AdaptivePolicy, ProvisioningPolicy, StaticPolicy
 from ..metrics.report import summary_cells
 from ..metrics.timeseries import bin_counts
@@ -23,7 +23,6 @@ from ..sim.calendar import SECONDS_PER_DAY, SECONDS_PER_WEEK
 from ..sim.rng import RandomStreams
 from ..workloads.scientific import ScientificWorkload
 from ..workloads.web import TABLE_II, WebWorkload
-from .parallel import PolicySpec
 from .runner import RunMetrics, run_replications
 from .scenario import ScenarioConfig, scientific_scenario, web_scenario
 
@@ -37,9 +36,6 @@ __all__ = [
     "policy_comparison",
     "fig5_data",
     "fig6_data",
-    "fluid_policy_comparison",
-    "fig5_fluid_fullscale",
-    "fig6_fluid_fullscale",
     "workload_analysis_data",
 ]
 
@@ -364,112 +360,4 @@ def fig6_data(
         trace=trace,
         backend=backend,
         metrics=metrics,
-    )
-
-
-# ----------------------------------------------------------------------
-# Full-paper-scale fluid companions
-# ----------------------------------------------------------------------
-def fluid_policy_comparison(
-    scenario: ScenarioConfig,
-    static_sizes: Sequence[int],
-    experiment_id: str,
-    title: str,
-    update_interval: Optional[float] = None,
-    dt: float = 60.0,
-    flow_model: str = "deterministic",
-) -> FigureData:
-    """Adaptive + Static-N evaluated by the fluid backend.
-
-    A thin wrapper over :func:`policy_comparison` with
-    ``backend=FluidBackend(...)`` — the policies, summary table, and
-    ``raw["results"]`` layout (policy name → list of
-    :class:`~repro.backends.base.RunMetrics`) are identical to the DES
-    path, so tooling does not care which backend produced a figure.
-    """
-    interval = (
-        update_interval if update_interval is not None else scenario.update_interval
-    )
-    factories: List[Callable[[], ProvisioningPolicy]] = [
-        PolicySpec(
-            AdaptivePolicy, update_interval=interval, lead_time=scenario.lead_time
-        )
-    ]
-    for n in static_sizes:
-        factories.append(PolicySpec(StaticPolicy, n))
-    return policy_comparison(
-        scenario,
-        factories,
-        seeds=(0,),
-        experiment_id=experiment_id,
-        title=title,
-        backend=FluidBackend(dt=dt, flow_model=flow_model),
-    )
-
-
-def fig5_fluid_fullscale() -> FigureData:
-    """Figure 5 regenerated at the paper's full scale (fluid engine)."""
-    return fluid_policy_comparison(
-        web_scenario(scale=1.0),
-        WEB_STATIC_SIZES,
-        experiment_id="fig5-fluid",
-        title="Figure 5 (full scale, fluid engine): web scenario",
-    )
-
-
-def fig6_fluid_fullscale() -> FigureData:
-    """Figure 6 regenerated by the fluid engine (cross-check)."""
-    return fluid_policy_comparison(
-        scientific_scenario(),
-        SCI_STATIC_SIZES,
-        experiment_id="fig6-fluid",
-        title="Figure 6 (fluid engine cross-check): scientific scenario",
-        update_interval=1800.0,
-    )
-
-
-# ----------------------------------------------------------------------
-# Full-paper-scale vectorized-DES runs
-# ----------------------------------------------------------------------
-def fig5_vec_fullscale(
-    scale: float = 1.0,
-    horizon: float = SECONDS_PER_WEEK,
-    seeds: Sequence[int] = (0,),
-    workers: int = 1,
-) -> FigureData:
-    """Figure 5 at the paper's full scale on the batched DES.
-
-    The stochastic counterpart of :func:`fig5_fluid_fullscale`: the
-    ``des-vec`` backend simulates every individual request of the
-    ~500 M-request week through the structure-of-arrays data plane, so
-    the full grid is exact DES rather than a fluid approximation.
-    """
-    return policy_comparison(
-        web_scenario(scale=scale, horizon=horizon),
-        _web_policies(),
-        seeds=seeds,
-        experiment_id="fig5-fullscale",
-        title="Figure 5 (full scale, vectorized DES): web scenario",
-        workers=workers,
-        backend="des-vec",
-    )
-
-
-def fig6_vec_fullscale(
-    seeds: Sequence[int] = (0, 1, 2), workers: int = 1
-) -> FigureData:
-    """Figure 6 replications on the batched DES."""
-    factories: List[Callable[[], ProvisioningPolicy]] = [
-        PolicySpec(AdaptivePolicy, update_interval=1800.0)
-    ]
-    for n in SCI_STATIC_SIZES:
-        factories.append(PolicySpec(StaticPolicy, n))
-    return policy_comparison(
-        scientific_scenario(),
-        factories,
-        seeds=seeds,
-        experiment_id="fig6-fullscale",
-        title="Figure 6 (vectorized DES): scientific scenario",
-        workers=workers,
-        backend="des-vec",
     )

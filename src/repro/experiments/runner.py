@@ -89,7 +89,7 @@ def run_replications(
         (:mod:`repro.backends.pool`), which returns results in
         seed order, bit-identical to the sequential path apart from the
         ``wall_seconds`` diagnostic.  The factory must then be
-        picklable — use :class:`~repro.experiments.parallel.PolicySpec`
+        picklable — use :class:`~repro.backends.pool.PolicySpec`
         instead of a lambda; unpicklable factories fall back to the
         sequential path with a log warning.  The fluid backend runs
         untraced, unmetered seeds in-process whatever ``workers`` says:

@@ -567,13 +567,6 @@ class ProgramIndex:
         entry = f.get("classes", {}).get(cls)
         return None if entry is None else dict(entry["members"])
 
-    def class_line(self, module: str, cls: str) -> int:
-        f = self.by_module.get(module)
-        if f is None:
-            return 1
-        entry = f.get("classes", {}).get(cls)
-        return 1 if entry is None else int(entry["line"])
-
     def callees_of(self, module: str, qualname: str) -> List[dict]:
         return self._calls.get((module, qualname), [])
 

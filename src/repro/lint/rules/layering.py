@@ -2,9 +2,7 @@
 
 The architecture (docs/architecture.md) layers the package so the math
 stays engine-free and exactly one package knows both execution engines.
-This rule absorbed (and extends) the standalone
-``tools/check_layering.py`` lint, whose script is retired to a stub
-pointing here:
+The rules:
 
 1. ``repro.queueing`` and ``repro.prediction`` are pure analytics —
    they must never import the execution substrates ``repro.cloud`` or

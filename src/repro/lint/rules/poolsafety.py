@@ -11,8 +11,8 @@ failing.  This rule flags the statically visible shapes:
   ``pool.submit(...)`` / ``pool.map(...)`` in any ``repro.*`` module
   that touches ``ProcessPoolExecutor``;
 * the same shapes passed as the *policy factory* of
-  ``run_replications`` / ``run_replications_parallel`` /
-  ``ExecutionBackend.run_seeds`` (second positional argument) or
+  ``run_replications`` / ``ExecutionBackend.run_seeds`` (second
+  positional argument) or
   ``run_pool`` (third) calls inside the library — scripts and tests
   may rely on the logged sequential fallback, the library itself must
   not;
@@ -23,7 +23,7 @@ failing.  This rule flags the statically visible shapes:
   init time and only its (picklable) result is stored.
 
 The sanctioned spelling for factories that must cross the boundary is
-:class:`repro.experiments.parallel.PolicySpec` or any module-level
+:class:`repro.experiments.PolicySpec` or any module-level
 callable.
 """
 
@@ -40,7 +40,7 @@ __all__ = ["PoolSafetyRule"]
 
 _HINT = (
     "use a module-level callable or "
-    "repro.experiments.parallel.PolicySpec; only picklable objects "
+    "repro.experiments.PolicySpec; only picklable objects "
     "cross the ProcessPoolExecutor boundary"
 )
 
@@ -48,7 +48,6 @@ _HINT = (
 _POOL_CALLS = {"submit": 0, "map": 0}
 _RUNNER_CALLS = {
     "run_replications": 1,
-    "run_replications_parallel": 1,
     "run_seeds": 1,
     "run_pool": 2,
 }

@@ -17,7 +17,7 @@ every emission with one identity check.
 * :mod:`repro.obs.profile` — per-phase wall-clock / kernel counters,
   aggregated correctly across pool workers.
 * :mod:`repro.obs.render` — JSONL traces → timeline + summary tables
-  (the ``repro-experiments trace`` subcommand).
+  (the ``repro trace`` subcommand).
 * :mod:`repro.obs.log` — namespaced structured logging helpers.
 * :mod:`repro.obs.metrics` — the typed metrics registry (counters,
   gauges, mergeable log-bucket histograms), the picklable

@@ -13,7 +13,7 @@ Sinks are deliberately dumb ``write(event_dict)`` objects:
 * :class:`RingBufferSink` — bounded in-memory deque, for tests and
   interactive debugging;
 * :class:`JsonlSink` — one JSON object per line, the on-disk format
-  the ``repro-experiments trace`` subcommand renders and CI validates;
+  the ``repro trace`` subcommand renders and CI validates;
 * :class:`NullSink` — counts and drops (overhead measurement).
 
 :class:`TraceConfig` is the *picklable* recipe the experiment runner

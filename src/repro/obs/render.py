@@ -1,6 +1,6 @@
 """Trace rendering — JSONL traces as human-readable timelines/tables.
 
-Backs the ``repro-experiments trace`` subcommand: given a trace file
+Backs the ``repro trace`` subcommand: given a trace file
 (or an iterable of event dicts) it produces
 
 * a **summary table** — per event type: count, first/last timestamp —

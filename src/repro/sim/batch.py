@@ -272,12 +272,6 @@ class SoAQueues:
         """Requests on board (in service + queued) per station."""
         return self.qlen[stations] + (self.svc_end[stations] != np.inf)
 
-    def next_completion(self, stations: np.ndarray) -> float:
-        """Earliest in-service departure among ``stations`` (inf if idle)."""
-        if len(stations) == 0:
-            return math.inf
-        return float(self.svc_end[stations].min())
-
     # ------------------------------------------------------------------
     # hot-path kernels
     # ------------------------------------------------------------------

@@ -141,29 +141,8 @@ class FluidSimulator:
         self.service_time = workload.mean_service_time
 
     # ------------------------------------------------------------------
-    def _station_metrics(self, lam_i: float, m: int) -> Tuple[float, float]:
-        """Per-instance (blocking, sojourn) for offered rate ``lam_i``."""
-        mu = 1.0 / self.service_time
-        if lam_i <= 0.0:
-            return 0.0, self.service_time
-        if self.flow_model == "markovian":
-            q = MM1KQueue(lam_i, mu, self.capacity)
-            return q.blocking_probability, q.mean_response_time
-        # Deterministic flow: rejection only above capacity; sojourn
-        # interpolates between one service time (idle) and the k-deep
-        # worst case (saturated).
-        rho = lam_i / mu
-        if rho >= 1.0:
-            blocking = 1.0 - 1.0 / rho
-            sojourn = self.capacity * self.service_time
-        else:
-            blocking = 0.0
-            # Light-traffic sojourn: service plus residual-wait growth.
-            sojourn = self.service_time * (1.0 + max(0.0, (rho - 0.5)) ** 2)
-        return blocking, min(sojourn, self.capacity * self.service_time)
-
     def _station_metrics_vec(self, lam_i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_station_metrics` over an interval grid.
+        """Per-instance (blocking, sojourn) for each offered rate of a grid.
 
         The deterministic flow model is pure numpy; the Markovian model
         still builds one :class:`MM1KQueue` per *unique* offered load —
@@ -189,6 +168,9 @@ class FluidSimulator:
             blocking[pos] = b[inverse]
             sojourn[pos] = s[inverse]
             return blocking, sojourn
+        # Deterministic flow: rejection only above capacity; the sojourn
+        # grows from one service time (idle) toward the k-deep worst
+        # case (saturated).
         rho = lam_i[pos] / mu
         over = rho >= 1.0
         b = np.where(over, 1.0 - 1.0 / np.maximum(rho, 1.0), 0.0)

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import fig3_data, fig4_data, table2_data
+from repro.backends import FluidBackend
+from repro.experiments import fig3_data, fig4_data, fig6_data, table2_data
 from repro.experiments.cli import available_experiments, main
-from repro.experiments.figures import fluid_policy_comparison, SCI_STATIC_SIZES
-from repro.experiments.scenario import scientific_scenario
 
 
 def test_table2_matches_paper_layout():
@@ -56,13 +55,7 @@ def test_fig4_realized_day():
 
 
 def test_fluid_policy_comparison_rows():
-    data = fluid_policy_comparison(
-        scientific_scenario(),
-        SCI_STATIC_SIZES,
-        experiment_id="fig6-fluid",
-        title="t",
-        update_interval=1800.0,
-    )
+    data = fig6_data(seeds=(0,), backend=FluidBackend())
     names = [row[0] for row in data.rows]
     assert names == ["Adaptive", "Static-15", "Static-30", "Static-45", "Static-60", "Static-75"]
     (adaptive,) = data.raw["results"]["Adaptive"]
@@ -122,3 +115,23 @@ def test_cli_run_accepts_every_backend(monkeypatch, capsys):
     runs = [r for rs in data.raw["results"].values() for r in rs]
     assert runs and {r.backend for r in runs} == {"des-vec"}
     assert "Adaptive" in capsys.readouterr().out
+
+
+def test_cli_variant_ids_honour_run_flags(tmp_path, capsys):
+    # fig6-fluid used to run seed 0 only and drop --trace/--metrics.
+    from repro.obs.schema import load_trace, validate_trace
+
+    traces, telemetry = tmp_path / "traces", tmp_path / "telemetry"
+    argv = [
+        "run", "fig6-fluid", "--seeds", "0-1",
+        "--trace", f"{traces}/", "--metrics", f"{telemetry}/", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    files = sorted(traces.glob("*.jsonl"))
+    assert len(files) == 2 * 6  # two seeds × (Adaptive + five Static-N)
+    assert {f.stem.rsplit("-", 1)[1] for f in files} == {"s0", "s1"}
+    for path in files:
+        assert validate_trace(load_trace(path)) > 0
+    assert len(list(telemetry.glob("*.jsonl"))) == len(files)
+    assert (tmp_path / "fig6-fluid.csv").is_file()
+    assert "Figure 6 (fluid engine cross-check)" in capsys.readouterr().out

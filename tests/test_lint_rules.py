@@ -7,7 +7,9 @@ idioms it must leave alone.
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
+import re
 
 from lint_support import by_rule, lint_tree
 
@@ -540,6 +542,15 @@ def test_pool_safety_fires_on_lambda_dataclass_default(tmp_path):
     messages = [f.message for f in by_rule(result, "pool-safety")]
     assert len(messages) == 2
     assert all("dataclass Spec" in m for m in messages)
+
+
+def test_pool_safety_hint_names_a_live_factory():
+    from repro.backends.pool import PolicySpec
+    from repro.lint.rules.poolsafety import _HINT
+
+    (dotted,) = re.findall(r"repro(?:\.\w+)+", _HINT)
+    module, _, name = dotted.rpartition(".")
+    assert getattr(importlib.import_module(module), name) is PolicySpec
 
 
 def test_pool_safety_sanctioned_shapes_stay_clean(tmp_path):

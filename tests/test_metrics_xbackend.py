@@ -132,7 +132,7 @@ def test_metrics_off_is_the_seed_code_path(web_jitterless):
 
 
 def test_parallel_and_sequential_telemetry_merge_identically():
-    from repro.experiments.parallel import PolicySpec
+    from repro.experiments import PolicySpec
     from repro.experiments.runner import run_replications
     from repro.obs.metrics import merge_telemetry
 
@@ -258,6 +258,7 @@ def test_campaign_interrupt_flushes_borrowed_bus(tmp_path, monkeypatch):
     """Satellite guarantee: a KeyboardInterrupt mid-campaign leaves every
     already-emitted trace event durable on disk, and a borrowed bus open."""
     import repro.campaigns.executor as executor
+    from repro.campaigns import run_campaign
 
     def boom(*args, **kwargs):
         raise KeyboardInterrupt
@@ -267,7 +268,7 @@ def test_campaign_interrupt_flushes_borrowed_bus(tmp_path, monkeypatch):
     path = tmp_path / "campaign.jsonl"
     bus = TraceBus(JsonlSink(path))
     with pytest.raises(KeyboardInterrupt):
-        executor.run_campaign(spec, workers=1, trace=bus)
+        run_campaign(spec, workers=1, trace=bus)
     # cell.start events were flushed by the finally path, not lost in
     # the sink's buffer
     lines = [json.loads(l) for l in path.read_text().strip().splitlines()]

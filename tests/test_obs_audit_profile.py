@@ -152,7 +152,7 @@ def test_run_result_carries_profile_and_compactions():
 # ----------------------------------------------------------------------
 def test_get_logger_namespaces_everything_under_repro():
     assert get_logger().name == "repro"
-    assert get_logger("repro.experiments.parallel").name == "repro.experiments.parallel"
+    assert get_logger("repro.backends.pool").name == "repro.backends.pool"
     assert get_logger("outsider").name == "repro.outsider"
     # Importing the library must not emit to stderr: NullHandler on root.
     assert any(

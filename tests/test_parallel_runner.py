@@ -1,4 +1,4 @@
-"""Tests of the process-pool replication runner (repro.backends.pool, repro.experiments.parallel)."""
+"""Tests of the process-pool replication runner (repro.backends.pool via run_replications)."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ import pickle
 import pytest
 
 from repro.core import AdaptivePolicy, StaticPolicy
-from repro.experiments import (
-    PolicySpec,
-    run_replications,
-    run_replications_parallel,
-    web_scenario,
-)
+from repro.experiments import PolicySpec, run_replications, web_scenario
 
 SEEDS = (0, 1, 2, 3)
 
@@ -54,7 +49,7 @@ def test_parallel_matches_sequential_static():
 
 def test_results_come_back_in_seed_order():
     sc = small_scenario(track_fleet_series=False)
-    results = run_replications_parallel(
+    results = run_replications(
         sc, PolicySpec(StaticPolicy, 10), seeds=(3, 0, 2, 1), workers=2
     )
     assert [r.seed for r in results] == [3, 0, 2, 1]
@@ -63,15 +58,15 @@ def test_results_come_back_in_seed_order():
 def test_chunk_size_does_not_change_results():
     sc = small_scenario(track_fleet_series=False)
     spec = PolicySpec(StaticPolicy, 10)
-    a = run_replications_parallel(sc, spec, seeds=SEEDS, workers=2, chunk_size=1)
-    b = run_replications_parallel(sc, spec, seeds=SEEDS, workers=2, chunk_size=4)
+    a = run_replications(sc, spec, seeds=SEEDS, workers=2, chunk_size=1)
+    b = run_replications(sc, spec, seeds=SEEDS, workers=2, chunk_size=4)
     assert [strip_wall(r) for r in a] == [strip_wall(r) for r in b]
 
 
 def test_unpicklable_factory_falls_back_sequentially_with_log_warning(caplog):
     sc = small_scenario(track_fleet_series=False)
     with caplog.at_level(logging.WARNING, logger="repro.backends.pool"):
-        results = run_replications_parallel(
+        results = run_replications(
             sc, lambda: StaticPolicy(10), seeds=(0, 1), workers=2
         )
     assert [r.seed for r in results] == [0, 1]

@@ -1,8 +1,7 @@
-"""Tests of result persistence (v2 schema + v1 upgrade path)."""
+"""Tests of result persistence (the v2 schema and its rejection paths)."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -68,61 +67,6 @@ def test_dict_roundtrip_preserves_series(des_result):
 
 
 # ----------------------------------------------------------------------
-# version-1 upgrade path
-# ----------------------------------------------------------------------
-def _v1_doc(blob):
-    return json.dumps({"format": "repro-results", "version": 1, "results": [blob]})
-
-
-def test_loads_v1_run_blobs(tmp_path, des_result):
-    # A v1 "run" blob is the RunMetrics payload minus the backend split.
-    data = dataclasses.asdict(des_result)
-    del data["backend"]
-    del data["control_series"]
-    path = tmp_path / "v1-run.json"
-    path.write_text(_v1_doc({"kind": "run", "data": data}))
-    (loaded,) = load_results(path)
-    assert loaded.backend == "des"
-    assert loaded.control_series == ()
-    assert loaded.scenario == des_result.scenario
-    assert loaded.accepted == des_result.accepted
-    assert loaded.fleet_series == des_result.fleet_series
-
-
-def test_loads_v1_fluid_blobs(tmp_path):
-    data = {
-        "total_requests": 1200.0,
-        "accepted": 1100.0,
-        "rejected": 100.0,
-        "rejection_rate": 100.0 / 1200.0,
-        "mean_response_time": 1.0,
-        "min_instances": 4,
-        "max_instances": 9,
-        "vm_hours": 0.5,
-        "utilization": 0.75,
-        "fleet_series": [[0.0, 4], [600.0, 9]],
-    }
-    path = tmp_path / "v1-fluid.json"
-    path.write_text(_v1_doc({"kind": "fluid", "data": data}))
-    (loaded,) = load_results(path)
-    assert loaded.backend == "fluid"
-    # Lossy upgrade: no identification or diagnostics in v1 blobs.
-    assert loaded.scenario == "unknown" and loaded.policy == "unknown"
-    assert loaded.seed == 0
-    assert loaded.completed == loaded.accepted == 1100.0
-    assert loaded.fleet_series == ((0.0, 4), (600.0, 9))
-    assert loaded.control_series == loaded.fleet_series
-    assert loaded.wall_seconds == 0.0 and loaded.events == 0
-
-
-def test_rejects_v1_fluid_blob_with_unknown_fields(tmp_path):
-    path = tmp_path / "v1-bad.json"
-    path.write_text(_v1_doc({"kind": "fluid", "data": {"surprise": 1}}))
-    with pytest.raises(ConfigurationError):
-        load_results(path)
-
-
-# ----------------------------------------------------------------------
 # rejection paths
 # ----------------------------------------------------------------------
 def test_rejects_foreign_files(tmp_path):
@@ -133,10 +77,13 @@ def test_rejects_foreign_files(tmp_path):
 
 
 def test_rejects_future_versions(tmp_path):
-    path = tmp_path / "future.json"
-    path.write_text(json.dumps({"format": "repro-results", "version": 999, "results": []}))
-    with pytest.raises(ConfigurationError):
-        load_results(path)
+    # Version 1 (the pre-backend "run"/"fluid" blobs) is no longer read.
+    for version in (1, 999):
+        path = tmp_path / f"v{version}.json"
+        doc = {"format": "repro-results", "version": version, "results": []}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="unsupported results version"):
+            load_results(path)
 
 
 def test_rejects_unknown_kind():
@@ -145,7 +92,7 @@ def test_rejects_unknown_kind():
 
 
 def test_rejects_v2_legacy_kinds():
-    # The v1 kinds are not valid in a v2 file.
+    # The retired v1 kinds are not valid in a v2 file.
     with pytest.raises(ConfigurationError):
         result_from_dict({"kind": "run", "data": {}}, version=2)
 
