@@ -7,12 +7,13 @@ import dataclasses
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaigns import CampaignSpec, ResultStore
+from repro.campaigns import CampaignSpec, ResultStore, run_campaign
 from repro.campaigns.spec import CAMPAIGN_SCHEMA_VERSION
 from repro.campaigns.store import _MANIFEST_FORMAT, _MANIFEST_VERSION
 from repro.core import AdaptivePolicy
@@ -418,3 +419,16 @@ def test_artifacts_are_in_the_canonical_layout(tmp_path, spec, observed_results)
     assert len(texts) == 4
     for text in texts:
         assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# golden smoke manifest: a cold campaigns/smoke.toml store, byte for byte
+# ---------------------------------------------------------------------------
+_REPO = Path(__file__).resolve().parent.parent
+SMOKE = _REPO / "campaigns" / "smoke.toml"
+SMOKE_MANIFEST = _REPO / "tests" / "golden" / "smoke-manifest.json"
+
+
+def test_cold_smoke_store_writes_the_golden_manifest(tmp_path):
+    run_campaign(CampaignSpec.load(SMOKE), store=tmp_path, workers=1)
+    assert (tmp_path / "manifest.json").read_bytes() == SMOKE_MANIFEST.read_bytes()
