@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -169,7 +169,15 @@ class Cell:
         }
 
     def key(self) -> str:
-        """Stable content hash of this cell (store address)."""
+        """Stable content hash of this cell (store address).
+
+        Computed on the first call and kept on the instance; the kept
+        key is not a field, so equality, hashing and pickles are the
+        fields' alone.
+        """
+        key = getattr(self, "_key", None)
+        if key is not None:
+            return key
         from ..experiments import persist
 
         material = {
@@ -177,7 +185,13 @@ class Cell:
             "results_schema": persist._VERSION,
             "cell": self.config(),
         }
-        return hashlib.sha256(_canonical_json(material).encode("utf-8")).hexdigest()
+        key = hashlib.sha256(_canonical_json(material).encode("utf-8")).hexdigest()
+        object.__setattr__(self, "_key", key)
+        return key
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """The fields alone: a pickle never carries the kept key."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def policy_label(self) -> str:

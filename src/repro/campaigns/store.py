@@ -51,18 +51,30 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..backends.base import RunMetrics
 from ..errors import ConfigurationError
-from ..experiments.persist import load_results, result_to_dict, _FORMAT, _VERSION
+from ..experiments.persist import (
+    _FORMAT,
+    _VERSION,
+    canonical_json,
+    load_results,
+    result_to_dict,
+)
 from .spec import CAMPAIGN_SCHEMA_VERSION, Cell
 
 __all__ = ["ClaimOutcome", "Lease", "ResultStore"]
 
 _MANIFEST_FORMAT = "repro-campaign-manifest"
 _MANIFEST_VERSION = 1
+#: The encoded manifest document before and after its "cells" object.
+_MANIFEST_HEAD = f'{{\n "campaign_schema": {CAMPAIGN_SCHEMA_VERSION},\n "cells": '.encode()
+_MANIFEST_TAIL = (
+    f',\n "format": "{_MANIFEST_FORMAT}",\n "version": {_MANIFEST_VERSION}\n}}'.encode()
+)
 _LEASE_FORMAT = "repro-campaign-lease"
 _LEASE_VERSION = 1
 # How long a crashed worker may hold the manifest lock before other
@@ -71,7 +83,7 @@ _LEASE_VERSION = 1
 _LOCK_TTL = 10.0
 
 
-def _atomic_write(path: Path, text: str, durable: bool = True) -> None:
+def _atomic_write(path: Path, data: bytes, durable: bool = True) -> None:
     """Write-then-rename so readers never see a torn file.
 
     With ``durable`` (the default for artifacts and the manifest) the
@@ -82,7 +94,6 @@ def _atomic_write(path: Path, text: str, durable: bool = True) -> None:
     one on power failure just re-exposes the cell as claimable work.
     """
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    data = text.encode("utf-8")
     fd = os.open(tmp, os.O_CREAT | os.O_WRONLY | os.O_TRUNC, 0o644)
     try:
         os.write(fd, data)
@@ -147,9 +158,12 @@ class ResultStore:
         self.root = Path(root)
         self._manifest: Optional[Dict[str, dict]] = None
         self._manifest_stamp: Optional[object] = None
-        # Cell key -> (marshal snapshot of the entry, its encoded text)
-        # as of the last manifest this store wrote; see _manifest_text.
-        self._entry_text: Dict[str, Tuple[bytes, str]] = {}
+        # The manifest.json bytes this store last wrote, kept while
+        # self._manifest is still their parse (None once it is not).
+        self._manifest_bytes: Optional[bytes] = None
+        # Cell key -> (entry, its encoded member b'"<key>": {...}') as of
+        # the last manifest this store wrote; see _encode_manifest.
+        self._entry_text: Dict[str, Tuple[dict, bytes]] = {}
 
     # ------------------------------------------------------------------
     # Paths
@@ -214,15 +228,13 @@ class ResultStore:
         key = cell.key()
         path = self.lease_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
+        payload = canonical_json(
             {
                 "format": _LEASE_FORMAT,
                 "version": _LEASE_VERSION,
                 "key": key,
                 "owner": owner,
-            },
-            indent=1,
-            sort_keys=True,
+            }
         )
         stolen_from: Optional[str] = None
         for _ in range(4):
@@ -369,7 +381,7 @@ class ResultStore:
             "cell": cell.config(),
             "results": [result_to_dict(metrics)],
         }
-        _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True))
+        _atomic_write(path, canonical_json(doc).encode())
         self._update_manifest(cell, status=status)
         return path
 
@@ -438,14 +450,38 @@ class ResultStore:
         """Apply ``mutate(manifest) -> bool`` under the manifest lock.
 
         The manifest is re-read from disk inside the lock so concurrent
-        workers' updates compose instead of clobbering each other.
+        workers' updates compose instead of clobbering each other.  When
+        the bytes read are the ones this store last wrote, the kept
+        manifest already is their parse and is used as it is; any other
+        bytes (another worker's write) are parsed.  The check compares
+        content, not the file's mtime and size, so a foreign write is
+        never missed.
+
+        ``mutate`` returns ``False`` when it changed nothing.  It
+        replaces entries (``manifest[key] = entry``, ``pop``) and never
+        edits one in place: :meth:`_encode_manifest` reuses an entry's
+        text while the entry is the object the text was encoded from.
         """
         with self._manifest_lock():
             manifest = self._load_manifest(fresh=True)
-            if mutate(manifest) is not False:
-                self._write_manifest(manifest)
+            # Until a write lands, the kept manifest may stop being the
+            # parse of the file's bytes, and the old bytes need not stay
+            # in memory while the new ones are built.
+            self._manifest_bytes = None
+            try:
+                if mutate(manifest) is not False:
+                    self._write_manifest(manifest)
+            except BaseException:
+                # Possibly half-mutated: the next load reads the file.
+                self._manifest = None
+                raise
 
     def _load_manifest(self, fresh: bool = False) -> Dict[str, dict]:
+        """The manifest index, parsed unless the file holds this store's last write.
+
+        Without ``fresh``, an unchanged ``(mtime, size)`` stamp skips
+        reading the file at all.
+        """
         try:
             stat = self.manifest_path.stat()
             stamp = (stat.st_mtime_ns, stat.st_size)
@@ -454,10 +490,16 @@ class ResultStore:
         if not fresh and self._manifest is not None and stamp == self._manifest_stamp:
             return self._manifest
         if stamp is None:
-            self._manifest = {}
-            self._manifest_stamp = None
-            return self._manifest
-        doc = json.loads(self.manifest_path.read_text())
+            self._manifest, self._manifest_bytes = {}, None
+        else:
+            data = self.manifest_path.read_bytes()
+            if data != self._manifest_bytes:
+                self._manifest, self._manifest_bytes = self._parse_manifest(data), None
+        self._manifest_stamp = stamp
+        return self._manifest
+
+    def _parse_manifest(self, data: bytes) -> Dict[str, dict]:
+        doc = json.loads(data)
         if doc.get("format") != _MANIFEST_FORMAT:
             raise ConfigurationError(f"{self.manifest_path}: not a campaign manifest")
         if doc.get("version") != _MANIFEST_VERSION:
@@ -465,75 +507,80 @@ class ResultStore:
                 f"{self.manifest_path}: unsupported manifest version "
                 f"{doc.get('version')!r} (this build reads {_MANIFEST_VERSION})"
             )
-        self._manifest = dict(doc.get("cells", {}))
-        self._manifest_stamp = stamp
-        return self._manifest
+        return dict(doc.get("cells", {}))
 
     def _write_manifest(self, manifest: Dict[str, dict]) -> None:
+        """Write ``manifest`` and keep it as the parse of the bytes written.
+
+        Its entries must be JSON values, exactly what ``json.loads``
+        returns (see :meth:`_entry`), for that to hold.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.manifest_path, self._manifest_text(manifest))
-        self._manifest = manifest
+        data = self._encode_manifest(manifest)
+        _atomic_write(self.manifest_path, data)
+        self._manifest, self._manifest_bytes = manifest, data
         try:
             stat = self.manifest_path.stat()
             self._manifest_stamp = (stat.st_mtime_ns, stat.st_size)
         except OSError:  # pragma: no cover - racing delete
             self._manifest_stamp = None
 
-    def _manifest_text(self, manifest: Dict[str, dict]) -> str:
-        """The manifest document as ``json.dumps(doc, indent=1, sort_keys=True)``.
+    def _encode_manifest(self, manifest: Dict[str, dict]) -> bytes:
+        """The manifest document as :func:`canonical_json` writes it, encoded.
 
-        Encoded a member at a time so a put re-encodes only the entries
-        that changed since this store's last write.  An entry encoded
-        on its own and re-indented two levels is exactly its text
-        inside the whole document, because the ``indent=1`` layout puts
-        each nesting level on its own lines and encoded JSON strings
-        never hold a raw newline.  A remembered text is reused only
-        while the entry's ``marshal`` bytes equal the snapshot taken
-        when it was encoded.  Marshal records every value's type and
-        exact bits (``1``, ``1.0`` and ``True`` differ, so do ``0.0``
-        and ``-0.0``), so equal bytes mean an identical encoding, which
+        Encoded a member at a time so a write re-encodes only the
+        entries that changed since this store's last write.  A member's
+        remembered text is reused while its entry is the object the text
+        was encoded from.  Any other entry (every entry after another
+        worker's write) reuses it only when its ``marshal`` bytes equal
+        the remembered entry's.  Marshal records every value's type and
+        exact bits (``1``, ``1.0`` and ``True`` differ, so do ``0.0`` and
+        ``-0.0``), so equal bytes mean an identical encoding, which
         ``==`` alone does not promise.  Entries marshal cannot write
         (subclasses such as an ``IntEnum``) are re-encoded every time.
         """
         remembered, self._entry_text = self._entry_text, {}
-        cells = []
+        members = []
         for key in sorted(manifest):
             entry = manifest[key]
-            try:
-                snapshot: Optional[bytes] = marshal.dumps(entry, 2)
-            except ValueError:
-                snapshot = None
             memo = remembered.get(key)
-            if snapshot is not None and memo is not None and memo[0] == snapshot:
-                text = memo[1]
+            if memo is None or (memo[0] is not entry and not _same_marshal(memo[0], entry)):
+                memo = (entry, f"{_escape(key)}: {canonical_json(entry, depth=2)}".encode())
             else:
-                text = json.dumps(entry, indent=1, sort_keys=True).replace("\n", "\n  ")
-            if snapshot is not None:
-                self._entry_text[key] = (snapshot, text)
-            cells.append((key, text))
-        return _json_object(
-            [
-                ("campaign_schema", json.dumps(CAMPAIGN_SCHEMA_VERSION)),
-                ("cells", _json_object(cells, depth=1)),
-                ("format", json.dumps(_MANIFEST_FORMAT)),
-                ("version", json.dumps(_MANIFEST_VERSION)),
-            ],
-            depth=0,
-        )
+                memo = (entry, memo[1])
+            self._entry_text[key] = memo
+            members.append(memo[1])
+        if not members:
+            return _MANIFEST_HEAD + b"{}" + _MANIFEST_TAIL
+        # One join builds the document, so no second copy of it is made.
+        members[0] = _MANIFEST_HEAD + b"{\n  " + members[0]
+        members[-1] += b"\n }" + _MANIFEST_TAIL
+        return b",\n  ".join(members)
 
-    def _update_manifest(self, cell: Cell, status: str, **extra: object) -> None:
-        entry = dict(cell.config())
-        entry["status"] = status
-        path = self.path_for(cell)
+    def _entry(self, cell: Cell, status: str, **extra: object) -> dict:
+        """``cell``'s manifest entry, made of JSON values.
+
+        The entry is what ``json.loads`` returns for its own encoding
+        (lists where the cell's pricing holds tuples), so a manifest
+        built of these entries equals the parse of the bytes written
+        from it.
+        """
+        entry = dict(cell.config(), status=status, **extra)
         # Only "cached" entries have an artifact; "failed" and
         # "screened" are manifest-only records.
-        entry["file"] = str(path.relative_to(self.root)) if status == "cached" else None
-        entry.update(extra)
+        entry["file"] = (
+            str(self.path_for(cell).relative_to(self.root)) if status == "cached" else None
+        )
+        return json.loads(canonical_json(entry))
+
+    def _update_manifest(self, cell: Cell, status: str, **extra: object) -> None:
+        key = cell.key()
+        entry = self._entry(cell, status, **extra)
 
         def record(manifest: Dict[str, dict]) -> bool:
-            if manifest.get(cell.key()) == entry:
+            if manifest.get(key) == entry:
                 return False
-            manifest[cell.key()] = entry
+            manifest[key] = entry
             return True
 
         self._mutate_manifest(record)
@@ -601,12 +648,7 @@ class ResultStore:
                 entry = manifest.get(key)
                 if self.has(cell):
                     if entry is None or entry.get("status") != "cached":
-                        entry = dict(cell.config())
-                        entry["status"] = "cached"
-                        entry["file"] = str(
-                            self.path_for(cell).relative_to(self.root)
-                        )
-                        manifest[key] = entry
+                        manifest[key] = self._entry(cell, "cached")
                         changed = True
                     # A finished cell needs no claim: drop the orphan
                     # lease so status/watch stop reporting it in flight.
@@ -625,17 +667,12 @@ class ResultStore:
         return copy.deepcopy(healed)
 
 
-def _json_object(members: List[Tuple[str, str]], depth: int) -> str:
-    """A JSON object in the ``indent=1`` layout from encoded members.
-
-    ``members`` are ``(key, encoded value)`` pairs in key order; each
-    value must already be indented for nesting level ``depth + 1``.
-    """
-    if not members:
-        return "{}"
-    pad = "\n" + " " * (depth + 1)
-    body = ("," + pad).join(f"{json.dumps(key)}: {value}" for key, value in members)
-    return "{" + pad + body + "\n" + " " * depth + "}"
+def _same_marshal(a: object, b: object) -> bool:
+    """Whether ``a`` and ``b`` have equal ``marshal`` bytes (see ``_encode_manifest``)."""
+    try:
+        return marshal.dumps(a, 2) == marshal.dumps(b, 2)
+    except ValueError:
+        return False
 
 
 def _fs_safe(owner: str) -> str:

@@ -16,13 +16,20 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import List, Sequence, Union
+from typing import Any, List, Sequence, Union
 
 from ..backends.base import RunMetrics
 from ..errors import ConfigurationError
 
-__all__ = ["result_to_dict", "result_from_dict", "save_results", "load_results"]
+__all__ = [
+    "canonical_json",
+    "result_to_dict",
+    "result_from_dict",
+    "save_results",
+    "load_results",
+]
 
 #: Format identifier written into every results file.
 _FORMAT = "repro-results"
@@ -30,6 +37,88 @@ _VERSION = 2
 
 #: RunMetrics field names, in declaration order.
 _FIELDS = tuple(f.name for f in dataclasses.fields(RunMetrics))
+
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+#: What ``json`` writes for the float reprs that are not JSON numbers.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def canonical_json(value: Any, depth: int = 0) -> str:
+    """``json.dumps(value, indent=1, sort_keys=True)``, byte for byte.
+
+    Every results file, campaign manifest and lease is written in this
+    layout.  With ``depth``, the text is laid out as it sits ``depth``
+    levels deep inside a larger document: each line after the first is
+    indented ``depth`` more spaces.
+
+    Dicts with str keys, lists, tuples and str/int/float/bool/None
+    leaves (exact types) are encoded here, with the stdlib's own leaf
+    encoders: ``encode_basestring_ascii``, ``float.__repr__``,
+    ``int.__repr__`` and ``NaN``/``Infinity``.  Any other subtree (a
+    subclass such as an ``IntEnum``, a dict with non-str keys, an
+    unknown type) is handed to the stdlib call and re-indented by
+    newline replacement.  That is exact because the ``indent=1``
+    layout puts each nesting level on its own lines and encoded JSON
+    strings never hold a raw newline; it also raises the stdlib's
+    ``TypeError`` for values JSON cannot hold.  A circular structure
+    raises ``RecursionError`` (the stdlib raises ``ValueError``).
+    """
+    return _encode(value, "\n" + " " * depth)
+
+
+def _encode(value: Any, nl: str) -> str:
+    """``value`` encoded, each line break in it written as ``nl``.
+
+    ``nl`` is a newline plus the indentation of ``value``'s own level.
+    """
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        keys = None
+        items = value
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        keys = sorted(value)
+        items = [value[key] for key in keys]
+    elif kind is float:
+        text = _float_repr(value)
+        return _NONFINITE[text] if "n" in text else text
+    elif kind is str:
+        return _escape(value)
+    elif kind is int:
+        return _int_repr(value)
+    elif value is None:
+        return "null"
+    elif value is True:
+        return "true"
+    elif value is False:
+        return "false"
+    else:
+        return json.dumps(value, indent=1, sort_keys=True).replace("\n", nl)
+    inner = nl + " "
+    texts = []
+    # The common leaves inline (a finite float's repr holds no "n");
+    # everything else recurses.
+    for item in items:
+        kind = type(item)
+        if kind is float:
+            text = _float_repr(item)
+            if "n" in text:
+                text = _NONFINITE[text]
+        elif kind is str:
+            text = _escape(item)
+        elif kind is int:
+            text = _int_repr(item)
+        else:
+            text = _encode(item, inner)
+        texts.append(text)
+    if keys is None:
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    members = [_escape(key) + ": " + text for key, text in zip(keys, texts)]
+    return "{" + inner + ("," + inner).join(members) + nl + "}"
 
 
 def result_to_dict(result: RunMetrics) -> dict:
@@ -72,7 +161,7 @@ def save_results(path: Union[str, Path], results: Sequence[RunMetrics]) -> None:
         "version": _VERSION,
         "results": [result_to_dict(r) for r in results],
     }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+    path.write_text(canonical_json(doc))
 
 
 def load_results(path: Union[str, Path]) -> List[RunMetrics]:

@@ -165,6 +165,37 @@ def test_cell_key_is_stable_content_hash():
     assert dataclasses.replace(a, backend="des").key() != a.key()
 
 
+def test_cell_key_is_hashed_once_and_kept_out_of_equality_and_pickles(monkeypatch):
+    import copy
+    import dataclasses
+    import hashlib
+    import pickle
+
+    import repro.campaigns.spec as spec_module
+
+    calls = []
+
+    class CountingHashlib:
+        @staticmethod
+        def sha256(data):
+            calls.append(data)
+            return hashlib.sha256(data)
+
+    monkeypatch.setattr(spec_module, "hashlib", CountingHashlib)
+    expanded = CampaignSpec.from_dict(_spec_dict()).expanded()[0]
+    cell, fresh = dataclasses.replace(expanded), dataclasses.replace(expanded)
+    calls.clear()
+    key = cell.key()
+    assert [cell.key() for _ in range(5)] == [key] * 5
+    assert len(calls) == 1
+    # The kept key changes neither equality, hashing nor the pickle.
+    assert cell == fresh and hash(cell) == hash(fresh)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(cell, protocol) == pickle.dumps(fresh, protocol)
+    assert pickle.loads(pickle.dumps(cell)).key() == key
+    assert copy.deepcopy(cell).key() == fresh.key() == key
+
+
 def test_quick_cells_hash_differently_and_apply_overrides():
     raw = _spec_dict()
     raw["scenarios"][0]["quick"] = {"horizon": 3600.0, "seeds": "0"}

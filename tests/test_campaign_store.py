@@ -422,6 +422,104 @@ def test_artifacts_are_in_the_canonical_layout(tmp_path, spec, observed_results)
 
 
 # ---------------------------------------------------------------------------
+# own bytes: the kept manifest is the parse of the bytes on disk
+# ---------------------------------------------------------------------------
+def _typed(value):
+    """``value`` with every container and leaf tagged by its exact type."""
+    if isinstance(value, dict):
+        return ("dict", sorted((key, _typed(item)) for key, item in value.items()))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_typed(item) for item in value])
+    return (type(value).__name__, repr(value))
+
+
+def _assert_kept_manifest_is_the_parse(store):
+    on_disk = json.loads(store.manifest_path.read_bytes())["cells"]
+    assert _typed(store._manifest) == _typed(on_disk)
+
+
+@pytest.fixture(scope="module")
+def priced_spec() -> CampaignSpec:
+    return CampaignSpec.from_dict(
+        {
+            "campaign": {"name": "priced-store-test"},
+            "scenarios": [
+                {
+                    "scenario": "web",
+                    "scale": 5000.0,
+                    "horizon": 21600.0,
+                    "pricing": {"revenue_per_request": 0.02, "cost_per_core_hour": 0.15},
+                    "policies": ["profit", "spot-30"],
+                    "backends": ["fluid"],
+                    "seeds": "0",
+                }
+            ],
+        }
+    )
+
+
+def test_kept_manifest_is_the_parse_of_its_bytes(tmp_path, spec, priced_spec, metrics):
+    plain, priced = spec.expanded()[:2], priced_spec.expanded()
+    assert all(isinstance(dict(cell.params)["pricing"], tuple) for cell in priced)
+    store = ResultStore(tmp_path)
+    for cell in plain + priced:
+        store.put(cell, metrics)
+        _assert_kept_manifest_is_the_parse(store)
+    store.mark_failed(plain[0], "boom")
+    _assert_kept_manifest_is_the_parse(store)
+    store.mark_screened(priced[0], rejection_rate=0.25)
+    _assert_kept_manifest_is_the_parse(store)
+    store.delete(plain[1])
+    _assert_kept_manifest_is_the_parse(store)
+    store.refresh_manifest(plain + priced)
+    _assert_kept_manifest_is_the_parse(store)
+    assert store.manifest_path.read_text() == _reference_manifest(store.manifest())
+
+
+def test_same_length_foreign_edit_with_its_mtime_restored_is_picked_up(tmp_path, spec, metrics):
+    """The own-bytes check compares content: an edit that keeps the
+    file's size and mtime, which a stamp check would miss, still reaches
+    the next write."""
+    a, b = spec.expanded()[:2]
+    store = ResultStore(tmp_path)
+    store.put(a, metrics)
+    path = store.manifest_path
+    before, stat = path.read_bytes(), path.stat()
+    edited = before.replace(b'"status": "cached"', b'"status": "failed"')
+    assert edited != before and len(edited) == len(before)
+    path.write_bytes(edited)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_mtime_ns, path.stat().st_size) == (stat.st_mtime_ns, stat.st_size)
+    store.put(b, metrics)
+    cells = json.loads(path.read_bytes())["cells"]
+    assert cells[a.key()]["status"] == "failed"
+    assert cells[b.key()]["status"] == "cached"
+    assert path.read_text() == _reference_manifest(cells)
+    _assert_kept_manifest_is_the_parse(store)
+
+
+def test_failed_manifest_write_leaves_no_unwritten_entry_behind(
+    tmp_path, spec, metrics, monkeypatch
+):
+    a, b = spec.expanded()[:2]
+    store = ResultStore(tmp_path)
+    store.put(a, metrics)
+
+    def disk_full(path, data, durable=True):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("repro.campaigns.store._atomic_write", disk_full)
+    with pytest.raises(OSError):
+        store.mark_failed(b, "boom")
+    monkeypatch.undo()
+    # The manifest file is untouched, so the store must not report b.
+    assert set(store.manifest()) == {a.key()}
+    assert store.status_of(b) == "missing"
+    store.mark_failed(b, "boom")
+    _assert_kept_manifest_is_the_parse(store)
+
+
+# ---------------------------------------------------------------------------
 # golden smoke manifest: a cold campaigns/smoke.toml store, byte for byte
 # ---------------------------------------------------------------------------
 _REPO = Path(__file__).resolve().parent.parent

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import enum
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import RunMetrics
 from repro.core import StaticPolicy
 from repro.errors import ConfigurationError
 from repro.experiments import run_policy, web_scenario
 from repro.experiments.persist import (
+    canonical_json,
     load_results,
     result_from_dict,
     result_to_dict,
@@ -100,3 +104,66 @@ def test_rejects_v2_legacy_kinds():
 def test_rejects_non_result_objects():
     with pytest.raises(ConfigurationError):
         result_to_dict({"not": "a result"})  # type: ignore[arg-type]
+
+
+# ---------------------------------------------------------------------------
+# canonical_json is json.dumps(value, indent=1, sort_keys=True), byte for byte
+# ---------------------------------------------------------------------------
+class _Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
+class _Seconds(float):
+    pass
+
+
+_floats = st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0])
+_ints = st.integers() | st.sampled_from([2**63, -(2**63) - 1, 10**30, -(2**70)])
+_strings = st.text(max_size=8) | st.text(
+    alphabet=st.sampled_from(list('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600 a')),
+    max_size=8,
+)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | _ints
+    | _floats
+    | _strings
+    | st.sampled_from(list(_Level))
+    | _floats.map(_Seconds)
+)
+# Dicts whose keys are not all str, and sort among themselves, take the
+# stdlib fallback.
+_other_keys = _ints | st.floats(allow_nan=False) | st.booleans()
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=4)
+    | st.dictionaries(_other_keys, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_values, depth=st.integers(0, 3))
+def test_canonical_json_is_the_stdlib_indent1_encoding(value, depth):
+    want = json.dumps(value, indent=1, sort_keys=True)
+    assert canonical_json(value) == want
+    assert canonical_json(value, depth=depth) == want.replace("\n", "\n" + " " * depth)
+
+
+def test_canonical_json_raises_what_the_stdlib_raises():
+    for value in ({"a": {1: 0, "b": 0}}, [object()], {"k": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=1, sort_keys=True)
+        with pytest.raises(TypeError):
+            canonical_json(value)
+
+
+def test_save_results_writes_the_canonical_layout(tmp_path, des_result, fluid_result):
+    path = tmp_path / "results.json"
+    save_results(path, [des_result, fluid_result])
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
