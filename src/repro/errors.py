@@ -95,8 +95,8 @@ class TraceSchemaError(ReproError):
 class LintError(ReproError):
     """:mod:`repro.lint` could not complete a run.
 
-    Usage or internal failures — unknown rule names, missing paths,
-    unreadable baselines, unparsable source, a crashing rule — as
+    Usage or internal failures — unknown rule names, an empty rule
+    selection, missing or unreadable paths, a crashing rule — as
     opposed to findings, which are ordinary results.  The CLI maps
     this to exit code 2 (findings exit 1, clean trees 0).
     """

@@ -16,7 +16,7 @@ Installed as ``repro``::
     repro metrics show telemetry/
     repro metrics export telemetry/web-Adaptive-s0.jsonl --format prometheus
     repro lint src tests
-    repro lint src --format json --baseline .reprolint.json
+    repro lint src --format json --rules determinism,layering
     repro campaign run campaigns/paper.toml --metrics
     repro campaign run campaigns/paper.toml --shard 0/2
     repro campaign watch campaigns/paper.toml --follow
@@ -483,65 +483,29 @@ def _lint_command(args: argparse.Namespace) -> int:
     depend on (its own ``layering`` rule enforces that).
     """
     from ..errors import LintError
-    from ..lint import (
-        Baseline,
-        apply_baseline,
-        render_json,
-        render_text,
-        run_lint,
-    )
+    from ..lint import render_json, render_text, run_lint
 
     try:
         rules = None
-        if args.rules:
+        if args.rules is not None:
             rules = [r.strip() for r in args.rules.split(",") if r.strip()]
         cache_path = None if args.no_cache else ".reprolint-cache.json"
         result = run_lint(args.paths, rules=rules, cache_path=cache_path)
-        if args.graph is not None:
-            from ..lint import render_dot
-
-            dot = render_dot(result.project.index)
-            Path(args.graph).write_text(dot, encoding="utf-8")
-            print(
-                f"graph: wrote {args.graph} "
-                f"({len(result.project.index.modules())} module(s))"
-            )
-
-        baseline_path = args.baseline
-        if baseline_path is None and Path(".reprolint.json").is_file():
-            baseline_path = ".reprolint.json"
-        if args.update_baseline:
-            target = baseline_path or ".reprolint.json"
-            Baseline.from_findings(result.findings).save(target)
-            print(
-                f"baseline {target}: {len(result.findings)} finding(s) recorded"
-            )
-            return 0
-        if baseline_path is not None:
-            baseline = Baseline.load(baseline_path)
-            fresh, baselined, stale = apply_baseline(result.findings, baseline)
-        else:
-            fresh, baselined, stale = result.findings, [], []
-
         if args.format == "json":
             print(
                 render_json(
-                    fresh,
+                    result.findings,
                     result.files,
                     result.rules,
                     suppressed=result.suppressed,
-                    baselined=baselined,
-                    stale_baseline=stale,
                 )
             )
         else:
             print(
                 render_text(
-                    fresh,
+                    result.findings,
                     result.files,
                     suppressed=result.suppressed,
-                    baselined=baselined,
-                    stale_baseline=stale,
                     fix_hints=args.fix_hints,
                 )
             )
@@ -550,7 +514,7 @@ def _lint_command(args: argparse.Namespace) -> int:
                     f"cache: {result.cached}/{result.files} file(s) "
                     "replayed without re-parsing"
                 )
-        return 1 if fresh else 0
+        return 1 if result.findings else 0
     except LintError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
@@ -658,7 +622,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "lint",
         help="project-specific static analysis (determinism, layering, "
         "trace-schema, pool-safety, float-compare, rng-streams, "
-        "lease-protocol, backend-parity)",
+        "lease-protocol)",
     )
     lintp.add_argument(
         "paths",
@@ -671,18 +635,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=("text", "json"),
         default="text",
         help="report format (json is the stable CI contract)",
-    )
-    lintp.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline of grandfathered findings (default: .reprolint.json "
-        "when it exists; baselined findings do not fail the run)",
-    )
-    lintp.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     lintp.add_argument(
         "--fix-hints",
@@ -700,12 +652,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="analyze everything fresh, bypassing (and not writing) the "
         "incremental cache (.reprolint-cache.json)",
-    )
-    lintp.add_argument(
-        "--graph",
-        default=None,
-        metavar="FILE",
-        help="also write the module import/call graph as Graphviz DOT",
     )
 
     campp = sub.add_parser(

@@ -16,24 +16,23 @@ claims rest on (docs/static-analysis.md has the full rationale):
   registered in :data:`repro.sim.rng.STREAM_REGISTRY`, both
   directions;
 * **lease-protocol** — every campaign lease claim is released on all
-  paths and can reach a heartbeat renewal;
-* **backend-parity** — the scalar and vectorized fleet APIs stay
-  member-for-member in parity (modulo explicit allowlists).
+  paths and can reach a heartbeat renewal.
 
-The last three are *whole-program* rules riding
-:mod:`repro.lint.program` — a project-wide symbol table, import/call
-graph and small dataflow lattice extracted per module as JSON-safe
-facts, which is also what the incremental cache
-(:mod:`repro.lint.cache`) replays for unchanged files so a warm run
-re-parses only what changed.
+:data:`~repro.lint.rules.RULES` lists them.  ``rng-streams``,
+``lease-protocol`` and ``trace-schema`` are *whole-program* rules
+riding :mod:`repro.lint.program` — a project-wide symbol table and
+call graph over JSON-safe facts extracted per module, which is also
+what the incremental cache (:mod:`repro.lint.cache`) replays for
+unchanged files so a warm run re-parses only what changed.  An inline
+``# reprolint: disable=<rule>`` comment (:mod:`repro.lint.suppress`)
+is the one way to exempt a finding.
 
 Usage::
 
     repro lint src tests                  # text report, exit 0/1/2
     repro lint src --format json          # machine-readable
     repro lint src --fix-hints            # remediation per finding
-    repro lint src --update-baseline      # grandfather current findings
-    repro lint src --graph deps.dot       # module import/call graph
+    repro lint src --rules determinism    # a subset of the rules
     repro lint src --no-cache             # force a cold analysis
 
 Programmatic::
@@ -48,12 +47,11 @@ the lint package itself), and the CLI reaches it lazily.
 
 from __future__ import annotations
 
-from .baseline import Baseline, apply_baseline
 from .cache import ENGINE_VERSION, LintCache, cache_signature
 from .findings import Finding
-from .program import FACTS_VERSION, ProgramIndex, extract_facts, render_dot
-from .registry import Rule, build_rules, register, rule_descriptions, rule_names
+from .program import FACTS_VERSION, ProgramIndex, extract_facts
 from .report import REPORT_VERSION, json_report, render_json, render_text
+from .rules import RULES, Rule, build_rules
 from .runner import (
     PARSE_ERROR_RULE,
     LintResult,
@@ -66,17 +64,13 @@ from .runner import (
 __all__ = [
     "Finding",
     "Rule",
-    "register",
-    "rule_names",
-    "rule_descriptions",
+    "RULES",
     "build_rules",
     "run_lint",
     "LintResult",
     "ModuleContext",
     "Project",
     "module_name_for",
-    "Baseline",
-    "apply_baseline",
     "render_text",
     "render_json",
     "json_report",
@@ -86,7 +80,6 @@ __all__ = [
     "ENGINE_VERSION",
     "ProgramIndex",
     "extract_facts",
-    "render_dot",
     "LintCache",
     "cache_signature",
 ]

@@ -9,11 +9,15 @@ only files whose bytes changed are re-parsed, which is what makes the
 cached ``repro lint`` of the full tree a few-hundred-millisecond
 affair (CI asserts ≥3× over cold).
 
-Correctness rests on two invariants:
+Correctness rests on three invariants:
 
 * **per-file completeness** — everything a finalize rule needs from an
   unchanged module must be in its facts record, which is why rules
   consume facts rather than ASTs (see :mod:`repro.lint.program`);
+* **module matching** — a record replays only while the file's dotted
+  module name is the one it was analyzed under: that name comes from
+  the ``__init__.py`` chain *around* the file, which the content hash
+  does not cover, and it decides where rules apply;
 * **signature matching** — the cache carries a signature hashing the
   engine version, :data:`~repro.lint.program.FACTS_VERSION` and the
   active rule set.  Any mismatch (new rule, upgraded engine, different
@@ -63,8 +67,6 @@ class LintCache:
     def __init__(self, path: Path, signature: str) -> None:
         self.path = Path(path)
         self.signature = signature
-        self.hits = 0
-        self.misses = 0
         self._entries: Dict[str, dict] = self._load()
         #: records produced or confirmed this run (what gets saved)
         self._fresh: Dict[str, dict] = {}
@@ -84,14 +86,16 @@ class LintCache:
             return {}
         return data["entries"]
 
-    def get(self, rel: str, sha: str) -> Optional[dict]:
-        """The cached record for ``rel`` iff its content hash matches."""
+    def get(self, rel: str, sha: str, module: str) -> Optional[dict]:
+        """The cached record for ``rel`` iff its content hash and module match."""
         entry = self._entries.get(rel)
-        if entry is not None and entry.get("sha") == sha:
-            self.hits += 1
+        if (
+            entry is not None
+            and entry.get("sha") == sha
+            and entry.get("module") == module
+        ):
             self._fresh[rel] = entry
             return entry
-        self.misses += 1
         return None
 
     def put(self, rel: str, sha: str, record: dict) -> None:

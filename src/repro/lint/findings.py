@@ -4,19 +4,10 @@ A finding pins a rule to a source location and carries two pieces of
 prose: the *message* (what invariant is broken, shown always) and the
 *hint* (how to repair it, shown under ``--fix-hints`` and always
 present in JSON output).
-
-Findings are identified across runs by a *fingerprint* — a hash of
-``(rule, path, message)`` that deliberately excludes the line number,
-so a baseline entry keeps matching while unrelated edits shift the
-file around it.  Two identical violations in one file share a
-fingerprint; the baseline stores (and consumes) entries with
-multiplicity, so fixing one of two twin findings still surfaces the
-survivor.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
@@ -34,11 +25,6 @@ class Finding:
     message: str
     hint: str = field(default="", compare=False)
 
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
-        raw = f"{self.rule}::{self.path}::{self.message}"
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
-
     def location(self) -> str:
         """``path:line:col`` prefix used by the text reporter."""
         return f"{self.path}:{self.line}:{self.col}"
@@ -52,12 +38,11 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "hint": self.hint,
-            "fingerprint": self.fingerprint(),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict` (ignores the derived fingerprint)."""
+        """Inverse of :meth:`to_dict`."""
         return cls(
             path=str(data["path"]),
             line=int(data["line"]),  # type: ignore[arg-type]

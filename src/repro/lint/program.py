@@ -1,13 +1,12 @@
 """Whole-program facts — serializable module summaries for cross checks.
 
 The per-module rules walk a live AST; the *whole-program* rules
-(``rng-streams``, ``lease-protocol``, ``backend-parity``,
-``trace-schema``) instead consume :func:`extract_facts` output — a
-JSON-safe summary of everything a finalize pass may want to know about
-one module: imports, definitions, class member tables, call sites
-(with statically-resolved first arguments), module-level string
-constants, RNG stream draws, fleet/monitor attribute uses and lease
-claim sites.
+(``rng-streams``, ``lease-protocol``, ``trace-schema``) instead
+consume :func:`extract_facts` output — a JSON-safe summary of
+everything a finalize pass may want to know about one module:
+definitions, class member tables, call sites (with statically-resolved
+first arguments), module-level string constants, RNG stream draws and
+lease claim sites.
 
 Facts, not ASTs, are the engine's currency for one load-bearing
 reason: the incremental cache (:mod:`repro.lint.cache`) replays them
@@ -18,62 +17,37 @@ needs must therefore live here, in the extraction, and bump
 :data:`FACTS_VERSION` when its shape changes (the cache keys on it).
 
 :class:`ProgramIndex` is the query layer over a project's facts — the
-symbol table (definitions by bare name), the module import graph, a
-call graph with *reference edges* (``Thread(target=self._run)`` counts
-as an edge to ``_run``, which is how heartbeat reachability sees
-through the thread boundary), and a tiny intraprocedural dataflow
-lattice: local variables are typed from constructor assignments,
-parameter annotations and naming conventions, so ``streams.get("x")``
-and ``RandomStreams(0).get("x")`` both resolve to an RNG stream draw.
-
-:func:`render_dot` serializes the import/call graph to Graphviz DOT
-(the ``repro lint --graph`` artifact).
+symbol table (definitions by bare name) and a call graph with
+*reference edges* (``Thread(target=self._run)`` counts as an edge to
+``_run``, which is how heartbeat reachability sees through the thread
+boundary).  Extraction types local variables with a tiny
+intraprocedural dataflow pass — constructor assignments, parameter
+annotations and naming conventions — so ``streams.get("x")`` and
+``RandomStreams(0).get("x")`` both resolve to an RNG stream draw.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .astutil import dotted_name, literal_strings
 
-__all__ = [
-    "FACTS_VERSION",
-    "extract_facts",
-    "ProgramIndex",
-    "render_dot",
-]
+__all__ = ["FACTS_VERSION", "extract_facts", "ProgramIndex"]
 
 #: Bump whenever the shape of :func:`extract_facts` output changes —
 #: the incremental cache signature includes it, so stale facts are
 #: never replayed into a newer engine.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
-#: Dataflow type tags.  ``fleet`` is the join of ``app`` and ``vec``
-#: (a receiver that may be either backend's fleet).
+#: The one dataflow type tag: an RNG stream factory.
 _T_STREAMS = "streams"
-_T_APP = "app"
-_T_VEC = "vec"
-_T_FLEET = "fleet"
-_T_MONITOR = "monitor"
 
 #: Constructor name → type tag (dataflow seeds).
-_CTOR_TYPES = {
-    "RandomStreams": _T_STREAMS,
-    "ApplicationFleet": _T_APP,
-    "VectorFleet": _T_VEC,
-    "Monitor": _T_MONITOR,
-}
+_CTOR_TYPES = {"RandomStreams": _T_STREAMS}
 
 #: Terminal-identifier naming conventions (params, attribute chains).
-_NAME_HINTS = {
-    "streams": _T_STREAMS,
-    "_streams": _T_STREAMS,
-    "fleet": _T_FLEET,
-    "_fleet": _T_FLEET,
-    "monitor": _T_MONITOR,
-    "_monitor": _T_MONITOR,
-}
+_NAME_HINTS = {"streams": _T_STREAMS, "_streams": _T_STREAMS}
 
 #: Lease-protocol vocabulary (shared with the ``lease-protocol`` rule).
 CLAIM_NAMES = frozenset({"claim", "claim_all"})
@@ -149,7 +123,6 @@ class _Extractor(ast.NodeVisitor):
         self.constants: Dict[str, str] = {}
         self.calls: List[dict] = []
         self.rng: Dict[str, list] = {"get": [], "spawn": [], "default_rng": []}
-        self.attr_uses: List[dict] = []
         self.claims: List[dict] = []
         self.registry: Optional[dict] = None
         self.string_lines: Dict[str, int] = {}
@@ -331,12 +304,10 @@ class _Extractor(ast.NodeVisitor):
             entry = {
                 "caller": self._qualname(),
                 "base": base,
-                "callee": dotted_name(node.func) or base,
                 "line": node.lineno,
                 "col": node.col_offset,
                 "arg0": arg0,
                 "refs": refs,
-                "recv": recv,
             }
             self.calls.append(entry)
             if base == "get" and recv == _T_STREAMS:
@@ -368,23 +339,6 @@ class _Extractor(ast.NodeVisitor):
                         "node_id": id(node),
                     }
                 )
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.ctx, ast.Load) and not (
-            node.attr.startswith("__") and node.attr.endswith("__")
-        ):
-            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
-                tag = self._infer(node.value)
-                if tag in (_T_APP, _T_VEC, _T_FLEET, _T_MONITOR):
-                    self.attr_uses.append(
-                        {
-                            "kind": tag,
-                            "attr": node.attr,
-                            "line": node.lineno,
-                            "col": node.col_offset,
-                        }
-                    )
         self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:
@@ -495,21 +449,17 @@ def _finish_claims(extractor: _Extractor, tree: ast.Module) -> None:
 
 def extract_facts(ctx) -> Dict[str, Any]:
     """The JSON-safe whole-program summary of one ``ModuleContext``."""
-    from .astutil import body_imports
-
     extractor = _Extractor(ctx.module, ctx.rel)
     extractor.visit(ctx.tree)
     _finish_claims(extractor, ctx.tree)
     return {
         "module": ctx.module,
         "rel": ctx.rel,
-        "imports": [[line, target] for line, target in body_imports(ctx.tree, ctx.module)],
         "defs": extractor.defs,
         "classes": extractor.classes,
         "constants": extractor.constants,
         "calls": extractor.calls,
         "rng": extractor.rng,
-        "attr_uses": extractor.attr_uses,
         "claims": extractor.claims,
         "registry": extractor.registry,
         "string_lines": extractor.string_lines,
@@ -521,7 +471,7 @@ def extract_facts(ctx) -> Dict[str, Any]:
 
 
 class ProgramIndex:
-    """Symbol table + import/call graph over a project's facts."""
+    """Symbol table + call graph over a project's facts."""
 
     def __init__(self, facts: Dict[str, dict]) -> None:
         #: module name → facts (first scan wins on collisions)
@@ -541,12 +491,6 @@ class ProgramIndex:
                 key = (module, call.get("caller", ""))
                 self._calls.setdefault(key, []).append(call)
 
-    def facts(self, module: str) -> Optional[dict]:
-        return self.by_module.get(module)
-
-    def modules(self) -> List[str]:
-        return sorted(self.by_module)
-
     def resolve_constant(self, module: str, name: str) -> Optional[str]:
         """Module-level string constant ``name`` as seen from ``module``."""
         f = self.by_module.get(module)
@@ -559,19 +503,6 @@ class ProgramIndex:
             if value is not None:
                 return value
         return None
-
-    def class_members(self, module: str, cls: str) -> Optional[Dict[str, int]]:
-        f = self.by_module.get(module)
-        if f is None:
-            return None
-        entry = f.get("classes", {}).get(cls)
-        return None if entry is None else dict(entry["members"])
-
-    def callees_of(self, module: str, qualname: str) -> List[dict]:
-        return self._calls.get((module, qualname), [])
-
-    def defs_named(self, base: str) -> List[Tuple[str, str]]:
-        return self._defs.get(base, [])
 
     def reaches_call(
         self, module: str, qualname: str, target_base: str, limit: int = 2000
@@ -602,43 +533,3 @@ class ProgramIndex:
                         if target not in seen:
                             frontier.append(target)
         return False
-
-    # -- graph export --------------------------------------------------
-    def edges(self) -> Iterator[Tuple[str, str, str]]:
-        """(src module, dst module, kind) — ``import`` and ``call`` edges."""
-        emitted: Set[Tuple[str, str, str]] = set()
-        for module, f in self.by_module.items():
-            for _line, target in f.get("imports", []):
-                dst = target
-                while dst and dst not in self.by_module:
-                    dst = dst.rpartition(".")[0]
-                if dst and dst != module:
-                    edge = (module, dst, "import")
-                    if edge not in emitted:
-                        emitted.add(edge)
-                        yield edge
-            for call in f.get("calls", []):
-                for dst_module, _qual in self._defs.get(call["base"], []):
-                    if dst_module != module:
-                        edge = (module, dst_module, "call")
-                        if edge not in emitted:
-                            emitted.add(edge)
-                            yield edge
-
-
-def render_dot(index: ProgramIndex) -> str:
-    """Graphviz DOT text of the module import/call graph."""
-    lines = [
-        "digraph repro_lint {",
-        "  rankdir=LR;",
-        '  node [shape=box, fontname="Helvetica"];',
-    ]
-    for module in index.modules():
-        f = index.by_module[module]
-        label = f"{module}\\n{len(f.get('defs', {}))} defs"
-        lines.append(f'  "{module}" [label="{label}"];')
-    for src, dst, kind in sorted(set(index.edges())):
-        style = "solid" if kind == "import" else "dashed"
-        lines.append(f'  "{src}" -> "{dst}" [style={style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

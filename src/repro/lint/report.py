@@ -4,21 +4,18 @@ The JSON document is a stable contract (``REPORT_VERSION`` bumps on
 incompatible change) that CI consumes::
 
     {
-      "version": 1,
+      "version": 2,
       "tool": "reprolint",
       "files": 93,
       "rules": ["determinism", ...],
-      "findings": [ {rule, path, line, col, message, hint, fingerprint} ],
-      "counts": {"determinism": 2, ...},       # fresh findings only
-      "suppressed": 0,                          # inline-comment silenced
-      "baselined": [ ... same shape ... ],      # absorbed by the baseline
-      "stale_baseline": [ {rule, path, message, fingerprint} ]
+      "findings": [ {rule, path, line, col, message, hint} ],
+      "counts": {"determinism": 2, ...},
+      "suppressed": 0                           # inline-comment silenced
     }
 
-``findings`` lists only *fresh* (failing) findings; exit code 1 iff it
-is non-empty.  The round-trip guarantee — ``Finding.from_dict`` over
-every ``findings[]`` element reconstructs the original object — is
-pinned by a test.
+Exit code 1 iff ``findings`` is non-empty.  The round-trip guarantee —
+``Finding.from_dict`` over every ``findings[]`` element reconstructs
+the original object — is pinned by a test.
 """
 
 from __future__ import annotations
@@ -31,15 +28,13 @@ from .findings import Finding
 
 __all__ = ["REPORT_VERSION", "render_text", "render_json", "json_report"]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def render_text(
     findings: Sequence[Finding],
     files: int,
     suppressed: int = 0,
-    baselined: Sequence[Finding] = (),
-    stale_baseline: Sequence[Dict[str, object]] = (),
     fix_hints: bool = False,
 ) -> str:
     """Human-readable report (one line per finding, GCC-style prefix)."""
@@ -48,18 +43,6 @@ def render_text(
         lines.append(f"{f.location()}: [{f.rule}] {f.message}")
         if fix_hints and f.hint:
             lines.append(f"    fix: {f.hint}")
-    if baselined:
-        lines.append(f"{len(baselined)} finding(s) suppressed by the baseline")
-    if stale_baseline:
-        lines.append(
-            f"{len(stale_baseline)} stale baseline entr"
-            f"{'y' if len(stale_baseline) == 1 else 'ies'} "
-            "(violation fixed — run with --update-baseline to drop):"
-        )
-        for entry in stale_baseline:
-            lines.append(
-                f"    [{entry.get('rule')}] {entry.get('path')}: {entry.get('message')}"
-            )
     if suppressed:
         lines.append(f"{suppressed} finding(s) suppressed by inline comments")
     if findings:
@@ -74,8 +57,6 @@ def json_report(
     files: int,
     rules: Sequence[str],
     suppressed: int = 0,
-    baselined: Sequence[Finding] = (),
-    stale_baseline: Sequence[Dict[str, object]] = (),
 ) -> Dict[str, object]:
     """The JSON document as a dict (see module docstring for shape)."""
     counts = Counter(f.rule for f in findings)
@@ -87,8 +68,6 @@ def json_report(
         "findings": [f.to_dict() for f in findings],
         "counts": dict(sorted(counts.items())),
         "suppressed": suppressed,
-        "baselined": [f.to_dict() for f in baselined],
-        "stale_baseline": [dict(e) for e in stale_baseline],
     }
 
 

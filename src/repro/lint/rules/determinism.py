@@ -32,7 +32,7 @@ from typing import Iterator
 
 from ..astutil import dotted_name
 from ..findings import Finding
-from ..registry import Rule, register
+from .base import Rule
 
 __all__ = ["DeterminismRule", "WHITELIST"]
 
@@ -122,7 +122,6 @@ def _numpy_random_suffix(name: str) -> str:
     return ""
 
 
-@register
 class DeterminismRule(Rule):
     name = "determinism"
     description = (

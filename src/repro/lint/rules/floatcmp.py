@@ -30,7 +30,7 @@ from typing import Iterator, Tuple
 
 from ..astutil import dotted_name
 from ..findings import Finding
-from ..registry import Rule, register
+from .base import Rule
 
 __all__ = ["FloatCompareRule", "applies_to"]
 
@@ -98,7 +98,6 @@ def _is_floaty(node: ast.AST) -> bool:
     return False
 
 
-@register
 class FloatCompareRule(Rule):
     name = "float-compare"
     description = (

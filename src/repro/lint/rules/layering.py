@@ -34,7 +34,7 @@ from typing import Iterator
 
 from ..astutil import body_imports, prefix_hit
 from ..findings import Finding
-from ..registry import Rule, register
+from .base import Rule
 
 __all__ = ["LayeringRule", "FORBIDDEN", "ALLOWED", "RESTRICTED"]
 
@@ -73,7 +73,6 @@ _HINT = (
 )
 
 
-@register
 class LayeringRule(Rule):
     name = "layering"
     description = (

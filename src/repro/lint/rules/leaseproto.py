@@ -37,8 +37,8 @@ from __future__ import annotations
 from typing import Iterator, Set, Tuple
 
 from ..findings import Finding
-from ..registry import Rule, register
 from ..program import RELEASE_NAMES
+from .base import Rule
 
 __all__ = ["LeaseProtocolRule"]
 
@@ -59,7 +59,6 @@ def _in_scope(module: str) -> bool:
     return module == _SCOPE or module.startswith(_SCOPE + ".")
 
 
-@register
 class LeaseProtocolRule(Rule):
     name = "lease-protocol"
     description = (

@@ -34,7 +34,7 @@ from typing import Iterator, List, Optional, Set
 
 from ..astutil import dotted_name, walk_with_function
 from ..findings import Finding
-from ..registry import Rule, register
+from .base import Rule
 
 __all__ = ["PoolSafetyRule"]
 
@@ -101,7 +101,6 @@ def _references_pool(tree: ast.Module) -> bool:
     return False
 
 
-@register
 class PoolSafetyRule(Rule):
     name = "pool-safety"
     description = (

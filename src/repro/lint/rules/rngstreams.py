@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..findings import Finding
-from ..registry import Rule, register
+from .base import Rule
 
 __all__ = ["RngStreamsRule"]
 
@@ -97,7 +97,6 @@ def _family_prefixes(registry: Dict[str, int]) -> List[str]:
     return [name[:-1] for name in registry if name.endswith(".*")]
 
 
-@register
 class RngStreamsRule(Rule):
     name = "rng-streams"
     description = (

@@ -52,7 +52,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 from ...obs.metrics import METRIC_NAMES
 from ...obs.schema import EVENT_TYPES
 from ..findings import Finding
-from ..registry import Rule, register
+from .base import Rule
 
 __all__ = ["TraceSchemaRule"]
 
@@ -94,7 +94,6 @@ def _scoped(module: str) -> bool:
     )
 
 
-@register
 class TraceSchemaRule(Rule):
     name = "trace-schema"
     description = (

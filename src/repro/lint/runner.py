@@ -4,28 +4,25 @@
 lint`` sits on it):
 
 1. expand the given paths into ``.py`` files (directories recurse);
-2. for each file, consult the incremental cache
-   (:mod:`repro.lint.cache`, keyed by content sha256 — opt-in via
-   ``cache_path``): a hit replays the file's per-rule findings,
-   suppressions and whole-program facts without re-parsing; a miss
-   parses the file into a :class:`ModuleContext` — source lines for
-   suppression directives plus the *dotted module name*, resolved by
-   walking up through ``__init__.py`` packages (``src/repro/sim/rng.py``
-   → ``repro.sim.rng``, a test file outside any package → its bare
-   stem; rules key their applicability on that name, which is why
-   linting ``tests/`` is safe) — runs every rule's ``check_module``
-   and extracts :func:`~repro.lint.program.extract_facts`;
-3. a file that does not parse is *not* an internal error: it becomes a
+2. resolve each file's *dotted module name* by walking up through
+   ``__init__.py`` packages (``src/repro/sim/rng.py`` →
+   ``repro.sim.rng``, a test file outside any package → its bare stem;
+   rules key their applicability on that name, which is why linting
+   ``tests/`` is safe);
+3. consult the incremental cache (:mod:`repro.lint.cache`, keyed by
+   content sha256 and module name — opt-in via ``cache_path``): a hit
+   replays the file's per-rule findings, suppressions and
+   whole-program facts without re-parsing; a miss parses the file into
+   a :class:`ModuleContext`, runs every rule's ``check_module`` and
+   extracts :func:`~repro.lint.program.extract_facts`;
+4. a file that does not parse is *not* an internal error: it becomes a
    per-file ``parse-error`` finding (exit 1), so one broken file never
    masks the findings in every other file;
-4. give each rule a :meth:`~repro.lint.registry.Rule.finalize` pass
+5. give each rule a :meth:`~repro.lint.rules.base.Rule.finalize` pass
    over the whole :class:`Project` — cross-module checks consume the
    facts table (cached files included), never the ASTs, which only
    exist for freshly-parsed files;
-5. drop findings silenced by inline ``# reprolint: disable=`` comments.
-
-Baseline handling deliberately stays *outside* this function — the CLI
-applies it so programmatic callers (tests) always see the full picture.
+6. drop findings silenced by inline ``# reprolint: disable=`` comments.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
 from ..errors import LintError
 from .findings import Finding
 from .program import ProgramIndex, extract_facts
-from .registry import Rule, build_rules
+from .rules import Rule, build_rules
 from .suppress import ALL_RULES, is_suppressed, line_suppressions
 
 __all__ = [
@@ -63,7 +60,7 @@ class ModuleContext:
     """Everything a rule may want to know about one scanned file."""
 
     path: Path
-    #: Display / baseline path — relative to the lint root, POSIX slashes.
+    #: Display path — relative to the lint root, POSIX slashes.
     rel: str
     #: Dotted module name (``repro.sim.rng``) or the bare stem for
     #: files outside any package.
@@ -84,23 +81,13 @@ class ModuleContext:
 class Project:
     """All scanned modules, for whole-program rule passes.
 
-    ``modules`` holds live :class:`ModuleContext` objects for the files
-    parsed *this* run only; ``facts`` (keyed by relative path) covers
-    every scanned file, cache hits included.  Whole-program rules must
-    therefore work from ``facts`` — ``modules`` is best-effort context,
-    not the project census.
+    Whole-program rules work from ``facts``, which covers every scanned
+    file, cache hits included; no AST outlives its file's analysis.
     """
 
-    modules: List[ModuleContext] = field(default_factory=list)
     #: rel path → :func:`~repro.lint.program.extract_facts` record
     #: (``None`` for files that failed to parse).
     facts: Dict[str, Optional[dict]] = field(default_factory=dict)
-
-    def get(self, module: str) -> Optional[ModuleContext]:
-        for ctx in self.modules:
-            if ctx.module == module:
-                return ctx
-        return None
 
     @property
     def index(self) -> ProgramIndex:
@@ -116,7 +103,7 @@ class Project:
 
 @dataclass
 class LintResult:
-    """Outcome of one :func:`run_lint` call (baseline not yet applied)."""
+    """Outcome of one :func:`run_lint` call."""
 
     findings: List[Finding]
     files: int
@@ -126,8 +113,6 @@ class LintResult:
     parsed: int = 0
     #: Files replayed from the incremental cache.
     cached: int = 0
-    #: The project census — carried for graph export and diagnostics.
-    project: Optional[Project] = None
 
 
 def module_name_for(path: Path) -> str:
@@ -187,12 +172,11 @@ def _decode_suppressions(data: Dict[str, List[str]]) -> Dict[int, FrozenSet[str]
 
 
 def _analyze(
-    path: Path, rel: str, data: bytes, rule_objs: List[Rule], project: Project
+    path: Path, rel: str, module: str, data: bytes, rule_objs: List[Rule]
 ) -> dict:
     """Fresh per-file analysis: parse, per-module rules, facts.
 
-    Returns the cacheable record; a live :class:`ModuleContext` is
-    appended to ``project.modules`` when the file parses.
+    Returns the cacheable record.
     """
     try:
         source = data.decode("utf-8")
@@ -210,7 +194,7 @@ def _analyze(
             hint=_PARSE_HINT,
         )
         return {
-            "module": module_name_for(path),
+            "module": module,
             "parse_error": finding.to_dict(),
             "findings": {},
             "suppressions": {},
@@ -219,11 +203,10 @@ def _analyze(
     ctx = ModuleContext(
         path=path,
         rel=rel,
-        module=module_name_for(path),
+        module=module,
         tree=tree,
         lines=source.splitlines(),
     )
-    project.modules.append(ctx)
     findings: Dict[str, List[dict]] = {}
     for rule in rule_objs:
         try:
@@ -251,14 +234,14 @@ def run_lint(
     root: Optional[Union[str, Path]] = None,
     cache_path: Optional[Union[str, Path]] = None,
 ) -> LintResult:
-    """Lint ``paths`` with the named rules (default: all registered).
+    """Lint ``paths`` with the named rules (default: all of ``RULES``).
 
     ``cache_path`` enables the incremental cache (see
     :mod:`repro.lint.cache`); ``None`` — the default, and what fixture
     tests want — analyzes everything fresh and writes nothing.
 
     Raises :class:`~repro.errors.LintError` for usage/internal problems
-    (missing paths, unknown rules, unreadable files) — the condition
+    (missing paths, unknown or no rules, unreadable files) — the condition
     the CLI maps to exit code 2, distinct from "findings exist" (1).
     Unparsable source is *not* in that class: it surfaces as a
     ``parse-error`` finding on the offending file.
@@ -284,11 +267,12 @@ def run_lint(
         except OSError as exc:
             raise LintError(f"cannot read {path}: {exc}") from None
         rel = _relative(path, root_path)
+        module = module_name_for(path)
         sha = hashlib.sha256(data).hexdigest()
-        record = cache.get(rel, sha) if cache is not None else None
+        record = cache.get(rel, sha, module) if cache is not None else None
         if record is None:
             parsed += 1
-            record = _analyze(path, rel, data, rule_objs, project)
+            record = _analyze(path, rel, module, data, rule_objs)
             if cache is not None:
                 cache.put(rel, sha, record)
         else:
@@ -334,5 +318,4 @@ def run_lint(
         rules=active,
         parsed=parsed,
         cached=cached,
-        project=project,
     )

@@ -7,10 +7,12 @@ A finding is silenced by a trailing directive on the *flagged line*::
     y = hack()        # reprolint: disable=all
 
 ``disable`` with no ``=`` (or ``=all``) silences every rule on that
-line.  Suppressions are deliberately line-scoped — there is no block
-or file scope, so each grandfathered violation stays visible in the
-diff that introduced it.  Wholesale exemptions belong in the baseline
-file (reviewed, counted, and expected to shrink), not in comments.
+line.  These comments are the only escape hatch, and they are
+deliberately line-scoped — there is no block or file scope, so each
+exempted violation stays visible in the diff that introduced it.  A
+module that is exempt wholesale belongs in the rule itself (its scope
+or whitelist, e.g. the determinism rule's ``WHITELIST``), not in
+comments.
 """
 
 from __future__ import annotations

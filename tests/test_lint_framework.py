@@ -1,8 +1,7 @@
-"""Framework behaviour of repro.lint: suppressions, baseline, reporters.
+"""Framework behaviour of repro.lint: the rule list, suppressions, reporters.
 
 Also pins the repository-level acceptance criterion: the real source
-tree lints clean with every rule, so the committed baseline can stay
-empty.
+tree lints clean with every rule.
 """
 
 from __future__ import annotations
@@ -16,15 +15,13 @@ from lint_support import lint_tree, write_tree
 
 from repro.errors import LintError
 from repro.lint import (
-    Baseline,
+    RULES,
     Finding,
     REPORT_VERSION,
-    apply_baseline,
-    json_report,
+    build_rules,
     module_name_for,
     render_json,
     render_text,
-    rule_names,
     run_lint,
 )
 
@@ -42,19 +39,23 @@ _CLOCK = {
 
 
 # ---------------------------------------------------------------------------
-# registry / module resolution
+# rule list / module resolution
 # ---------------------------------------------------------------------------
 
 
-def test_all_five_rules_registered():
-    names = set(rule_names())
-    assert {
+def test_rules_tuple_names_the_seven_rules():
+    names = [cls.name for cls in RULES]
+    assert len(names) == len(set(names))
+    assert names == [
         "determinism",
-        "layering",
-        "trace-schema",
-        "pool-safety",
         "float-compare",
-    } <= names
+        "layering",
+        "lease-protocol",
+        "pool-safety",
+        "rng-streams",
+        "trace-schema",
+    ]
+    assert [rule.name for rule in build_rules()] == names
 
 
 def test_module_name_resolution(tmp_path):
@@ -152,79 +153,6 @@ def test_suppression_of_other_rule_does_not_silence(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fingerprints / baseline
-# ---------------------------------------------------------------------------
-
-
-def test_fingerprint_ignores_line_but_not_message():
-    a = Finding("p.py", 10, 0, "determinism", "msg")
-    b = Finding("p.py", 99, 4, "determinism", "msg")
-    c = Finding("p.py", 10, 0, "determinism", "other msg")
-    assert a.fingerprint() == b.fingerprint()
-    assert a.fingerprint() != c.fingerprint()
-
-
-def test_baseline_roundtrip_match_and_expiry(tmp_path):
-    dirty = lint_tree(tmp_path / "dirty", _CLOCK)
-    assert len(dirty.findings) == 1
-
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(dirty.findings).save(path)
-    baseline = Baseline.load(path)
-    assert len(baseline) == 1
-
-    # match: the grandfathered finding no longer counts as fresh ...
-    fresh, baselined, stale = apply_baseline(dirty.findings, baseline)
-    assert fresh == []
-    assert baselined == dirty.findings
-    assert stale == []
-
-    # expire: once the violation is fixed the entry goes stale.
-    clean = lint_tree(tmp_path / "clean", {"repro/cloud/junk.py": "x = 1\n"})
-    fresh, baselined, stale = apply_baseline(clean.findings, baseline)
-    assert fresh == [] and baselined == []
-    assert [e["fingerprint"] for e in stale] == [
-        dirty.findings[0].fingerprint()
-    ]
-
-
-def test_baseline_matches_with_multiplicity(tmp_path):
-    # Two identical violations share a fingerprint; one baseline entry
-    # absorbs only one of them.
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/junk.py": """
-                import time
-
-                def stamp():
-                    return time.time()
-
-                def stamp2():
-                    return time.time()
-            """
-        },
-    )
-    assert len(result.findings) == 2
-    baseline = Baseline.from_findings(result.findings[:1])
-    fresh, baselined, stale = apply_baseline(result.findings, baseline)
-    assert len(fresh) == 1 and len(baselined) == 1 and stale == []
-
-
-def test_baseline_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "b.json"
-    bad.write_text("not json", encoding="utf-8")
-    with pytest.raises(LintError, match="not valid JSON"):
-        Baseline.load(bad)
-    bad.write_text(json.dumps({"version": 99, "entries": []}), encoding="utf-8")
-    with pytest.raises(LintError, match="unsupported version"):
-        Baseline.load(bad)
-    bad.write_text(json.dumps({"entries": [{"rule": "x"}]}), encoding="utf-8")
-    with pytest.raises(LintError, match="fingerprint"):
-        Baseline.load(bad)
-
-
-# ---------------------------------------------------------------------------
 # reporters
 # ---------------------------------------------------------------------------
 
@@ -239,18 +167,6 @@ def test_json_report_roundtrips_findings(tmp_path):
     assert data["counts"] == {"determinism": 1}
     rebuilt = [Finding.from_dict(e) for e in data["findings"]]
     assert rebuilt == result.findings
-    assert [e["fingerprint"] for e in data["findings"]] == [
-        f.fingerprint() for f in result.findings
-    ]
-
-
-def test_json_report_carries_baseline_sections():
-    f = Finding("p.py", 1, 0, "determinism", "msg", hint="h")
-    stale = [{"rule": "layering", "path": "q.py", "message": "m", "fingerprint": "f"}]
-    data = json_report([], 3, ["determinism"], suppressed=2, baselined=[f], stale_baseline=stale)
-    assert data["suppressed"] == 2
-    assert Finding.from_dict(data["baselined"][0]) == f
-    assert data["stale_baseline"] == stale
 
 
 def test_text_report_clean_and_dirty(tmp_path):
@@ -267,7 +183,7 @@ def test_text_report_clean_and_dirty(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the real tree is clean (acceptance criterion — empty baseline holds)
+# the real tree is clean (acceptance criterion)
 # ---------------------------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
-"""The whole-program engine: incremental cache, facts, and the three
-cross-module rules (``rng-streams``, ``lease-protocol``,
-``backend-parity``), each pinned with fire and no-fire fixture trees.
+"""The whole-program engine: incremental cache, facts, and the
+cross-module rules ``rng-streams`` and ``lease-protocol``, each pinned
+with fire and no-fire fixture trees.
 
 The cache tests pin the load-bearing invariant of the engine: finalize
 rules consume *facts*, so a warm run that re-parses nothing still
@@ -10,7 +10,6 @@ reproduces every cross-module finding.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from lint_support import by_rule, lint_tree, write_tree
 
@@ -99,6 +98,28 @@ def test_no_cache_path_writes_nothing(tmp_path):
     root = write_tree(tmp_path / "tree", _CACHE_TREE)
     run_lint([root], root=root)
     assert list(tmp_path.glob("*.json")) == []
+
+
+def test_package_layout_change_reanalyzes_unchanged_file(tmp_path):
+    # The file's bytes stay the same, but the __init__.py chain that
+    # appears around it turns a loose module into repro.sim.x — inside
+    # the determinism rule's scope.  The cached record is stale.
+    root = tmp_path / "t"
+    (root / "repro/sim").mkdir(parents=True)
+    (root / "repro/sim/x.py").write_text(
+        "import time\n\ndef stamp():\n    return time.time()\n", encoding="utf-8"
+    )
+    cache = tmp_path / "cache.json"
+    r1 = run_lint([root], root=root, cache_path=cache)
+    assert r1.findings == []
+
+    (root / "repro/__init__.py").write_text("", encoding="utf-8")
+    (root / "repro/sim/__init__.py").write_text("", encoding="utf-8")
+    r2 = run_lint([root], root=root, cache_path=cache)
+    cold = run_lint([root], root=root)
+    assert [f.rule for f in cold.findings] == ["determinism"]
+    assert r2.findings == cold.findings
+    assert r2.parsed == 3 and r2.cached == 0
 
 
 def test_parse_error_replays_from_cache(tmp_path):
@@ -325,155 +346,6 @@ def test_lease_protocol_ignores_modules_outside_campaigns(tmp_path):
         rules=["lease-protocol"],
     )
     assert by_rule(result, "lease-protocol") == []
-
-
-# ---------------------------------------------------------------------------
-# backend-parity
-# ---------------------------------------------------------------------------
-
-_MINI_APP = """
-    class ApplicationFleet:
-        def scale_to(self, n):
-            return n
-
-        def dispatch(self, req):
-            return req
-"""
-
-_MINI_VEC = """
-    class VectorFleet:
-        def scale_to(self, n):
-            return n
-
-        def advance(self, dt):
-            return dt
-"""
-
-_MINI_MON = """
-    class Monitor:
-        def observed_rate(self):
-            return 0.0
-"""
-
-
-def test_parity_clean_tree_no_fire(tmp_path):
-    # dispatch is allowlisted scalar-only, advance vec-only; the one
-    # shared member is used through an either-backend receiver.
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/fleet.py": _MINI_APP,
-            "repro/cloud/vecfleet.py": _MINI_VEC,
-            "repro/cloud/monitor.py": _MINI_MON,
-            "repro/policies/use.py": """
-                def drive(fleet, monitor):
-                    fleet.scale_to(3)
-                    return monitor.observed_rate()
-            """,
-        },
-        rules=["backend-parity"],
-    )
-    assert by_rule(result, "backend-parity") == []
-
-
-def test_parity_census_fires_on_one_sided_member(tmp_path):
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/fleet.py": _MINI_APP + """
-        def special_move(self):
-            return 1
-""",
-            "repro/cloud/vecfleet.py": _MINI_VEC,
-        },
-        rules=["backend-parity"],
-    )
-    messages = [f.message for f in by_rule(result, "backend-parity")]
-    assert messages == [
-        "public ApplicationFleet member 'special_move' has no "
-        "VectorFleet counterpart"
-    ]
-
-
-def test_parity_flags_stale_allowlist_entry(tmp_path):
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/fleet.py": _MINI_APP,
-            # dispatch is allowlisted scalar-only but both define it.
-            "repro/cloud/vecfleet.py": _MINI_VEC + """
-        def dispatch(self, req):
-            return req
-""",
-        },
-        rules=["backend-parity"],
-    )
-    messages = [f.message for f in by_rule(result, "backend-parity")]
-    assert messages == [
-        "'dispatch' is allowlisted as scalar-only but VectorFleet "
-        "defines it — stale allowlist entry"
-    ]
-
-
-def test_parity_attr_use_fires_on_unknown_member(tmp_path):
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/fleet.py": _MINI_APP,
-            "repro/cloud/vecfleet.py": _MINI_VEC,
-            "repro/cloud/monitor.py": _MINI_MON,
-            "repro/policies/use.py": """
-                def drive(fleet, monitor):
-                    fleet.launch_missiles()
-                    return monitor.bogus
-            """,
-        },
-        rules=["backend-parity"],
-    )
-    messages = [f.message for f in by_rule(result, "backend-parity")]
-    assert len(messages) == 2
-    assert any("unknown fleet attribute 'launch_missiles'" in m for m in messages)
-    assert any("unknown Monitor attribute 'bogus'" in m for m in messages)
-
-
-def test_parity_checks_are_gated_on_defining_classes(tmp_path):
-    # Without the mini cloud modules in the scan, uses cannot be checked
-    # — linting tests/ alone stays quiet.
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/policies/use.py": """
-                def drive(fleet):
-                    fleet.launch_missiles()
-            """,
-        },
-        rules=["backend-parity"],
-    )
-    assert by_rule(result, "backend-parity") == []
-
-
-# ---------------------------------------------------------------------------
-# graph export
-# ---------------------------------------------------------------------------
-
-
-def test_render_dot_has_nodes_and_import_edges(tmp_path):
-    from repro.lint import render_dot
-
-    root = write_tree(
-        tmp_path / "tree",
-        {
-            "repro/sim/a.py": "def f():\n    return 1\n",
-            "repro/cloud/b.py": (
-                "from repro.sim.a import f\n\ndef g():\n    return f()\n"
-            ),
-        },
-    )
-    result = run_lint([root], root=root)
-    dot = render_dot(result.project.index)
-    assert dot.startswith("digraph")
-    assert '"repro.sim.a"' in dot and '"repro.cloud.b"' in dot
-    assert '"repro.cloud.b" -> "repro.sim.a"' in dot
 
 
 def test_whole_program_finding_survives_cache_replay(tmp_path):
