@@ -489,8 +489,7 @@ def _lint_command(args: argparse.Namespace) -> int:
         rules = None
         if args.rules is not None:
             rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-        cache_path = None if args.no_cache else ".reprolint-cache.json"
-        result = run_lint(args.paths, rules=rules, cache_path=cache_path)
+        result = run_lint(args.paths, rules=rules)
         if args.format == "json":
             print(
                 render_json(
@@ -509,11 +508,6 @@ def _lint_command(args: argparse.Namespace) -> int:
                     fix_hints=args.fix_hints,
                 )
             )
-            if result.cached:
-                print(
-                    f"cache: {result.cached}/{result.files} file(s) "
-                    "replayed without re-parsing"
-                )
         return 1 if result.findings else 0
     except LintError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
@@ -621,8 +615,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lintp = sub.add_parser(
         "lint",
         help="project-specific static analysis (determinism, layering, "
-        "trace-schema, pool-safety, float-compare, rng-streams, "
-        "lease-protocol)",
+        "pool-safety, float-compare)",
     )
     lintp.add_argument(
         "paths",
@@ -646,12 +639,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="R1,R2",
         help="comma-separated subset of rules to run (default: all)",
-    )
-    lintp.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="analyze everything fresh, bypassing (and not writing) the "
-        "incremental cache (.reprolint-cache.json)",
     )
 
     campp = sub.add_parser(

@@ -4,26 +4,19 @@ The invariants this package machine-checks are the ones the repo's
 claims rest on (docs/static-analysis.md has the full rationale):
 
 * **determinism** — no wall clocks or ambient entropy outside the
-  sanctioned modules; randomness flows through seeded streams;
+  sanctioned modules; every generator comes from the named, seeded
+  streams of :mod:`repro.sim.rng`;
 * **layering** — the import-direction rules of docs/architecture.md;
-* **trace-schema** — ``emit(...)`` call sites and the live
-  :data:`repro.obs.schema.EVENT_TYPES` registry agree in both
-  directions;
 * **pool-safety** — nothing unpicklable crosses the process-pool
   boundary;
-* **float-compare** — no exact float equality in the analytical layer;
-* **rng-streams** — every library RNG draw traces to a stream name
-  registered in :data:`repro.sim.rng.STREAM_REGISTRY`, both
-  directions;
-* **lease-protocol** — every campaign lease claim is released on all
-  paths and can reach a heartbeat renewal.
+* **float-compare** — no exact float equality in the analytical layer.
 
-:data:`~repro.lint.rules.RULES` lists them.  ``rng-streams``,
-``lease-protocol`` and ``trace-schema`` are *whole-program* rules
-riding :mod:`repro.lint.program` — a project-wide symbol table and
-call graph over JSON-safe facts extracted per module, which is also
-what the incremental cache (:mod:`repro.lint.cache`) replays for
-unchanged files so a warm run re-parses only what changed.  An inline
+:data:`~repro.lint.rules.RULES` lists them.  Every rule checks one
+module at a time.  The cross-module contracts — registered stream
+names, the trace-event schema, declared metric names and the campaign
+lease protocol — are checked by running the code: the census test
+``tests/test_census.py`` and the lease fault-injection tests in
+``tests/test_campaign_shard.py``.  An inline
 ``# reprolint: disable=<rule>`` comment (:mod:`repro.lint.suppress`)
 is the one way to exempt a finding.
 
@@ -33,7 +26,6 @@ Usage::
     repro lint src --format json          # machine-readable
     repro lint src --fix-hints            # remediation per finding
     repro lint src --rules determinism    # a subset of the rules
-    repro lint src --no-cache             # force a cold analysis
 
 Programmatic::
 
@@ -47,16 +39,13 @@ the lint package itself), and the CLI reaches it lazily.
 
 from __future__ import annotations
 
-from .cache import ENGINE_VERSION, LintCache, cache_signature
 from .findings import Finding
-from .program import FACTS_VERSION, ProgramIndex, extract_facts
 from .report import REPORT_VERSION, json_report, render_json, render_text
 from .rules import RULES, Rule, build_rules
 from .runner import (
     PARSE_ERROR_RULE,
     LintResult,
     ModuleContext,
-    Project,
     module_name_for,
     run_lint,
 )
@@ -69,17 +58,10 @@ __all__ = [
     "run_lint",
     "LintResult",
     "ModuleContext",
-    "Project",
     "module_name_for",
     "render_text",
     "render_json",
     "json_report",
     "REPORT_VERSION",
     "PARSE_ERROR_RULE",
-    "FACTS_VERSION",
-    "ENGINE_VERSION",
-    "ProgramIndex",
-    "extract_facts",
-    "LintCache",
-    "cache_signature",
 ]

@@ -7,7 +7,6 @@ from typing import Iterator, List, Optional, Tuple
 
 __all__ = [
     "dotted_name",
-    "literal_strings",
     "body_imports",
     "walk_with_function",
     "prefix_hit",
@@ -24,23 +23,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         parts.reverse()
         return ".".join(parts)
-    return None
-
-
-def literal_strings(node: ast.AST) -> Optional[List[str]]:
-    """The possible string values of ``node`` when statically known.
-
-    Handles plain constants and conditional expressions whose branches
-    are both literal (``"a" if cond else "b"``).  Returns None for
-    anything dynamic.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return [node.value]
-    if isinstance(node, ast.IfExp):
-        left = literal_strings(node.body)
-        right = literal_strings(node.orelse)
-        if left is not None and right is not None:
-            return left + right
     return None
 
 

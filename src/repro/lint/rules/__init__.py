@@ -13,10 +13,7 @@ from .base import Rule
 from .determinism import DeterminismRule
 from .floatcmp import FloatCompareRule
 from .layering import LayeringRule
-from .leaseproto import LeaseProtocolRule
 from .poolsafety import PoolSafetyRule
-from .rngstreams import RngStreamsRule
-from .traceschema import TraceSchemaRule
 
 __all__ = ["RULES", "Rule", "build_rules"]
 
@@ -25,10 +22,7 @@ RULES = (
     DeterminismRule,
     FloatCompareRule,
     LayeringRule,
-    LeaseProtocolRule,
     PoolSafetyRule,
-    RngStreamsRule,
-    TraceSchemaRule,
 )
 
 

@@ -1,17 +1,14 @@
 """The rule protocol.
 
-A rule is a small stateful object constructed fresh for every lint run
-(rules may accumulate cross-module state, e.g. the trace-schema rule's
-emit-site census).  Two hooks:
-
-* :meth:`Rule.check_module` — called once per freshly parsed module,
-  in path order, with a :class:`~repro.lint.runner.ModuleContext`;
-* :meth:`Rule.finalize` — called once after every module has been
-  seen, with the whole :class:`~repro.lint.runner.Project`; this is
-  where whole-program checks (cross-references, never-used entries)
-  report.
-
-Both yield :class:`~repro.lint.findings.Finding` objects.
+A rule is a small object constructed fresh for every lint run with one
+hook, :meth:`Rule.check_module`, called once per parsed module (in
+path order) with a :class:`~repro.lint.runner.ModuleContext`; it yields
+:class:`~repro.lint.findings.Finding` objects.  Every rule sees one
+module at a time.  Cross-module contracts — the stream-name registry,
+the trace-event schema, the metric declarations and the campaign lease
+protocol — are checked by running the code instead: the census test
+``tests/test_census.py`` and the lease fault-injection tests in
+``tests/test_campaign_shard.py``.
 """
 
 from __future__ import annotations
@@ -34,8 +31,4 @@ class Rule:
 
     def check_module(self, ctx: "ModuleContext") -> Iterator[Finding]:  # noqa: F821
         """Per-module findings (default: none)."""
-        return iter(())
-
-    def finalize(self, project: "Project") -> Iterator[Finding]:  # noqa: F821
-        """Whole-project findings after every module was scanned."""
         return iter(())

@@ -10,10 +10,13 @@ Banned in any ``repro.*`` module outside the whitelist:
 
 * the stdlib :mod:`random` module (import or call) — randomness must
   come from named, spawned :class:`numpy.random.Generator` streams;
-* legacy global numpy RNG calls (``np.random.rand`` / ``seed`` / …)
-  and **unseeded** ``np.random.default_rng()`` — seeded construction
-  (``default_rng(seed)``, ``Generator(PCG64(ss))``, ``SeedSequence``)
-  stays legal, as do ``np.random.Generator`` type annotations;
+* legacy global numpy RNG calls (``np.random.rand`` / ``seed`` / …);
+* ``np.random.default_rng(...)`` in any form — unseeded it draws OS
+  entropy, and even seeded it makes a generator outside the named
+  stream registry (:data:`repro.sim.rng.STREAM_REGISTRY`), invisible to
+  the stream census; take an ``np.random.Generator`` argument or draw
+  ``RandomStreams.get(<registered name>)`` instead
+  (``np.random.Generator`` type annotations stay legal);
 * epoch and duration clocks (``time.time``, ``time.perf_counter``,
   ``datetime.now`` …) — simulation timestamps come from the engine
   clock, and wall-clock *durations* are measured via
@@ -215,14 +218,19 @@ class DeterminismRule(Rule):
                         ),
                         hint=_RNG_HINT,
                     )
-                elif suffix == "default_rng" and not node.args and not node.keywords:
+                elif suffix == "default_rng":
+                    if node.args or node.keywords:
+                        message = (
+                            f"ad-hoc generator {name}(...) in {module} "
+                            "bypasses the named stream registry"
+                        )
+                    else:
+                        message = f"unseeded {name}() in {module} draws OS entropy"
                     yield Finding(
                         path=ctx.rel,
                         line=node.lineno,
                         col=node.col_offset,
                         rule=self.name,
-                        message=(
-                            f"unseeded {name}() in {module} draws OS entropy"
-                        ),
+                        message=message,
                         hint=_RNG_HINT,
                     )

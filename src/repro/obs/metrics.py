@@ -65,11 +65,11 @@ __all__ = [
 ]
 
 
-#: Every metric the library may record: name → (kind, help).  The lint
-#: trace-schema rule cross-checks ``registry.counter("...")``-style call
-#: sites against this table in both directions (unregistered names and
-#: registered-but-never-created entries are findings), so the table and
-#: the instrumentation cannot drift apart silently.
+#: Every metric the library may record: name → (kind, help).  Creating
+#: an undeclared name raises at run time (:class:`MetricsRegistry`), and
+#: the census test ``tests/test_census.py`` checks that its metered runs
+#: create exactly these names, so the table and the instrumentation
+#: cannot drift apart silently.
 METRIC_NAMES: Dict[str, Tuple[str, str]] = {
     "requests.arrived": ("counter", "arrivals offered to admission control"),
     "requests.accepted": ("counter", "requests admitted by admission control"),
@@ -361,7 +361,7 @@ class MetricsRegistry:
     Creation is get-or-create: the first call for a name (in a run,
     :class:`RunTelemetry`, which knows the scenario's QoS target)
     fixes histogram boundaries.  Unknown names or kind mismatches
-    raise — the runtime twin of the lint rule.
+    raise, so a misspelled instrument fails its first metered run.
     """
 
     __slots__ = ("_metrics",)
@@ -819,8 +819,10 @@ class RunTelemetry:
         return self._stream_target
 
     def write_jsonl(self, path: Path) -> Path:
-        """Write the snapshot series as one JSONL file (trace-schema
-        valid: each line is a ``metrics.snapshot`` event).
+        """Write the snapshot series as one JSONL file (each line is a
+        ``metrics.snapshot`` event that passes
+        :func:`~repro.obs.schema.validate_event`; the census test
+        ``tests/test_census.py`` checks every event a run emits).
 
         In streaming mode (``open_stream`` active) the series is
         already on disk — this just closes and publishes the stream.

@@ -27,19 +27,18 @@ __all__ = [
     "RandomStreams",
     "STREAM_REGISTRY",
     "fnv1a64",
-    "registered_streams",
     "stream_registered",
 ]
 
 #: The library's stream-name census: every named stream a ``repro.*``
 #: module draws, with its purpose.  A trailing ``.*`` entry declares a
 #: *family* — dynamically-composed names under that literal prefix
-#: (``service.{tier}``).  The ``rng-streams`` lint rule cross-checks
-#: this table in both directions: drawing an unregistered name and
-#: registering a name nobody draws are both findings, so the table is
-#: always the complete, current answer to "where does randomness enter
-#: a replication?".  Runtime stays permissive (ad-hoc names in tests
-#: and notebooks are fine) — the registry is a statically-enforced
+#: (``service.{tier}``).  The census test ``tests/test_census.py`` runs
+#: the library and checks this table in both directions: every name a
+#: run draws must be registered, and every entry must be drawn, so the
+#: table is always the complete, current answer to "where does
+#: randomness enter a replication?".  Runtime stays permissive (ad-hoc
+#: names in tests and notebooks are fine) — the registry is a tested
 #: provenance contract for library code, not a runtime gate.
 STREAM_REGISTRY: Dict[str, str] = {
     "arrivals": "workload arrival process (both DES backends)",
@@ -52,11 +51,6 @@ STREAM_REGISTRY: Dict[str, str] = {
     "fig3.arrivals": "figure-3 arrival realizations",
     "fig4.arrivals": "figure-4 arrival realizations",
 }
-
-
-def registered_streams() -> Iterable[str]:
-    """Registered stream names (families as ``prefix.*``), sorted."""
-    return tuple(sorted(STREAM_REGISTRY))
 
 
 def stream_registered(name: str) -> bool:

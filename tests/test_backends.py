@@ -12,7 +12,9 @@ from repro.backends import (
 )
 from repro.cloud.loadbalancer import RoundRobinBalancer
 from repro.core import AdaptivePolicy, StaticPolicy
-from repro.economy import PricingModel, SpotPolicy
+from repro.core.mixed import MixedFleetPolicy
+from repro.core.vertical import VerticalScalingPolicy
+from repro.economy import PricingModel, ProfitPolicy, SpotPolicy
 from repro.errors import ConfigurationError
 from repro.experiments import (
     run_policy,
@@ -150,6 +152,43 @@ def test_fluid_rejects_unsupported_policies():
     scenario = web_scenario(scale=5000.0, horizon=3600.0)
     with pytest.raises(ConfigurationError):
         run_policy(scenario, OddPolicy(), backend="fluid")
+
+
+_MATRIX_PRICING = PricingModel(
+    revenue_per_request=0.002, cost_per_core_hour=0.1, sla_penalty=0.05, spot_mtbf=1800.0
+)
+
+#: label → (policy factory, priced scenario?, backends that reject it)
+_POLICY_MATRIX = {
+    "Static": (lambda: StaticPolicy(20), False, ()),
+    "Adaptive": (AdaptivePolicy, False, ()),
+    "Profit": (lambda: ProfitPolicy(pricing=_MATRIX_PRICING), True, ()),
+    "Spot": (lambda: SpotPolicy(0.3, pricing=_MATRIX_PRICING), True, ()),
+    "Vertical": (lambda: VerticalScalingPolicy(20), False, ("des-vec", "fluid")),
+    "Mixed": (MixedFleetPolicy, False, ("des-vec", "fluid")),
+}
+
+
+@pytest.mark.parametrize("backend", ["des", "des-vec", "fluid"])
+@pytest.mark.parametrize("label", list(_POLICY_MATRIX))
+def test_policy_backend_matrix_runs_or_fails_at_the_boundary(label, backend):
+    """Every (policy, backend) pair either runs or raises a
+    ConfigurationError naming both, never an error deep in the run."""
+    factory, priced, rejects = _POLICY_MATRIX[label]
+    scenario = web_scenario(scale=2000.0, horizon=2 * 3600.0)
+    if priced:
+        scenario = scenario.with_updates(pricing=_MATRIX_PRICING)
+    policy = factory()
+    if backend in rejects:
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_policy(scenario, policy, backend=backend)
+        assert type(policy).__name__ in str(excinfo.value)
+        assert backend in str(excinfo.value)
+        return
+    result = run_policy(scenario, policy, backend=backend)
+    assert result.backend == backend
+    assert result.policy == policy.name
+    assert result.total_requests > 0
 
 
 def test_fluid_replications_deterministic_across_seeds():

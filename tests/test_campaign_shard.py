@@ -6,6 +6,9 @@ The acceptance contract of the multi-worker refactor, as tests:
 * two concurrent ``run_campaign`` processes on one store execute every
   cell exactly once between them (per-worker traces are the witness);
 * a SIGKILLed worker's stale lease is stolen and its cell completed;
+* a cell that raises (or is interrupted) under its lease leaves no
+  lease behind, on the batch path and on the prescreen-twin path, and
+  the heartbeat keeps a slow cell's lease from an impatient peer;
 * however the grid was executed — sequentially, sharded, or by racing
   workers — the final manifest is byte-identical and the cell
   artifacts are identical modulo the wall-clock diagnostic fields
@@ -27,9 +30,11 @@ import pytest
 from repro.campaigns import (
     CampaignSpec,
     ResultStore,
+    default_owner,
     parse_shard,
     run_campaign,
 )
+from repro.campaigns import executor
 from repro.errors import ConfigurationError
 from repro.obs.bus import JsonlSink, RingBufferSink, TraceBus
 from repro.obs.schema import load_trace
@@ -217,3 +222,85 @@ def test_fresh_peer_lease_defers_cell_as_claimed(tmp_path):
     assert "1 claimed" in result.summary_line()
     # The peer's lease was not disturbed.
     assert store.lease_of(held).owner == "peer:alive"
+
+
+# ---------------------------------------------------------------------------
+# lease release and renewal under faults
+# ---------------------------------------------------------------------------
+
+
+def _prescreened_spec() -> CampaignSpec:
+    """One DES cell whose fluid twin runs (and is claimed) first."""
+    return CampaignSpec.from_dict(
+        {
+            "campaign": {"name": "lease-fault"},
+            "execution": {"prescreen": True, "retries": 0},
+            "scenarios": [
+                {
+                    "scenario": "web",
+                    "scale": 5000.0,
+                    "horizon": 3600.0,
+                    "policies": ["adaptive"],
+                    "backends": ["des"],
+                    "seeds": "0",
+                }
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "exc", [RuntimeError("cell blew up"), KeyboardInterrupt()], ids=["error", "interrupt"]
+)
+@pytest.mark.parametrize("path", ["batch", "prescreen-twin"])
+def test_cell_raising_under_its_lease_leaves_no_lease(tmp_path, monkeypatch, path, exc):
+    # The batch path raises in the scheduler's claimed group; the
+    # prescreen path raises in the fluid twin the executor claimed.
+    spec = _smoke_spec() if path == "batch" else _prescreened_spec()
+    target = None if path == "batch" else "fluid"
+    store = ResultStore(tmp_path / "store")
+    real = executor.run_replications
+    raised = []
+
+    def failing(*args, **kwargs):
+        if target is None or kwargs.get("backend") == target:
+            assert store.active_leases(), "the cell must run under a lease"
+            raised.append(exc)
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "run_replications", failing)
+    if isinstance(exc, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(spec, store=store, workers=1)
+    else:
+        run_campaign(spec, store=store, workers=1)
+    assert raised
+    assert store.active_leases() == []
+
+
+def test_heartbeat_keeps_a_slow_cells_lease_from_a_peer(tmp_path, monkeypatch):
+    # With a 1 s TTL the heartbeat renews every 0.25 s.  A peer that
+    # tries to claim 2.5 s into a 3 s cell must find a fresh lease; a
+    # lease nobody renewed would be 2.5 s old and stolen.
+    spec = _smoke_spec()
+    store = ResultStore(tmp_path / "store")
+    cell = spec.expanded()[0]
+    real = executor.run_replications
+    peer_claims = []
+
+    def slow(*args, **kwargs):
+        if not peer_claims:
+            time.sleep(2.5)
+            peer = ResultStore(store.root)
+            peer_claims.append(peer.claim(cell, "peer:impatient", ttl=1.0))
+            time.sleep(0.5)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "run_replications", slow)
+    result = run_campaign(spec, store=store, workers=1, lease_ttl=1.0)
+    (claim,) = peer_claims
+    assert not claim.acquired
+    assert claim.owner == default_owner()
+    assert len(result.executed) == len(spec.expanded())
+    assert store.active_leases() == []

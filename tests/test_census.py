@@ -1,0 +1,274 @@
+"""Census: run the library and hold its three registries to what it does.
+
+The simulation is only as trustworthy as three tables:
+
+* :data:`repro.sim.rng.STREAM_REGISTRY` — every named random stream a
+  run may draw (the provenance of every random number);
+* :data:`repro.obs.schema.EVENT_TYPES` — every trace event type and its
+  required payload;
+* :data:`repro.obs.metrics.METRIC_NAMES` — every metric a metered run
+  may record.
+
+One module-scoped fixture runs a small, deliberate set of library
+scenarios that together reach every stream-draw and ``emit`` site of
+the library: traced and metered web runs on all three backends
+(adaptive with corrective alerts, a saturated static fleet, priced
+Profit and Spot runs with revocations, a mixed-VM fleet), a boot
+cancelled by hand, an engine whose heap compacts, a campaign that
+executes, caches, screens, fails, steals a stale lease and loses a
+race to a peer, and the stream users outside the
+backends (multi-tier fleets, the MMPP workload, the §V workload
+analysis and the Figure 3/4 arrival realizations).  While it runs,
+``RandomStreams.get`` is wrapped to record the names drawn and a
+trace sink validates every event.  The tests then check each table
+in both directions: nothing undeclared happens, and nothing declared
+is dead.
+"""
+
+from __future__ import annotations
+
+import os
+from collections import Counter
+from typing import Dict, Set
+
+import pytest
+
+from repro.backends import build_context
+from repro.campaigns import CampaignSpec, ResultStore, run_campaign
+from repro.cloud import Datacenter, MultiTierDeployment, TierSpec
+from repro.core import AdaptivePolicy, StaticPolicy
+from repro.core.mixed import MixedFleetPolicy
+from repro.core.qos import QoSTarget
+from repro.economy import PricingModel, ProfitPolicy, SpotPolicy
+from repro.experiments import figures, run_policy, web_scenario
+from repro.experiments.scenario import ScenarioConfig
+from repro.metrics import MetricsCollector
+from repro.obs.bus import TraceBus, TraceSink
+from repro.obs.metrics import METRIC_NAMES, MetricsConfig
+from repro.obs.schema import EVENT_TYPES, validate_event
+from repro.sim import Engine, RandomStreams
+from repro.sim.rng import STREAM_REGISTRY, stream_registered
+from repro.workloads import PoissonWorkload
+from repro.workloads.synthetic import MMPPWorkload
+
+_PRICING = PricingModel(
+    revenue_per_request=0.002,
+    cost_per_core_hour=0.1,
+    sla_penalty=0.05,
+    spot_mtbf=1800.0,
+)
+
+
+class _CensusSink(TraceSink):
+    """Validates every event on arrival and counts it by type."""
+
+    def __init__(self) -> None:
+        self.types: Counter = Counter()
+
+    def write(self, event: dict) -> None:
+        validate_event(event)
+        self.types[event["type"]] += 1
+
+
+def _traced_runs(bus: TraceBus, metered: Set[str]) -> None:
+    """Web runs on every backend, traced (requests included) and metered."""
+    web = web_scenario(
+        scale=2000.0, horizon=6 * 3600.0, rate_sample_interval=60.0, boot_delay=30.0
+    )
+    priced = web.with_updates(pricing=_PRICING)
+    saturated = web_scenario(scale=400.0, horizon=3600.0)
+    metrics = MetricsConfig(interval=900.0)
+
+    def run(scenario, policy, backend):
+        result = run_policy(scenario, policy, backend=backend, trace=bus, metrics=metrics)
+        metered.update(result.telemetry["registry"])
+
+    for backend in ("des", "des-vec"):
+        run(web, AdaptivePolicy(deviation_threshold=0.2), backend)
+        run(saturated, StaticPolicy(20), backend)
+        run(priced, SpotPolicy(0.5, pricing=_PRICING), backend)
+    run(web, AdaptivePolicy(), "fluid")
+    run(priced, ProfitPolicy(pricing=_PRICING), "fluid")
+    run(priced, SpotPolicy(0.5, pricing=_PRICING), "fluid")
+    run(web, MixedFleetPolicy(), "des")
+
+
+def _cancelled_boot(bus: TraceBus) -> None:
+    """Retire an instance that is still booting (no policy does this)."""
+    ctx = build_context(
+        web_scenario(scale=2000.0, horizon=60.0, boot_delay=30.0), tracer=bus
+    )
+    ctx.fleet.scale_to(1)
+    (booting,) = ctx.fleet.live_instances
+    ctx.fleet.scale_down_instance(booting)
+    assert ctx.fleet.live_count == 0
+
+
+def _compacting_engine(bus: TraceBus) -> None:
+    """Cancel more than half of a large heap: the engine compacts it."""
+    engine = Engine(tracer=bus)
+    handles = [
+        engine.schedule_at(1.0 + i * 1e-3, lambda: None)
+        for i in range(Engine.COMPACT_MIN_SIZE)
+    ]
+    for handle in handles:
+        engine.discard(handle)
+    engine.run()
+    assert engine.compactions >= 1
+
+
+class _RacedStore(ResultStore):
+    """Hides one stored cell from the first lookup only, as if a peer
+    landed it between this worker's cache scan and its claim."""
+
+    def __init__(self, root, raced) -> None:
+        super().__init__(root)
+        self._raced = raced.key()
+
+    def has(self, cell) -> bool:
+        if cell.key() == self._raced:
+            self._raced = None
+            return False
+        return super().has(cell)
+
+
+def _campaign(bus: TraceBus, root) -> None:
+    """Execute, screen, fail, steal, then serve from cache — once after
+    a peer's result lands under the claim."""
+    spec = CampaignSpec.from_dict(
+        {
+            "campaign": {"name": "census"},
+            "execution": {
+                "retries": 0,
+                "prescreen": True,
+                "prescreen_max_rejection": 0.2,
+            },
+            "scenarios": [
+                {
+                    "scenario": "web",
+                    "scale": 5000.0,
+                    "horizon": 3600.0,
+                    # adaptive executes, static-20 is screened by its
+                    # fluid twin, static-9000 cannot be placed on the
+                    # 8000 cores and fails.
+                    "policies": ["adaptive", "static-20", "static-9000"],
+                    "backends": ["des"],
+                    "seeds": "0-1",
+                }
+            ],
+        }
+    )
+    store = ResultStore(root)
+    # A dead worker's lease, aged past the TTL: the run steals it.
+    victim = spec.expanded()[0]
+    assert store.claim(victim, "census:dead", ttl=3600.0).acquired
+    lease = store.lease_of(victim).path
+    stat = lease.stat()
+    os.utime(lease, (stat.st_atime - 60.0, stat.st_mtime - 60.0))
+    cold = run_campaign(spec, store=store, workers=1, trace=bus, lease_ttl=5.0)
+    assert cold.counts()["executed"] == 2
+    assert cold.counts()["screened"] == 2
+    assert cold.counts()["failed"] == 2
+    warm = run_campaign(
+        spec, store=_RacedStore(root, victim), workers=1, trace=bus, lease_ttl=5.0
+    )
+    assert warm.counts()["cached"] == 2
+    assert store.active_leases() == []
+
+
+def _other_stream_users() -> None:
+    """Library stream draws outside the backends' replications."""
+    # Per-tier service streams of a multi-tier deployment.
+    tiers = [
+        TierSpec(name, PoissonWorkload(rate=1.0, base_service_time=s), capacity=2, instances=1)
+        for name, s in (("front", 0.5), ("back", 1.0))
+    ]
+    engine = Engine()
+    deployment = MultiTierDeployment(
+        engine, Datacenter(num_hosts=4), RandomStreams(0), MetricsCollector(), tiers
+    )
+    deployment.front_admission.submit(engine.now)
+    engine.run(until=60.0)
+    # The MMPP phase trajectory, through a short DES run.
+    mmpp = ScenarioConfig(
+        name="mmpp",
+        workload=MMPPWorkload(
+            low_rate=0.5,
+            high_rate=2.0,
+            mean_low_sojourn=600.0,
+            mean_high_sojourn=300.0,
+        ),
+        qos=QoSTarget(max_response_time=5.0),
+        horizon=3600.0,
+    )
+    run_policy(mmpp, StaticPolicy(4))
+    # The §V workload analysis table and the Figure 3/4 realizations.
+    figures.workload_analysis_data(seed=0)
+    figures.fig4_data(seed=0)
+    figures.fig3_data(bin_width=3600.0, sampled=True, seed=0)
+
+
+@pytest.fixture(scope="module")
+def census(tmp_path_factory) -> Dict[str, object]:
+    drawn: Set[str] = set()
+    real_get = RandomStreams.get
+
+    def recording_get(self, name):
+        drawn.add(name)
+        return real_get(self, name)
+
+    sink = _CensusSink()
+    bus = TraceBus(sink)
+    metered: Set[str] = set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RandomStreams, "get", recording_get)
+        # Figure 3 realizes a whole week of 60-s windows; two hours
+        # reach the same draw site.
+        mp.setattr(figures, "SECONDS_PER_WEEK", 7200.0)
+        _traced_runs(bus, metered)
+        _cancelled_boot(bus)
+        _compacting_engine(bus)
+        _campaign(bus, tmp_path_factory.mktemp("census-store"))
+        _other_stream_users()
+    return {"drawn": drawn, "events": sink.types, "metrics": metered}
+
+
+# ---------------------------------------------------------------------------
+# streams
+# ---------------------------------------------------------------------------
+
+
+def test_every_drawn_stream_is_registered(census):
+    unregistered = sorted(n for n in census["drawn"] if not stream_registered(n))
+    assert unregistered == []
+
+
+def test_every_registered_stream_is_drawn(census):
+    def drawn(entry: str) -> bool:
+        if entry.endswith(".*"):
+            return any(n.startswith(entry[:-1]) for n in census["drawn"])
+        return entry in census["drawn"]
+
+    assert sorted(e for e in STREAM_REGISTRY if not drawn(e)) == []
+
+
+# ---------------------------------------------------------------------------
+# trace events (each one was validated by the sink as it was emitted)
+# ---------------------------------------------------------------------------
+
+
+def test_emitted_event_types_are_exactly_the_schema(census):
+    emitted = set(census["events"])
+    assert sorted(emitted - set(EVENT_TYPES)) == []
+    assert sorted(set(EVENT_TYPES) - emitted) == []
+
+
+# ---------------------------------------------------------------------------
+# metrics (creating an undeclared name already raises at run time)
+# ---------------------------------------------------------------------------
+
+
+def test_created_metrics_are_exactly_the_declared_names(census):
+    created = census["metrics"]
+    assert sorted(created - set(METRIC_NAMES)) == []
+    assert sorted(set(METRIC_NAMES) - created) == []

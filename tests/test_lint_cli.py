@@ -1,8 +1,7 @@
 """The ``repro lint`` CLI surface.
 
 Pins the exit-code contract (0 clean / 1 findings / 2 internal error),
-the JSON output mode, ``--fix-hints``, ``--rules`` subsetting and the
-incremental-cache options (``--no-cache``, the replay report line).
+the JSON output mode, ``--fix-hints`` and ``--rules`` subsetting.
 """
 
 from __future__ import annotations
@@ -101,30 +100,6 @@ def test_lint_json_format_roundtrips(tmp_path, capsys, monkeypatch):
     rebuilt = [Finding.from_dict(e) for e in data["findings"]]
     assert [f.rule for f in rebuilt] == ["determinism"]
     assert rebuilt[0].hint  # hints always present in JSON
-
-
-# ---------------------------------------------------------------------------
-# cache options: --no-cache, cache reporting
-# ---------------------------------------------------------------------------
-
-
-def test_lint_reports_cache_replay_on_second_run(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    root = _clean_tree(tmp_path)
-    assert main(["lint", str(root)]) == 0
-    capsys.readouterr()
-    assert (tmp_path / ".reprolint-cache.json").is_file()
-    assert main(["lint", str(root)]) == 0
-    out = capsys.readouterr().out
-    assert "replayed without re-parsing" in out
-
-
-def test_lint_no_cache_writes_nothing(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    root = _clean_tree(tmp_path)
-    assert main(["lint", str(root), "--no-cache"]) == 0
-    capsys.readouterr()
-    assert not (tmp_path / ".reprolint-cache.json").exists()
 
 
 def test_lint_parse_error_is_exit_one(tmp_path, capsys, monkeypatch):

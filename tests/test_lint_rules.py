@@ -14,8 +14,6 @@ import re
 from lint_support import by_rule, lint_tree
 
 from repro.lint.rules.determinism import WHITELIST
-from repro.obs.metrics import METRIC_NAMES
-from repro.obs.schema import EVENT_TYPES
 
 # ---------------------------------------------------------------------------
 # determinism
@@ -80,8 +78,9 @@ def test_determinism_whitelist_and_seeded_construction_clean(tmp_path):
                 def entropy():
                     return np.random.default_rng(), time.perf_counter()
             """,
-            # Seeded construction and Generator annotations are legal
-            # anywhere in the library.
+            # Generator annotations are legal anywhere in the library;
+            # a seeded default_rng is not (it bypasses the named
+            # stream registry).
             "repro/prediction/ok.py": """
                 import numpy as np
 
@@ -91,7 +90,32 @@ def test_determinism_whitelist_and_seeded_construction_clean(tmp_path):
         },
         rules=["determinism"],
     )
-    assert result.findings == []
+    (finding,) = result.findings
+    assert finding.path == "repro/prediction/ok.py"
+    assert "bypasses the named stream registry" in finding.message
+
+
+def test_determinism_fires_on_seeded_default_rng(tmp_path):
+    """A seeded ad-hoc generator is reproducible but invisible to the
+    stream census; only repro.sim.rng may construct generators."""
+    result = lint_tree(
+        tmp_path,
+        {
+            "repro/workloads/w.py": """
+                import numpy as np
+
+                def adhoc():
+                    return np.random.default_rng(0)
+
+                def keyword(seed):
+                    return numpy.random.default_rng(seed=seed)
+            """
+        },
+        rules=["determinism"],
+    )
+    messages = [f.message for f in by_rule(result, "determinism")]
+    assert len(messages) == 2
+    assert all("bypasses the named stream registry" in m for m in messages)
 
 
 def test_determinism_whitelist_names_existing_modules():
@@ -240,224 +264,6 @@ def test_layering_exemptions_stay_clean(tmp_path):
         },
         rules=["layering"],
     )
-    assert result.findings == []
-
-
-# ---------------------------------------------------------------------------
-# trace-schema (cross-checked against the LIVE registry)
-# ---------------------------------------------------------------------------
-
-# Two genuinely registered events, read from the live schema so these
-# fixtures can never drift out of date.
-_REGISTERED = sorted(EVENT_TYPES)[:2]
-
-#: a stub registry module: its presence in the scan enables the
-#: never-emitted direction; the real EVENT_TYPES is still imported live.
-_SCHEMA_STUB = "EVENT_TYPES = {}\n"
-
-
-def test_trace_schema_fires_on_unregistered_event(tmp_path):
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/emitter.py": """
-                def go(bus):
-                    bus.emit("totally.unregistered.event", 0.0)
-            """
-        },
-        rules=["trace-schema"],
-    )
-    findings = by_rule(result, "trace-schema")
-    assert len(findings) == 1
-    assert "unregistered trace event 'totally.unregistered.event'" in (
-        findings[0].message
-    )
-
-
-def test_trace_schema_fires_on_dynamic_event_name(tmp_path):
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/emitter.py": """
-                def go(bus, pick):
-                    name = pick()
-                    bus.emit(name, 0.0)
-            """
-        },
-        rules=["trace-schema"],
-    )
-    findings = by_rule(result, "trace-schema")
-    assert len(findings) == 1
-    assert "dynamic event name" in findings[0].message
-
-
-def test_trace_schema_accepts_literals_conditionals_and_wrappers(tmp_path):
-    a, b = _REGISTERED
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/emitter.py": f"""
-                class Fleet:
-                    def _fwd(self, event_type, t):
-                        self.bus.emit(event_type, t)
-
-                    def go(self, ok):
-                        self.bus.emit({a!r} if ok else {b!r}, 0.0)
-                        self._fwd({a!r}, 1.0)
-            """
-        },
-        rules=["trace-schema"],
-    )
-    assert result.findings == []
-
-
-def test_trace_schema_fires_on_dynamic_wrapper_call_site(tmp_path):
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/emitter.py": """
-                class Fleet:
-                    def _fwd(self, event_type, t):
-                        self.bus.emit(event_type, t)
-
-                    def go(self, pick):
-                        name = pick()
-                        self._fwd(name, 0.0)
-            """
-        },
-        rules=["trace-schema"],
-    )
-    findings = by_rule(result, "trace-schema")
-    assert len(findings) == 1
-    assert "wrapper _fwd()" in findings[0].message
-
-
-def test_trace_schema_reports_never_emitted_from_live_registry(tmp_path):
-    emitted, other = _REGISTERED
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/obs/schema.py": _SCHEMA_STUB,
-            "repro/cloud/emitter.py": f"""
-                def go(bus):
-                    bus.emit({emitted!r}, 0.0)
-            """,
-        },
-        rules=["trace-schema"],
-    )
-    dead = by_rule(result, "trace-schema")
-    # Everything in the live registry except the one emitted event is
-    # flagged as never-emitted, anchored at the scanned schema module.
-    flagged = {m.split("'")[1] for m in (f.message for f in dead)}
-    assert flagged == set(EVENT_TYPES) - {emitted}
-    assert other in flagged
-    assert all(f.path.endswith("repro/obs/schema.py") for f in dead)
-
-
-def test_trace_schema_never_emitted_needs_schema_in_scan(tmp_path):
-    emitted = _REGISTERED[0]
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/emitter.py": f"""
-                def go(bus):
-                    bus.emit({emitted!r}, 0.0)
-            """
-        },
-        rules=["trace-schema"],
-    )
-    # Without repro.obs.schema among the scanned files the registry is
-    # out of scope — no dead-schema noise when linting a subtree.
-    assert result.findings == []
-
-
-# ---------------------------------------------------------------------------
-# trace-schema: metric-name cross-check (against the LIVE METRIC_NAMES)
-# ---------------------------------------------------------------------------
-
-# Two genuinely declared metric names, read live so these fixtures can
-# never drift out of date.
-_DECLARED_METRICS = sorted(METRIC_NAMES)[:2]
-
-#: a stub metrics module: its presence in the scan enables the
-#: never-created direction; the real METRIC_NAMES is still imported live.
-_METRICS_STUB = "METRIC_NAMES = {}\n"
-
-
-def test_trace_schema_fires_on_undeclared_metric(tmp_path):
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/instrumented.py": """
-                def wire(registry):
-                    return registry.counter("totally.undeclared.metric")
-            """
-        },
-        rules=["trace-schema"],
-    )
-    findings = by_rule(result, "trace-schema")
-    assert len(findings) == 1
-    assert "undeclared metric 'totally.undeclared.metric'" in findings[0].message
-
-
-def test_trace_schema_accepts_declared_metrics_and_dynamic_callees(tmp_path):
-    a, b = _DECLARED_METRICS
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/instrumented.py": f"""
-                import numpy as np
-                from collections import Counter
-
-                def wire(registry, data, seq):
-                    c = registry.counter({a!r})
-                    g = registry.counter({b!r})
-                    # dynamic first arguments are unrelated callees,
-                    # not metric creation sites:
-                    np.histogram(data, 10)
-                    Counter(seq)
-                    return c, g
-            """
-        },
-        rules=["trace-schema"],
-    )
-    assert result.findings == []
-
-
-def test_trace_schema_reports_never_created_metric(tmp_path):
-    created, other = _DECLARED_METRICS
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/obs/metrics.py": _METRICS_STUB,
-            "repro/cloud/instrumented.py": f"""
-                def wire(registry):
-                    return registry.counter({created!r})
-            """,
-        },
-        rules=["trace-schema"],
-    )
-    dead = by_rule(result, "trace-schema")
-    flagged = {m.split("'")[1] for m in (f.message for f in dead)}
-    assert flagged == set(METRIC_NAMES) - {created}
-    assert other in flagged
-    assert all(f.path.endswith("repro/obs/metrics.py") for f in dead)
-
-
-def test_trace_schema_never_created_needs_metrics_in_scan(tmp_path):
-    created = _DECLARED_METRICS[0]
-    result = lint_tree(
-        tmp_path,
-        {
-            "repro/cloud/instrumented.py": f"""
-                def wire(registry):
-                    return registry.counter({created!r})
-            """
-        },
-        rules=["trace-schema"],
-    )
-    # Without repro.obs.metrics among the scanned files the declaration
-    # table is out of scope — no dead-metric noise on subtree lints.
     assert result.findings == []
 
 
