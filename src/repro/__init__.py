@@ -26,7 +26,6 @@ from ._version import __version__
 from .backends import DESBackend, ExecutionBackend, FluidBackend, RunMetrics, resolve_backend
 from .core import (
     AdaptivePolicy,
-    ApplicationProvisioner,
     PerformanceModeler,
     ProvisioningDecision,
     ProvisioningPolicy,
@@ -62,7 +61,6 @@ __all__ = [
     "PerformanceModeler",
     "ProvisioningDecision",
     "WorkloadAnalyzer",
-    "ApplicationProvisioner",
     "ProvisioningPolicy",
     "AdaptivePolicy",
     "StaticPolicy",

@@ -240,6 +240,9 @@ class ExecutionBackend:
     * :meth:`drive` executes the run (phase ``run``);
     * :meth:`collect` reports a :class:`Collected` (phase
       ``finalize``).
+
+    :meth:`run` first checks that the policy lists the backend in its
+    ``backends`` (see :class:`repro.core.policies.ProvisioningPolicy`).
     """
 
     #: Backend tag stamped into every :class:`RunMetrics` it produces.
@@ -259,6 +262,9 @@ class ExecutionBackend:
     ) -> RunMetrics:
         """Execute one replication and return its unified metrics.
 
+        An unsupported policy or balancer raises ``ConfigurationError``
+        before any trace event, trace file or telemetry stream exists.
+
         Parameters
         ----------
         trace:
@@ -275,6 +281,11 @@ class ExecutionBackend:
             telemetry lands in :attr:`RunMetrics.telemetry` (and on
             disk when the config has a ``path``).
         """
+        if self.name not in policy.backends:
+            raise ConfigurationError(
+                f"the {self.name} backend cannot execute {type(policy).__name__}; "
+                f"it runs on {', '.join(sorted(policy.backends))}"
+            )
         if balancer is not None and not self.balances:
             raise ConfigurationError(
                 f"the {self.name} backend has no per-request data plane; "

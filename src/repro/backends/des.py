@@ -160,13 +160,13 @@ class DESBackend(ExecutionBackend):
             )
             run.ledger.install(ctx.engine)
         if run.metrics is not None:
-            modeler = getattr(ctx.provisioner, "modeler", None)
+            plane = ctx.provisioner
             self.start_telemetry(
                 run,
                 collector=ctx.metrics,
                 fleet_size_fn=lambda f=ctx.fleet: f.serving_count,
-                cache_fn=(lambda md=modeler: (md.cache_hits, md.cache_misses))
-                if modeler is not None
+                cache_fn=(lambda md=plane.modeler: (md.cache_hits, md.cache_misses))
+                if plane is not None
                 else None,
             ).install(ctx.engine, ctx.monitor)
         ctx.source.start()
@@ -180,8 +180,8 @@ class DESBackend(ExecutionBackend):
         ctx.metrics.finalize(now, ctx.datacenter.vm_hours(now))
         m = ctx.metrics
         scale = run.scenario.scale
-        modeler = getattr(ctx.provisioner, "modeler", None)
-        control = getattr(ctx.provisioner, "control", None)
+        # The policy's control plane; None for Static-N.
+        plane = ctx.provisioner
         totals = None
         if run.ledger is not None:
             revoker = getattr(ctx, "revoker", None)
@@ -206,14 +206,14 @@ class DESBackend(ExecutionBackend):
             utilization=m.utilization,
             events=engine.events_fired,
             fleet_series=tuple(m.fleet_series),
-            control_series=control.trajectory if control is not None else (),
-            cache_hits=modeler.cache_hits if modeler is not None else 0,
-            cache_misses=modeler.cache_misses if modeler is not None else 0,
+            control_series=plane.trajectory if plane is not None else (),
+            cache_hits=plane.modeler.cache_hits if plane is not None else 0,
+            cache_misses=plane.modeler.cache_misses if plane is not None else 0,
             compactions=engine.compactions,
             **economy_fields(totals),
         )
         counters = {"events": engine.events_fired, "compactions": engine.compactions}
         return Collected(
             fields, counters, ctx.fleet.serving_count, (now, engine.events_fired),
-            actions=control.actions if control is not None else None,
+            actions=plane.actions if plane is not None else None,
         )

@@ -21,8 +21,6 @@ per-request outcomes are statistically, not pointwise, identical.
 
 from __future__ import annotations
 
-from ..core.policies import AdaptivePolicy, StaticPolicy
-from ..errors import ConfigurationError
 from .base import Collected, RunState
 from .des import DESBackend
 
@@ -54,17 +52,6 @@ class DESVecBackend(DESBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DESVecBackend(max_block={self.max_block!r})"
-
-    def build(self, run: RunState) -> None:
-        # The array data plane resizes whole fleets only; policies that
-        # reach into per-instance objects (vertical resizing, mixed VM
-        # classes) would fail deep in the run instead of here.
-        if not isinstance(run.policy, (StaticPolicy, AdaptivePolicy)):
-            raise ConfigurationError(
-                f"the des-vec backend cannot execute {type(run.policy).__name__}; "
-                "supported policies are StaticPolicy and AdaptivePolicy"
-            )
-        super().build(run)
 
     def drive(self, run: RunState) -> None:
         engine, plane, horizon = run.ctx.engine, run.ctx.fleet, run.scenario.horizon

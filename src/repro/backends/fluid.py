@@ -29,9 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..cloud.datacenter import Datacenter
 from ..cloud.vm import DEFAULT_VM_SPEC
 from ..core.controlplane import ControlPlane
-from ..core.policies import AdaptivePolicy, StaticPolicy
+from ..core.policies import AdaptivePolicy
 from ..economy.ledger import EconomyTotals, publish_totals
-from ..errors import ConfigurationError
 from ..sim.fluid import FluidSimulator
 from ..sim.rng import RandomStreams
 from .base import Collected, ExecutionBackend, RunMetrics, RunState, economy_fields
@@ -97,11 +96,6 @@ class FluidBackend(ExecutionBackend):
             run.control = self._shared_pass
             if run.control is None:
                 run.control = self._control_plane(scenario, policy, run.tracer)
-        elif not isinstance(policy, StaticPolicy):
-            raise ConfigurationError(
-                f"the fluid backend cannot execute {type(policy).__name__}; "
-                "supported policies are StaticPolicy and AdaptivePolicy"
-            )
         if run.metrics is not None:
             self.start_telemetry(run)
         run.revocations = revocation_schedule(scenario, policy, run.seed)
@@ -156,7 +150,7 @@ class FluidBackend(ExecutionBackend):
         policies = [policy_factory() for _ in seeds]
         schedules = [revocation_schedule(scenario, p, s) for p, s in zip(policies, seeds)]
         backend = self
-        if len(set(schedules)) > 1 and isinstance(policies[0], AdaptivePolicy):
+        if len(set(schedules)) > 1:
             backend = copy.copy(self)
             backend._shared_pass = self._control_plane(scenario, policies[0], None)
             FluidSimulator.control_pass(backend._shared_pass, scenario.horizon)

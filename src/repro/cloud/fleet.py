@@ -13,8 +13,8 @@ paper's application provisioner (§IV-C):
   (fewest requests in progress first) stop receiving requests and are
   destroyed "only when running requests finish" (graceful drain).
 
-The decision of *how many* instances to run belongs to
-:class:`repro.core.provisioner.ApplicationProvisioner`; the fleet only
+The decision of *how many* instances to run belongs to the
+:class:`repro.core.controlplane.ControlPlane`; the fleet only
 executes.  Through its ``serving_count`` / ``scale_to`` surface the
 fleet satisfies the backend-agnostic
 :class:`repro.core.controlplane.FleetActuator` protocol — it is the

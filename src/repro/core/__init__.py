@@ -7,15 +7,15 @@ Components (paper §IV, Figure 1):
   network, returning the fleet size ``m`` that meets QoS at acceptable
   utilization;
 * :class:`ControlPlane` — the backend-agnostic analyzer-cadence →
-  modeler → actuation loop shared by the DES and fluid backends
-  (:mod:`repro.core.controlplane`);
-* :class:`ApplicationProvisioner` — the DES adapter that actuates
-  modeler decisions through the fleet (create / revive / drain
-  instances);
+  modeler → actuation loop (:mod:`repro.core.controlplane`), the one
+  loop every adaptive policy decides through on every backend; the
+  fleet it actuates is a :class:`FleetActuator`;
 * :class:`QoSTarget` — the negotiated contract and the Eq.-1 capacity
   rule;
 * :class:`AdaptivePolicy` / :class:`StaticPolicy` — the evaluated
-  provisioning policies, attachable to a :class:`SimulationContext`.
+  provisioning policies, attachable to a :class:`SimulationContext`;
+  :class:`VerticalScalingPolicy` and :class:`MixedFleetPolicy` are
+  adaptive policies whose actuators resize cores.
 """
 
 from .analyzer import WorkloadAnalyzer
@@ -25,23 +25,22 @@ from .controlplane import (
     ControlPlane,
     FleetActuator,
     RecordingActuator,
+    ScalingAction,
     alert_schedule,
     next_alert_time,
 )
-from .mixed import MixedFleetPolicy, MixedFleetProvisioner
+from .mixed import MixedFleetPolicy
 from .modeler import PerformanceModeler, ProvisioningDecision
 from .policies import AdaptivePolicy, ProvisioningPolicy, StaticPolicy, default_predictor
-from .provisioner import ApplicationProvisioner, ScalingAction
 from .qos import QoSTarget
 from .sla import SLAAwareAdmission, SLAContract, SLAPortfolio
-from .vertical import VerticalProvisioner, VerticalScalingAction, VerticalScalingPolicy
+from .vertical import VerticalScalingPolicy
 
 __all__ = [
     "QoSTarget",
     "PerformanceModeler",
     "ProvisioningDecision",
     "WorkloadAnalyzer",
-    "ApplicationProvisioner",
     "ScalingAction",
     "ControlPlane",
     "ControlClock",
@@ -54,12 +53,9 @@ __all__ = [
     "StaticPolicy",
     "AdaptivePolicy",
     "VerticalScalingPolicy",
-    "VerticalProvisioner",
-    "VerticalScalingAction",
     "SLAContract",
     "SLAPortfolio",
     "SLAAwareAdmission",
     "MixedFleetPolicy",
-    "MixedFleetProvisioner",
     "default_predictor",
 ]

@@ -45,7 +45,8 @@ class SimulationContext:
     horizon:
         Simulation end time.
     provisioner:
-        Set by adaptive policies after attaching (for diagnostics).
+        The :class:`~repro.core.controlplane.ControlPlane` an adaptive
+        policy attached (``None`` for static fleets).
     analyzer:
         Set by adaptive policies after attaching (for diagnostics).
     tracer:

@@ -15,7 +15,8 @@ implementation both drive:
 * :class:`FleetActuator` — the narrow protocol a fleet must satisfy to
   be scaled (``serving_count`` + ``scale_to``);
   :class:`repro.cloud.fleet.ApplicationFleet` implements it with real
-  instance mechanics, :class:`RecordingActuator` with a counter;
+  instance mechanics, :class:`RecordingActuator` with a counter, and
+  the vertical and mixed policies' actuators in cores;
 * :class:`ControlPlane` — predictor → Algorithm-1 modeler → actuator,
   recording every actuation as a :class:`ScalingAction`.
 
@@ -53,7 +54,8 @@ class FleetActuator(Protocol):
     :class:`repro.cloud.fleet.ApplicationFleet` satisfies this with the
     full instance lifecycle (revive / create / graceful drain);
     :class:`RecordingActuator` satisfies it with a counter, which is
-    all the fluid backend needs.
+    all the fluid backend needs.  The vertical and mixed actuators
+    count cores instead of instances.
     """
 
     @property
@@ -105,8 +107,10 @@ class ScalingAction:
     service_time:
         The monitored ``T_m`` used.
     before, target, after:
-        Serving fleet size before the action, the modeler's target, and
-        the size actually reached (placement limits may cap growth).
+        Serving size before the action, the modeler's target, and the
+        size actually reached (placement limits may cap growth), all in
+        the actuator's unit: instances, total cores (mixed fleets), or
+        cores per instance (vertical scaling).
     decision:
         The full Algorithm-1 outcome.
     """
@@ -195,11 +199,12 @@ def alert_window_end(now: float, next_alert: float, lead_time: float) -> float:
 class ControlPlane:
     """Predictor → Algorithm-1 modeler → actuator, backend-agnostic.
 
-    Inside the DES, :class:`~repro.core.provisioner.ApplicationProvisioner`
-    wraps one of these (actuator = the real
+    Inside the DES, :meth:`~repro.core.policies.AdaptivePolicy.attach`
+    builds one (by default actuator = the real
     :class:`~repro.cloud.fleet.ApplicationFleet`, service time = the
     monitored EWMA) and the event-scheduled
-    :class:`~repro.core.analyzer.WorkloadAnalyzer` feeds it estimates.
+    :class:`~repro.core.analyzer.WorkloadAnalyzer` feeds it estimates
+    through :meth:`on_estimate`.
     On the fluid backend the plane is *self-driving*: the backend walks
     :meth:`alert_times` and calls :meth:`step` at each one.
 

@@ -22,48 +22,34 @@ analyzer/Algorithm-1 framework:
 Because a ``c``-core instance is modeled as ``c`` small servers, the
 per-instance queue capacity scales with the class (``k·c``), keeping
 the Eq.-1 deadline guarantee intact.
+
+The loop is the paper's :class:`~repro.core.controlplane.ControlPlane`;
+only the actuator (:class:`MixedFleetActuator`) differs, and it speaks
+total cores: the plane's ``before``/``target``/``after`` and the run's
+``control_series`` count cores, not instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
 from ..cloud.fleet import ApplicationFleet
-from ..cloud.instance import AppInstance
-from ..cloud.monitor import Monitor
 from ..cloud.vm import VMSpec
 from ..errors import ConfigurationError
 from ..prediction.base import ArrivalRatePredictor
-from ..sim.engine import Engine
-from .analyzer import WorkloadAnalyzer
 from .context import SimulationContext
-from .modeler import PerformanceModeler
-from .policies import ProvisioningPolicy, default_predictor
+from .policies import AdaptivePolicy, default_predictor
 
-__all__ = ["MixedFleetAction", "MixedFleetProvisioner", "MixedFleetPolicy"]
-
-
-@dataclass(frozen=True)
-class MixedFleetAction:
-    """One mixed-fleet actuation, for diagnostics."""
-
-    time: float
-    predicted_rate: float
-    target_cores: int
-    large_instances: int
-    small_instances: int
+__all__ = ["MixedFleetActuator", "MixedFleetPolicy"]
 
 
-class MixedFleetProvisioner:
-    """Packs the Algorithm-1 core requirement into two VM classes."""
+class MixedFleetActuator:
+    """Packs a core requirement into two VM classes; ``serving_count``
+    and :meth:`scale_to` speak total cores over the active instances."""
 
     def __init__(
         self,
-        engine: Engine,
         fleet: ApplicationFleet,
-        modeler: PerformanceModeler,
-        monitor: Monitor,
         large_cores: int = 4,
         large_threshold: int = 8,
     ) -> None:
@@ -74,10 +60,7 @@ class MixedFleetProvisioner:
                 f"large threshold ({large_threshold}) must be >= large class "
                 f"size ({large_cores})"
             )
-        self._engine = engine
         self._fleet = fleet
-        self._modeler = modeler
-        self._monitor = monitor
         self.large_cores = int(large_cores)
         self.large_threshold = int(large_threshold)
         self.large_spec = VMSpec(
@@ -85,7 +68,6 @@ class MixedFleetProvisioner:
             ram_mb=2048 * self.large_cores,
             name=f"app-large-{self.large_cores}c",
         )
-        self.actions: List[MixedFleetAction] = []
 
     # ------------------------------------------------------------------
     def plan(self, target_cores: int) -> Tuple[int, int]:
@@ -100,41 +82,24 @@ class MixedFleetProvisioner:
         small = target_cores - large * self.large_cores
         return large, small
 
-    def _census(self) -> Tuple[List[AppInstance], List[AppInstance]]:
-        small, large = [], []
-        for inst in self._fleet.active_instances:
-            (large if inst.vm.allocated_cores > 1 else small).append(inst)
-        return small, large
+    @property
+    def serving_count(self) -> int:
+        """Σ cores over the active instances."""
+        return sum(inst.vm.allocated_cores for inst in self._fleet.active_instances)
 
-    def on_estimate(self, predicted_rate: float) -> None:
-        """Analyzer callback — re-plan the class mix."""
-        tm = self._monitor.mean_service_time()
-        # The monitored Tm mixes speeds; correct back to single-core
-        # time using the current weighted average speed.
-        small, large = self._census()
-        total_cores_now = len(small) + self.large_cores * len(large)
-        instances_now = len(small) + len(large)
-        avg_speed = (total_cores_now / instances_now) if instances_now else 1.0
-        tm_base = tm * avg_speed
-        decision = self._modeler.decide(
-            predicted_rate, tm_base, max(1, total_cores_now)
-        )
-        target_cores = decision.instances
-        want_large, want_small = self.plan(target_cores)
-        self._actuate(want_large, want_small)
-        self.actions.append(
-            MixedFleetAction(
-                time=self._engine.now,
-                predicted_rate=predicted_rate,
-                target_cores=target_cores,
-                large_instances=want_large,
-                small_instances=want_small,
-            )
-        )
+    def average_speed(self) -> float:
+        """Mean cores per active instance (1 with none active)."""
+        active = len(self._fleet.active_instances)
+        return (self.serving_count / active) if active else 1.0
 
-    def _actuate(self, want_large: int, want_small: int) -> None:
+    def scale_to(self, target: int) -> int:
+        """Re-plan the class mix for ``target`` cores; return the cores
+        the active instances reached."""
+        want_large, want_small = self.plan(target)
         fleet = self._fleet
-        small, large = self._census()
+        small, large = [], []
+        for inst in fleet.active_instances:
+            (large if inst.vm.allocated_cores > 1 else small).append(inst)
         # Grow/shrink the large class first (bulk capacity).
         for _ in range(max(0, want_large - len(large))):
             if not self._grow_one(self.large_spec, self.large_cores):
@@ -147,6 +112,7 @@ class MixedFleetProvisioner:
                 break
         for inst in small[want_small:]:
             fleet.scale_down_instance(inst)
+        return self.serving_count
 
     def _grow_one(self, spec: VMSpec, speed: int) -> bool:
         inst = self._fleet.grow_with_spec(spec)
@@ -160,8 +126,11 @@ class MixedFleetProvisioner:
         return True
 
 
-class MixedFleetPolicy(ProvisioningPolicy):
-    """Adaptive provisioning over heterogeneous VM classes.
+class MixedFleetPolicy(AdaptivePolicy):
+    """Adaptive provisioning over heterogeneous VM classes (des only).
+
+    Algorithm 1 runs unchanged against the single-core instance model;
+    its fleet size is the core requirement the actuator packs.
 
     Parameters
     ----------
@@ -174,6 +143,7 @@ class MixedFleetPolicy(ProvisioningPolicy):
     """
 
     name = "Mixed"
+    backends = frozenset({"des"})
 
     def __init__(
         self,
@@ -184,38 +154,19 @@ class MixedFleetPolicy(ProvisioningPolicy):
         rho_max: float = 0.85,
         predictor_factory: Callable[[SimulationContext], ArrivalRatePredictor] = default_predictor,
     ) -> None:
+        super().__init__(
+            update_interval=update_interval,
+            lead_time=lead_time,
+            rho_max=rho_max,
+            predictor_factory=predictor_factory,
+        )
         self.large_cores = int(large_cores)
         self.large_threshold = int(large_threshold)
-        self.update_interval = float(update_interval)
-        self.lead_time = float(lead_time)
-        self.rho_max = float(rho_max)
-        self.predictor_factory = predictor_factory
         self.name = f"Mixed-{large_cores}c"
 
-    def attach(self, ctx: SimulationContext) -> None:
-        modeler = PerformanceModeler(
-            qos=ctx.qos,
-            capacity=ctx.capacity,
-            max_vms=ctx.datacenter.max_vms(ctx.fleet.vm_spec),
-            rho_max=self.rho_max,
-        )
-        provisioner = MixedFleetProvisioner(
-            engine=ctx.engine,
-            fleet=ctx.fleet,
-            modeler=modeler,
-            monitor=ctx.monitor,
-            large_cores=self.large_cores,
-            large_threshold=self.large_threshold,
-        )
-        analyzer = WorkloadAnalyzer(
-            engine=ctx.engine,
-            predictor=self.predictor_factory(ctx),
-            on_estimate=provisioner.on_estimate,
-            horizon=ctx.horizon,
-            update_interval=self.update_interval,
-            lead_time=self.lead_time,
-            monitor=ctx.monitor,
-        )
-        analyzer.start()
-        ctx.provisioner = provisioner
-        ctx.analyzer = analyzer
+    def actuation(self, ctx: SimulationContext):
+        actuator = MixedFleetActuator(ctx.fleet, self.large_cores, self.large_threshold)
+        monitor = ctx.monitor
+        # The monitored T_m mixes speeds; correct it back to single-core
+        # time with the current average speed.
+        return actuator, lambda: monitor.mean_service_time() * actuator.average_speed()

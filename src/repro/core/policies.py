@@ -4,7 +4,9 @@ A policy contributes the *control plane* of a deployment:
 
 * :class:`AdaptivePolicy` — the paper's mechanism: workload analyzer →
   load predictor & performance modeler (Algorithm 1) → application
-  provisioner.
+  provisioner, run as one :class:`~repro.core.controlplane.ControlPlane`.
+  Subclasses change the modeler (profit), the fleet (spot) or the
+  actuator (vertical and mixed) and keep the loop.
 * :class:`StaticPolicy` — the baseline: a fixed fleet deployed at time
   zero and never changed ("a fixed number of instances is made
   available to execute the same workloads"), with the *same* admission
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Optional
+from typing import Callable, FrozenSet, Optional, Tuple
 
 from types import SimpleNamespace
 
@@ -29,9 +31,8 @@ from ..prediction.timebased import ModelInformedPredictor, ScientificModePredict
 from ..workloads.scientific import ScientificWorkload
 from .analyzer import WorkloadAnalyzer
 from .context import SimulationContext
-from .controlplane import ControlClock, ControlPlane, RecordingActuator
+from .controlplane import ControlClock, ControlPlane, FleetActuator, RecordingActuator
 from .modeler import PerformanceModeler
-from .provisioner import ApplicationProvisioner
 
 __all__ = ["ProvisioningPolicy", "StaticPolicy", "AdaptivePolicy", "default_predictor"]
 
@@ -80,6 +81,10 @@ class ProvisioningPolicy(ABC):
 
     #: Label used in figure tables (``Adaptive``, ``Static-75`` …).
     name: str = "policy"
+    #: Names of the execution backends that can run this policy;
+    #: :meth:`repro.backends.base.ExecutionBackend.run` rejects every
+    #: other backend before the run starts.
+    backends: FrozenSet[str] = frozenset({"des"})
 
     @abstractmethod
     def attach(self, ctx: SimulationContext) -> None:
@@ -98,6 +103,8 @@ class StaticPolicy(ProvisioningPolicy):
         The constant fleet size (the paper sweeps 50–150 for web and
         15–75 for scientific).
     """
+
+    backends = frozenset({"des", "des-vec", "fluid"})
 
     def __init__(self, instances: int) -> None:
         if instances < 1:
@@ -147,6 +154,7 @@ class AdaptivePolicy(ProvisioningPolicy):
     """
 
     name = "Adaptive"
+    backends = frozenset({"des", "des-vec", "fluid"})
 
     def __init__(
         self,
@@ -242,30 +250,38 @@ class AdaptivePolicy(ProvisioningPolicy):
             clock=clock,
         )
 
+    def actuation(
+        self, ctx: SimulationContext
+    ) -> Tuple[FleetActuator, Callable[[], float]]:
+        """The ``(actuator, service_time_fn)`` pair the DES control plane
+        drives: the fleet, sized in instances, against the monitored
+        ``T_m``.  Vertical and mixed policies size in cores instead."""
+        return ctx.fleet, ctx.monitor.mean_service_time
+
     def attach(self, ctx: SimulationContext) -> None:
         max_vms = self.max_instances
         if max_vms is None:
             max_vms = ctx.datacenter.max_vms(ctx.fleet.vm_spec)
+        engine = ctx.engine
         modeler = self._build_modeler(
             ctx.qos,
             ctx.capacity,
             max_vms,
             tracer=ctx.tracer,
-            time_fn=(lambda e=ctx.engine: e.now) if ctx.tracer is not None else None,
+            time_fn=(lambda: engine.now) if ctx.tracer is not None else None,
         )
-        provisioner = ApplicationProvisioner(
-            engine=ctx.engine,
-            fleet=ctx.fleet,
+        actuator, service_time_fn = self.actuation(ctx)
+        plane = ControlPlane(
             modeler=modeler,
-            monitor=ctx.monitor,
+            actuator=actuator,
+            service_time_fn=service_time_fn,
             initial_instances=self.initial_instances,
             tracer=ctx.tracer,
         )
-        predictor = self.predictor_factory(ctx)
         analyzer = WorkloadAnalyzer(
-            engine=ctx.engine,
-            predictor=predictor,
-            on_estimate=provisioner.on_estimate,
+            engine=engine,
+            predictor=self.predictor_factory(ctx),
+            on_estimate=lambda rate: plane.on_estimate(engine.now, rate),
             horizon=ctx.horizon,
             update_interval=self.update_interval,
             lead_time=self.lead_time,
@@ -274,7 +290,7 @@ class AdaptivePolicy(ProvisioningPolicy):
             deviation_safety=self.deviation_safety,
             tracer=ctx.tracer,
         )
-        provisioner.start()
+        plane.start()
         analyzer.start()
-        ctx.provisioner = provisioner
+        ctx.provisioner = plane
         ctx.analyzer = analyzer

@@ -16,6 +16,9 @@ like-for-like:
   host's physical ceiling;
 * every instance is resized to ``s`` cores (linear speedup).
 
+The loop is the paper's :class:`~repro.core.controlplane.ControlPlane`;
+only the modeler (:class:`VerticalModeler`) and the actuator
+(:class:`VerticalActuator`) differ, and both speak cores per instance.
 The cost unit becomes **core-hours** (``RunMetrics.core_hours``), which
 equals VM-hours for the paper's one-core horizontal policies — so the
 ``bench_baseline_vertical`` benchmark can compare the two directly.
@@ -24,107 +27,87 @@ equals VM-hours for the paper's one-core horizontal policies — so the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable
 
 from ..cloud.fleet import ApplicationFleet
-from ..cloud.monitor import Monitor
 from ..errors import ConfigurationError
 from ..prediction.base import ArrivalRatePredictor
-from ..sim.engine import Engine
-from .analyzer import WorkloadAnalyzer
 from .context import SimulationContext
-from .policies import ProvisioningPolicy, default_predictor
+from .modeler import PerformanceModeler, ProvisioningDecision
+from .policies import AdaptivePolicy, default_predictor
 
-__all__ = ["VerticalScalingAction", "VerticalProvisioner", "VerticalScalingPolicy"]
-
-
-@dataclass(frozen=True)
-class VerticalScalingAction:
-    """One vertical actuation, for diagnostics.
-
-    Attributes
-    ----------
-    time, predicted_rate:
-        When and on which estimate the resize happened.
-    speed:
-        The per-instance core count chosen.
-    resized:
-        How many instances the data center actually resized.
-    """
-
-    time: float
-    predicted_rate: float
-    speed: int
-    resized: int
+__all__ = ["VerticalModeler", "VerticalActuator", "VerticalScalingPolicy"]
 
 
-class VerticalProvisioner:
-    """Resizes a fixed fleet's cores on every analyzer estimate."""
+class VerticalModeler(PerformanceModeler):
+    """The ρ law for ``n = instances``: a decision's ``instances`` is the
+    core count ``⌈λ·T̂m / (rho_max·n)⌉`` clamped to ``[1, max_speed]``,
+    and its ``predicted`` field the network at ``n`` VMs of that speed.
+    No decision cache: a rounded key could move the ceiling."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        fleet: ApplicationFleet,
-        monitor: Monitor,
-        instances: int,
-        max_speed: int = 8,
-        rho_max: float = 0.85,
-    ) -> None:
+    def __init__(self, instances: int, max_speed: int, **kwargs) -> None:
         if instances < 1:
             raise ConfigurationError(f"fleet size must be >= 1, got {instances}")
         if max_speed < 1:
             raise ConfigurationError(f"max speed must be >= 1, got {max_speed}")
-        if not 0.0 < rho_max < 1.0:
-            raise ConfigurationError(f"rho_max must be in (0, 1), got {rho_max!r}")
-        self._engine = engine
-        self._fleet = fleet
-        self._monitor = monitor
+        super().__init__(max_vms=max_speed, decision_cache_size=0, **kwargs)
         self.instances = int(instances)
-        self.max_speed = int(max_speed)
-        self.rho_max = float(rho_max)
-        self.actions: List[VerticalScalingAction] = []
-        self._current_speed = 1
 
-    def start(self) -> None:
-        """Deploy the fixed fleet at single-core speed."""
-        reached = self._fleet.scale_to(self.instances)
-        if reached < self.instances:
-            raise ConfigurationError(
-                f"data center placed only {reached} of {self.instances} instances"
-            )
-
-    def target_speed(self, predicted_rate: float) -> int:
-        """Smallest integer cores/instance keeping ρ ≤ rho_max."""
-        observed_tm = self._monitor.mean_service_time()
-        # The monitor observes sped-up services; undo the current speed
-        # to recover the single-core service time the sizing law needs.
-        tm_base = observed_tm * self._current_speed
-        if predicted_rate <= 0.0:
-            return 1
-        needed = predicted_rate * tm_base / (self.rho_max * self.instances)
-        return max(1, min(self.max_speed, int(math.ceil(needed))))
-
-    def on_estimate(self, predicted_rate: float) -> None:
-        """Analyzer callback — resize the whole fleet."""
-        speed = self.target_speed(predicted_rate)
-        resized = 0
-        for inst in self._fleet.active_instances:
-            if self._fleet.set_speed(inst, speed):
-                resized += 1
-        self._current_speed = speed
-        self.actions.append(
-            VerticalScalingAction(
-                time=self._engine.now,
-                predicted_rate=predicted_rate,
-                speed=speed,
-                resized=resized,
-            )
+    def _decide_uncached(
+        self,
+        arrival_rate: float,
+        service_time: float,
+        current_instances: int,
+    ) -> ProvisioningDecision:
+        needed = arrival_rate * service_time / (self.rho_max * self.instances)
+        speed = max(1, min(self.max_vms, int(math.ceil(needed))))
+        perf = self._network(service_time / speed).evaluate(arrival_rate, self.instances)
+        return ProvisioningDecision(
+            instances=speed,
+            predicted=perf,
+            iterations=1,
+            meets_qos=self.meets_qos(perf),
+            trace=[speed],
         )
 
 
-class VerticalScalingPolicy(ProvisioningPolicy):
-    """Fixed fleet, adaptive per-VM capacity.
+class VerticalActuator:
+    """A fixed fleet of ``instances`` VMs, deployed when built and then
+    resized in cores per instance.  A full host refuses a resize, so the
+    speed reached is the slowest active instance's."""
+
+    def __init__(self, fleet: ApplicationFleet, instances: int) -> None:
+        reached = fleet.scale_to(instances)
+        if reached < instances:
+            raise ConfigurationError(
+                f"data center placed only {reached} of {instances} instances"
+            )
+        self.fleet = fleet
+
+    @property
+    def serving_count(self) -> int:
+        """Cores of the slowest active instance (1 with none active)."""
+        return int(min((inst.speed for inst in self.fleet.active_instances), default=1.0))
+
+    def scale_to(self, target: int) -> int:
+        """Resize every active instance to ``target`` cores; return the
+        cores the slowest one runs at."""
+        for inst in self.fleet.active_instances:
+            self.fleet.set_speed(inst, target)
+        return self.serving_count
+
+    def speedup(self) -> float:
+        """``T_base / T̂m``: round-robin makes the observed ``T̂m``
+        ``T_base·mean(1/sᵢ)``, so this is the harmonic mean of the active
+        speeds (exactly the speed when they all agree)."""
+        speeds = [inst.speed for inst in self.fleet.active_instances] or [1.0]
+        if min(speeds) == max(speeds):
+            return speeds[0]
+        return len(speeds) / sum(1.0 / s for s in speeds)
+
+
+class VerticalScalingPolicy(AdaptivePolicy):
+    """Fixed fleet, adaptive per-VM capacity (des backend only).
 
     Parameters
     ----------
@@ -134,11 +117,11 @@ class VerticalScalingPolicy(ProvisioningPolicy):
         Core ceiling per instance (paper hosts: 8).
     rho_max:
         Target per-core load band upper edge.
-    update_interval, lead_time:
-        Analyzer cadence, as for :class:`AdaptivePolicy`.
-    predictor_factory:
-        Arrival-rate predictor, as for :class:`AdaptivePolicy`.
+    update_interval, lead_time, predictor_factory:
+        As for :class:`~repro.core.policies.AdaptivePolicy`.
     """
+
+    backends = frozenset({"des"})
 
     def __init__(
         self,
@@ -149,33 +132,28 @@ class VerticalScalingPolicy(ProvisioningPolicy):
         lead_time: float = 60.0,
         predictor_factory: Callable[[SimulationContext], ArrivalRatePredictor] = default_predictor,
     ) -> None:
+        super().__init__(
+            update_interval=update_interval,
+            lead_time=lead_time,
+            rho_max=rho_max,
+            predictor_factory=predictor_factory,
+        )
         self.instances = int(instances)
         self.max_speed = int(max_speed)
-        self.rho_max = float(rho_max)
-        self.update_interval = float(update_interval)
-        self.lead_time = float(lead_time)
-        self.predictor_factory = predictor_factory
         self.name = f"Vertical-{self.instances}"
 
-    def attach(self, ctx: SimulationContext) -> None:
-        provisioner = VerticalProvisioner(
-            engine=ctx.engine,
-            fleet=ctx.fleet,
-            monitor=ctx.monitor,
+    def _build_modeler(self, qos, capacity, max_vms, tracer=None, time_fn=None):
+        return VerticalModeler(
             instances=self.instances,
             max_speed=self.max_speed,
+            qos=qos,
+            capacity=capacity,
             rho_max=self.rho_max,
+            tracer=tracer,
+            time_fn=time_fn,
         )
-        analyzer = WorkloadAnalyzer(
-            engine=ctx.engine,
-            predictor=self.predictor_factory(ctx),
-            on_estimate=provisioner.on_estimate,
-            horizon=ctx.horizon,
-            update_interval=self.update_interval,
-            lead_time=self.lead_time,
-            monitor=ctx.monitor,
-        )
-        provisioner.start()
-        analyzer.start()
-        ctx.provisioner = provisioner
-        ctx.analyzer = analyzer
+
+    def actuation(self, ctx: SimulationContext):
+        actuator = VerticalActuator(ctx.fleet, self.instances)
+        monitor = ctx.monitor
+        return actuator, lambda: monitor.mean_service_time() * actuator.speedup()

@@ -1,11 +1,11 @@
-"""Unit tests of the workload analyzer and application provisioner."""
+"""Unit tests of the workload analyzer and the DES control plane."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import (
-    ApplicationProvisioner,
+    ControlPlane,
     PerformanceModeler,
     QoSTarget,
     WorkloadAnalyzer,
@@ -123,15 +123,24 @@ def test_analyzer_validation():
 
 
 # ----------------------------------------------------------------------
-# provisioner
+# provisioner: the control plane over the DES fleet
 # ----------------------------------------------------------------------
+def des_plane(env, modeler, **kw):
+    return ControlPlane(
+        modeler=modeler,
+        actuator=env.fleet,
+        service_time_fn=env.monitor.mean_service_time,
+        **kw,
+    )
+
+
 def test_provisioner_scales_fleet_on_estimate():
     env = make_env(capacity=2, service_time=1.0)
     qos = QoSTarget(max_response_time=2.0, min_utilization=0.8)
     modeler = PerformanceModeler(qos=qos, capacity=2, max_vms=80)
-    prov = ApplicationProvisioner(env.engine, env.fleet, modeler, env.monitor)
+    prov = des_plane(env, modeler)
     prov.start()
-    prov.on_estimate(8.0)  # 8 req/s × 1 s service → ~10 instances
+    prov.on_estimate(env.engine.now, 8.0)  # 8 req/s × 1 s service → ~10 instances
     assert 9 <= env.fleet.serving_count <= 11
     assert len(prov.actions) == 1
     act = prov.actions[0]
@@ -145,9 +154,7 @@ def test_provisioner_initial_deployment():
     modeler = PerformanceModeler(
         qos=QoSTarget(max_response_time=2.0), capacity=2, max_vms=80
     )
-    prov = ApplicationProvisioner(
-        env.engine, env.fleet, modeler, env.monitor, initial_instances=5
-    )
+    prov = des_plane(env, modeler, initial_instances=5)
     prov.start()
     assert env.fleet.serving_count == 5
 
@@ -157,11 +164,11 @@ def test_provisioner_scale_down_on_lower_estimate():
     modeler = PerformanceModeler(
         qos=QoSTarget(max_response_time=2.0, min_utilization=0.8), capacity=2, max_vms=80
     )
-    prov = ApplicationProvisioner(env.engine, env.fleet, modeler, env.monitor)
+    prov = des_plane(env, modeler)
     prov.start()
-    prov.on_estimate(16.0)
+    prov.on_estimate(env.engine.now, 16.0)
     high = env.fleet.serving_count
-    prov.on_estimate(4.0)
+    prov.on_estimate(env.engine.now, 4.0)
     low = env.fleet.serving_count
     assert low < high
 
@@ -172,9 +179,7 @@ def test_provisioner_validation():
         qos=QoSTarget(max_response_time=2.0), capacity=2, max_vms=80
     )
     with pytest.raises(ConfigurationError):
-        ApplicationProvisioner(
-            env.engine, env.fleet, modeler, env.monitor, initial_instances=-1
-        )
+        des_plane(env, modeler, initial_instances=-1)
 
 
 # ----------------------------------------------------------------------

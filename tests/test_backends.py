@@ -22,8 +22,10 @@ from repro.experiments import (
     scientific_scenario,
     web_scenario,
 )
-from repro.obs.bus import TraceConfig
-from repro.obs.schema import load_trace, validate_trace
+from repro.obs.bus import RingBufferSink, TraceBus, TraceConfig
+from repro.obs.metrics import MetricsConfig
+from repro.obs.audit import DecisionAuditLog
+from repro.obs.schema import load_trace, validate_event, validate_trace
 
 
 # ----------------------------------------------------------------------
@@ -171,9 +173,10 @@ _POLICY_MATRIX = {
 
 @pytest.mark.parametrize("backend", ["des", "des-vec", "fluid"])
 @pytest.mark.parametrize("label", list(_POLICY_MATRIX))
-def test_policy_backend_matrix_runs_or_fails_at_the_boundary(label, backend):
+def test_policy_backend_matrix_runs_or_fails_at_the_boundary(label, backend, tmp_path):
     """Every (policy, backend) pair either runs or raises a
-    ConfigurationError naming both, never an error deep in the run."""
+    ConfigurationError naming both, never an error deep in the run.
+    A rejected pair leaves no trace file, telemetry file or event."""
     factory, priced, rejects = _POLICY_MATRIX[label]
     scenario = web_scenario(scale=2000.0, horizon=2 * 3600.0)
     if priced:
@@ -181,14 +184,43 @@ def test_policy_backend_matrix_runs_or_fails_at_the_boundary(label, backend):
     policy = factory()
     if backend in rejects:
         with pytest.raises(ConfigurationError) as excinfo:
-            run_policy(scenario, policy, backend=backend)
+            run_policy(
+                scenario,
+                policy,
+                backend=backend,
+                trace=TraceConfig(path=f"{tmp_path}/"),
+                metrics=MetricsConfig(path=f"{tmp_path}/"),
+            )
         assert type(policy).__name__ in str(excinfo.value)
         assert backend in str(excinfo.value)
+        assert list(tmp_path.iterdir()) == []
+        bus = TraceBus(RingBufferSink())
+        with pytest.raises(ConfigurationError):
+            run_policy(scenario, factory(), backend=backend, trace=bus)
+        assert bus.emitted == 0 and len(bus.sink) == 0
         return
     result = run_policy(scenario, policy, backend=backend)
     assert result.backend == backend
     assert result.policy == policy.name
     assert result.total_requests > 0
+
+
+@pytest.mark.parametrize("label", ["Vertical", "Mixed"])
+def test_core_resizing_policy_decisions_reach_the_trace(label):
+    """Vertical and mixed decide through the control plane, so a traced
+    des run explains each actuation like any adaptive run's."""
+    bus = TraceBus(RingBufferSink(maxlen=1 << 20))
+    scenario = web_scenario(scale=2000.0, horizon=6 * 3600.0)
+    result = run_policy(scenario, _POLICY_MATRIX[label][0](), trace=bus)
+    events = list(bus.sink.events)
+    for event in events:
+        validate_event(event)
+    assert {"prediction.issued", "decision", "scaling.actuated"} <= {
+        e["type"] for e in events
+    }
+    assert len(DecisionAuditLog.from_trace(events)) == len(result.control_series) > 0
+    actuated = bus.sink.of_type("scaling.actuated")
+    assert [(e["t"], e["after"]) for e in actuated] == list(result.control_series)
 
 
 def test_fluid_replications_deterministic_across_seeds():

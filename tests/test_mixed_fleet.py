@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cloud import InstanceState, VMSpec
-from repro.core import MixedFleetPolicy, QoSTarget
-from repro.core.mixed import MixedFleetProvisioner
+from repro.core import MixedFleetPolicy
+from repro.core.mixed import MixedFleetActuator
 from repro.errors import ConfigurationError
 from repro.experiments import build_context, run_policy, web_scenario
 
@@ -73,16 +73,9 @@ def test_large_instance_serves_faster_with_larger_queue():
 # ----------------------------------------------------------------------
 def planner(**kw):
     env = make_env(num_hosts=64)
-    from repro.core import PerformanceModeler
-
-    modeler = PerformanceModeler(
-        qos=QoSTarget(max_response_time=2.0), capacity=2, max_vms=512
-    )
     defaults = dict(large_cores=4, large_threshold=8)
     defaults.update(kw)
-    return env, MixedFleetProvisioner(
-        env.engine, env.fleet, modeler, env.monitor, **defaults
-    )
+    return env, MixedFleetActuator(env.fleet, **defaults)
 
 
 def test_plan_small_below_threshold():
@@ -134,5 +127,5 @@ def test_mixed_policy_actually_mixes_classes():
     ctx.engine.run(until=scenario.horizon)
     cores = sorted({inst.vm.allocated_cores for inst in ctx.fleet.active_instances})
     assert cores == [1, 4] or cores == [4]
-    last = ctx.provisioner.actions[-1]
-    assert last.large_instances >= 1
+    large = [i for i in ctx.fleet.active_instances if i.vm.allocated_cores == 4]
+    assert len(large) >= 1

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AdaptivePolicy, VerticalScalingPolicy
+from repro.core import AdaptivePolicy, ControlPlane, QoSTarget, VerticalScalingPolicy
+from repro.core.vertical import VerticalActuator, VerticalModeler
 from repro.errors import ConfigurationError
 from repro.experiments import build_context, run_policy, web_scenario
 
@@ -31,6 +32,29 @@ def test_resize_refused_when_host_full():
     inst = env.fleet.active_instances[0]
     assert env.fleet.set_speed(inst, 2) is False
     assert inst.speed == 1.0
+
+
+def test_vertical_action_reports_the_speed_reached_when_a_resize_is_refused():
+    env = make_env(num_hosts=1)  # one 8-core host
+    actuator = VerticalActuator(env.fleet, 3)
+    modeler = VerticalModeler(
+        instances=3, max_speed=8, qos=QoSTarget(max_response_time=2.0), capacity=2
+    )
+    plane = ControlPlane(
+        modeler=modeler,
+        actuator=actuator,
+        service_time_fn=lambda: env.monitor.mean_service_time() * actuator.speedup(),
+    )
+    plane.on_estimate(env.engine.now, 10.0)  # ⌈10·1 / (0.85·3)⌉ = 4 cores each
+    (action,) = plane.actions
+    # The first resize fits (1 + 1 + 4 cores); the host refuses the rest.
+    assert sorted(i.speed for i in env.fleet.active_instances) == [1.0, 1.0, 4.0]
+    assert action.target == 4
+    assert action.after == 1 < action.target
+    # Round-robin: the observed T̂m is T_base·mean(1/sᵢ), so the next
+    # decision corrects by the harmonic mean, not the target speed.
+    assert actuator.speedup() == pytest.approx(3 / (1 / 4 + 1 + 1))
+    assert plane.service_time_fn() == pytest.approx(actuator.speedup())
 
 
 def test_speed_accelerates_service():
@@ -110,7 +134,7 @@ def test_vertical_speed_tracks_demand():
     VerticalScalingPolicy(instances=30).attach(ctx)
     ctx.source.start()
     ctx.engine.run(until=12 * 3600.0)
-    speeds = [a.speed for a in ctx.provisioner.actions]
+    speeds = [a.after for a in ctx.provisioner.actions]
     # Midnight trough needs fewer cores than the noon ramp.
     assert speeds[0] < speeds[-1]
     assert all(1 <= s <= 8 for s in speeds)
