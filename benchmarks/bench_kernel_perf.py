@@ -25,7 +25,13 @@ ENGINE_50K_MAX_S = 3 * 0.023704
 ENGINE_500K_MAX_S = 3 * 0.23676
 ROUND_ROBIN_50K_MAX_S = 3 * 0.0011248
 DES_WEB_DAY_MAX_S = 3 * 3.5709
-DES_VEC_WEB_DAY_MAX_S = 3 * 0.89513
+# 3x the fastest of five des-vec web days on a 2-vCPU Intel Xeon host
+# (Python 3.11, numpy 2.4), where the block-and-wave kernel it replaced
+# took 1.14-1.34 s.
+DES_VEC_WEB_DAY_MAX_S = 3 * 0.362
+#: How much faster des-vec must run the adaptive web day than scalar des
+#: (measured 10.5-12.5x on the host above).
+DES_VEC_MIN_SPEEDUP = 8.0
 
 
 def _chained_ticks(count: int) -> int:
@@ -101,12 +107,13 @@ def test_batched_vs_scalar_kernel_speedup():
 
 
 def test_vec_backend_end_to_end_speedup():
-    """des-vec must not be slower than scalar des at benchmark scale.
+    """des-vec must run the web day at least 8x faster than scalar des.
 
     Full adaptive web day at scale 100 (~700 k requests): the batched
-    backend replaces per-request events with array spans while keeping
-    the control trajectory bit-identical — asserted here on every run,
-    so the speed claim can never drift from the correctness claim.
+    backend replaces per-request events with one array pass per span
+    while keeping the control trajectory bit-identical — asserted here
+    on every run, so the speed claim can never drift from the
+    correctness claim.
     """
     scenario = web_scenario(scale=100.0, horizon=24 * 3600.0)
 
@@ -122,7 +129,7 @@ def test_vec_backend_end_to_end_speedup():
     )
     assert vec.control_series == des.control_series
     assert vec.vm_hours == des.vm_hours
-    assert t_vec < t_des
+    assert t_des >= DES_VEC_MIN_SPEEDUP * t_vec, t_des / t_vec
     assert t_des <= DES_WEB_DAY_MAX_S, t_des
     assert t_vec <= DES_VEC_WEB_DAY_MAX_S, t_vec
 
@@ -131,9 +138,9 @@ def test_vec_backend_end_to_end_saturated_speedup():
     """des-vec must not be slower than scalar des on a rejecting fleet.
 
     Jitterless web at scale 400 for 6 h on an undersized Static-75: all
-    instances are full for long stretches, so array blocks shrink to a
-    few arrivals and the fleet runs those spans on its event-granular
-    path.  Counts and series must match scalar des exactly.
+    instances are full for long stretches, so spans meet full stations
+    and the fleet runs them on its event-granular path.  Counts and
+    series must match scalar des exactly.
     """
     scale = 400.0
     base = web_scenario(scale=scale, horizon=6 * 3600.0, track_fleet_series=True)

@@ -42,19 +42,19 @@ def build_context(
     seed: int = 0,
     balancer: Optional[LoadBalancer] = None,
     tracer: Optional[TraceBus] = None,
-    max_block: Optional[int] = None,
+    vectorized: bool = False,
 ) -> SimulationContext:
     """Wire the data plane of one replication (no policy attached).
 
-    ``max_block=None`` wires the event-per-request plane: an
+    By default this is the event-per-request plane: an
     :class:`~repro.cloud.fleet.ApplicationFleet` behind an
     :class:`~repro.cloud.admission.AdmissionControl` gate that the
-    broker feeds one arrival at a time.  An integer wires the batched
-    plane instead: a :class:`~repro.cloud.vecfleet.VectorFleet` that the
-    broker hands whole arrival windows (blocks of at most ``max_block``
-    requests), and whose block loop *is* the admission gate (the paper's
-    all-instances-full test, evaluated in bulk).  Both planes draw the
-    same streams in the same construction order.
+    broker feeds one arrival at a time.  ``vectorized=True`` wires the
+    batched plane instead: a :class:`~repro.cloud.vecfleet.VectorFleet`
+    that the broker hands whole arrival windows, and whose span kernel
+    *is* the admission gate (the paper's all-instances-full test,
+    evaluated in bulk).  Both planes draw the same streams in the same
+    construction order.
 
     ``tracer`` (a :class:`~repro.obs.bus.TraceBus`) is threaded into
     every instrumented component; ``None`` (the default) is tracing
@@ -92,18 +92,14 @@ def build_context(
         boot_delay=scenario.boot_delay,
         tracer=tracer,
     )
-    if max_block is None:
+    if not vectorized:
         fleet = ApplicationFleet(**plane)
         admission = AdmissionControl(
             fleet, monitor, count_arrivals=scenario.count_arrivals, tracer=tracer
         )
         sink = None
     else:
-        fleet = sink = VectorFleet(
-            **plane,
-            max_block=max_block,
-            count_arrivals=scenario.count_arrivals,
-        )
+        fleet = sink = VectorFleet(**plane, count_arrivals=scenario.count_arrivals)
         admission = None
     source = WorkloadSource(
         engine=engine,
@@ -135,14 +131,13 @@ class DESBackend(ExecutionBackend):
     """Event-per-request execution of one replication."""
 
     name = "des"
-    #: Arrival-block bound of the batched plane; ``None`` wires the
-    #: event-per-request plane (see :func:`build_context`).
-    max_block: Optional[int] = None
+    #: Whether :func:`build_context` wires the batched data plane.
+    vectorized = False
 
     def build(self, run: RunState) -> None:
         scenario, tracer = run.scenario, run.tracer
         ctx = run.ctx = build_context(
-            scenario, run.seed, run.balancer, tracer=tracer, max_block=self.max_block
+            scenario, run.seed, run.balancer, tracer=tracer, vectorized=self.vectorized
         )
         run.policy.attach(ctx)
         # Economics is strictly opt-in: an unpriced run has no ledger

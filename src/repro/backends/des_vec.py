@@ -8,7 +8,7 @@ per-request hot loop replaced by the structure-of-arrays data plane
 control-plane epochs — analyzer alerts, Algorithm-1 decisions, VM
 boots, monitor samples — where the unchanged
 :mod:`repro.core.controlplane` machinery takes over; between epochs,
-whole arrival blocks move through numpy kernels.
+each span of arrivals moves through numpy kernels.
 
 The control trajectory is bit-identical to the scalar DES (the
 ``tests/test_batch_engine.py`` cross-checks), and on jitterless
@@ -31,27 +31,16 @@ class DESVecBackend(DESBackend):
     """Batched structure-of-arrays execution of one replication.
 
     Wires the data plane through :func:`~repro.backends.des.build_context`
-    with a block bound, so the fleet is a
+    with ``vectorized=True``, so the fleet is a
     :class:`~repro.cloud.vecfleet.VectorFleet`; everything else —
     policy, ledger, telemetry, metrics — is the scalar backend's.
     Traced runs additionally emit one ``batch.span`` summary per
     non-empty epoch span, and the telemetry registry additionally
     reports spans and flushed requests.
-
-    Parameters
-    ----------
-    max_block:
-        Upper bound on one arrival block (a memory/latency knob; the
-        results are provably block-size invariant).
     """
 
     name = "des-vec"
-
-    def __init__(self, max_block: int = 65_536) -> None:
-        self.max_block = int(max_block)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"DESVecBackend(max_block={self.max_block!r})"
+    vectorized = True
 
     def drive(self, run: RunState) -> None:
         engine, plane, horizon = run.ctx.engine, run.ctx.fleet, run.scenario.horizon

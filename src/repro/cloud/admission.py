@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..obs.bus import narrowed
 from .fleet import ApplicationFleet
 from .monitor import Monitor
 
@@ -49,7 +50,14 @@ class AdmissionControl:
         the hot path is exactly the untraced code.
     """
 
-    __slots__ = ("_fleet", "_monitor", "_count_arrivals", "_tracer", "_accepting")
+    __slots__ = (
+        "_fleet",
+        "_monitor",
+        "_count_arrivals",
+        "_tracer",
+        "_request_tracer",
+        "_accepting",
+    )
 
     def __init__(
         self,
@@ -61,7 +69,8 @@ class AdmissionControl:
         self._fleet = fleet
         self._monitor = monitor
         self._count_arrivals = bool(count_arrivals)
-        self._tracer = tracer
+        self._tracer = narrowed(tracer, "admission.state")
+        self._request_tracer = narrowed(tracer, "request.admitted", "request.rejected")
         self._accepting: Optional[bool] = None
 
     def submit(self, arrival_time: float) -> bool:
@@ -72,12 +81,11 @@ class AdmissionControl:
         if self._count_arrivals:
             self._monitor.record_arrival()
         accepted = self._fleet.dispatch(arrival_time)
-        tracer = self._tracer
-        if tracer is not None:
-            if accepted is not self._accepting:
-                self._accepting = accepted
-                tracer.emit("admission.state", arrival_time, accepting=accepted)
-            tracer.emit(
+        if self._tracer is not None and accepted is not self._accepting:
+            self._accepting = accepted
+            self._tracer.emit("admission.state", arrival_time, accepting=accepted)
+        if self._request_tracer is not None:
+            self._request_tracer.emit(
                 "request.admitted" if accepted else "request.rejected", arrival_time
             )
         if accepted:

@@ -138,6 +138,12 @@ class ApplicationFleet:
         return self._active
 
     @property
+    def serving_instances(self) -> List[AppInstance]:
+        """The instances :attr:`serving_count` counts: active, then
+        booting (a fresh list)."""
+        return self._active + self._booting
+
+    @property
     def live_instances(self) -> List[AppInstance]:
         """Every non-destroyed instance (a fresh list)."""
         return self._active + self._booting + self._draining

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..metrics.collector import MetricsCollector
+from ..obs.bus import narrowed
 from ..sim.engine import Engine
 from ..sim.events import PRIORITY_LOW
 
@@ -82,7 +83,8 @@ class Monitor:
         self._tm = float(default_service_time)
         self._alpha = float(ewma_alpha)
         self._seen_completion = False
-        self._tracer = tracer
+        self._tracer = narrowed(tracer, "monitor.sample")
+        self._completion_tracer = narrowed(tracer, "request.completed")
         # -- arrival-rate sampling ------------------------------------
         self._rate_interval = rate_sample_interval
         self._arrivals_in_window = 0
@@ -105,8 +107,8 @@ class Monitor:
         else:
             self._tm = service_time
             self._seen_completion = True
-        if self._tracer is not None:
-            self._tracer.emit(
+        if self._completion_tracer is not None:
+            self._completion_tracer.emit(
                 "request.completed",
                 self._engine.now,
                 response_time=response_time,
@@ -169,16 +171,15 @@ class Monitor:
                 (1.0 - alpha) ** tail.size * self._tm
                 + alpha * float(np.dot(weights, tail))
             )
-        if self._tracer is not None:
+        tracer = self._completion_tracer
+        if tracer is not None:
             responses = np.asarray(response_times, dtype=np.float64)
             if completion_times is None:
                 completion_times = np.full(n, self._engine.now)
             for t, resp, svc in zip(
                 completion_times.tolist(), responses.tolist(), services.tolist()
             ):
-                self._tracer.emit(
-                    "request.completed", t, response_time=resp, service_time=svc
-                )
+                tracer.emit("request.completed", t, response_time=resp, service_time=svc)
 
     def record_acceptances(self, count: int) -> None:
         """Observe ``count`` admitted requests at once."""

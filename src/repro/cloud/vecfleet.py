@@ -12,44 +12,37 @@ Epoch model
 The ``des-vec`` backend drives the fleet with an *epoch loop*: before
 every engine event (control alerts, Algorithm-1 decisions, VM boots,
 monitor samples) it calls :meth:`advance` up to the event's timestamp.
-``advance`` consumes the pending arrival buffer of that *span* on one of
-two exact paths.
+``advance`` consumes the pending arrivals of that *span* on one of two
+exact paths.
 
-The **block path** consumes arrivals in *blocks*:
-
-1. drain completions up to the next arrival (:meth:`SoAQueues.drain`);
-2. if every active station is full, bulk-reject arrivals up to the
-   first completion (one ``searchsorted``);
-3. otherwise assign a block of arrivals cyclically over the non-full
-   stations in round-robin-pointer order, bounded by
-   :func:`~repro.sim.batch.safe_block_length` (no station overflows)
-   and by the first completion of a *full* station (the full set cannot
-   shrink mid-block) — exactly the conditions under which blocked
-   cyclic assignment reproduces the scalar balancer's pointer walk,
-   arrival by arrival.
+The **one-pass path** lays the span out as one cyclic round-robin
+dispatch from the balancer's pointer (:meth:`SoAQueues.assign
+<repro.sim.batch.SoAQueues.assign>`): every departure follows from one
+Lindley pass over the stations' FIFO orders, and one vectorised compare
+finds the first arrival that met a full station.  Before that arrival
+the pass is exactly the scalar balancer's pointer walk, so
+:meth:`~repro.sim.batch.SoAQueues.drain` commits that prefix — on a
+clean span, all of it, with the completions due by the span end.  The
+rest of a span that met a full station goes to the event path.
 
 The **event path** (:func:`~repro.sim.batch.event_span`) replays the
 span one arrival at a time over plain floats: a completion heap, a live
 count of full stations, bisection over all-full stretches, and the
-balancer's pointer walk.  Each block costs a few dozen numpy calls, so
-the block path wins while blocks are long and collapses when a rejecting
-fleet cuts them to a few arrivals each; the event path costs a few
-microseconds per arrival whatever the load.  Each span runs on the path
-chosen from what the previous span observed — arrivals per block, or per
-block break on the event path — against
-:data:`EVENT_PATH_MAX_ARRIVALS_PER_BLOCK`.  Both paths apply the same
-float operations in the same per-station order, so the choice moves
-time only (the path-invariance property in
+balancer's pointer walk.  The one pass costs about eighty numpy calls
+whatever the span's length; the event path a few microseconds per
+arrival whatever the load.  A span runs straight on the event path when
+the previous span with arrivals met a full station (a saturated fleet
+keeps doing so), and on the one-pass path otherwise.  Both paths apply
+the same float operations in the same per-station order, so the choice
+moves time only (the path-invariance property in
 ``tests/test_batch_engine.py``).
 
 Statistics are flushed once per ``advance`` span: completions are
-merged across drain waves, sorted by departure time, and recorded
-through the monitor/metrics *bulk* interfaces, whose arithmetic is
-documented (and tested) to be exact for the jitterless cross-check
-scenarios.  Because span boundaries are engine events — never block
-boundaries — every recorded quantity is invariant to the block size
-and to the span path (hypothesis properties in
-``tests/test_batch_engine.py``).
+sorted by departure time and recorded through the monitor/metrics
+*bulk* interfaces, whose arithmetic is documented (and tested) to be
+exact for the jitterless cross-check scenarios.  Because span
+boundaries are engine events, every recorded quantity is invariant to
+the span path (hypothesis properties in ``tests/test_batch_engine.py``).
 
 Fidelity to the scalar fleet, and the two documented deviations:
 
@@ -64,13 +57,14 @@ Fidelity to the scalar fleet, and the two documented deviations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError, PlacementError
 from ..metrics.collector import MetricsCollector
-from ..sim.batch import SoAQueues, event_span, safe_block_length
+from ..obs.bus import narrowed
+from ..sim.batch import EventSpan, SoAQueues, event_span, one_pass_span
 from ..sim.engine import Engine
 from ..workloads.base import ServiceTimeSampler
 from .datacenter import Datacenter
@@ -80,26 +74,12 @@ from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec
 
 __all__ = ["VectorFleet"]
 
-#: Arrivals per block (per block break on the event path) in the
-#: previous span below which the next span runs on the event-granular
-#: path.  Measured per span on one 2-core x86 host: an assign/drain
-#: block costs ~80 µs of numpy dispatch and an arrival on the event path
-#: 2-5 µs, so the paths cost the same at ~25 arrivals per block on the
-#: saturated Static-75 web day @1/400 and at ~40 on the adaptive web day
-#: @1/100.  The threshold sits well below that crossover: saturated
-#: spans run 1-3 arrivals per block and gain 8-10x, while spans near the
-#: crossover gain little and would pay the event path's per-span read
-#: and write of every live station (~0.3 ms at 150 stations).
-EVENT_PATH_MAX_ARRIVALS_PER_BLOCK = 10
-
-
 class VectorFleet:
     """Array-backed instance fleet satisfying the FleetActuator protocol.
 
     Parameters mirror :class:`~repro.cloud.fleet.ApplicationFleet`;
-    additionally ``max_block`` caps the arrival-block size (purely a
-    memory/latency knob — results are block-size invariant) and
-    ``count_arrivals`` enables the monitor's arrival-rate counter.
+    additionally ``count_arrivals`` enables the monitor's arrival-rate
+    counter.
 
     Only round-robin dispatch is implemented: a ``balancer`` argument
     must be ``None`` or a :class:`RoundRobinBalancer` (other strategies
@@ -118,7 +98,6 @@ class VectorFleet:
         vm_spec: VMSpec = DEFAULT_VM_SPEC,
         boot_delay: float = 0.0,
         tracer: Optional[object] = None,
-        max_block: int = 65_536,
         count_arrivals: bool = False,
     ) -> None:
         if capacity < 1:
@@ -130,8 +109,6 @@ class VectorFleet:
                 "the vectorized fleet implements round-robin dispatch only; "
                 f"use backend='des' for {type(balancer).__name__}"
             )
-        if max_block < 1:
-            raise ConfigurationError(f"max_block must be >= 1, got {max_block}")
         self._engine = engine
         self._datacenter = datacenter
         self._sampler = sampler
@@ -141,7 +118,7 @@ class VectorFleet:
         self.vm_spec = vm_spec
         self.boot_delay = float(boot_delay)
         self._tracer = tracer
-        self._max_block = int(max_block)
+        self._request_tracer = narrowed(tracer, "request.admitted", "request.rejected")
         self._count_arrivals = bool(count_arrivals)
         self._last_span_t = 0.0
         # -- station state ---------------------------------------------
@@ -151,17 +128,12 @@ class VectorFleet:
         self._booting: List[int] = []
         self._draining: List[int] = []
         self._active_idx = np.empty(0, dtype=np.intp)
-        self._live_idx = np.empty(0, dtype=np.intp)
+        self._draining_idx = np.empty(0, dtype=np.intp)
         self._rr = 0
         # -- arrival buffer (the broker's sink) ------------------------
         self._times = np.empty(0)
         self._services = np.empty(0)
         self._pos = 0
-        # -- span accumulators (reset at every flush) ------------------
-        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._span_accepted = 0
-        self._span_rejected = 0
-        self._pending_destroy: List[Tuple[float, int]] = []
         self._accepting: Optional[bool] = None
         # -- span path (see _span) -------------------------------------
         self._event_path = False
@@ -202,9 +174,7 @@ class VectorFleet:
     @property
     def in_flight(self) -> int:
         """Admitted requests not yet completed across the fleet."""
-        live = self._live_idx
-        if live.size == 0:
-            return 0
+        live = np.concatenate((self._active_idx, self._draining_idx))
         return int(self._soa.occupancy(live).sum())
 
     # ------------------------------------------------------------------
@@ -334,7 +304,7 @@ class VectorFleet:
 
     def _refresh_index_cache(self) -> None:
         self._active_idx = np.array(self._active, dtype=np.intp)
-        self._live_idx = np.array(self._active + self._draining, dtype=np.intp)
+        self._draining_idx = np.array(self._draining, dtype=np.intp)
 
     # ------------------------------------------------------------------
     # arrival sink (the broker's window hand-off)
@@ -391,180 +361,66 @@ class VectorFleet:
         self._span(float(horizon), strict=False)
 
     def _span(self, t_end: float, strict: bool) -> None:
-        """Consume and drain one span, then flush it.
+        """Consume and drain one span, then post its effects.
 
-        The span runs on the path the previous span's load picked (see
-        the module docstring); its own arrivals per block pick the next.
-        Spans without arrivals say nothing about the load and keep the
-        current path.
+        The span runs on the path the previous span with arrivals
+        picked (see the module docstring); whether its own arrivals met
+        a full station picks the next.
         """
-        before = self._pos
         event_path = self._use_event_path()
-        if event_path:
-            blocks = self._consume_events(t_end, strict)
-        else:
-            blocks = self._consume_arrivals(t_end)
-            self._drain_until(t_end, strict=strict)
-        arrivals = self._pos - before
-        if arrivals:
-            self._event_path = arrivals < EVENT_PATH_MAX_ARRIVALS_PER_BLOCK * blocks
-        self._flush(t_end, event_path)
-
-    def _use_event_path(self) -> bool:
-        """Whether the next span runs on the event-granular path."""
-        return self._event_path
-
-    def _consume_events(self, t_end: float, strict: bool) -> int:
-        """The event-granular span path; returns its block breaks (see
-        :class:`~repro.sim.batch.EventSpan`)."""
-        times = self._times
-        i = self._pos
-        span = event_span(
+        start = self._pos
+        span = (event_span if event_path else one_pass_span)(
             self._soa,
-            self._active,
-            self._live_idx,
-            times,
+            self._active_idx,
+            self._draining_idx,
+            self._times,
             self._services,
-            i,
+            start,
             t_end,
             strict,
             self._rr,
         )
-        for lo, hi in span.rejected:
-            self._accept_block(times, i, lo)
-            self._reject_block(times, lo, hi)
-            i = hi
-        self._accept_block(times, i, span.stop)
-        if span.completions is not None:
-            self._chunks.append(span.completions)
-        self._pending_destroy.extend(span.emptied)
+        arrivals = span.stop - start
+        if arrivals:
+            self._event_path = span.clean < arrivals
         self._pos = span.stop
         self._rr = span.rr
-        return span.breaks
+        rejected = sum(hi - lo for lo, hi in span.rejected)
+        if self._tracer is not None:
+            i = start
+            for lo, hi in span.rejected:
+                self._trace_admissions(i, lo, True)
+                self._trace_admissions(lo, hi, False)
+                i = hi
+            self._trace_admissions(i, span.stop, True)
+        self._flush(t_end, event_path, arrivals, rejected, span)
 
-    def _consume_arrivals(self, t_end: float) -> int:
-        """Admit or reject every buffered arrival strictly before
-        ``t_end`` in blocks; returns the number of blocks."""
-        soa = self._soa
+    def _use_event_path(self) -> bool:
+        """Whether the next span runs straight on the event-granular path."""
+        return self._event_path
+
+    def _trace_admissions(self, i: int, j: int, admitted: bool) -> None:
+        """Trace the admission of buffered arrivals ``[i, j)`` (or their
+        rejection), with an ``admission.state`` event when the gate flips."""
+        if j <= i:
+            return
         times = self._times
-        services = self._services
-        i = self._pos
-        n = times.size
-        k = self.capacity
-        blocks = 0
-        while i < n and times[i] < t_end:
-            blocks += 1
-            t_arr = float(times[i])
-            self._drain_until(t_arr, strict=False)
-            act = self._active_idx
-            na = act.size
-            if na == 0:
-                j = int(np.searchsorted(times, t_end, side="left"))
-                self._reject_block(times, i, j)
-                i = j
-                continue
-            occ = soa.qlen[act] + (soa.svc_end[act] != np.inf)
-            open_mask = occ < k
-            if not open_mask.any():
-                # All full: the paper's rejection condition, in bulk up
-                # to the first slot-freeing completion.
-                t_free = float(soa.svc_end[act].min())
-                j = int(np.searchsorted(times, min(t_free, t_end), side="left"))
-                self._reject_block(times, i, j)
-                i = j
-                continue
-            # Cyclic station order from the round-robin pointer.
-            order = np.concatenate((np.arange(self._rr, na), np.arange(self._rr)))
-            order_open = order[open_mask[order]]
-            stations = act[order_open]
-            n_open = stations.size
-            l_safe = safe_block_length(occ[order_open], k)
-            if open_mask.all():
-                t_full = t_end
-            else:
-                t_full = float(soa.svc_end[act[~open_mask]].min())
-            j = int(np.searchsorted(times, min(t_full, t_end), side="left"))
-            j = min(j, i + l_safe, i + self._max_block)
-            block = j - i
-            for r in range(0, block, n_open):
-                c = min(n_open, block - r)
-                soa.assign(stations[:c], times[i + r : i + r + c], services[i + r : i + r + c])
-            self._accept_block(times, i, j)
-            self._rr = int((order_open[(block - 1) % n_open] + 1) % na)
-            i = j
-        self._pos = i
-        return blocks
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _drain_until(self, t: float, strict: bool) -> None:
-        live = self._live_idx
-        if live.size == 0:
-            return
-        waves = self._soa.drain(live, t, strict=strict)
-        if not waves:
-            return
-        draining = self._draining
-        soa = self._soa
-        # Graceful-drain completions: the emptied test runs against the
-        # *post-drain* state, so a draining station that completes
-        # several requests within the drain appears in every one of its
-        # waves.  Collapse to one entry per station, keyed on its last
-        # departure (the instant it actually emptied) — waves arrive in
-        # time order, so the dict keeps the latest.
-        drained_at: Dict[int, float] = {}
-        for done, dep, arr, svc in waves:
-            self._chunks.append((dep, arr, svc))
-            if draining:
-                dr_mask = np.isin(done, np.array(draining, dtype=np.intp))
-                if dr_mask.any():
-                    cand = done[dr_mask]
-                    emptied = soa.svc_end[cand] == np.inf
-                    for idx, t_done in zip(
-                        cand[emptied].tolist(), dep[dr_mask][emptied].tolist()
-                    ):
-                        drained_at[idx] = t_done
-        for idx, t_done in drained_at.items():
-            self._pending_destroy.append((t_done, idx))
-
-    def _accept_block(self, times: np.ndarray, i: int, j: int) -> None:
-        count = j - i
-        if count <= 0:
-            return
-        self._span_accepted += count
-        tracer = self._tracer
-        if tracer is not None:
-            if self._accepting is not True:
-                self._accepting = True
-                tracer.emit("admission.state", float(times[i]), accepting=True)
+        if self._accepting is not admitted:
+            self._accepting = admitted
+            self._tracer.emit("admission.state", float(times[i]), accepting=admitted)
+        requests = self._request_tracer
+        if requests is not None:
+            kind = "request.admitted" if admitted else "request.rejected"
             for t in times[i:j].tolist():
-                tracer.emit("request.admitted", t)
+                requests.emit(kind, t)
 
-    def _reject_block(self, times: np.ndarray, i: int, j: int) -> None:
-        count = j - i
-        if count <= 0:
-            return
-        self._span_rejected += count
-        tracer = self._tracer
-        if tracer is not None:
-            if self._accepting is not False:
-                self._accepting = False
-                tracer.emit("admission.state", float(times[i]), accepting=False)
-            for t in times[i:j].tolist():
-                tracer.emit("request.rejected", t)
-
-    def _flush(self, t_end: float, event_path: bool) -> None:
-        """Post the span's accumulated effects in deterministic order."""
+    def _flush(
+        self, t_end: float, event_path: bool, arrivals: int, rejected: int, span: EventSpan
+    ) -> None:
+        """Post one span's effects in deterministic order."""
         completions = 0
-        chunks = self._chunks
-        if chunks:
-            if len(chunks) == 1:
-                dep, arr, svc = chunks[0]
-            else:
-                dep = np.concatenate([c[0] for c in chunks])
-                arr = np.concatenate([c[1] for c in chunks])
-                svc = np.concatenate([c[2] for c in chunks])
+        if span.completions is not None:
+            dep, arr, svc = span.completions
             order = np.lexsort((arr, dep))
             dep = dep[order]
             arr = arr[order]
@@ -572,32 +428,27 @@ class VectorFleet:
             completions = int(dep.size)
             self.completions_processed += completions
             self._monitor.record_responses(dep - arr, svc, dep)
-            self._chunks = []
-        accepted = self._span_accepted
-        rejected = self._span_rejected
-        if accepted or rejected:
-            self.arrivals_processed += accepted + rejected
+        accepted = arrivals - rejected
+        if arrivals:
+            self.arrivals_processed += arrivals
             if self._count_arrivals:
-                self._monitor.record_arrivals(accepted + rejected)
+                self._monitor.record_arrivals(arrivals)
             if accepted:
                 self._monitor.record_acceptances(accepted)
             if rejected:
                 self._monitor.record_rejections(rejected)
-            self._span_accepted = 0
-            self._span_rejected = 0
-        if self._pending_destroy:
-            for t_done, idx in sorted(self._pending_destroy):
+        if span.emptied:
+            for t_done, idx in sorted(span.emptied):
                 self._draining.remove(idx)
                 self._destroy(idx, t_done, "drained")
                 self._metrics.record_fleet_size(t_done, self.live_count)
-            self._pending_destroy = []
             self._refresh_index_cache()
-        if accepted or rejected or completions:
+        if arrivals or completions:
             if self._tracer is not None:
                 self._tracer.emit(
                     "batch.span",
                     t_end,
-                    arrivals=accepted + rejected,
+                    arrivals=arrivals,
                     completions=completions,
                     rejected=rejected,
                     stations=len(self._active),

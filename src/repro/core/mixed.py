@@ -45,7 +45,8 @@ __all__ = ["MixedFleetActuator", "MixedFleetPolicy"]
 
 class MixedFleetActuator:
     """Packs a core requirement into two VM classes; ``serving_count``
-    and :meth:`scale_to` speak total cores over the active instances."""
+    and :meth:`scale_to` speak total cores over the serving instances
+    (active and still booting, as the fleet's own ``serving_count``)."""
 
     def __init__(
         self,
@@ -84,21 +85,24 @@ class MixedFleetActuator:
 
     @property
     def serving_count(self) -> int:
-        """Σ cores over the active instances."""
-        return sum(inst.vm.allocated_cores for inst in self._fleet.active_instances)
+        """Σ cores over the serving instances."""
+        return sum(inst.vm.allocated_cores for inst in self._fleet.serving_instances)
 
     def average_speed(self) -> float:
-        """Mean cores per active instance (1 with none active)."""
-        active = len(self._fleet.active_instances)
-        return (self.serving_count / active) if active else 1.0
+        """Mean cores per active instance, the ones whose completions the
+        monitor observes (1 with none active)."""
+        active = self._fleet.active_instances
+        if not active:
+            return 1.0
+        return sum(inst.vm.allocated_cores for inst in active) / len(active)
 
     def scale_to(self, target: int) -> int:
         """Re-plan the class mix for ``target`` cores; return the cores
-        the active instances reached."""
+        the serving instances reached."""
         want_large, want_small = self.plan(target)
         fleet = self._fleet
         small, large = [], []
-        for inst in fleet.active_instances:
+        for inst in fleet.serving_instances:
             (large if inst.vm.allocated_cores > 1 else small).append(inst)
         # Grow/shrink the large class first (bulk capacity).
         for _ in range(max(0, want_large - len(large))):

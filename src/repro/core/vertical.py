@@ -73,8 +73,9 @@ class VerticalModeler(PerformanceModeler):
 
 class VerticalActuator:
     """A fixed fleet of ``instances`` VMs, deployed when built and then
-    resized in cores per instance.  A full host refuses a resize, so the
-    speed reached is the slowest active instance's."""
+    resized in cores per instance, booting ones included.  A full host
+    refuses a resize, so the speed reached is the slowest serving
+    instance's."""
 
     def __init__(self, fleet: ApplicationFleet, instances: int) -> None:
         reached = fleet.scale_to(instances)
@@ -86,13 +87,13 @@ class VerticalActuator:
 
     @property
     def serving_count(self) -> int:
-        """Cores of the slowest active instance (1 with none active)."""
-        return int(min((inst.speed for inst in self.fleet.active_instances), default=1.0))
+        """Cores of the slowest serving instance (1 with none serving)."""
+        return int(min((inst.speed for inst in self.fleet.serving_instances), default=1.0))
 
     def scale_to(self, target: int) -> int:
-        """Resize every active instance to ``target`` cores; return the
+        """Resize every serving instance to ``target`` cores; return the
         cores the slowest one runs at."""
-        for inst in self.fleet.active_instances:
+        for inst in self.fleet.serving_instances:
             self.fleet.set_speed(inst, target)
         return self.serving_count
 

@@ -96,9 +96,11 @@ def fig3_data(bin_width: float = 3600.0, seed: int = 0, sampled: bool = False) -
     """Figure 3 — average requests/s over one week (web workload).
 
     By default returns the exact Eq.-2 model curve; with
-    ``sampled=True`` it also generates one realized week (at full paper
-    scale this is ≈ 500 M arrivals' worth of 60-s interval counts —
-    realized per interval, not per request, so it stays cheap).
+    ``sampled=True`` it also realizes one week of 60-s interval counts
+    (≈ 500 M arrivals at full paper scale).  Only the counts are drawn
+    (:meth:`~repro.workloads.web.WebWorkload.window_count`), with the
+    stream advanced as if every arrival time had been, so the rates are
+    those of the full realization.
     """
     web = WebWorkload()
     grid = np.arange(0.0, SECONDS_PER_WEEK, bin_width)
@@ -109,8 +111,7 @@ def fig3_data(bin_width: float = 3600.0, seed: int = 0, sampled: bool = False) -
         realized = []
         t = 0.0
         while t < SECONDS_PER_WEEK:
-            n = web.sample_window(rng, t).size
-            realized.append(n / web.window)
+            realized.append(web.window_count(rng, t) / web.window)
             t += web.window
         realized_arr = np.asarray(realized)
         # Downsample realized 60-s rates onto the requested bins.

@@ -41,6 +41,7 @@ __all__ = [
     "JsonlSink",
     "NullSink",
     "TraceConfig",
+    "narrowed",
 ]
 
 
@@ -152,6 +153,10 @@ class TraceBus:
         #: Events rejected by the type filter.
         self.dropped = 0
 
+    def accepts(self, event_type: str) -> bool:
+        """Whether the type filter lets ``event_type`` through."""
+        return self._accept is None or event_type in self._accept
+
     def emit(self, event_type: str, t: float, **fields: object) -> None:
         """Record one event at simulation time ``t``."""
         accept = self._accept
@@ -186,6 +191,23 @@ class TraceBus:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TraceBus emitted={self.emitted} dropped={self.dropped} sink={type(self.sink).__name__}>"
+
+
+def narrowed(tracer: Optional[object], *event_types: str) -> Optional[object]:
+    """``tracer`` if it records any of ``event_types``, else ``None``.
+
+    Components resolve the type filter once, when they are wired, for
+    the events of each emission site: a site whose types are all
+    filtered out then costs the untraced ``is None`` check instead of
+    one filtered :meth:`TraceBus.emit` call per event.  A tracer
+    without an ``accepts`` method records everything.
+    """
+    if tracer is None:
+        return None
+    accepts = getattr(tracer, "accepts", None)
+    if accepts is None or any(accepts(t) for t in event_types):
+        return tracer
+    return None
 
 
 def _filename_component(label: str) -> str:

@@ -15,7 +15,6 @@ from .batch import (
     fifo_departures,
     fifo_departures_grouped,
     round_robin_departures,
-    safe_block_length,
 )
 from .calendar import (
     DAY_NAMES,
@@ -41,7 +40,6 @@ __all__ = [
     "fifo_departures",
     "fifo_departures_grouped",
     "round_robin_departures",
-    "safe_block_length",
     "PRIORITY_HIGH",
     "PRIORITY_NORMAL",
     "PRIORITY_LOW",

@@ -5,9 +5,9 @@ completion — ~2.8 M events/s on a 1-core Xeon, which is what kept
 the full-scale (scale ≥ 1 M) cells of ``campaigns/paper.toml`` on the
 fluid twin.  This module is the array core of the ``des-vec`` backend:
 per-instance queue state lives in flat numpy arrays (a *structure of
-arrays*), whole arrival blocks are admitted with fancy-indexed writes,
-and service completions are computed with the Lindley recursion instead
-of one heap round-trip each.
+arrays*), the arrivals between two engine events are dispatched in one
+pass, and service completions are computed with the Lindley recursion
+instead of one heap round-trip each.
 
 The kernel knows nothing about VMs, monitors, or control planes — it is
 plain queueing arithmetic over ``(svc_end, queue, qlen)`` state.  The
@@ -23,20 +23,19 @@ Exactness invariants (documented in ``docs/performance.md``):
   ``max(previous departure, its arrival)``, so departure times are
   independent of *when* the kernel materializes them.  Splitting a
   span at any point and recomputing yields bitwise-identical departures.
-* **Bounded drain waves** — completing the head of every station and
-  promoting its queue head converges in at most ``capacity`` waves,
-  because chained work only comes from the ≤ ``capacity − 1`` deep
-  queue.
-* **Safe block length** — :func:`safe_block_length` bounds a cyclic
-  round-robin block so no station ever exceeds its capacity, which is
-  exactly the condition under which blocked assignment reproduces the
-  scalar balancer's pointer walk (see ``VectorFleet``).
+* **One cyclic pass** — while no arrival finds its station full, the
+  round-robin balancer's pointer walk *is* cyclic dispatch, and an
+  arrival finds its station full iff the request ``capacity`` places
+  ahead of it on that station departs after it arrives.
+  :meth:`SoAQueues.assign` lays a whole span out cyclically and checks
+  that with one vectorised compare; :meth:`SoAQueues.drain` commits the
+  prefix before the first full station.
 * **One arithmetic, two granularities** — :func:`event_span` replays a
   span arrival by arrival over plain floats with the very operations
-  :meth:`SoAQueues.assign` / :meth:`SoAQueues.drain` apply to arrays
-  (``arr + svc/speed`` at an idle start, ``max(dep, head_arr) +
-  head_svc/speed`` at a promotion), so the block and event paths leave
-  bitwise-identical departures behind.
+  the one-pass kernel applies to arrays (``arr + svc/speed`` at an idle
+  start, ``max(dep, head_arr) + head_svc/speed`` behind a busy one), so
+  the two leave bitwise-identical departures behind and a span may be
+  handed from one to the other at any arrival.
 """
 
 from __future__ import annotations
@@ -53,16 +52,13 @@ from ..errors import ConfigurationError
 __all__ = [
     "EventSpan",
     "SoAQueues",
+    "SpanPlan",
     "event_span",
+    "one_pass_span",
     "fifo_departures",
     "fifo_departures_grouped",
     "round_robin_departures",
-    "safe_block_length",
 ]
-
-#: A drain wave: (stations, departure_times, arrival_times,
-#: effective_service_times) of the requests completed in the wave.
-Wave = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def fifo_departures(
@@ -164,25 +160,36 @@ def round_robin_departures(
     return dep.T.ravel()[:n]
 
 
-def safe_block_length(occupancies: np.ndarray, capacity: int) -> int:
-    """Longest cyclic round-robin block that cannot overflow any station.
+class SpanPlan(NamedTuple):
+    """One span laid out by :meth:`SoAQueues.assign`.
 
-    Station ``q`` (0-based position in the dispatch cycle) receives
-    arrivals ``q, q + n, q + 2n, …`` of the block; with ``occupancies[q]``
-    requests already on board it can take ``capacity − occupancies[q]``
-    more, i.e. the block must stop at or before index
-    ``q + (capacity − occupancies[q])·n``.  The minimum over stations is
-    the longest provably safe block.  Occupancies may only *decrease*
-    during the block (completions), so the bound computed from a
-    snapshot is conservative — and therefore exact for admission: every
-    arrival in the block lands on a station that is not full at its
-    assignment instant.
+    The matrices are ``(places, stations)``: column ``c`` is station
+    ``stations[c]``'s FIFO order.  Places ``[first[c], capacity)`` hold
+    the requests already on board, in-service one first; place
+    ``capacity + r`` holds the station's arrival of dispatch round
+    ``r``.  Padding is NaN before a station's requests and ``inf``
+    after them (``raw = eff = 0``), so the admitted requests are
+    exactly the finite ``dep`` entries.
     """
-    occ = np.asarray(occupancies)
-    n = occ.size
-    if n == 0:
-        return 0
-    return int(np.min(np.arange(n) + (capacity - occ) * n))
+
+    #: Station slots: the dispatch stations in dispatch order, then the
+    #: drain-only ones.
+    stations: np.ndarray
+    #: How many leading ``stations`` take arrivals.
+    na: int
+    #: Place of each station's first request on board.
+    first: np.ndarray
+    #: Arrival times.
+    arr: np.ndarray
+    #: Raw service draws (what a queue slot stores).
+    raw: np.ndarray
+    #: Effective service times: ``raw / speed``, or ``cur_svc`` in service.
+    eff: np.ndarray
+    #: Departure times.
+    dep: np.ndarray
+    #: Leading arrivals that found their station not full; the later
+    #: ones depart at ``inf`` (not admitted).
+    clean: int
 
 
 class SoAQueues:
@@ -196,9 +203,11 @@ class SoAQueues:
       (``inf`` when idle);
     * ``cur_arr[i]`` / ``cur_svc[i]`` — arrival and *effective* service
       time of the in-service request;
-    * ``q_arr[i]`` / ``q_svc[i]`` / ``qlen[i]`` — the waiting queue
-      (service times stored *raw*; divided by ``speed`` at service
-      start, matching the scalar instance's semantics);
+    * ``q_arr[i]`` / ``q_svc[i]`` / ``qlen[i]`` — the waiting queue,
+      right-aligned: its ``qlen`` requests fill the last slots of the
+      row and the slots before hold NaN / ``0.0`` (service times stored
+      *raw*; divided by ``speed`` at service start, matching the scalar
+      instance's semantics);
     * ``speed[i]`` — linear service speedup factor.
 
     Slots are allocated monotonically (:meth:`alloc`) so the slot index
@@ -229,7 +238,7 @@ class SoAQueues:
         self.cur_svc = np.zeros(n)
         self.speed = np.ones(n)
         self.qlen = np.zeros(n, dtype=np.intp)
-        self.q_arr = np.zeros((n, width))
+        self.q_arr = np.full((n, width), np.nan)
         self.q_svc = np.zeros((n, width))
         self.allocated = 0
 
@@ -255,7 +264,7 @@ class SoAQueues:
         self.speed = np.concatenate((self.speed, np.ones(n)))
         self.qlen = np.concatenate((self.qlen, np.zeros(n, dtype=np.intp)))
         width = self.q_arr.shape[1]
-        self.q_arr = np.concatenate((self.q_arr, np.zeros((n, width))))
+        self.q_arr = np.concatenate((self.q_arr, np.full((n, width), np.nan)))
         self.q_svc = np.concatenate((self.q_svc, np.zeros((n, width))))
 
     def clear(self, idx: int) -> int:
@@ -263,6 +272,8 @@ class SoAQueues:
         released = int(self.qlen[idx]) + int(self.svc_end[idx] != np.inf)
         self.svc_end[idx] = np.inf
         self.qlen[idx] = 0
+        self.q_arr[idx] = np.nan
+        self.q_svc[idx] = 0.0
         return released
 
     # ------------------------------------------------------------------
@@ -273,75 +284,121 @@ class SoAQueues:
         return self.qlen[stations] + (self.svc_end[stations] != np.inf)
 
     # ------------------------------------------------------------------
-    # hot-path kernels
+    # the one-pass span kernel
     # ------------------------------------------------------------------
     def assign(
-        self, stations: np.ndarray, arrivals: np.ndarray, services: np.ndarray
-    ) -> None:
-        """One dispatch round: station ``i`` accepts request ``i``.
+        self, stations: np.ndarray, na: int, arrivals: np.ndarray, services: np.ndarray
+    ) -> SpanPlan:
+        """Lay a span out as one cyclic round-robin dispatch.
 
-        ``stations`` must be distinct, non-full slots; ``services`` are
-        raw draws (speed division happens at service start).  Idle
-        stations start serving immediately; busy ones append to their
-        queue with two fancy-indexed writes.
+        Arrival ``j`` goes to ``stations[j % na]``, behind the requests
+        already on board that station; stations past the first ``na``
+        take no arrivals, only complete.  Every departure follows from
+        the Lindley recursion ``max(previous departure, arrival) +
+        raw/speed``, one place of the FIFO order at a time across all
+        stations; the in-service request keeps its ``svc_end``.
+        Nothing is written back: :meth:`drain` commits the plan.
+
+        An arrival found its station full iff the request ``capacity``
+        places ahead of it on that station departs after it arrives;
+        :attr:`SpanPlan.clean` counts the arrivals before the first such
+        one, the prefix a round-robin balancer dispatches exactly so.
+        ``services`` are raw draws.
         """
-        busy = self.svc_end[stations] != np.inf
-        idle_t = stations[~busy]
-        if idle_t.size:
-            arr = arrivals[~busy]
-            eff = services[~busy] / self.speed[idle_t]
-            self.cur_arr[idle_t] = arr
-            self.cur_svc[idle_t] = eff
-            self.svc_end[idle_t] = arr + eff
-        busy_t = stations[busy]
-        if busy_t.size:
-            slot = self.qlen[busy_t]
-            if int(slot.max()) >= self.capacity - 1:
-                raise ConfigurationError(
-                    "assign() would overflow a full station; "
-                    "cap blocks with safe_block_length()"
-                )
-            self.q_arr[busy_t, slot] = arrivals[busy]
-            self.q_svc[busy_t, slot] = services[busy]
-            self.qlen[busy_t] = slot + 1
+        ns, m, k = stations.size, arrivals.size, self.capacity
+        rounds = -(-m // na) if na else 0
+        end = self.svc_end[stations]
+        qlen = self.qlen[stations]
+        busy = np.flatnonzero(end != np.inf)
+        first = k - qlen
+        first[busy] -= 1
+        # Places [first, k) hold the requests on board: the in-service
+        # one as arrival svc_end with no work (so its departure is
+        # svc_end exactly), then the queue.  Earlier places are NaN
+        # padding, which fmax skips and no comparison counts.
+        arr = np.full((k + rounds, ns), np.nan)
+        raw = np.zeros((k + rounds, ns))
+        if k > 1:
+            arr[1:k] = self.q_arr[stations].T
+            raw[1:k] = self.q_svc[stations].T
+        head = first[busy] * ns + busy
+        arr.put(head, end[busy])
+        if rounds:
+            arr[k:] = np.inf
+            block = np.full(rounds * na, np.inf)
+            block[:m] = arrivals
+            arr[k:, :na] = block.reshape(rounds, na)
+            block[:m] = services
+            raw[k:, :na] = block.reshape(rounds, na)
+        eff = raw / self.speed[stations]
+        dep = arr + eff
+        prev = dep[0]
+        for d, a, e in zip(dep[1:], arr[1:], eff[1:]):
+            np.fmax(prev, a, out=d)
+            d += e
+            prev = d
+        on = stations[busy]
+        arr.put(head, self.cur_arr[on])
+        eff.put(head, self.cur_svc[on])
+        clean = m if na else 0
+        if rounds:
+            full = (dep[:rounds] > arr[k:]).ravel()
+            at = int(full.argmax())
+            if full[at]:
+                r, c = divmod(at, ns)
+                clean = r * na + c
+                # Arrivals from the first full station on stay out.
+                dep[k + r, c:na] = np.inf
+                dep[k + r + 1 :] = np.inf
+        return SpanPlan(stations, na, first, arr, raw, eff, dep, clean)
 
-    def drain(self, stations: np.ndarray, t: float, strict: bool = False) -> List[Wave]:
-        """Complete everything due by ``t`` across ``stations``.
+    def drain(
+        self, plan: SpanPlan, t: float, strict: bool = False
+    ) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], List[Tuple[float, int]]]:
+        """Commit ``plan``'s clean prefix, completing what is due by ``t``.
 
-        Repeats waves of "finish the in-service request, promote the
-        queue head" until nothing is due; a promoted request starts at
-        ``max(completion, its arrival)`` (Lindley), so results do not
-        depend on how often the caller drains.  ``strict`` excludes
-        completions at exactly ``t`` — used at control-plane epochs,
-        where the scalar engine fires same-instant completions *after*
-        the high-priority control event.
+        The requests on board plus the first ``plan.clean`` arrivals are
+        admitted; those departing by ``t`` (before ``t`` when ``strict``
+        — at control epochs the scalar engine fires same-instant
+        completions *after* the control event) complete, and the rest
+        become each station's in-service request and queue.
 
-        Returns the waves; the caller flattens and sorts them for
-        deterministic downstream accounting.
+        Returns ``(completions, emptied)`` as :class:`EventSpan` does:
+        ``(departures, arrivals, effective_services)`` of the completed
+        requests (``None`` when none), and ``(departure, station)`` of
+        every drain-only station that emptied.
         """
-        waves: List[Wave] = []
-        while True:
-            ends = self.svc_end[stations]
-            due = (ends < t) if strict else (ends <= t)
-            if not due.any():
-                return waves
-            done = stations[due]
-            dep = ends[due]
-            waves.append((done, dep, self.cur_arr[done], self.cur_svc[done]))
-            queued = self.qlen[done] > 0
-            nxt = done[queued]
-            if nxt.size:
-                head_arr = self.q_arr[nxt, 0]
-                head_svc = self.q_svc[nxt, 0] / self.speed[nxt]
-                self.cur_arr[nxt] = head_arr
-                self.cur_svc[nxt] = head_svc
-                self.svc_end[nxt] = np.maximum(dep[queued], head_arr) + head_svc
-                self.q_arr[nxt, :-1] = self.q_arr[nxt, 1:]
-                self.q_svc[nxt, :-1] = self.q_svc[nxt, 1:]
-                self.qlen[nxt] -= 1
-            idle = done[~queued]
-            if idle.size:
-                self.svc_end[idle] = np.inf
+        stations, na, first, arr, raw, eff, dep, _ = plan
+        k, ns = self.capacity, stations.size
+        done = (dep < t) if strict else (dep <= t)
+        n_done = done.sum(axis=0)
+        head = first + n_done
+        # One past each station's last admitted request.
+        end = first + np.isfinite(dep).sum(axis=0)
+        left = end - head
+        on = np.flatnonzero(left)
+        at = head[on] * ns + on
+        busy = stations[on]
+        self.svc_end[stations] = np.inf
+        self.svc_end[busy] = dep.take(at)
+        self.cur_arr[busy] = arr.take(at)
+        self.cur_svc[busy] = eff.take(at)
+        self.qlen[stations] = np.maximum(left - 1, 0)
+        if k > 1:
+            # The queue is places (head, end), right-aligned.
+            places = end + np.arange(1 - k, 0)[:, None]
+            queued = places > head
+            at = places * ns + np.arange(ns)
+            self.q_arr[stations] = np.where(queued, arr.take(at), np.nan).T
+            self.q_svc[stations] = np.where(queued, raw.take(at), 0.0).T
+        completions = None
+        if done.any():
+            completions = (dep[done], arr[done], eff[done])
+        emptied: List[Tuple[float, int]] = []
+        if na < stations.size:
+            gone = np.flatnonzero((left[na:] == 0) & (n_done[na:] > 0)) + na
+            emptied = [(float(dep[k - 1, c]), int(stations[c])) for c in gone.tolist()]
+        return completions, emptied
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -365,16 +422,15 @@ class EventSpan(NamedTuple):
     completions: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     #: ``(departure, station)`` of every drain-only station that emptied.
     emptied: List[Tuple[float, int]]
-    #: Arrivals that found a dispatch station freed from full since the
-    #: previous arrival, plus rejection runs: the events that end a
-    #: block on the block path.
-    breaks: int
+    #: Leading arrivals that went straight to the pointer's station:
+    #: the prefix of the span a cyclic one-pass dispatch places.
+    clean: int
 
 
 def event_span(
     soa: SoAQueues,
     dispatch: Sequence[int],
-    drain_set: Sequence[int],
+    drain_only: Sequence[int],
     times: np.ndarray,
     services: np.ndarray,
     start: int,
@@ -384,9 +440,9 @@ def event_span(
 ) -> EventSpan:
     """Admit ``times[start:]`` up to ``t_end`` one arrival at a time.
 
-    The event-granular twin of blocked assign/drain waves, for spans
-    where blocks would hold only a few arrivals each.  The state of the
-    ``drain_set`` stations is read into plain Python floats once, a
+    The event-granular twin of the one-pass kernel, for spans where
+    arrivals find full stations.  The state of the ``dispatch`` and
+    ``drain_only`` stations is read into plain Python floats once, a
     heap of ``(svc_end, position)`` completes what is due before each
     arrival, and the state is written back once at the end:
 
@@ -397,25 +453,24 @@ def event_span(
       is O(1)) arrivals are rejected in bulk up to the next completion
       with one bisection;
     * completions are those with ``svc_end <= t_end`` — ``< t_end``
-      when ``strict`` — and stations of ``drain_set`` outside
-      ``dispatch`` only complete, never admit.
+      when ``strict`` — and ``drain_only`` stations only complete,
+      never admit.
 
-    ``dispatch`` must be a subset of ``drain_set``; ``services`` are
-    raw draws, divided by the station speed at service start.
+    ``services`` are raw draws, divided by the station speed at service
+    start.
     """
     k = soa.capacity
     na = len(dispatch)
-    in_dispatch = set(dispatch)
-    stations = list(dispatch) + [int(s) for s in drain_set if s not in in_dispatch]
-    idx = np.array(stations, dtype=np.intp)
+    idx = np.concatenate((dispatch, drain_only)).astype(np.intp, copy=False)
+    stations = idx.tolist()
     inf = math.inf
     end = soa.svc_end[idx].tolist()
     cur_arr = soa.cur_arr[idx].tolist()
     cur_svc = soa.cur_svc[idx].tolist()
     speed = soa.speed[idx].tolist()
     qlen = soa.qlen[idx].tolist()
-    qa = [row[:n] for row, n in zip(soa.q_arr[idx].tolist(), qlen)]
-    qs = [row[:n] for row, n in zip(soa.q_svc[idx].tolist(), qlen)]
+    qa = [row[len(row) - n :] for row, n in zip(soa.q_arr[idx].tolist(), qlen)]
+    qs = [row[len(row) - n :] for row, n in zip(soa.q_svc[idx].tolist(), qlen)]
     occ = [n + (e != inf) for n, e in zip(qlen, end)]
     nfull = sum(o >= k for o in occ[:na])
     heap = [(e, p) for p, e in enumerate(end) if e != inf]
@@ -432,21 +487,16 @@ def event_span(
     push, pop = heappush, heappop
     emptied: List[Tuple[float, int]] = []
     rejected: List[Tuple[int, int]] = []
-    breaks = 0
-    freed_at = -1
+    clean = None
     i = 0
     while True:
         t = tl[i] if i < n else t_last
         while heap and heap[0][0] <= t:
             done, p = pop(heap)
             record((done, cur_arr[p], cur_svc[p]))
-            o = occ[p]
-            if o == k and p < na:
+            if occ[p] == k and p < na:
                 nfull -= 1
-                if freed_at != i:
-                    freed_at = i
-                    breaks += 1
-            occ[p] = o - 1
+            occ[p] -= 1
             q = qa[p]
             if q:
                 a = q.pop(0)
@@ -470,12 +520,16 @@ def event_span(
                 rejected[-1] = (rejected[-1][0], start + j)
             else:
                 rejected.append((start + i, start + j))
-                breaks += 1
+            if clean is None:
+                clean = i
             i = j
             continue
         p = rr
-        while occ[p] >= k:
-            p = p + 1 if p + 1 < na else 0
+        if occ[p] >= k:
+            if clean is None:
+                clean = i
+            while occ[p] >= k:
+                p = p + 1 if p + 1 < na else 0
         o = occ[p]
         if o == 0:
             s = sl[i] / speed[p]
@@ -500,8 +554,55 @@ def event_span(
         soa.cur_svc[idx] = cur_svc
         soa.qlen[idx] = [len(q) for q in qa]
         if k > 1:
-            pad = [0.0] * (k - 1)
-            soa.q_arr[idx] = [(q + pad)[: k - 1] for q in qa]
-            soa.q_svc[idx] = [(q + pad)[: k - 1] for q in qs]
+            nan = [math.nan] * (k - 1)
+            zero = [0.0] * (k - 1)
+            soa.q_arr[idx] = [nan[len(q) :] + q for q in qa]
+            soa.q_svc[idx] = [zero[len(q) :] + q for q in qs]
     completions = tuple(np.array(done_rows).T) if done_rows else None
-    return EventSpan(start + n, rr, rejected, completions, emptied, breaks)
+    return EventSpan(start + n, rr, rejected, completions, emptied, n if clean is None else clean)
+
+
+def one_pass_span(
+    soa: SoAQueues,
+    dispatch: np.ndarray,
+    drain_only: np.ndarray,
+    times: np.ndarray,
+    services: np.ndarray,
+    start: int,
+    t_end: float,
+    strict: bool,
+    rr: int,
+) -> EventSpan:
+    """:func:`event_span`'s result, computed as one cyclic dispatch pass.
+
+    Same arguments and same result, bit for bit.  The span is laid out
+    cyclically from position ``rr`` (:meth:`SoAQueues.assign`); when no
+    arrival meets a full station that is the whole span, committed with
+    the completions due by ``t_end``.  Otherwise the prefix before the
+    first such arrival is committed with the completions due by its
+    arrival, and :func:`event_span` takes the rest.
+    """
+    stop = int(np.searchsorted(times, t_end, side="left"))
+    na = dispatch.size
+    plan = soa.assign(
+        np.concatenate((dispatch[rr:], dispatch[:rr], drain_only)),
+        na,
+        times[start:stop],
+        services[start:stop],
+    )
+    clean = plan.clean
+    if na:
+        rr = (rr + clean) % na
+    if start + clean == stop:
+        completions, emptied = soa.drain(plan, t_end, strict)
+        return EventSpan(stop, rr, [], completions, emptied, clean)
+    completions, emptied = soa.drain(plan, float(times[start + clean]))
+    rest = event_span(
+        soa, dispatch, drain_only, times, services, start + clean, t_end, strict, rr
+    )
+    if rest.completions is not None:
+        if completions is None:
+            completions = rest.completions
+        else:
+            completions = tuple(np.concatenate(c) for c in zip(completions, rest.completions))
+    return rest._replace(completions=completions, emptied=emptied + rest.emptied, clean=clean)

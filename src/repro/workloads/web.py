@@ -143,11 +143,7 @@ class WebWorkload(Workload):
         count of a rate scaled by ``keep_prob`` — so the scaled stream
         is produced without materializing the full-rate one.
         """
-        mean = float(self.mean_rate(t0))
-        rate = mean
-        if self.noise_std > 0.0 and mean > 0.0:
-            rate = max(0.0, rng.normal(mean, self.noise_std * mean))
-        count = int(round(rate * keep_prob * self.window))
+        count = self._draw_count(rng, t0, keep_prob)
         if count <= 0:
             return np.empty(0)
         if self.spread == "even":
@@ -157,3 +153,31 @@ class WebWorkload(Workload):
         times = t0 + rng.random(count) * self.window
         times.sort()
         return times
+
+    def window_count(self, rng: np.random.Generator, t0: float) -> int:
+        """Arrival count of the interval at ``t0``, without its arrivals.
+
+        Draws exactly what :meth:`sample_window` draws, so ``rng`` is left
+        in the same state and the two are interchangeable mid-stream: the
+        count as it does, then, for ``spread="uniform"``, the generator is
+        advanced past the ``count`` uniforms of the arrival times instead
+        of drawing them.
+        """
+        count = self._draw_count(rng, t0, 1.0)
+        if count > 0 and self.spread == "uniform":
+            # One 64-bit step per float64 uniform (``Generator.random``).
+            advance = getattr(rng.bit_generator, "advance", None)
+            if advance is None:
+                rng.random(count)
+            else:
+                advance(count)
+        return max(count, 0)
+
+    def _draw_count(self, rng: np.random.Generator, t0: float, keep_prob: float) -> int:
+        """``round(rate · keep_prob · interval)`` with the rate drawn from
+        ``N(r(t0), noise_std·r(t0))`` truncated at zero."""
+        mean = float(self.mean_rate(t0))
+        rate = mean
+        if self.noise_std > 0.0 and mean > 0.0:
+            rate = max(0.0, rng.normal(mean, self.noise_std * mean))
+        return int(round(rate * keep_prob * self.window))

@@ -4,21 +4,23 @@ Three layers of evidence that ``repro.sim.batch`` + ``VectorFleet``
 are a *performance* change and not a *semantics* change:
 
 1. Kernel unit tests — every array kernel (Lindley unroll, grouped
-   rows, round-robin reshape, safe block length, SoA assign/drain)
-   checked against a brute-force scalar loop.
+   rows, round-robin reshape, the one-pass span's assign/drain)
+   checked against a brute-force scalar loop, and the one-pass span
+   checked bit for bit against the event-granular span over generated
+   states.
 2. Backend cross-checks — ``des-vec`` vs ``des`` on jitterless web and
    scientific scenarios must agree **bit-for-bit** on the control
    trajectory and exactly on every count; the fluid backend ties in as
    the third independent implementation of the same control plane.
-3. Hypothesis properties — the ``max_block`` batching knob and the
-   per-span choice between the block and the event-granular path change
-   wall-clock only: any block size, and any routing of spans to either
-   path, yields the identical :class:`~repro.backends.base.RunMetrics`
-   and admission trace.
+3. Hypothesis properties — the per-span choice between the one-pass
+   and the event-granular path changes wall-clock only: any routing of
+   spans to either path yields the identical
+   :class:`~repro.backends.base.RunMetrics` and admission trace.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import random
@@ -37,7 +39,6 @@ from repro.core import AdaptivePolicy, StaticPolicy
 from repro.economy import PricingModel, SpotPolicy
 from repro.errors import ConfigurationError
 from repro.experiments import run_policy, scientific_scenario, web_scenario
-from repro.backends import DESVecBackend
 from repro.obs.bus import RingBufferSink, TraceBus
 from repro.metrics.collector import MetricsCollector
 from repro.workloads.base import ServiceTimeSampler
@@ -48,8 +49,8 @@ from repro.sim import (
     fifo_departures,
     fifo_departures_grouped,
     round_robin_departures,
-    safe_block_length,
 )
+from repro.sim.batch import one_pass_span
 from repro.workloads import ScientificWorkload, WebWorkload
 
 # ---------------------------------------------------------------------------
@@ -127,64 +128,51 @@ def test_round_robin_departures_matches_scalar_dispatch():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    occ=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8),
-    capacity=st.integers(min_value=1, max_value=3),
-)
-def test_safe_block_length_is_exact(occ, capacity):
-    occ = np.minimum(np.array(occ), capacity)
-    n = occ.size
-    length = safe_block_length(occ, capacity)
-    assert length >= 0
-
-    def overflows(block):
-        counts = occ.copy()
-        for i in range(block):
-            q = i % n
-            if counts[q] >= capacity:
-                return True
-            counts[q] += 1
-        return False
-
-    # The computed block never lands a request on a full station —
-    # and it is maximal: one more request would.
-    assert not overflows(length)
-    assert overflows(length + 1)
+def _no_arrivals():
+    return np.empty(0), np.empty(0)
 
 
 def test_soa_assign_and_drain_single_station_is_lindley():
+    """One arrival per span, drained at its own arrival: the queue
+    carries over between spans and the departures are the scalar
+    Lindley loop's, whenever the kernel materializes them."""
     soa = SoAQueues(capacity=4)
     idx = soa.alloc()
     station = np.array([idx], dtype=np.intp)
     arrivals = np.array([0.0, 0.5, 1.0])
     services = np.array([2.0, 2.0, 2.0])
     for i in range(3):
-        soa.assign(station, arrivals[i : i + 1], services[i : i + 1])
-    waves = soa.drain(station, 100.0)
-    dep = np.concatenate([w[1] for w in waves])
-    np.testing.assert_array_equal(np.sort(dep), _lindley_loop(arrivals, services))
-    assert soa.occupancy(station)[0] == 0
+        plan = soa.assign(station, 1, arrivals[i : i + 1], services[i : i + 1])
+        assert plan.clean == 1
+        assert soa.drain(plan, arrivals[i]) == (None, [])
+    assert soa.occupancy(station)[0] == 3
+    completions, emptied = soa.drain(soa.assign(station, 1, *_no_arrivals()), 100.0)
+    np.testing.assert_array_equal(completions[0], _lindley_loop(arrivals, services))
+    assert soa.occupancy(station)[0] == 0 and emptied == []
 
 
 def test_soa_drain_strict_excludes_boundary_completion():
     soa = SoAQueues(capacity=2)
     idx = soa.alloc()
     station = np.array([idx], dtype=np.intp)
-    soa.assign(station, np.array([0.0]), np.array([5.0]))
-    assert soa.drain(station, 5.0, strict=True) == []
-    waves = soa.drain(station, 5.0, strict=False)
-    assert len(waves) == 1
-    np.testing.assert_array_equal(waves[0][1], np.array([5.0]))
+    plan = soa.assign(station, 1, np.array([0.0]), np.array([5.0]))
+    assert soa.drain(plan, 5.0, strict=True) == (None, [])
+    completions, _ = soa.drain(soa.assign(station, 1, *_no_arrivals()), 5.0)
+    np.testing.assert_array_equal(completions[0], [5.0])
 
 
 def test_soa_assign_overflow_guard():
+    """No station ever holds more than ``capacity``: the first arrival
+    that meets a full station ends the clean prefix, and only that
+    prefix is committed."""
     soa = SoAQueues(capacity=1)
     idx = soa.alloc()
     station = np.array([idx], dtype=np.intp)
-    soa.assign(station, np.array([0.0]), np.array([10.0]))
-    with pytest.raises(ConfigurationError):
-        soa.assign(station, np.array([1.0]), np.array([10.0]))
+    plan = soa.assign(station, 1, np.array([0.0, 1.0, 20.0]), np.array([10.0] * 3))
+    assert plan.clean == 1
+    assert soa.drain(plan, 1.0) == (None, [])
+    assert soa.occupancy(station)[0] == 1
+    assert soa.svc_end[idx] == 10.0
 
 
 def test_soa_speed_divides_service_at_start():
@@ -192,37 +180,119 @@ def test_soa_speed_divides_service_at_start():
     idx = soa.alloc()
     station = np.array([idx], dtype=np.intp)
     soa.speed[idx] = 2.0
-    # In-service request: effective time 10/2 = 5.  Queued request is
-    # stored raw and divided at promotion.
-    soa.assign(station, np.array([0.0]), np.array([10.0]))
-    soa.assign(station, np.array([1.0]), np.array([10.0]))
-    waves = soa.drain(station, 100.0)
-    dep = np.concatenate([w[1] for w in waves])
-    np.testing.assert_array_equal(np.sort(dep), np.array([5.0, 10.0]))
+    # In-service request: effective time 10/2 = 5.  The queued request
+    # is stored raw and divided when it starts.
+    soa.drain(soa.assign(station, 1, np.array([0.0, 1.0]), np.array([10.0, 10.0])), 1.0)
+    assert (soa.svc_end[idx], soa.q_svc[idx, -1]) == (5.0, 10.0)
+    completions, _ = soa.drain(soa.assign(station, 1, *_no_arrivals()), 100.0)
+    np.testing.assert_array_equal(completions[0], [5.0, 10.0])
 
 
-def test_event_span_matches_waves_and_respects_strictness():
+def test_event_span_matches_one_pass_and_respects_strictness():
     """One full station, two arrivals: the first is queued, the second
     rejected; the span end decides whether the completion at exactly
     ``t_end`` is taken (inclusive) or left for the next span (strict)."""
     def run(strict):
         soa = SoAQueues(capacity=2)
         idx = soa.alloc()
-        soa.assign(np.array([idx]), np.array([0.0]), np.array([5.0]))
+        station = np.array([idx], dtype=np.intp)
+        soa.drain(soa.assign(station, 1, np.array([0.0]), np.array([5.0])), 0.0)
         span = event_span(
-            soa, [idx], [idx], np.array([1.0, 2.0]), np.array([3.0, 3.0]), 0, 5.0, strict, 0
+            soa, [idx], [], np.array([1.0, 2.0]), np.array([3.0, 3.0]), 0, 5.0, strict, 0
         )
         return soa, span
 
     soa, span = run(strict=True)
-    assert (span.stop, span.rr, span.rejected) == (2, 0, [(1, 2)])
+    assert (span.stop, span.rr, span.rejected, span.clean) == (2, 0, [(1, 2)], 1)
     assert span.completions is None
     assert soa.occupancy(np.array([0]))[0] == 2
     soa, span = run(strict=False)
     np.testing.assert_array_equal(span.completions[0], [5.0])
-    # The queued request starts at the departure (Lindley), as a wave would.
-    waves = soa.drain(np.array([0]), 100.0)
-    np.testing.assert_array_equal(waves[0][1], [8.0])
+    # The queued request starts at the departure (Lindley), as the
+    # one-pass kernel computes it.
+    completions, _ = soa.drain(soa.assign(np.array([0]), 1, *_no_arrivals()), 100.0)
+    np.testing.assert_array_equal(completions[0], [8.0])
+
+
+def _quarters(lo, hi):
+    # A quarter-second grid makes ties between arrivals, departures and
+    # the span end common.
+    return st.integers(int(lo * 4), int(hi * 4)).map(lambda q: q / 4)
+
+
+@st.composite
+def _span_cases(draw):
+    """A reachable ``SoAQueues`` state and one span of arrivals over it."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    n_dispatch = draw(st.integers(min_value=0, max_value=5))
+    n_drain = draw(st.integers(min_value=0, max_value=3))
+    soa = SoAQueues(capacity=k, initial_slots=2)
+    slots = [soa.alloc() for _ in range(n_dispatch + n_drain)]
+    for slot in slots:
+        soa.speed[slot] = draw(st.sampled_from([0.5, 0.75, 1.5, 2.0, 3.0]))
+    # Warm every station up through the event path, then hand some of
+    # them over to draining.
+    warm = sorted(draw(st.lists(_quarters(0, 10), max_size=30)))
+    warm_services = draw(st.lists(_quarters(0.25, 3), min_size=len(warm), max_size=len(warm)))
+    event_span(
+        soa, slots, [], np.array(warm), np.array(warm_services), 0, 10.0, draw(st.booleans()), 0
+    )
+    times = sorted(draw(st.lists(_quarters(10, 16), max_size=40)))
+    services = draw(st.lists(_quarters(0, 3), min_size=len(times), max_size=len(times)))
+    return dict(
+        soa=soa,
+        dispatch=np.array(slots[:n_dispatch], dtype=np.intp),
+        drain_only=np.array(slots[n_dispatch:], dtype=np.intp),
+        times=np.array(times),
+        services=np.array(services),
+        start=0,
+        t_end=draw(st.sampled_from([12.0, 14.0, 15.5, 16.0])),
+        strict=draw(st.booleans()),
+        rr=draw(st.integers(min_value=0, max_value=max(n_dispatch - 1, 0))),
+    )
+
+
+def _completion_bytes(span):
+    if span.completions is None:
+        return None
+    dep, arr, svc = span.completions
+    order = np.lexsort((svc, arr, dep))
+    return tuple(a[order].tobytes() for a in (dep, arr, svc))
+
+
+def _state_bytes(soa):
+    busy = soa.svc_end != np.inf
+    return (
+        soa.svc_end.tobytes(),
+        np.where(busy, soa.cur_arr, 0.0).tobytes(),
+        np.where(busy, soa.cur_svc, 0.0).tobytes(),
+        soa.qlen.tobytes(),
+        soa.q_arr.tobytes(),
+        soa.q_svc.tobytes(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_span_cases())
+def test_one_pass_span_matches_event_span_bit_for_bit(case):
+    """The one-pass span leaves exactly what the arrival-by-arrival
+    span leaves: departures, completions, rejections, the pointer, the
+    emptied drain-only stations and every byte of the queue state —
+    including spans that meet a full station mid-way and hand the rest
+    over to the event path."""
+    soa = case.pop("soa")
+    event_soa, one_pass_soa = copy.deepcopy(soa), copy.deepcopy(soa)
+    want = event_span(event_soa, **case)
+    got = one_pass_span(one_pass_soa, **case)
+    assert (got.stop, got.rr, got.rejected, got.clean) == (
+        want.stop,
+        want.rr,
+        want.rejected,
+        want.clean,
+    )
+    assert _completion_bytes(got) == _completion_bytes(want)
+    assert sorted(got.emptied) == sorted(want.emptied)
+    assert _state_bytes(one_pass_soa) == _state_bytes(event_soa)
 
 
 def test_engine_peek_skips_cancelled_and_reports_next_time():
@@ -401,7 +471,7 @@ def test_saturated_static_matches_scalar(saturated, m):
 
 def test_span_path_routing_follows_the_load():
     """The path choice is read off the load: the adaptive web day, which
-    rarely fills an instance, stays on the block path; the undersized
+    rarely fills an instance, stays on the one-pass path; the undersized
     Static-75 day at 1/400 spends most spans on the event path."""
     day = web_scenario(scale=100.0, horizon=24 * 3600.0)
     adaptive = run_policy(
@@ -420,11 +490,25 @@ def test_span_path_routing_follows_the_load():
     assert static["event_spans"] > 0.5 * static["spans"]
 
 
-# ---------------------------------------------------------------------------
-# batching invariance property
-# ---------------------------------------------------------------------------
-
-_PROP_SCENARIO = web_scenario(scale=SCALE, horizon=2 * 3600.0)
+def test_jitterless_web_spans_complete_in_one_pass():
+    """Round-robin never meets a full instance on the jitterless web day
+    at 1/2000, so every span with arrivals completes in one pass: the
+    event path is never entered, neither straight nor by hand-off."""
+    scale = 2000.0
+    scenario = web_scenario(scale=scale, horizon=24 * 3600.0).with_updates(
+        workload=WebWorkload(service_jitter=0.0).scaled(scale)
+    )
+    with mock.patch(
+        "repro.sim.batch.event_span", side_effect=event_span
+    ) as handed_off, mock.patch(
+        "repro.cloud.vecfleet.event_span", side_effect=event_span
+    ) as routed:
+        result = run_policy(scenario, AdaptivePolicy(), seed=0, backend="des-vec")
+    counters = result.profile["counters"]
+    assert result.rejected == 0
+    assert counters["arrivals"] == result.total_requests > 0
+    assert counters["spans"] > 0 and counters["event_spans"] == 0
+    assert handed_off.call_count == routed.call_count == 0
 
 
 def _normalized(metrics):
@@ -432,39 +516,6 @@ def _normalized(metrics):
     # function of (scenario, policy, seed, backend); profile is already
     # excluded from equality (compare=False).
     return dataclasses.replace(metrics, wall_seconds=0.0)
-
-
-_REFERENCES = {}
-
-
-def _prop_policy(saturated):
-    # Static-20 is undersized for this scenario: it rejects requests.
-    return StaticPolicy(20) if saturated else AdaptivePolicy()
-
-
-def _reference(saturated):
-    if saturated not in _REFERENCES:
-        _REFERENCES[saturated] = _normalized(
-            run_policy(_PROP_SCENARIO, _prop_policy(saturated), seed=0, backend="des-vec")
-        )
-    return _REFERENCES[saturated]
-
-
-@settings(max_examples=16, deadline=None)
-@given(max_block=st.integers(min_value=1, max_value=4096), saturated=st.booleans())
-def test_max_block_choice_never_changes_results(max_block, saturated):
-    reference = _reference(saturated)
-    assert reference.rejected > 0 or not saturated
-    # Left to choose, the saturated fleet's short blocks would route
-    # most spans to the event path, where max_block plays no part.
-    with mock.patch.object(VectorFleet, "_use_event_path", lambda self: False):
-        got = run_policy(
-            _PROP_SCENARIO,
-            _prop_policy(saturated),
-            seed=0,
-            backend=DESVecBackend(max_block=max_block),
-        )
-    assert _normalized(got) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +594,10 @@ def test_span_path_choice_never_changes_results(
         return _path_policy(kind, instances, crash_times, mix_seed)
 
     mix = random.Random(mix_seed)
-    block = _run_on_paths(scenario, make_policy, lambda self: False)
+    one_pass = _run_on_paths(scenario, make_policy, lambda self: False)
     event = _run_on_paths(scenario, make_policy, lambda self: True)
     mixed = _run_on_paths(scenario, make_policy, lambda self: mix.random() < 0.5)
-    assert block[2]["event_spans"] == 0
+    assert one_pass[2]["event_spans"] == 0
     assert event[2]["event_spans"] == event[2]["spans"] > 0
-    assert block[0] == event[0] == mixed[0]
-    assert block[1] == event[1] == mixed[1]
+    assert one_pass[0] == event[0] == mixed[0]
+    assert one_pass[1] == event[1] == mixed[1]

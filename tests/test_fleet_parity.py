@@ -28,6 +28,7 @@ SCALAR_ONLY = frozenset(
     {
         "dispatch",
         "active_instances",
+        "serving_instances",
         "grow_with_spec",
         "scale_down_instance",
         "set_speed",
@@ -61,7 +62,7 @@ def _public(obj) -> set:
 def test_scalar_and_vector_fleets_share_one_api():
     scenario = web_scenario(scale=5000.0, horizon=3600.0)
     scalar = build_context(scenario, seed=0).fleet
-    vec = build_context(scenario, seed=0, max_block=64).fleet
+    vec = build_context(scenario, seed=0, vectorized=True).fleet
     assert type(scalar) is ApplicationFleet and type(vec) is VectorFleet
 
     app_names, vec_names = _public(scalar), _public(vec)

@@ -129,3 +129,15 @@ def test_mixed_policy_actually_mixes_classes():
     assert cores == [1, 4] or cores == [4]
     large = [i for i in ctx.fleet.active_instances if i.vm.allocated_cores == 4]
     assert len(large) >= 1
+
+
+def test_mixed_actuator_counts_booting_instances():
+    """Cores still booting count toward the target, as booting VMs do
+    for the horizontal fleet: the first decision reaches the same cores
+    with or without a boot delay, and the delay grows no extra VMs."""
+    delayed = web_scenario(scale=2000.0, horizon=12 * 3600.0).with_updates(boot_delay=600.0)
+    late = run_policy(delayed, MixedFleetPolicy(), seed=0)
+    instant = run_policy(delayed.with_updates(boot_delay=0.0), MixedFleetPolicy(), seed=0)
+    assert late.control_series[0] == instant.control_series[0]
+    assert late.control_series[0][1] > 0
+    assert late.max_instances <= instant.max_instances

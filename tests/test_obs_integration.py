@@ -12,8 +12,11 @@ from repro.experiments import (
     web_scenario,
 )
 from repro.experiments.cli import main as cli_main
+import pytest
+
 from repro.obs import (
     CONTROL_EVENTS,
+    REQUEST_EVENTS,
     RingBufferSink,
     TraceBus,
     TraceConfig,
@@ -97,6 +100,26 @@ def test_event_filter_limits_jsonl_to_control_plane(tmp_path):
     assert "request.admitted" not in types
     assert "request.completed" not in types
     assert "vm.created" in types
+
+
+@pytest.mark.parametrize("backend", ["des", "des-vec"])
+@pytest.mark.parametrize(
+    "events",
+    [CONTROL_EVENTS, REQUEST_EVENTS, {"admission.state"}, {"request.completed", "vm.created"}],
+    ids=["control", "requests", "admission-state", "completed-and-created"],
+)
+def test_event_filter_yields_the_full_trace_filtered(backend, events):
+    """Components drop filtered event types when they are wired, not
+    per emit; the trace must not notice."""
+    sc = small_scenario(horizon=2 * 3600.0)
+    full = TraceBus(RingBufferSink(maxlen=500_000))
+    run_policy(sc, StaticPolicy(3), seed=0, backend=backend, trace=full)
+    want = [e for e in full.sink.events if e["type"] in events]
+    assert any(e["type"] == "admission.state" for e in full.sink.events)
+    filtered = TraceBus(RingBufferSink(maxlen=500_000), events=events)
+    run_policy(sc, StaticPolicy(3), seed=0, backend=backend, trace=filtered)
+    assert list(filtered.sink.events) == want
+    assert filtered.emitted == len(want) > 0
 
 
 # ----------------------------------------------------------------------

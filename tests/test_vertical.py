@@ -140,6 +140,17 @@ def test_vertical_speed_tracks_demand():
     assert all(1 <= s <= 8 for s in speeds)
 
 
+def test_vertical_resizes_booting_instances():
+    """With a boot delay the fixed fleet is still booting at the first
+    decision: the resize must reach it, so the fleet loses no more
+    requests to the boot than the horizontal policy does."""
+    scenario = web_scenario(scale=2000.0, horizon=12 * 3600.0).with_updates(boot_delay=600.0)
+    vertical = run_policy(scenario, VerticalScalingPolicy(instances=20), seed=0)
+    adaptive = run_policy(scenario, AdaptivePolicy(), seed=0)
+    assert vertical.control_series[0] == (0.0, 4)
+    assert 0.0 < vertical.rejection_rate <= adaptive.rejection_rate
+
+
 def test_vertical_provisioner_validation():
     ctx = build_context(quick_web(), seed=0)
     with pytest.raises(ConfigurationError):

@@ -61,6 +61,18 @@ def test_window_count_tracks_rate():
     assert np.all(np.diff(arrivals) >= 0.0)
 
 
+@pytest.mark.parametrize("spread", ["uniform", "even"])
+def test_window_count_draws_like_sample_window(spread):
+    """Counting a window leaves the stream where realizing it would, so
+    counts and full windows interleave freely on one stream."""
+    w = WebWorkload(spread=spread)
+    full, counted = np.random.default_rng(6), np.random.default_rng(6)
+    for t0 in (0.0, 43_200.0, 50_000.0):
+        assert w.window_count(counted, t0) == w.sample_window(full, t0).size > 0
+        assert counted.bit_generator.state == full.bit_generator.state
+    np.testing.assert_array_equal(w.sample_window(counted, 0.0), w.sample_window(full, 0.0))
+
+
 def test_window_noise_five_percent():
     w = WebWorkload(noise_std=0.05)
     rng = np.random.default_rng(2)
