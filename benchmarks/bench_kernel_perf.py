@@ -26,12 +26,17 @@ ENGINE_500K_MAX_S = 3 * 0.23676
 ROUND_ROBIN_50K_MAX_S = 3 * 0.0011248
 DES_WEB_DAY_MAX_S = 3 * 3.5709
 # 3x the fastest of five des-vec web days on a 2-vCPU Intel Xeon host
-# (Python 3.11, numpy 2.4), where the block-and-wave kernel it replaced
-# took 1.14-1.34 s.
-DES_VEC_WEB_DAY_MAX_S = 3 * 0.362
+# (Python 3.11, numpy 2.4), where the one-span-per-window plane it
+# replaced took 0.42-0.50 s.
+DES_VEC_WEB_DAY_MAX_S = 3 * 0.172
 #: How much faster des-vec must run the adaptive web day than scalar des
-#: (measured 10.5-12.5x on the host above).
-DES_VEC_MIN_SPEEDUP = 8.0
+#: (measured 28-34x on the host above; 10.5-12.5x with one span per
+#: arrival window).
+DES_VEC_MIN_SPEEDUP = 25.0
+#: How much faster des-vec must run the saturated Static-75 cell than
+#: scalar des (measured 4.8-5.5x on the host above; 2.2-2.4x with one span
+#: per arrival window).
+DES_VEC_MIN_SATURATED_SPEEDUP = 2.0
 
 
 def _chained_ticks(count: int) -> int:
@@ -107,7 +112,7 @@ def test_batched_vs_scalar_kernel_speedup():
 
 
 def test_vec_backend_end_to_end_speedup():
-    """des-vec must run the web day at least 8x faster than scalar des.
+    """des-vec must run the web day at least 25x faster than scalar des.
 
     Full adaptive web day at scale 100 (~700 k requests): the batched
     backend replaces per-request events with one array pass per span
@@ -135,7 +140,7 @@ def test_vec_backend_end_to_end_speedup():
 
 
 def test_vec_backend_end_to_end_saturated_speedup():
-    """des-vec must not be slower than scalar des on a rejecting fleet.
+    """des-vec must run a rejecting fleet at least 2x faster than scalar des.
 
     Jitterless web at scale 400 for 6 h on an undersized Static-75: all
     instances are full for long stretches, so spans meet full stations
@@ -162,7 +167,7 @@ def test_vec_backend_end_to_end_saturated_speedup():
         assert getattr(vec, name) == getattr(des, name), name
     assert vec.control_series == des.control_series
     assert vec.fleet_series == des.fleet_series
-    assert t_vec < t_des
+    assert t_des >= DES_VEC_MIN_SATURATED_SPEEDUP * t_vec, t_des / t_vec
 
 
 WEB_PEAK_QOS = QoSTarget(max_response_time=0.250, min_utilization=0.80)

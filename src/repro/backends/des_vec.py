@@ -6,9 +6,12 @@ per-request hot loop replaced by the structure-of-arrays data plane
 (:class:`~repro.cloud.vecfleet.VectorFleet` over
 :mod:`repro.sim.batch`).  Python events are only materialized at
 control-plane epochs — analyzer alerts, Algorithm-1 decisions, VM
-boots, monitor samples — where the unchanged
-:mod:`repro.core.controlplane` machinery takes over; between epochs,
-each span of arrivals moves through numpy kernels.
+boots, crashes, monitor samples, metrics ticks — where the unchanged
+:mod:`repro.core.controlplane` machinery takes over.  Arrival windows
+are not engine events: the fleet pulls them from the broker as it
+advances, and each span of arrivals, from one engine event to the next
+or over at most :data:`~repro.cloud.vecfleet.MAX_SPAN_WINDOWS` windows,
+moves through numpy kernels.
 
 The control trajectory is bit-identical to the scalar DES (the
 ``tests/test_batch_engine.py`` cross-checks), and on jitterless
@@ -35,8 +38,10 @@ class DESVecBackend(DESBackend):
     :class:`~repro.cloud.vecfleet.VectorFleet`; everything else —
     policy, ledger, telemetry, metrics — is the scalar backend's.
     Traced runs additionally emit one ``batch.span`` summary per
-    non-empty epoch span, and the telemetry registry additionally
-    reports spans and flushed requests.
+    non-empty span, and the telemetry registry additionally reports
+    spans and flushed requests.  ``RunMetrics.events`` counts each
+    pulled window as the event it is on the scalar backend; the
+    profile's ``events`` counter is the engine's own.
     """
 
     name = "des-vec"
@@ -58,9 +63,12 @@ class DESVecBackend(DESBackend):
     def collect(self, run: RunState) -> Collected:
         out = super().collect(run)
         engine, plane = run.ctx.engine, run.ctx.fleet
-        # The backend's unit of work: epoch events plus the
-        # arrivals/completions the array plane absorbed.
-        out.fields["events"] += plane.arrivals_processed + plane.completions_processed
+        # The backend's unit of work: epoch events plus the arrival
+        # windows and the arrivals/completions the array plane absorbed
+        # (the event-per-request plane fires one event per window).
+        out.fields["events"] += (
+            run.ctx.source.windows + plane.arrivals_processed + plane.completions_processed
+        )
         counters = {
             "events": engine.events_fired,
             "arrivals": plane.arrivals_processed,

@@ -14,12 +14,17 @@ peak a 60-s window holds tens of thousands of arrivals; the cursor
 keeps all but the next one out of the heap, so heap pushes operate on a
 list of in-flight completions (hundreds) rather than a full window —
 an O(log n) win per event on exactly the hottest path.
+
+The vectorized data plane takes no events at all: given a ``sink``,
+the source schedules nothing, and the sink pulls each window
+(:meth:`WorkloadSource.pull`) when :meth:`WorkloadSource.due` says the
+engine-event-per-window plane would have generated it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -105,18 +110,19 @@ class WorkloadSource:
         Generation stops at this simulation time (arrivals beyond it
         are discarded).
     sink:
-        Alternative consumer of each window's arrival batch — any
-        object with ``load(times: np.ndarray)``.  The vectorized
-        backend passes its :class:`~repro.cloud.vecfleet.VectorFleet`
-        here, which buffers whole windows for the batched data plane
-        instead of dispatching one engine event per arrival.  Exactly
-        one of ``admission`` / ``sink`` must be provided.
+        Alternative consumer of the arrival windows — any object with
+        ``pull_from(source)``.  The vectorized backend passes its
+        :class:`~repro.cloud.vecfleet.VectorFleet` here: it takes whole
+        windows with :meth:`pull` when its epoch loop needs them, so no
+        generation event ever enters the engine.  Exactly one of
+        ``admission`` / ``sink`` must be provided.
 
     Notes
     -----
     Window generation runs at :data:`~repro.sim.events.PRIORITY_HIGH`
     so that a window's first arrival is in the event list before any
-    same-instant completion fires.
+    same-instant completion fires.  A sink pulls windows in that same
+    order (:meth:`due`).
 
     The sink is fixed at construction: to route arrivals through a
     different front door, build a new source with ``admission=`` (the
@@ -124,7 +130,19 @@ class WorkloadSource:
     instead of being silently ignored).
     """
 
-    __slots__ = ("_engine", "_workload", "_rng", "_sink", "horizon", "generated", "_tracer")
+    __slots__ = (
+        "_engine",
+        "_workload",
+        "_rng",
+        "_sink",
+        "_pulled",
+        "_next",
+        "_mark",
+        "horizon",
+        "generated",
+        "windows",
+        "_tracer",
+    )
 
     def __init__(
         self,
@@ -141,38 +159,96 @@ class WorkloadSource:
         if (admission is None) == (sink is None):
             raise ConfigurationError(
                 "provide exactly one of admission= (scalar cursor dispatch) "
-                "or sink= (batched window hand-off)"
+                "or sink= (windows pulled by the sink)"
             )
         self._engine = engine
         self._workload = workload
         self._rng = rng
+        self._pulled = sink is not None
         if sink is None:
             sink = _ArrivalCursor(engine, admission)
         self._sink = sink
+        self._next = math.inf
+        self._mark = 0
         self.horizon = float(horizon)
         self.generated = 0
+        #: Windows generated so far (each one an engine event when the
+        #: source dispatches through ``admission``).
+        self.windows = 0
         #: Optional :class:`repro.obs.bus.TraceBus`; one event per
-        #: generated window (cold path — never per arrival).
+        #: generated window (cold path — never per arrival).  A sink
+        #: that pulls windows emits it itself, in trace order.
         self._tracer = tracer
 
     def start(self) -> None:
-        """Schedule generation of the first window (call before run)."""
-        self._engine.schedule_at(
-            self._engine.now, lambda: self._generate_window(self._engine.now), PRIORITY_HIGH
+        """Schedule generation of the first window (call before run).
+
+        With a sink, nothing is scheduled: the first window starts now
+        and the sink is told to pull it.
+        """
+        now = self._engine.now
+        if self._pulled:
+            self._next = now
+            self._mark = self._engine.scheduled
+            self._sink.pull_from(self)
+        else:
+            self._engine.schedule_at(now, lambda: self._generate_window(now), PRIORITY_HIGH)
+
+    # ------------------------------------------------------------------
+    # pulled windows (sink mode)
+    # ------------------------------------------------------------------
+    @property
+    def next_start(self) -> float:
+        """Start of the next window to pull (``inf`` past the horizon)."""
+        return self._next
+
+    def due(self, t: float) -> bool:
+        """Whether the next window is generated before the engine reaches ``t``.
+
+        A window starting before ``t`` is.  One starting at ``t`` is when
+        the engine's next event is at ``t`` and its generation event
+        would have fired first: that event has a lower priority than
+        :data:`~repro.sim.events.PRIORITY_HIGH`, or it was scheduled
+        after the previous window was generated — which is when the
+        generation event would have been scheduled.
+        """
+        t0 = self._next
+        if t0 != t:
+            return t0 < t
+        head = self._engine.peek_key()
+        return (
+            head is not None
+            and head[0] == t
+            and (head[1] > PRIORITY_HIGH or head[2] > self._mark)
         )
 
-    def _generate_window(self, t0: float) -> None:
+    def pull(self) -> Tuple[float, np.ndarray]:
+        """Generate the next window: its start and its sorted arrivals."""
+        t0 = self._next
+        arrivals = self._sample(t0)
+        t_next = t0 + self._workload.window
+        self._next = t_next if t_next < self.horizon else math.inf
+        self._mark = self._engine.scheduled
+        return t0, arrivals
+
+    # ------------------------------------------------------------------
+    def _sample(self, t0: float) -> np.ndarray:
         arrivals = self._workload.sample_window(self._rng, t0)
         horizon = self.horizon
         if arrivals.size and arrivals[-1] >= horizon:
             arrivals = arrivals[arrivals < horizon]
+        self.generated += int(arrivals.size)
+        self.windows += 1
+        return arrivals
+
+    def _generate_window(self, t0: float) -> None:
+        arrivals = self._sample(t0)
         if self._tracer is not None:
             self._tracer.emit(
                 "window.generated", self._engine.now, t0=t0, arrivals=int(arrivals.size)
             )
         if arrivals.size:
-            self.generated += int(arrivals.size)
             self._sink.load(arrivals)
         t_next = t0 + self._workload.window
-        if t_next < horizon:
+        if t_next < self.horizon:
             self._engine.schedule_at(t_next, lambda: self._generate_window(t_next), PRIORITY_HIGH)

@@ -146,8 +146,9 @@ class Monitor:
         skipped outright — keeping ``T_m`` bit-identical to the scalar
         path where the cross-backend tests require it.
 
-        ``completion_times`` (departure timestamps) is only consulted
-        when tracing, to stamp the per-request events.
+        ``completion_times`` (departure timestamps) stamps the
+        per-request trace events; without it the batch is not traced
+        here, and the caller traces it with :meth:`trace_completions`.
         """
         services = np.asarray(service_times, dtype=np.float64)
         n = services.size
@@ -171,15 +172,26 @@ class Monitor:
                 (1.0 - alpha) ** tail.size * self._tm
                 + alpha * float(np.dot(weights, tail))
             )
+        if completion_times is not None:
+            self.trace_completions(response_times, services, completion_times)
+
+    def trace_completions(
+        self,
+        response_times: np.ndarray,
+        service_times: np.ndarray,
+        completion_times: np.ndarray,
+    ) -> None:
+        """Trace one ``request.completed`` per completion of a recorded
+        batch, stamped with its departure time (no-op untraced)."""
         tracer = self._completion_tracer
-        if tracer is not None:
-            responses = np.asarray(response_times, dtype=np.float64)
-            if completion_times is None:
-                completion_times = np.full(n, self._engine.now)
-            for t, resp, svc in zip(
-                completion_times.tolist(), responses.tolist(), services.tolist()
-            ):
-                tracer.emit("request.completed", t, response_time=resp, service_time=svc)
+        if tracer is None:
+            return
+        for t, resp, svc in zip(
+            np.asarray(completion_times, dtype=np.float64).tolist(),
+            np.asarray(response_times, dtype=np.float64).tolist(),
+            np.asarray(service_times, dtype=np.float64).tolist(),
+        ):
+            tracer.emit("request.completed", t, response_time=resp, service_time=svc)
 
     def record_acceptances(self, count: int) -> None:
         """Observe ``count`` admitted requests at once."""

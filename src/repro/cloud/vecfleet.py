@@ -11,42 +11,53 @@ Epoch model
 -----------
 The ``des-vec`` backend drives the fleet with an *epoch loop*: before
 every engine event (control alerts, Algorithm-1 decisions, VM boots,
-monitor samples) it calls :meth:`advance` up to the event's timestamp.
-``advance`` consumes the pending arrivals of that *span* on one of two
-exact paths.
+crashes, revocations, monitor samples, metrics ticks) it calls
+:meth:`advance` up to the event's timestamp.  Arrival windows are not
+engine events: ``advance`` pulls every window due by then from the
+:class:`~repro.cloud.broker.WorkloadSource`, in order, and consumes the
+pending arrivals up to the event as one *span*.  A span ends at the
+next engine event or after :data:`MAX_SPAN_WINDOWS` windows, whichever
+comes first; the cap bounds the buffer when no control event comes (a
+static fleet).
 
-The **one-pass path** lays the span out as one cyclic round-robin
-dispatch from the balancer's pointer (:meth:`SoAQueues.assign
+A span runs in *pieces* on two exact paths.  The **one-pass path**
+takes the rest of the span as one cyclic round-robin dispatch from the
+balancer's pointer (:meth:`SoAQueues.assign
 <repro.sim.batch.SoAQueues.assign>`): every departure follows from one
 Lindley pass over the stations' FIFO orders, and one vectorised compare
 finds the first arrival that met a full station.  Before that arrival
 the pass is exactly the scalar balancer's pointer walk, so
 :meth:`~repro.sim.batch.SoAQueues.drain` commits that prefix — on a
-clean span, all of it, with the completions due by the span end.  The
-rest of a span that met a full station goes to the event path.
+clean span, all of it, with the completions due by the span end — and
+:func:`~repro.sim.batch.one_pass_span` stops there.  The event path
+then finishes that arrival's window.
 
-The **event path** (:func:`~repro.sim.batch.event_span`) replays the
-span one arrival at a time over plain floats: a completion heap, a live
+The **event path** (:func:`~repro.sim.batch.event_span`) replays
+arrivals one at a time over plain floats: a completion heap, a live
 count of full stations, bisection over all-full stretches, and the
 balancer's pointer walk.  The one pass costs about eighty numpy calls
 whatever the span's length; the event path a few microseconds per
-arrival whatever the load.  A span runs straight on the event path when
-the previous span with arrivals met a full station (a saturated fleet
-keeps doing so), and on the one-pass path otherwise.  Both paths apply
-the same float operations in the same per-station order, so the choice
-moves time only (the path-invariance property in
+arrival whatever the load.  So a piece runs straight on the event path,
+one window long, when the last window with arrivals met a full station
+(a saturated fleet keeps doing so), and on the one-pass path otherwise.
+Both paths apply the same float operations in the same per-station
+order, so the choice moves time only (the path-invariance property in
 ``tests/test_batch_engine.py``).
 
-Statistics are flushed once per ``advance`` span: completions are
-sorted by departure time and recorded through the monitor/metrics
-*bulk* interfaces, whose arithmetic is documented (and tested) to be
-exact for the jitterless cross-check scenarios.  Because span
-boundaries are engine events, every recorded quantity is invariant to
-the span path (hypothesis properties in ``tests/test_batch_engine.py``).
+Statistics are flushed once per span: completions are sorted by
+departure time and recorded through the monitor/metrics *bulk*
+interfaces, whose arithmetic is documented (and tested) to be exact for
+the jitterless cross-check scenarios.  Where spans end moves only the
+float sums the flush accumulates (mean and spread of the response time,
+busy time and, under service jitter, the ``T_m`` estimate), by rounding
+only; counts, series and decisions stay equal (hypothesis property in
+``tests/test_batch_engine.py``).  The trace is the one a plane with an engine event per window
+writes: each ``window.generated`` comes after the admissions,
+completions and drained stations of the time before its window starts.
 
 Fidelity to the scalar fleet, and the two documented deviations:
 
-* the service-time stream is drawn per *window* (``draw_many``) instead
+* the service-time stream is drawn in blocks (``draw_many``) instead
   of per service *start*, so under service jitter the two backends see
   the same distribution but different per-request draws (jitterless
   runs are bit-identical);
@@ -57,14 +68,15 @@ Fidelity to the scalar fleet, and the two documented deviations:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from bisect import bisect_left, bisect_right
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, PlacementError
 from ..metrics.collector import MetricsCollector
 from ..obs.bus import narrowed
-from ..sim.batch import EventSpan, SoAQueues, event_span, one_pass_span
+from ..sim.batch import SoAQueues, event_span, one_pass_span
 from ..sim.engine import Engine
 from ..workloads.base import ServiceTimeSampler
 from .datacenter import Datacenter
@@ -72,7 +84,16 @@ from .loadbalancer import LoadBalancer, RoundRobinBalancer
 from .monitor import Monitor
 from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec
 
-__all__ = ["VectorFleet"]
+if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
+    from .broker import WorkloadSource
+
+__all__ = ["MAX_SPAN_WINDOWS", "VectorFleet"]
+
+#: Most arrival windows one span covers.  Spans end at engine events, so
+#: without this cap a policy with no control events (a static fleet)
+#: would buffer the whole horizon in one span.  The web scenario's alerts
+#: come every 15 windows, so its adaptive spans are never cut.
+MAX_SPAN_WINDOWS = 16
 
 class VectorFleet:
     """Array-backed instance fleet satisfying the FleetActuator protocol.
@@ -130,7 +151,9 @@ class VectorFleet:
         self._active_idx = np.empty(0, dtype=np.intp)
         self._draining_idx = np.empty(0, dtype=np.intp)
         self._rr = 0
-        # -- arrival buffer (the broker's sink) ------------------------
+        # -- arrival buffer (windows pulled from the broker) -----------
+        self._source: Optional["WorkloadSource"] = None
+        self._span_end = engine.now
         self._times = np.empty(0)
         self._services = np.empty(0)
         self._pos = 0
@@ -307,34 +330,48 @@ class VectorFleet:
         self._draining_idx = np.array(self._draining, dtype=np.intp)
 
     # ------------------------------------------------------------------
-    # arrival sink (the broker's window hand-off)
+    # arrival windows (pulled from the broker)
     # ------------------------------------------------------------------
-    def load(self, times: np.ndarray) -> None:
-        """Buffer one window's sorted arrival batch.
+    def pull_from(self, source: "WorkloadSource") -> None:
+        """Take arrival windows from ``source`` as spans need them.
 
-        Service times are drawn here, one vectorized block per window.
-        A window's batch normally drains before the next is generated;
-        leftovers (a misbehaving workload model) are merged, keeping
-        the buffer sorted.
+        The :class:`~repro.cloud.broker.WorkloadSource` whose sink this
+        fleet is calls this when it starts; it then schedules no
+        generation events.
+        """
+        self._source = source
+
+    @property
+    def buffered(self) -> int:
+        """Arrivals pulled but not yet admitted or rejected."""
+        return int(self._times.size - self._pos)
+
+    def load(self, times: np.ndarray) -> None:
+        """Buffer a sorted batch of arrivals, drawing their service times
+        in one block.
+
+        Each span loads the windows it pulls as one batch; consecutive
+        block draws concatenate bit for bit, so the services are those
+        per-window draws would give.  Arrivals still buffered go ahead
+        of the batch.  When that leaves the buffer unsorted (a workload
+        whose windows overlap), a stable sort keeps the earlier of tied
+        arrivals first.
         """
         times = np.asarray(times, dtype=np.float64)
         if times.size == 0:
             return
         services = self._sampler.draw_many(times.size)
-        if self._pos < self._times.size:
-            times = np.concatenate((self._times[self._pos :], times))
-            services = np.concatenate((self._services[self._pos :], services))
+        pos = self._pos
+        if pos < self._times.size:
+            times = np.concatenate((self._times[pos:], times))
+            services = np.concatenate((self._services[pos:], services))
+        if (times[1:] < times[:-1]).any():
             order = np.argsort(times, kind="stable")
             times = times[order]
             services = services[order]
         self._times = times
         self._services = services
         self._pos = 0
-
-    @property
-    def buffered(self) -> int:
-        """Arrivals loaded but not yet admitted or rejected."""
-        return int(self._times.size - self._pos)
 
     # ------------------------------------------------------------------
     # the epoch hot loop
@@ -348,7 +385,7 @@ class VectorFleet:
         events.  Flushes span statistics so the event's control logic
         observes exactly the pre-epoch state.
         """
-        self._span(float(t_end), strict=True)
+        self._advance(float(t_end), strict=True)
 
     def finish(self, horizon: float) -> None:
         """Close the data plane at the horizon (completions inclusive).
@@ -358,106 +395,209 @@ class VectorFleet:
         horizon — the scalar engine fires those events, while the epoch
         loop's strict drains exclude them.
         """
-        self._span(float(horizon), strict=False)
+        self._advance(float(horizon), strict=False)
 
-    def _span(self, t_end: float, strict: bool) -> None:
-        """Consume and drain one span, then post its effects.
+    def _advance(self, t_end: float, strict: bool) -> None:
+        """Pull the windows due before ``t_end`` and run them as spans.
 
-        The span runs on the path the previous span with arrivals
-        picked (see the module docstring); whether its own arrivals met
-        a full station picks the next.
+        One span unless more than :data:`MAX_SPAN_WINDOWS` windows are
+        due: then a span ends at each further window's start, strictly,
+        as an engine event there would end it.
         """
-        event_path = self._use_event_path()
-        start = self._pos
-        span = (event_span if event_path else one_pass_span)(
-            self._soa,
-            self._active_idx,
-            self._draining_idx,
-            self._times,
-            self._services,
-            start,
+        source = self._source
+        windows: List[Tuple[float, np.ndarray]] = []
+        while source is not None and source.due(t_end):
+            if len(windows) == MAX_SPAN_WINDOWS:
+                self._span(windows, source.next_start, True)
+                windows = []
+            windows.append(source.pull())
+        self._span(windows, t_end, strict)
+
+    def _span(self, windows: List[Tuple[float, np.ndarray]], t_end: float, strict: bool) -> None:
+        """Consume and drain one span in pieces, then post its effects.
+
+        Each piece starts on the path :meth:`_use_event_path` picks.
+        The one-pass kernel takes the rest of the span; if an arrival
+        meets a full station it stops there and the event path finishes
+        that arrival's window.  The event path, picked straight, takes
+        one window.  Either way the next piece starts at a window start.
+        """
+        batch = [times for _, times in windows if times.size]
+        if batch:
+            self.load(np.concatenate(batch) if len(batch) > 1 else batch[0])
+        times, services = self._times, self._services
+        soa, dispatch, drain_only = self._soa, self._active_idx, self._draining_idx
+        start = pos = self._pos
+        stop = int(np.searchsorted(times, t_end, side="left"))
+        rr = self._rr
+        t = self._span_end
+        bounds = [t0 for t0, _ in windows if t < t0 < t_end]
+        pieces = []
+        straight = False
+        while True:
+            if self._use_event_path():
+                straight = True
+                b = bisect_right(bounds, t)
+            else:
+                piece = one_pass_span(
+                    soa, dispatch, drain_only, times, services, pos, t_end, strict, rr
+                )
+                pieces.append(piece)
+                pos, rr = piece.stop, piece.rr
+                if pos == stop:
+                    if piece.clean:
+                        self._event_path = False
+                    break
+                b = bisect_right(bounds, times[pos])
+            end, end_strict = (bounds[b], True) if b < len(bounds) else (t_end, strict)
+            piece = event_span(
+                soa, dispatch, drain_only, times, services, pos, end, end_strict, rr
+            )
+            pieces.append(piece)
+            if piece.stop > pos:
+                self._event_path = piece.clean < piece.stop - pos
+            pos, rr = piece.stop, piece.rr
+            if b == len(bounds):
+                break
+            t = end
+        self._pos = pos
+        self._rr = rr
+        self._span_end = t_end
+        done = [piece.completions for piece in pieces if piece.completions is not None]
+        completions = None
+        if done:
+            completions = done[0] if len(done) == 1 else tuple(map(np.concatenate, zip(*done)))
+        self._flush(
             t_end,
-            strict,
-            self._rr,
+            straight,
+            start,
+            pos,
+            [r for piece in pieces for r in piece.rejected],
+            completions,
+            [e for piece in pieces for e in piece.emptied],
+            windows,
         )
-        arrivals = span.stop - start
-        if arrivals:
-            self._event_path = span.clean < arrivals
-        self._pos = span.stop
-        self._rr = span.rr
-        rejected = sum(hi - lo for lo, hi in span.rejected)
-        if self._tracer is not None:
-            i = start
-            for lo, hi in span.rejected:
-                self._trace_admissions(i, lo, True)
-                self._trace_admissions(lo, hi, False)
-                i = hi
-            self._trace_admissions(i, span.stop, True)
-        self._flush(t_end, event_path, arrivals, rejected, span)
 
     def _use_event_path(self) -> bool:
-        """Whether the next span runs straight on the event-granular path."""
+        """Whether the next piece of a span runs straight on the
+        event-granular path: the last window with arrivals met a full
+        station."""
         return self._event_path
 
-    def _trace_admissions(self, i: int, j: int, admitted: bool) -> None:
-        """Trace the admission of buffered arrivals ``[i, j)`` (or their
-        rejection), with an ``admission.state`` event when the gate flips."""
-        if j <= i:
-            return
-        times = self._times
-        if self._accepting is not admitted:
-            self._accepting = admitted
-            self._tracer.emit("admission.state", float(times[i]), accepting=admitted)
-        requests = self._request_tracer
-        if requests is not None:
-            kind = "request.admitted" if admitted else "request.rejected"
-            for t in times[i:j].tolist():
-                requests.emit(kind, t)
-
     def _flush(
-        self, t_end: float, event_path: bool, arrivals: int, rejected: int, span: EventSpan
+        self,
+        t_end: float,
+        straight: bool,
+        start: int,
+        stop: int,
+        rejected: List[Tuple[int, int]],
+        completions: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        emptied: List[Tuple[float, int]],
+        windows: List[Tuple[float, np.ndarray]],
     ) -> None:
-        """Post one span's effects in deterministic order."""
-        completions = 0
-        if span.completions is not None:
-            dep, arr, svc = span.completions
+        """Post one span's effects in deterministic order.
+
+        Statistics are recorded once for the span.  The trace and the
+        drained stations' destruction follow the windows, as on a plane
+        with one engine event per window: the admissions, completions
+        and drained stations of the time before each window start, then
+        its ``window.generated``.  A window due at exactly ``t_end``
+        closes the span.
+        """
+        monitor = self._monitor
+        arrivals = stop - start
+        n_rejected = sum(hi - lo for lo, hi in rejected)
+        completed = 0
+        if completions is not None:
+            dep, arr, svc = completions
             order = np.lexsort((arr, dep))
             dep = dep[order]
-            arr = arr[order]
             svc = svc[order]
-            completions = int(dep.size)
-            self.completions_processed += completions
-            self._monitor.record_responses(dep - arr, svc, dep)
-        accepted = arrivals - rejected
+            resp = dep - arr[order]
+            completed = int(dep.size)
+            self.completions_processed += completed
+            monitor.record_responses(resp, svc)
         if arrivals:
             self.arrivals_processed += arrivals
             if self._count_arrivals:
-                self._monitor.record_arrivals(arrivals)
-            if accepted:
-                self._monitor.record_acceptances(accepted)
-            if rejected:
-                self._monitor.record_rejections(rejected)
-        if span.emptied:
-            for t_done, idx in sorted(span.emptied):
-                self._draining.remove(idx)
-                self._destroy(idx, t_done, "drained")
-                self._metrics.record_fleet_size(t_done, self.live_count)
+                monitor.record_arrivals(arrivals)
+            if arrivals > n_rejected:
+                monitor.record_acceptances(arrivals - n_rejected)
+            if n_rejected:
+                monitor.record_rejections(n_rejected)
+        tracer = self._tracer
+        runs: List[Tuple[int, int, bool]] = []
+        if tracer is not None:
+            i = start
+            for lo, hi in rejected:
+                runs += [(i, lo, True), (lo, hi, False)]
+                i = hi
+            runs.append((i, stop, True))
+        emptied.sort()
+        inside = bisect_left([t0 for t0, _ in windows], t_end)
+        i = start  # next arrival to trace
+        c = 0  # next completion to trace
+        e = 0  # next drained station to destroy
+        for t0, times in windows[:inside] + [(t_end, None)]:
+            last = times is None
+            if tracer is not None:
+                j = stop if last else int(np.searchsorted(self._times, t0, side="left"))
+                j = min(max(j, i), stop)
+                self._trace_admissions(runs, i, j)
+                i = j
+                if completed:
+                    k = completed if last else int(np.searchsorted(dep, t0, side="left"))
+                    monitor.trace_completions(resp[c:k], svc[c:k], dep[c:k])
+                    c = k
+            while e < len(emptied) and (last or emptied[e][0] < t0):
+                self._drained(*emptied[e])
+                e += 1
+            if tracer is not None and not last:
+                tracer.emit("window.generated", t0, t0=t0, arrivals=int(times.size))
+        if emptied:
             self._refresh_index_cache()
-        if arrivals or completions:
-            if self._tracer is not None:
-                self._tracer.emit(
+        if arrivals or completed:
+            if tracer is not None:
+                tracer.emit(
                     "batch.span",
                     t_end,
                     arrivals=arrivals,
-                    completions=completions,
-                    rejected=rejected,
+                    completions=completed,
+                    rejected=n_rejected,
                     stations=len(self._active),
                     width=t_end - self._last_span_t,
                 )
             self.spans += 1
-            if event_path:
+            if straight:
                 self.event_spans += 1
             self._last_span_t = t_end
+        if tracer is not None:
+            for t0, times in windows[inside:]:
+                tracer.emit("window.generated", t0, t0=t0, arrivals=int(times.size))
+
+    def _drained(self, t_done: float, idx: int) -> None:
+        """Destroy a draining station that emptied at ``t_done``."""
+        self._draining.remove(idx)
+        self._destroy(idx, t_done, "drained")
+        self._metrics.record_fleet_size(t_done, self.live_count)
+
+    def _trace_admissions(self, runs: List[Tuple[int, int, bool]], i: int, j: int) -> None:
+        """Trace the admission (or rejection) of buffered arrivals
+        ``[i, j)``, with an ``admission.state`` event when the gate
+        flips; ``runs`` are the span's ``(lo, hi, admitted)`` ranges."""
+        times = self._times
+        requests = self._request_tracer
+        for lo, hi, admitted in runs:
+            lo, hi = max(lo, i), min(hi, j)
+            if lo >= hi:
+                continue
+            if self._accepting is not admitted:
+                self._accepting = admitted
+                self._tracer.emit("admission.state", float(times[lo]), accepting=admitted)
+            if requests is not None:
+                kind = "request.admitted" if admitted else "request.rejected"
+                for t in times[lo:hi].tolist():
+                    requests.emit(kind, t)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

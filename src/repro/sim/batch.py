@@ -408,9 +408,10 @@ class SoAQueues:
 
 
 class EventSpan(NamedTuple):
-    """What :func:`event_span` did to one span of arrivals."""
+    """What :func:`event_span` (or :func:`one_pass_span`) did to one span of arrivals."""
 
-    #: Index of the first arrival at or after the span end.
+    #: Index of the first arrival not consumed: the first at or after
+    #: the span end, or the one :func:`one_pass_span` stopped at.
     stop: int
     #: Round-robin pointer (a position in the dispatch order) afterwards.
     rr: int
@@ -573,14 +574,18 @@ def one_pass_span(
     strict: bool,
     rr: int,
 ) -> EventSpan:
-    """:func:`event_span`'s result, computed as one cyclic dispatch pass.
+    """:func:`event_span`'s result up to the first arrival that meets a
+    full station, computed as one cyclic dispatch pass.
 
-    Same arguments and same result, bit for bit.  The span is laid out
+    Same arguments as :func:`event_span`.  The span is laid out
     cyclically from position ``rr`` (:meth:`SoAQueues.assign`); when no
     arrival meets a full station that is the whole span, committed with
-    the completions due by ``t_end``.  Otherwise the prefix before the
+    the completions due by ``t_end``, and the result is
+    :func:`event_span`'s bit for bit.  Otherwise the prefix before the
     first such arrival is committed with the completions due by its
-    arrival, and :func:`event_span` takes the rest.
+    arrival, and ``stop`` is that arrival: :func:`event_span` from
+    ``stop`` with the returned pointer finishes the span exactly as it
+    would have run it whole.
     """
     stop = int(np.searchsorted(times, t_end, side="left"))
     na = dispatch.size
@@ -595,14 +600,6 @@ def one_pass_span(
         rr = (rr + clean) % na
     if start + clean == stop:
         completions, emptied = soa.drain(plan, t_end, strict)
-        return EventSpan(stop, rr, [], completions, emptied, clean)
-    completions, emptied = soa.drain(plan, float(times[start + clean]))
-    rest = event_span(
-        soa, dispatch, drain_only, times, services, start + clean, t_end, strict, rr
-    )
-    if rest.completions is not None:
-        if completions is None:
-            completions = rest.completions
-        else:
-            completions = tuple(np.concatenate(c) for c in zip(completions, rest.completions))
-    return rest._replace(completions=completions, emptied=emptied + rest.emptied, clean=clean)
+    else:
+        completions, emptied = soa.drain(plan, float(times[start + clean]))
+    return EventSpan(start + clean, rr, [], completions, emptied, clean)

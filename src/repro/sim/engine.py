@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import EngineStateError, SchedulingInPastError
 from .events import CANCELLED, PRIORITY_NORMAL, EventHandle
@@ -98,6 +98,16 @@ class Engine:
         :meth:`run` and :meth:`step`.
         """
         return self._events_fired
+
+    @property
+    def scheduled(self) -> int:
+        """Number of events scheduled so far, cancelled ones included.
+
+        It is also the sequence number of the latest one: an event
+        scheduled from now on orders after every event scheduled before,
+        among events of equal time and priority.
+        """
+        return self._seq
 
     @property
     def pending(self) -> int:
@@ -240,6 +250,17 @@ class Engine:
                 continue
             return entry[0]
         return None
+
+    def peek_key(self) -> Optional[Tuple[float, int, int]]:
+        """``(time, priority, seq)`` of the next live event, or ``None``.
+
+        :meth:`peek` with the event's full firing order, for callers
+        that must place work of their own among same-instant events.
+        """
+        if self.peek() is None:
+            return None
+        entry = self._heap[0]
+        return entry[0], entry[1], entry[2]
 
     def run(self, until: Optional[float] = None) -> None:
         """Execute events in time order.

@@ -108,13 +108,21 @@ class WebWorkload(Workload):
         self.base_service_time = float(base_service_time)
         self.service_jitter = float(service_jitter)
         self.spread = spread
-        # Vectorized lookup tables for mean_rate.
+        # Lookup tables for mean_rate: arrays for the vectorized path,
+        # (R_min, R_max) floats for the scalar one.
         self._rmax = np.array([table[d][0] for d in range(7)])
         self._rmin = np.array([table[d][1] for d in range(7)])
+        self._bounds = [(float(table[d][1]), float(table[d][0])) for d in range(7)]
 
     # ------------------------------------------------------------------
     def mean_rate(self, t: ArrayLike) -> ArrayLike:
         """Eq. 2 evaluated at simulation time ``t`` (vectorized)."""
+        if isinstance(t, (float, int)):
+            # The scalar path (one call per arrival window): the array
+            # path's float operations on plain floats, np.sin included.
+            rmin, rmax = self._bounds[int(t // SECONDS_PER_DAY) % 7]
+            sod = t % SECONDS_PER_DAY
+            return rmin + (rmax - rmin) * float(np.sin(np.pi * sod / SECONDS_PER_DAY))
         t_arr = np.asarray(t, dtype=np.float64)
         day = day_of_week(t_arr)
         sod = seconds_of_day(t_arr)

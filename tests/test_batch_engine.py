@@ -12,10 +12,13 @@ are a *performance* change and not a *semantics* change:
    scientific scenarios must agree **bit-for-bit** on the control
    trajectory and exactly on every count; the fluid backend ties in as
    the third independent implementation of the same control plane.
-3. Hypothesis properties — the per-span choice between the one-pass
+3. Hypothesis properties — the per-piece choice between the one-pass
    and the event-granular path changes wall-clock only: any routing of
-   spans to either path yields the identical
-   :class:`~repro.backends.base.RunMetrics` and admission trace.
+   pieces to either path yields the identical
+   :class:`~repro.backends.base.RunMetrics` and admission trace; and
+   where spans end (at every arrival window, or only at engine events
+   and every ``MAX_SPAN_WINDOWS`` windows) moves the span-flushed
+   float statistics by rounding only.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from hypothesis import strategies as st
 from repro.cloud.datacenter import Datacenter
 from repro.cloud.failures import FailureInjector
 from repro.cloud.monitor import Monitor
-from repro.cloud.vecfleet import VectorFleet
+from repro.cloud.vecfleet import MAX_SPAN_WINDOWS, VectorFleet
 from repro.core import AdaptivePolicy, StaticPolicy
 from repro.economy import PricingModel, SpotPolicy
 from repro.errors import ConfigurationError
@@ -272,18 +275,40 @@ def _state_bytes(soa):
     )
 
 
+def _one_pass_then_event(soa, **case):
+    """The one-pass kernel up to the first full station, then the event
+    path from there: the hand-off ``VectorFleet`` makes."""
+    with mock.patch("repro.sim.batch.event_span", side_effect=AssertionError):
+        head = one_pass_span(soa, **case)
+    stop = int(np.searchsorted(case["times"], case["t_end"], side="left"))
+    if head.stop == stop:
+        return head
+    assert head.clean == head.stop - case["start"]
+    rest = event_span(soa, **dict(case, start=head.stop, rr=head.rr))
+    completions = head.completions
+    if rest.completions is not None:
+        if completions is None:
+            completions = rest.completions
+        else:
+            completions = tuple(map(np.concatenate, zip(completions, rest.completions)))
+    return rest._replace(
+        completions=completions, emptied=head.emptied + rest.emptied, clean=head.clean
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_span_cases())
 def test_one_pass_span_matches_event_span_bit_for_bit(case):
     """The one-pass span leaves exactly what the arrival-by-arrival
     span leaves: departures, completions, rejections, the pointer, the
     emptied drain-only stations and every byte of the queue state —
-    including spans that meet a full station mid-way and hand the rest
-    over to the event path."""
+    including spans that meet a full station mid-way, where the
+    one-pass kernel stops (never calling the event path itself) and
+    the event path takes the rest."""
     soa = case.pop("soa")
     event_soa, one_pass_soa = copy.deepcopy(soa), copy.deepcopy(soa)
     want = event_span(event_soa, **case)
-    got = one_pass_span(one_pass_soa, **case)
+    got = _one_pass_then_event(one_pass_soa, **case)
     assert (got.stop, got.rr, got.rejected, got.clean) == (
         want.stop,
         want.rr,
@@ -573,8 +598,7 @@ def _run_on_paths(scenario, make_policy, choose):
     return _normalized(got), list(bus.sink.events), got.profile["counters"]
 
 
-@settings(max_examples=15, deadline=None)
-@given(
+_PATH_CASES = dict(
     k=st.sampled_from([1, 2, 3]),
     jitter=st.booleans(),
     boot_delay=st.sampled_from([0.0, 120.0, 600.0]),
@@ -585,19 +609,119 @@ def _run_on_paths(scenario, make_policy, choose):
     ),
     mix_seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_PATH_CASES)
 def test_span_path_choice_never_changes_results(
     k, jitter, boot_delay, kind, instances, crash_times, mix_seed
 ):
+    """Every piece of a span (a window, or the rest of the span on the
+    one-pass path) picks its path afresh; any sequence of picks gives
+    the same result and admission trace."""
     scenario = _path_scenario(k, jitter, boot_delay)
 
     def make_policy():
         return _path_policy(kind, instances, crash_times, mix_seed)
 
     mix = random.Random(mix_seed)
+    picks = []
+
+    def always_event(self):
+        picks.append(True)
+        return True
+
     one_pass = _run_on_paths(scenario, make_policy, lambda self: False)
-    event = _run_on_paths(scenario, make_policy, lambda self: True)
+    event = _run_on_paths(scenario, make_policy, always_event)
     mixed = _run_on_paths(scenario, make_policy, lambda self: mix.random() < 0.5)
     assert one_pass[2]["event_spans"] == 0
     assert event[2]["event_spans"] == event[2]["spans"] > 0
+    # The event path takes one window per piece: spans hold several.
+    assert len(picks) > event[2]["spans"]
     assert one_pass[0] == event[0] == mixed[0]
     assert one_pass[1] == event[1] == mixed[1]
+
+
+#: Floats that a span flush accumulates: the order of float additions
+#: follows the span boundaries.
+_FLUSHED_FLOATS = ("mean_response_time", "response_time_std", "utilization")
+
+
+def _same_event(want, got):
+    if want.keys() != got.keys():
+        return False
+    for key, w in want.items():
+        g = got[key]
+        if isinstance(w, float) and not isinstance(w, bool):
+            if not math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0):
+                return False
+        elif g != w:
+            return False
+    return True
+
+
+def _run_with_cap(scenario, make_policy, cap):
+    bus = TraceBus(RingBufferSink(maxlen=1 << 20))
+    with mock.patch("repro.cloud.vecfleet.MAX_SPAN_WINDOWS", cap):
+        got = run_policy(scenario, make_policy(), seed=0, backend="des-vec", trace=bus)
+    events = [
+        {k: v for k, v in e.items() if not (e["type"] == "run.end" and k == "events")}
+        for e in bus.sink.events
+        if e["type"] != "batch.span"
+    ]
+    return _normalized(got), events, got.profile["counters"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_PATH_CASES)
+def test_span_window_cap_never_changes_results(
+    k, jitter, boot_delay, kind, instances, crash_times, mix_seed
+):
+    """Ending a span at every arrival window (``MAX_SPAN_WINDOWS`` = 1,
+    one span per window as an engine event per window would) and ending
+    it only at engine events and every 16 windows give the same counts,
+    series, VM-hours and rejections, floats to 1e-12, and the same
+    trace in the same order apart from the ``batch.span`` summaries."""
+    scenario = _path_scenario(k, jitter, boot_delay)
+
+    def make_policy():
+        return _path_policy(kind, instances, crash_times, mix_seed)
+
+    cut, whole = (_run_with_cap(scenario, make_policy, cap) for cap in (1, 16))
+    assert cut[2]["spans"] >= whole[2]["spans"] > 0
+    for field in dataclasses.fields(cut[0]):
+        if not field.compare:
+            continue
+        want, got = getattr(cut[0], field.name), getattr(whole[0], field.name)
+        if field.name in _FLUSHED_FLOATS:
+            # abs: a jitterless run's standard deviation is rounding noise.
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), field.name
+        else:
+            assert got == want, field.name
+    assert len(cut[1]) == len(whole[1])
+    for want, got in zip(cut[1], whole[1]):
+        assert _same_event(want, got), (want, got)
+
+
+def test_static_week_spans_are_capped():
+    """A static fleet has no control events: its spans end every
+    ``MAX_SPAN_WINDOWS`` windows, so a week's buffer stays the size of a
+    few hours' (the tracemalloc peak within 2x a 6-h run's)."""
+    import tracemalloc
+
+    def run(hours):
+        scenario = web_scenario(scale=400.0, horizon=hours * 3600.0)
+        tracemalloc.start()
+        try:
+            got = run_policy(scenario, StaticPolicy(200), seed=0, backend="des-vec")
+            return got, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(1)  # warm-up: lazily built module state is not the data plane's
+    _, short_peak = run(6)
+    week, week_peak = run(7 * 24)
+    counters = week.profile["counters"]
+    assert counters["events"] == 0
+    assert counters["spans"] >= 7 * 1440 / MAX_SPAN_WINDOWS
+    assert week_peak <= 2 * short_peak, (week_peak, short_peak)

@@ -8,6 +8,7 @@ import pytest
 from repro.cloud.broker import WorkloadSource, _ArrivalCursor
 from repro.errors import ConfigurationError
 from repro.sim import Engine
+from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW
 
 
 class RecordingAdmission:
@@ -113,3 +114,51 @@ def test_invalid_horizon_rejected():
         WorkloadSource(eng, GridWorkload(), None, RecordingAdmission(), 0.0)
     with pytest.raises(ConfigurationError):
         WorkloadSource(eng, GridWorkload(), None, RecordingAdmission(), float("inf"))
+
+
+class PullingSink:
+    """Stands in for VectorFleet: records the source it pulls from."""
+
+    source = None
+
+    def pull_from(self, source):
+        self.source = source
+
+
+def test_sink_mode_schedules_no_generation_events():
+    eng = Engine()
+    sink = PullingSink()
+    source = WorkloadSource(eng, GridWorkload(10), None, horizon=150.0, sink=sink)
+    source.start()
+    assert sink.source is source and eng.pending == 0
+    windows = []
+    while source.due(float("inf")):
+        windows.append(source.pull())
+    assert [t0 for t0, _ in windows] == [0.0, 60.0, 120.0]
+    assert windows[-1][1].tolist() == [120.0, 126.0, 132.0, 138.0, 144.0]
+    assert (source.windows, source.generated, source.next_start) == (3, 25, float("inf"))
+    assert eng.pending == 0
+
+
+def test_due_orders_a_window_among_same_instant_events():
+    """A window starting at an engine event's time is due before it
+    exactly when its generation event would fire first: the event has a
+    lower priority, or it was scheduled after the previous window."""
+    eng = Engine()
+    eng.schedule_at(60.0, lambda: None, PRIORITY_HIGH)  # before the source starts
+    source = WorkloadSource(eng, GridWorkload(1), None, horizon=600.0, sink=PullingSink())
+    source.start()
+    assert source.due(30.0)
+    source.pull()  # window 0
+    assert not source.due(60.0)  # the earlier event fires first
+    eng.step()
+    assert eng.now == 60.0
+    eng.schedule_at(60.0, lambda: None, PRIORITY_HIGH)  # after window 0
+    assert source.due(60.0)
+    source.pull()  # window 60
+    eng.step()
+    eng.schedule_at(120.0, lambda: None, PRIORITY_LOW)
+    assert source.due(120.0)
+    eng.schedule_at(120.0, lambda: None, PRIORITY_HIGH)  # after window 60
+    assert source.due(120.0)
+    assert not source.due(90.0) and not source.due(120.0 - 1e-9)

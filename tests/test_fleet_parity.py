@@ -37,13 +37,14 @@ SCALAR_ONLY = frozenset(
 )
 
 #: VectorFleet members with no scalar analogue by design: the block
-#: data-plane API (arrival buffers, epoch advancement, span counters)
-#: that the event-per-request engine never needs.
+#: data-plane API (pulled arrival windows, epoch advancement, span
+#: counters) that the event-per-request engine never needs.
 VEC_ONLY = frozenset(
     {
         "occupancy",
         "in_flight",
         "load",
+        "pull_from",
         "buffered",
         "advance",
         "finish",

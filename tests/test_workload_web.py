@@ -126,3 +126,27 @@ def test_service_sampler_jitter_band():
     assert np.all(draws <= 0.110 + 1e-12)
     assert draws.mean() == pytest.approx(0.105, rel=0.01)
     assert sampler.mean == pytest.approx(0.105)
+
+
+class _ArrayPathWeb(WebWorkload):
+    """The web workload with every rate taken through the array path."""
+
+    def mean_rate(self, t):
+        return super().mean_rate(np.array(t))
+
+
+@pytest.mark.parametrize("scale", [100.0, 2000.0])
+def test_scalar_mean_rate_is_the_array_path(scale):
+    """A float ``t`` takes a plain-float path; it gives the array path's
+    rate (a 0-d array) bit for bit at every window start of a week, so
+    a week of sampled windows is unchanged for seeds 0-2."""
+    w, ref = WebWorkload(), _ArrayPathWeb()
+    starts = [60.0 * i for i in range(7 * 1440)]
+    assert [w.mean_rate(t) for t in starts] == [ref.mean_rate(t) for t in starts]
+    for seed in (0, 1, 2):
+        fast, slow = w.scaled(scale), ref.scaled(scale)
+        rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t in starts:
+            assert np.array_equal(
+                fast.sample_window(rng_fast, t), slow.sample_window(rng_slow, t)
+            ), (seed, t)
