@@ -107,7 +107,7 @@ def build_context(
         rng=streams.get("arrivals"),
         admission=admission,
         horizon=scenario.horizon,
-        tracer=tracer,
+        tracer=None if vectorized else tracer,
         sink=sink,
     )
     return SimulationContext(

@@ -116,6 +116,11 @@ class WorkloadSource:
         windows with :meth:`pull` when its epoch loop needs them, so no
         generation event ever enters the engine.  Exactly one of
         ``admission`` / ``sink`` must be provided.
+    tracer:
+        Optional :class:`repro.obs.bus.TraceBus`; one ``window.generated``
+        event per window generated through ``admission`` (cold path —
+        never per arrival).  A pulling sink emits that event itself, in
+        trace order, so a source with a sink ignores its tracer.
 
     Notes
     -----
@@ -175,9 +180,6 @@ class WorkloadSource:
         #: Windows generated so far (each one an engine event when the
         #: source dispatches through ``admission``).
         self.windows = 0
-        #: Optional :class:`repro.obs.bus.TraceBus`; one event per
-        #: generated window (cold path — never per arrival).  A sink
-        #: that pulls windows emits it itself, in trace order.
         self._tracer = tracer
 
     def start(self) -> None:
@@ -186,13 +188,12 @@ class WorkloadSource:
         With a sink, nothing is scheduled: the first window starts now
         and the sink is told to pull it.
         """
-        now = self._engine.now
+        self._next = self._engine.now
         if self._pulled:
-            self._next = now
             self._mark = self._engine.scheduled
             self._sink.pull_from(self)
         else:
-            self._engine.schedule_at(now, lambda: self._generate_window(now), PRIORITY_HIGH)
+            self._engine.schedule_at(self._next, self._generate_window, PRIORITY_HIGH)
 
     # ------------------------------------------------------------------
     # pulled windows (sink mode)
@@ -225,30 +226,25 @@ class WorkloadSource:
     def pull(self) -> Tuple[float, np.ndarray]:
         """Generate the next window: its start and its sorted arrivals."""
         t0 = self._next
-        arrivals = self._sample(t0)
-        t_next = t0 + self._workload.window
-        self._next = t_next if t_next < self.horizon else math.inf
-        self._mark = self._engine.scheduled
-        return t0, arrivals
-
-    # ------------------------------------------------------------------
-    def _sample(self, t0: float) -> np.ndarray:
-        arrivals = self._workload.sample_window(self._rng, t0)
         horizon = self.horizon
+        arrivals = self._workload.sample_window(self._rng, t0)
         if arrivals.size and arrivals[-1] >= horizon:
             arrivals = arrivals[arrivals < horizon]
         self.generated += int(arrivals.size)
         self.windows += 1
-        return arrivals
+        t_next = t0 + self._workload.window
+        self._next = t_next if t_next < horizon else math.inf
+        self._mark = self._engine.scheduled
+        return t0, arrivals
 
-    def _generate_window(self, t0: float) -> None:
-        arrivals = self._sample(t0)
+    # ------------------------------------------------------------------
+    def _generate_window(self) -> None:
+        t0, arrivals = self.pull()
         if self._tracer is not None:
             self._tracer.emit(
                 "window.generated", self._engine.now, t0=t0, arrivals=int(arrivals.size)
             )
         if arrivals.size:
             self._sink.load(arrivals)
-        t_next = t0 + self._workload.window
-        if t_next < self.horizon:
-            self._engine.schedule_at(t_next, lambda: self._generate_window(t_next), PRIORITY_HIGH)
+        if self._next != math.inf:
+            self._engine.schedule_at(self._next, self._generate_window, PRIORITY_HIGH)

@@ -131,10 +131,7 @@ class Monitor:
     # bulk sinks (vectorized data plane)
     # ------------------------------------------------------------------
     def record_responses(
-        self,
-        response_times: np.ndarray,
-        service_times: np.ndarray,
-        completion_times: Optional[np.ndarray] = None,
+        self, response_times: np.ndarray, service_times: np.ndarray
     ) -> None:
         """Observe a batch of completions in departure order.
 
@@ -146,13 +143,11 @@ class Monitor:
         skipped outright — keeping ``T_m`` bit-identical to the scalar
         path where the cross-backend tests require it.
 
-        ``completion_times`` (departure timestamps) stamps the
-        per-request trace events; without it the batch is not traced
-        here, and the caller traces it with :meth:`trace_completions`.
+        The batch is not traced here: the caller traces it, in trace
+        order, with :meth:`trace_completions`.
         """
         services = np.asarray(service_times, dtype=np.float64)
-        n = services.size
-        if n == 0:
+        if services.size == 0:
             return
         self._metrics.record_responses(response_times, services)
         start = 0
@@ -172,8 +167,6 @@ class Monitor:
                 (1.0 - alpha) ** tail.size * self._tm
                 + alpha * float(np.dot(weights, tail))
             )
-        if completion_times is not None:
-            self.trace_completions(response_times, services, completion_times)
 
     def trace_completions(
         self,

@@ -445,8 +445,6 @@ class VectorFleet:
                 pieces.append(piece)
                 pos, rr = piece.stop, piece.rr
                 if pos == stop:
-                    if piece.clean:
-                        self._event_path = False
                     break
                 b = bisect_right(bounds, times[pos])
             end, end_strict = (bounds[b], True) if b < len(bounds) else (t_end, strict)

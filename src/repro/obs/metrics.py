@@ -600,8 +600,8 @@ class RunTelemetry:
             record_one(response_time, service_time)
             hist.observe(response_time)
 
-        def record_responses(response_times, service_times, completion_times=None):
-            record_batch(response_times, service_times, completion_times)
+        def record_responses(response_times, service_times):
+            record_batch(response_times, service_times)
             if np.size(service_times):
                 hist.observe_many(response_times)
 
