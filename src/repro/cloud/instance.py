@@ -16,7 +16,13 @@ it empties — exactly the paper's "removes them from the list of
 instances to be destroyed".
 
 This class sits on the DES hot path; it stores arrival timestamps as
-plain floats in a ``deque`` and uses ``__slots__``.
+plain floats in a ``deque`` and uses ``__slots__``.  Its request flow
+takes one frame per hop: :attr:`AppInstance.occupancy` is a plain
+counter (a request is in service iff it is > 0) that the round-robin
+balancer reads directly, a service starts inline in :meth:`accept` or
+:meth:`_complete`, and the completion event is the bound ``_complete``,
+which finds the in-service request's arrival and service time in slots
+— no closure per request.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from ..sim.engine import Engine
+from ..sim.events import TIME
 from ..workloads.base import ServiceTimeSampler
 from .monitor import Monitor
 from .vm import VirtualMachine
@@ -76,8 +83,10 @@ class AppInstance:
         "_monitor",
         "_on_drained",
         "_queue",
-        "_in_service",
+        "occupancy",
         "_pending",
+        "_arrival",
+        "_service",
         "speed",
     )
 
@@ -104,8 +113,13 @@ class AppInstance:
         self._monitor = monitor
         self._on_drained = on_drained
         self._queue: deque = deque()
-        self._in_service = False
+        #: Requests currently present (waiting + in service).  Kept by
+        #: the instance; read-only to everyone else.
+        self.occupancy = 0
         self._pending = None  # completion-event handle, for crash cancellation
+        # Arrival and (speed-scaled) service time of the request in service.
+        self._arrival = 0.0
+        self._service = 0.0
         #: Service-speed multiplier (vertical scaling): a request's
         #: service time is the sampled base time divided by ``speed``.
         #: Changing it affects services that start afterwards.
@@ -115,19 +129,14 @@ class AppInstance:
     # state inspection (hot path uses these constantly)
     # ------------------------------------------------------------------
     @property
-    def occupancy(self) -> int:
-        """Requests currently present (waiting + in service)."""
-        return len(self._queue) + (1 if self._in_service else 0)
-
-    @property
     def is_full(self) -> bool:
         """Whether admission must not offer another request."""
-        return len(self._queue) + (1 if self._in_service else 0) >= self.capacity
+        return self.occupancy >= self.capacity
 
     @property
     def is_idle(self) -> bool:
         """Whether the instance holds no requests at all."""
-        return not self._in_service and not self._queue
+        return self.occupancy == 0
 
     @property
     def accepting(self) -> bool:
@@ -168,7 +177,7 @@ class AppInstance:
         if self._pending is not None:
             self._engine.discard(self._pending)
             self._pending = None
-        self._in_service = False
+        self.occupancy = 0
         self._queue.clear()
         self.state = InstanceState.DESTROYED
         return lost
@@ -183,33 +192,34 @@ class AppInstance:
         ``self.accepting``; violating that is a programming error and
         raises immediately rather than corrupting the queue invariant.
         """
-        if self.is_full or self.state is not InstanceState.ACTIVE:
+        occupancy = self.occupancy
+        if occupancy >= self.capacity or self.state is not InstanceState.ACTIVE:
             raise RuntimeError(
                 f"instance {self.instance_id} offered a request while "
                 f"{'full' if self.is_full else self.state.name}"
             )
-        if self._in_service:
+        self.occupancy = occupancy + 1
+        if occupancy:
             self._queue.append(arrival_time)
-        else:
-            self._start_service(arrival_time)
+            return
+        # Start service (inline, as in _complete: one frame per hop).
+        self._arrival = arrival_time
+        self._service = service_time = self._sampler.draw() / self.speed
+        self._pending = self._engine.schedule(service_time, self._complete)
 
-    def _start_service(self, arrival_time: float) -> None:
-        self._in_service = True
-        service_time = self._sampler.draw() / self.speed
-        self._pending = self._engine.schedule(
-            service_time,
-            lambda: self._complete(arrival_time, service_time),
-        )
-
-    def _complete(self, arrival_time: float, service_time: float) -> None:
-        now = self._engine.now
+    def _complete(self) -> None:
+        """Completion event of the request in service."""
+        now = self._pending[TIME]  # == engine.now: this event's time
+        service_time = self._service
         self.busy_seconds += service_time
         self.served += 1
-        self._in_service = False
+        self.occupancy -= 1
         self._pending = None
-        self._monitor.record_response(now - arrival_time, service_time)
-        if self._queue:
-            self._start_service(self._queue.popleft())
+        self._monitor.record_response(now - self._arrival, service_time)
+        if self.occupancy:
+            self._arrival = self._queue.popleft()
+            self._service = service_time = self._sampler.draw() / self.speed
+            self._pending = self._engine.schedule(service_time, self._complete)
         elif self.state is InstanceState.DRAINING:
             self._on_drained(self)
 

@@ -56,7 +56,9 @@ class RoundRobinBalancer(LoadBalancer):
     The pointer advances past the chosen instance so consecutive
     requests spread across the fleet.  When every instance is full the
     scan costs O(m) — the unavoidable price of the "all full?"
-    admission question — but the common case is O(1).
+    admission question — but the common case is O(1).  The scan reads
+    each instance's occupancy counter directly (no property call): it
+    runs once per request.
     """
 
     name = "round-robin"
@@ -69,10 +71,10 @@ class RoundRobinBalancer(LoadBalancer):
         if n == 0:
             return None
         start = self._next % n
-        for i in range(n):
-            inst = active[start + i - n if start + i >= n else start + i]
-            if not inst.is_full:
-                self._next = (start + i + 1) % n
+        for i in range(start, start + n):
+            inst = active[i - n if i >= n else i]
+            if inst.occupancy < inst.capacity:
+                self._next = (i + 1) % n
                 return inst
         return None
 

@@ -58,8 +58,15 @@ class Monitor:
         emits ``monitor.sample`` (carrying the current ``T_m``
         estimate); ``None`` keeps the hot path unchanged.
 
-    A metrics-enabled run's :class:`~repro.obs.metrics.RunTelemetry`
-    observes every response recorded here (see its ``install``).
+    Attributes
+    ----------
+    observer:
+        Optional response observer, ``None`` by default.  A
+        metrics-enabled run's :class:`~repro.obs.metrics.RunTelemetry`
+        sets its response-time histogram here (see its ``install``):
+        every response recorded here is then passed to its ``observe``
+        (one completion) or ``observe_many`` (a non-empty batch), in
+        recording order.
     """
 
     def __init__(
@@ -83,6 +90,7 @@ class Monitor:
         self._tm = float(default_service_time)
         self._alpha = float(ewma_alpha)
         self._seen_completion = False
+        self.observer = None
         self._tracer = narrowed(tracer, "monitor.sample")
         self._completion_tracer = narrowed(tracer, "request.completed")
         # -- arrival-rate sampling ------------------------------------
@@ -114,6 +122,8 @@ class Monitor:
                 response_time=response_time,
                 service_time=service_time,
             )
+        if self.observer is not None:
+            self.observer.observe(response_time)
 
     def record_acceptance(self) -> None:
         """Observe one admitted request (called by admission control)."""
@@ -167,6 +177,8 @@ class Monitor:
                 (1.0 - alpha) ** tail.size * self._tm
                 + alpha * float(np.dot(weights, tail))
             )
+        if self.observer is not None:
+            self.observer.observe_many(response_times)
 
     def trace_completions(
         self,

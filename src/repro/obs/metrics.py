@@ -577,13 +577,12 @@ class RunTelemetry:
     # -- engine-driven sampling (des / des-vec) ------------------------
     def install(self, engine, monitor) -> None:
         """Schedule the periodic snapshot tick on the engine and feed
-        :attr:`response_time` from ``monitor``'s completion sinks.
+        :attr:`response_time` from ``monitor``.
 
-        The monitor's ``record_response`` / ``record_responses`` are
-        shadowed by call-through wrappers that observe each recorded
-        response: one ``observe`` per scalar completion and one
-        ``observe_many`` per non-empty batch, so both DES data planes
-        bucket (and Chan-merge) their responses in recording order.
+        The histogram becomes the monitor's ``observer``: one
+        ``observe`` per scalar completion and one ``observe_many`` per
+        non-empty batch, so both DES data planes bucket (and
+        Chan-merge) their responses in recording order.
         """
         from ..sim.events import PRIORITY_LOW
 
@@ -592,21 +591,7 @@ class RunTelemetry:
             engine.schedule(self.interval, _tick, PRIORITY_LOW)
 
         engine.schedule(self.interval, _tick, PRIORITY_LOW)
-
-        hist = self.response_time
-        record_one, record_batch = monitor.record_response, monitor.record_responses
-
-        def record_response(response_time, service_time):
-            record_one(response_time, service_time)
-            hist.observe(response_time)
-
-        def record_responses(response_times, service_times):
-            record_batch(response_times, service_times)
-            if np.size(service_times):
-                hist.observe_many(response_times)
-
-        monitor.record_response = record_response
-        monitor.record_responses = record_responses
+        monitor.observer = self.response_time
 
     def sample(self, now: float) -> dict:
         """Take one snapshot of the run's QoS state at time ``now``.

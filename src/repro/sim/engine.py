@@ -13,8 +13,21 @@ from plain callbacks in :mod:`repro.cloud` and :mod:`repro.core`.  This
 keeps the inner loop short: profiling showed heap operations and
 callback dispatch dominate, so the loop binds ``heappop`` to a local,
 the heap compares C-level list entries, and :meth:`schedule` pushes
-inline rather than delegating to :meth:`schedule_at` (the hpc-parallel
-guide's rule: measure first, then shave only the measured hot path).
+inline rather than delegating to :meth:`schedule_at` (measure first,
+then shave only the measured hot path).
+
+In-place firing
+---------------
+A caller holding a sorted list of times of its own (the broker's
+arrival cursor) need not push one heap entry per item:
+:meth:`fire_in_place` fires items while each would be the next event
+anyway — before the heap's head, or at the head's instant when the
+head has a lower priority than :data:`~repro.sim.events.PRIORITY_NORMAL`
+— and within :meth:`run`'s horizon.  That is exactly the order a
+fresh ``PRIORITY_NORMAL`` entry would have taken (a newly scheduled
+entry has the largest ``seq``), and each fired item advances the clock
+and counts in :attr:`events_fired` like any event; on the web day half
+the arrivals skip the heap this way.
 
 Heap hygiene
 ------------
@@ -70,6 +83,9 @@ class Engine:
         self._seq = 0
         self._running = False
         self._finished = False
+        #: Horizon of the running :meth:`run`; ``-inf`` outside it, so
+        #: :meth:`fire_in_place` fires nothing under :meth:`step`.
+        self._horizon = -math.inf
         self._events_fired = 0
         self._cancelled = 0
         #: Number of heap compactions performed (observability).
@@ -292,8 +308,7 @@ class Engine:
         self._running = True
         heap = self._heap
         pop = _heappop
-        horizon = math.inf if until is None else float(until)
-        fired = self._events_fired
+        self._horizon = horizon = math.inf if until is None else float(until)
         try:
             while heap:
                 entry = pop(heap)
@@ -306,16 +321,53 @@ class Engine:
                     _heappush(heap, entry)  # keep it pending; we overshot
                     break
                 self._now = when
-                fired += 1
-                self._events_fired = fired
+                # An attribute, not a local: fire_in_place counts too.
+                self._events_fired += 1
                 entry[3]()
             if until is not None and self._now < horizon:
                 self._now = horizon
         finally:
             self._running = False
             self._finished = True
+            self._horizon = -math.inf
         for hook in self.at_end:
             hook(self)
+
+    def fire_in_place(
+        self, times: List[float], idx: int, callback: Callable[[float], object]
+    ) -> int:
+        """Fire ``callback(t)`` for ``t = times[idx], times[idx + 1], ...``
+        while each ``t`` would be the next event; return the index of
+        the first item not fired.
+
+        ``times`` is sorted and starts at or after :attr:`now`.  An item
+        fires when it is before the live head of the event list, or at
+        the head's instant while the head has a lower priority than
+        :data:`~repro.sim.events.PRIORITY_NORMAL` — the place a
+        ``PRIORITY_NORMAL`` entry scheduled now would take, since its
+        ``seq`` would be the largest — and not after :meth:`run`'s
+        horizon.  Outside :meth:`run` (under :meth:`step`) nothing fires.
+        A cancelled head stops the walk; the caller schedules the rest.
+        Each fired item sets :attr:`now` and counts in
+        :attr:`events_fired` before its callback runs, as an event does.
+        """
+        heap = self._heap
+        horizon = self._horizon
+        end = len(times)
+        while idx < end:
+            t = times[idx]
+            if t > horizon:
+                break
+            if heap:
+                head = heap[0]
+                head_t = head[0]
+                if head[4] or t > head_t or (t == head_t and head[1] <= PRIORITY_NORMAL):
+                    break
+            self._now = t
+            self._events_fired += 1
+            callback(t)
+            idx += 1
+        return idx
 
     def step(self) -> bool:
         """Fire the single next live event.

@@ -42,7 +42,10 @@ class ServiceTimeSampler:
     ``base · (1 + U(0, jitter))`` with ``jitter = 0.10``.  Drawing one
     uniform variate per request through numpy's scalar API costs ~1 µs;
     pre-sampling blocks of 4096 amortizes that to ~20 ns, which matters
-    because this sits on the DES hot path.
+    because this sits on the DES hot path.  A block is served as a list
+    of Python floats (one ``tolist()`` per block, the same values), so
+    :meth:`draw` is a list index.  Subclasses change the law by
+    overriding :meth:`_fill` only.
 
     Parameters
     ----------
@@ -73,7 +76,7 @@ class ServiceTimeSampler:
         self.base = float(base)
         self.jitter = float(jitter)
         self._block = int(block)
-        self._buf = np.empty(0)
+        self._buf: list = []
         self._idx = 0
 
     @property
@@ -83,14 +86,17 @@ class ServiceTimeSampler:
 
     def draw(self) -> float:
         """One service-time sample."""
-        if self._idx >= self._buf.shape[0]:
-            self._buf = self.base * (
-                1.0 + self._rng.uniform(0.0, self.jitter, size=self._block)
-            )
-            self._idx = 0
-        v = self._buf[self._idx]
-        self._idx += 1
-        return float(v)
+        idx = self._idx
+        buf = self._buf
+        if idx >= len(buf):
+            buf = self._buf = self._fill().tolist()
+            idx = 0
+        self._idx = idx + 1
+        return buf[idx]
+
+    def _fill(self) -> np.ndarray:
+        """The next block of samples."""
+        return self.base * (1.0 + self._rng.uniform(0.0, self.jitter, size=self._block))
 
     def draw_many(self, n: int) -> np.ndarray:
         """Vectorized variant used by the fluid engine and tests."""

@@ -33,13 +33,8 @@ ArrayLike = Union[float, np.ndarray]
 class _ExponentialServiceSampler(ServiceTimeSampler):
     """Service sampler drawing exponential times (for M/M validation)."""
 
-    def draw(self) -> float:
-        if self._idx >= self._buf.shape[0]:
-            self._buf = self._rng.exponential(self.base, size=self._block)
-            self._idx = 0
-        v = self._buf[self._idx]
-        self._idx += 1
-        return float(v)
+    def _fill(self) -> np.ndarray:
+        return self._rng.exponential(self.base, size=self._block)
 
     def draw_many(self, n: int) -> np.ndarray:
         return self._rng.exponential(self.base, size=int(n))

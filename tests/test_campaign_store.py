@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaigns import CampaignSpec, ResultStore, run_campaign
+from repro.campaigns.report import campaign_report
 from repro.campaigns.spec import CAMPAIGN_SCHEMA_VERSION
 from repro.campaigns.store import _MANIFEST_FORMAT, _MANIFEST_VERSION
 from repro.core import AdaptivePolicy
@@ -21,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import web_scenario
 from repro.experiments.persist import result_to_dict
 from repro.experiments.runner import run_policy
+from repro.metrics.report import format_table
 from repro.obs.metrics import MetricsConfig
 
 
@@ -520,13 +522,20 @@ def test_failed_manifest_write_leaves_no_unwritten_entry_behind(
 
 
 # ---------------------------------------------------------------------------
-# golden smoke manifest: a cold campaigns/smoke.toml store, byte for byte
+# golden smoke manifest and report: a cold campaigns/smoke.toml store,
+# byte for byte
 # ---------------------------------------------------------------------------
 _REPO = Path(__file__).resolve().parent.parent
 SMOKE = _REPO / "campaigns" / "smoke.toml"
 SMOKE_MANIFEST = _REPO / "tests" / "golden" / "smoke-manifest.json"
+SMOKE_REPORT = _REPO / "tests" / "golden" / "smoke-report.txt"
 
 
 def test_cold_smoke_store_writes_the_golden_manifest(tmp_path):
-    run_campaign(CampaignSpec.load(SMOKE), store=tmp_path, workers=1)
+    spec = CampaignSpec.load(SMOKE)
+    run_campaign(spec, store=tmp_path, workers=1)
     assert (tmp_path / "manifest.json").read_bytes() == SMOKE_MANIFEST.read_bytes()
+    # The table `repro campaign report` prints for that store.
+    data = campaign_report(spec, ResultStore(tmp_path))
+    render = format_table(data.headers, data.rows, title=data.title) + "\n"
+    assert render.encode() == SMOKE_REPORT.read_bytes()

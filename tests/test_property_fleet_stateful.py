@@ -8,7 +8,9 @@ test relies on implicitly:
 * fleet census == data-center census;
 * per-instance occupancy never exceeds the admission capacity ``k``;
 * request conservation: accepted = completed + in-flight + crash-lost;
-* the busy-time ledger never exceeds provisioned VM time.
+* the busy-time ledger never exceeds provisioned VM time;
+* each instance's occupancy counter agrees with its queue and its
+  completion event, through crashes, drains, revivals and speed changes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ class FleetMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.env = make_env(capacity=2, service_time=1.0, num_hosts=8, seed=0)
+        #: Every instance ever seen live, destroyed ones included.
+        self.seen = {}
 
     # ------------------------------------------------------------------
     # rules
@@ -56,6 +60,17 @@ class FleetMachine(RuleBasedStateMachine):
         if self.env.fleet.serving_count > 0:
             self.env.fleet.scale_to(self.env.fleet.serving_count - 1)
 
+    @rule()
+    def revive_one(self):
+        # Growing the fleet revives a draining instance first.
+        self.env.fleet.scale_to(self.env.fleet.serving_count + 1)
+
+    @rule(pick=st.integers(min_value=0, max_value=63), speed=st.integers(1, 4))
+    def set_speed(self, pick, speed):
+        live = self.env.fleet.live_instances
+        if live:
+            self.env.fleet.set_speed(live[pick % len(live)], speed)
+
     # ------------------------------------------------------------------
     # invariants
     # ------------------------------------------------------------------
@@ -68,6 +83,18 @@ class FleetMachine(RuleBasedStateMachine):
         for inst in self.env.fleet.live_instances:
             assert 0 <= inst.occupancy <= inst.capacity
             assert inst.state is not InstanceState.DESTROYED
+
+    @invariant()
+    def occupancy_counter_matches_queue_and_pending(self):
+        # A request is in service iff occupancy > 0: the rest wait in
+        # the queue, and the one in service has a completion event.
+        for inst in self.env.fleet.live_instances:
+            self.seen[inst.instance_id] = inst
+        for inst in self.seen.values():
+            assert len(inst._queue) == max(inst.occupancy - 1, 0)
+            assert (inst._pending is None) == (inst.occupancy == 0)
+            assert inst.is_idle == (inst.occupancy == 0)
+            assert inst.is_full == (inst.occupancy >= inst.capacity)
 
     @invariant()
     def request_conservation(self):
