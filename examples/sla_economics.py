@@ -4,8 +4,9 @@
 Two customer classes share an undersized deployment: *gold* requests
 earn 1.0 per served request and cost 2.0 per rejection; *bronze*
 requests earn 0.2 and carry no penalty.  The example runs the same
-overloaded afternoon twice — with flat admission and with value-ranked
-trunk reservation — and compares the realized profit.
+overloaded afternoon twice — with flat admission and with trunk
+reservation that keeps 40 free slots for gold, the more valuable class
+— and compares the realized profit.
 
 Usage::
 
@@ -14,27 +15,20 @@ Usage::
 
 from __future__ import annotations
 
-from repro.cloud import WorkloadSource
+from repro.cloud import PriorityAdmissionControl, WorkloadSource
 from repro.core import StaticPolicy
-from repro.core.sla import SLAAwareAdmission, SLAContract, SLAPortfolio
 from repro.experiments import build_context, web_scenario
 from repro.metrics import format_table
 
 GOLD_SHARE = 0.3
 
 
-def run(reservation_step: int):
+def run(reserved_slots: int) -> PriorityAdmissionControl:
     scenario = web_scenario(scale=1000.0, horizon=12 * 3600.0)
     ctx = build_context(scenario, seed=0)
     StaticPolicy(80).attach(ctx)  # noon needs ~128 instances: contention
-    portfolio = SLAPortfolio(
-        [
-            SLAContract("gold", revenue_per_request=1.0, rejection_penalty=2.0),
-            SLAContract("bronze", revenue_per_request=0.2),
-        ]
-    )
-    admission = SLAAwareAdmission(
-        ctx.fleet, ctx.monitor, portfolio, reservation_step=reservation_step
+    admission = PriorityAdmissionControl(
+        ctx.fleet, ctx.monitor, reserved_slots=reserved_slots, privileged=("gold",)
     )
     rng = ctx.streams.get("sla.classes")
 
@@ -57,18 +51,25 @@ def run(reservation_step: int):
     return admission
 
 
+def profit(admission: PriorityAdmissionControl) -> float:
+    """Served revenue minus rejection penalties."""
+    gold = admission.per_class["gold"]
+    bronze = admission.per_class["bronze"]
+    return gold.accepted * 1.0 - gold.rejected * 2.0 + bronze.accepted * 0.2
+
+
 def main() -> None:
     rows = []
-    outcomes = {}
-    for label, step in (("flat admission", 0), ("value-ranked reservation", 40)):
-        adm = run(step)
-        outcomes[label] = adm
+    profits = {}
+    for label, slots in (("flat admission", 0), ("value-ranked reservation", 40)):
+        adm = run(slots)
+        profits[label] = profit(adm)
         rows.append(
             [
                 label,
                 f"{adm.per_class['gold'].rejection_rate:.2%}",
                 f"{adm.per_class['bronze'].rejection_rate:.2%}",
-                f"{adm.profit():,.0f}",
+                f"{profits[label]:,.0f}",
             ]
         )
     print(
@@ -78,8 +79,8 @@ def main() -> None:
             title="SLA economics: 30% gold / 70% bronze on an undersized fleet",
         )
     )
-    flat = outcomes["flat admission"].profit()
-    smart = outcomes["value-ranked reservation"].profit()
+    flat = profits["flat admission"]
+    smart = profits["value-ranked reservation"]
     print(f"\nValue-ranked reservation improves profit by "
           f"{(smart - flat) / abs(flat):+.1%} — rejections migrate from the")
     print("penalized gold contract to the penalty-free bronze one, exactly the")

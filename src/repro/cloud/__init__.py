@@ -24,7 +24,6 @@ from .admission import AdmissionControl
 from .broker import WorkloadSource
 from .datacenter import Datacenter
 from .failures import FailureInjector
-from .federation import CloudFederation
 from .fleet import ApplicationFleet
 from .host import Host
 from .instance import AppInstance, InstanceState
@@ -35,7 +34,6 @@ from .loadbalancer import (
     RoundRobinBalancer,
 )
 from .monitor import Monitor
-from .multitier import MultiTierDeployment, TierForwarder, TierSpec
 from .priority import HIGH, LOW, PriorityAdmissionControl, PriorityClassStats
 from .placement import (
     FirstFitPlacement,
@@ -43,13 +41,11 @@ from .placement import (
     PlacementPolicy,
     RandomPlacement,
 )
-from .request import RequestOutcome, RequestRecord
 from .vecfleet import VectorFleet
 from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec, VMState
 
 __all__ = [
     "Datacenter",
-    "CloudFederation",
     "Host",
     "VirtualMachine",
     "VMSpec",
@@ -70,14 +66,9 @@ __all__ = [
     "LeastConnectionsBalancer",
     "RandomBalancer",
     "Monitor",
-    "MultiTierDeployment",
-    "TierSpec",
-    "TierForwarder",
     "WorkloadSource",
     "PlacementPolicy",
     "LeastLoadedPlacement",
     "FirstFitPlacement",
     "RandomPlacement",
-    "RequestOutcome",
-    "RequestRecord",
 ]

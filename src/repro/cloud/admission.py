@@ -35,7 +35,8 @@ class AdmissionControl:
     fleet:
         The application fleet requests are dispatched into.
     monitor:
-        Monitoring sink (records arrivals and rejections).
+        Monitoring sink: arrivals go to its rate sampler, acceptances
+        and rejections straight to its metrics collector.
     count_arrivals:
         When true, every arrival is also reported to the monitor's
         rate sampler (needed by reactive predictors; costs one method
@@ -53,6 +54,7 @@ class AdmissionControl:
     __slots__ = (
         "_fleet",
         "_monitor",
+        "_metrics",
         "_count_arrivals",
         "_tracer",
         "_request_tracer",
@@ -68,6 +70,7 @@ class AdmissionControl:
     ) -> None:
         self._fleet = fleet
         self._monitor = monitor
+        self._metrics = monitor._metrics
         self._count_arrivals = bool(count_arrivals)
         self._tracer = narrowed(tracer, "admission.state")
         self._request_tracer = narrowed(tracer, "request.admitted", "request.rejected")
@@ -89,7 +92,7 @@ class AdmissionControl:
                 "request.admitted" if accepted else "request.rejected", arrival_time
             )
         if accepted:
-            self._monitor.record_acceptance()
+            self._metrics.record_acceptance()
             return True
-        self._monitor.record_rejection()
+        self._metrics.record_rejection()
         return False

@@ -5,8 +5,10 @@ for each application instance ... via regular monitoring tools or by
 Cloud monitoring services such as Amazon CloudWatch" (paper §IV-B).
 :class:`Monitor` is that service:
 
-* it is the single sink for request completions/rejections (forwarding
-  them to the run's :class:`~repro.metrics.collector.MetricsCollector`),
+* it is the single sink for request completions (forwarding them to
+  the run's :class:`~repro.metrics.collector.MetricsCollector`;
+  admission control counts acceptances and rejections on that
+  collector directly),
 * it keeps an exponentially-weighted estimate of the mean request
   service time ``T_m`` — the monitored quantity Algorithm 1 consumes,
 * it optionally samples the observed arrival rate on a fixed cadence,
@@ -125,14 +127,6 @@ class Monitor:
         if self.observer is not None:
             self.observer.observe(response_time)
 
-    def record_acceptance(self) -> None:
-        """Observe one admitted request (called by admission control)."""
-        self._metrics.record_acceptance()
-
-    def record_rejection(self) -> None:
-        """Observe one rejected request (called by admission control)."""
-        self._metrics.record_rejection()
-
     def record_arrival(self) -> None:
         """Observe one arrival (only counted when sampling is enabled)."""
         self._arrivals_in_window += 1
@@ -197,14 +191,6 @@ class Monitor:
             np.asarray(service_times, dtype=np.float64).tolist(),
         ):
             tracer.emit("request.completed", t, response_time=resp, service_time=svc)
-
-    def record_acceptances(self, count: int) -> None:
-        """Observe ``count`` admitted requests at once."""
-        self._metrics.record_acceptances(count)
-
-    def record_rejections(self, count: int) -> None:
-        """Observe ``count`` rejected requests at once."""
-        self._metrics.record_rejections(count)
 
     def record_arrivals(self, count: int) -> None:
         """Observe ``count`` arrivals at once (rate-sampling counter)."""

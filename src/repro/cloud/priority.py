@@ -60,7 +60,8 @@ class PriorityAdmissionControl:
     fleet:
         Dispatch target.
     monitor:
-        Monitoring sink (global metrics still flow through it).
+        Monitoring sink; acceptances and rejections are counted on its
+        metrics collector, so global metrics still see every request.
     reserved_slots:
         Number of request slots (across the whole fleet) kept free for
         privileged classes: a request of a *non*-privileged class is
@@ -79,7 +80,7 @@ class PriorityAdmissionControl:
         if reserved_slots < 0:
             raise ConfigurationError(f"reserved slots must be >= 0, got {reserved_slots}")
         self._fleet = fleet
-        self._monitor = monitor
+        self._metrics = monitor._metrics
         self.reserved_slots = int(reserved_slots)
         self.privileged = frozenset(privileged)
         self.per_class: Dict[object, PriorityClassStats] = {}
@@ -103,12 +104,12 @@ class PriorityAdmissionControl:
         stats = self._stats(klass)
         if klass not in self.privileged and self.free_slots() <= self.reserved_slots:
             stats.rejected += 1
-            self._monitor.record_rejection()
+            self._metrics.record_rejection()
             return False
         if self._fleet.dispatch(arrival_time):
             stats.accepted += 1
-            self._monitor.record_acceptance()
+            self._metrics.record_acceptance()
             return True
         stats.rejected += 1
-        self._monitor.record_rejection()
+        self._metrics.record_rejection()
         return False

@@ -520,9 +520,9 @@ class VectorFleet:
             if self._count_arrivals:
                 monitor.record_arrivals(arrivals)
             if arrivals > n_rejected:
-                monitor.record_acceptances(arrivals - n_rejected)
+                self._metrics.record_acceptances(arrivals - n_rejected)
             if n_rejected:
-                monitor.record_rejections(n_rejected)
+                self._metrics.record_rejections(n_rejected)
         tracer = self._tracer
         runs: List[Tuple[int, int, bool]] = []
         if tracer is not None:

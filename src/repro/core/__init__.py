@@ -33,7 +33,6 @@ from .mixed import MixedFleetPolicy
 from .modeler import PerformanceModeler, ProvisioningDecision
 from .policies import AdaptivePolicy, ProvisioningPolicy, StaticPolicy, default_predictor
 from .qos import QoSTarget
-from .sla import SLAAwareAdmission, SLAContract, SLAPortfolio
 from .vertical import VerticalScalingPolicy
 
 __all__ = [
@@ -53,9 +52,6 @@ __all__ = [
     "StaticPolicy",
     "AdaptivePolicy",
     "VerticalScalingPolicy",
-    "SLAContract",
-    "SLAPortfolio",
-    "SLAAwareAdmission",
     "MixedFleetPolicy",
     "default_predictor",
 ]

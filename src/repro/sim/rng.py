@@ -31,19 +31,17 @@ __all__ = [
 ]
 
 #: The library's stream-name census: every named stream a ``repro.*``
-#: module draws, with its purpose.  A trailing ``.*`` entry declares a
-#: *family* — dynamically-composed names under that literal prefix
-#: (``service.{tier}``).  The census test ``tests/test_census.py`` runs
-#: the library and checks this table in both directions: every name a
-#: run draws must be registered, and every entry must be drawn, so the
-#: table is always the complete, current answer to "where does
-#: randomness enter a replication?".  Runtime stays permissive (ad-hoc
-#: names in tests and notebooks are fine) — the registry is a tested
-#: provenance contract for library code, not a runtime gate.
+#: module draws, with its purpose.  The census test
+#: ``tests/test_census.py`` runs the library and checks this table in
+#: both directions: every name a run draws must be registered, and
+#: every entry must be drawn, so the table is always the complete,
+#: current answer to "where does randomness enter a replication?".
+#: Runtime stays permissive (ad-hoc names in tests and notebooks are
+#: fine) — the registry is a tested provenance contract for library
+#: code, not a runtime gate.
 STREAM_REGISTRY: Dict[str, str] = {
     "arrivals": "workload arrival process (both DES backends)",
     "service": "service-time draws (both DES backends)",
-    "service.*": "per-tier service-time draws of multi-tier fleets",
     "workload.mmpp.phase": "MMPP phase trajectory of synthetic workloads",
     "economy.revocation": "spot-capacity revocation schedule",
     "analysis.web": "workload characterization of the web trace",
@@ -54,13 +52,8 @@ STREAM_REGISTRY: Dict[str, str] = {
 
 
 def stream_registered(name: str) -> bool:
-    """True when ``name`` is registered, exactly or under a family."""
-    if name in STREAM_REGISTRY:
-        return True
-    return any(
-        entry.endswith(".*") and name.startswith(entry[:-1])
-        for entry in STREAM_REGISTRY
-    )
+    """True when ``name`` is a registered stream name."""
+    return name in STREAM_REGISTRY
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3

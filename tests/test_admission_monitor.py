@@ -78,10 +78,9 @@ def test_monitor_forwards_to_metrics():
     m = Monitor(engine, metrics, default_service_time=1.0)
     m.record_response(0.5, 0.4)
     m.record_response(2.0, 0.4)  # violation
-    m.record_rejection()
     assert metrics.completed == 2
     assert metrics.violations == 1
-    assert metrics.rejected == 1
+    assert metrics.busy_seconds == pytest.approx(0.8)
 
 
 def test_monitor_rate_sampling():

@@ -17,8 +17,8 @@ Profit and Spot runs with revocations, a mixed-VM fleet), a boot
 cancelled by hand, an engine whose heap compacts, a campaign that
 executes, caches, screens, fails, steals a stale lease and loses a
 race to a peer, and the stream users outside the
-backends (multi-tier fleets, the MMPP workload, the §V workload
-analysis and the Figure 3/4 arrival realizations).  While it runs,
+backends (the MMPP workload, the §V workload analysis and the
+Figure 3/4 arrival realizations).  While it runs,
 ``RandomStreams.get`` is wrapped to record the names drawn and a
 trace sink validates every event.  The tests then check each table
 in both directions: nothing undeclared happens, and nothing declared
@@ -35,20 +35,17 @@ import pytest
 
 from repro.backends import build_context
 from repro.campaigns import CampaignSpec, ResultStore, run_campaign
-from repro.cloud import Datacenter, MultiTierDeployment, TierSpec
 from repro.core import AdaptivePolicy, StaticPolicy
 from repro.core.mixed import MixedFleetPolicy
 from repro.core.qos import QoSTarget
 from repro.economy import PricingModel, ProfitPolicy, SpotPolicy
 from repro.experiments import figures, run_policy, web_scenario
 from repro.experiments.scenario import ScenarioConfig
-from repro.metrics import MetricsCollector
 from repro.obs.bus import TraceBus, TraceSink
 from repro.obs.metrics import METRIC_NAMES, MetricsConfig
 from repro.obs.schema import EVENT_TYPES, validate_event
 from repro.sim import Engine, RandomStreams
 from repro.sim.rng import STREAM_REGISTRY, stream_registered
-from repro.workloads import PoissonWorkload
 from repro.workloads.synthetic import MMPPWorkload
 
 _PRICING = PricingModel(
@@ -178,17 +175,6 @@ def _campaign(bus: TraceBus, root) -> None:
 
 def _other_stream_users() -> None:
     """Library stream draws outside the backends' replications."""
-    # Per-tier service streams of a multi-tier deployment.
-    tiers = [
-        TierSpec(name, PoissonWorkload(rate=1.0, base_service_time=s), capacity=2, instances=1)
-        for name, s in (("front", 0.5), ("back", 1.0))
-    ]
-    engine = Engine()
-    deployment = MultiTierDeployment(
-        engine, Datacenter(num_hosts=4), RandomStreams(0), MetricsCollector(), tiers
-    )
-    deployment.front_admission.submit(engine.now)
-    engine.run(until=60.0)
     # The MMPP phase trajectory, through a short DES run.
     mmpp = ScenarioConfig(
         name="mmpp",
@@ -244,12 +230,7 @@ def test_every_drawn_stream_is_registered(census):
 
 
 def test_every_registered_stream_is_drawn(census):
-    def drawn(entry: str) -> bool:
-        if entry.endswith(".*"):
-            return any(n.startswith(entry[:-1]) for n in census["drawn"])
-        return entry in census["drawn"]
-
-    assert sorted(e for e in STREAM_REGISTRY if not drawn(e)) == []
+    assert sorted(e for e in STREAM_REGISTRY if e not in census["drawn"]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,29 @@ def test_reservation_holds_slots_for_high_priority():
     assert pac.per_class[HIGH].rejection_rate == pytest.approx(1 / 3)
 
 
+def test_custom_privileged_class_is_the_only_one_exempt():
+    """With ``privileged=("gold",)`` every other class, ``HIGH``
+    included, faces the reservation; gold alone may take the reserved
+    slots."""
+    env = make_env(capacity=2, service_time=100.0)
+    env.fleet.scale_to(2)
+    pac = PriorityAdmissionControl(
+        env.fleet, env.monitor, reserved_slots=2, privileged=("gold",)
+    )
+    assert pac.submit(0.0, "bronze")
+    assert pac.submit(0.0, "bronze")
+    assert not pac.submit(0.0, "bronze")  # 2 free <= 2 reserved
+    assert not pac.submit(0.0, HIGH)  # HIGH is no longer privileged
+    assert pac.submit(0.0, "gold")
+    assert pac.submit(0.0, "gold")
+    assert not pac.submit(0.0, "gold")  # now genuinely full
+    assert (pac.per_class["gold"].accepted, pac.per_class["gold"].rejected) == (2, 1)
+    assert (pac.per_class["bronze"].accepted, pac.per_class["bronze"].rejected) == (2, 1)
+    assert (pac.per_class[HIGH].accepted, pac.per_class[HIGH].rejected) == (0, 1)
+    assert env.metrics.accepted == 4
+    assert env.metrics.rejected == 3
+
+
 def test_free_slots_accounting():
     env, pac = make_priority_env(instances=3, capacity=2)
     assert pac.free_slots() == 6
