@@ -17,11 +17,26 @@ a silent pass is still meaningful.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.obs.profile import Stopwatch
+
+
+def _load_hostspeed():
+    """``bench/hostspeed.py``, the end-to-end benchmark's host-speed probe."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "hostspeed.py"
+    spec = importlib.util.spec_from_file_location("hostspeed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hostspeed = _load_hostspeed()
 
 
 def web_scale() -> float:
@@ -42,6 +57,25 @@ def best_of(fn, repeats: int = 5) -> float:
         fn()
         best = min(best, watch.elapsed())
     return best
+
+
+def norm_cpu(fn):
+    """Run ``fn`` once: ``(its result, its CPU seconds at the nominal host
+    speed)``.
+
+    Timed under ``bench/hostspeed.py``'s probe, as ``bench/run.py``
+    times its ops, so a gate on it does not move with how busy the
+    host's other tenants are.
+    """
+    start = time.process_time()
+    with hostspeed.Probe() as probe:
+        result = fn()
+    return result, hostspeed.normalise(time.process_time() - start, probe.samples)
+
+
+def best_norm_cpu_of(fn, repeats: int = 5) -> float:
+    """Fastest of ``repeats`` :func:`norm_cpu` timings of ``fn``."""
+    return min(norm_cpu(fn)[1] for _ in range(repeats))
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ or the interval-analytical fluid engine
 (:class:`~repro.backends.fluid.FluidBackend`).  All three subclass
 :class:`ExecutionBackend`, whose one :meth:`~ExecutionBackend.run` owns
 the lifecycle — trace bus, ``run.start``/``run.end``, profile phases,
-telemetry stream and metrics registry, :class:`RunMetrics` assembly —
+telemetry snapshot file and registry, :class:`RunMetrics` assembly —
 and all three return the same :class:`RunMetrics` record, so
 everything downstream — replication fan-out, persistence, figures, the
 CLI perf summary, trace validation — works identically regardless of
@@ -111,8 +111,9 @@ class RunMetrics:
         equality (``compare=False``): timings are nondeterministic, so
         sequential and parallel replications still compare equal.
     telemetry:
-        :meth:`repro.obs.metrics.RunTelemetry.finalize` dump (registry
-        state + snapshot series) when the run was executed with a
+        :meth:`repro.obs.metrics.RunTelemetry.finalize` dump (the
+        registry of final counter, gauge and histogram values, and the
+        snapshot series) when the run was executed with a
         :class:`~repro.obs.metrics.MetricsConfig`; empty otherwise.
         Excluded from equality like ``profile`` so metrics-on and
         metrics-off replications of the same run still compare equal.
@@ -278,8 +279,9 @@ class ExecutionBackend:
             Optional :class:`~repro.obs.metrics.MetricsConfig`.  When
             set, the run carries a ``metrics.snapshot`` series and a
             metrics registry assembled at finalize; the finalized
-            telemetry lands in :attr:`RunMetrics.telemetry` (and on
-            disk when the config has a ``path``).
+            telemetry lands in :attr:`RunMetrics.telemetry`.  With a
+            ``path``, each snapshot is on disk at that path as soon as
+            it is taken, and a failed run leaves its partial series.
         """
         if self.name not in policy.backends:
             raise ConfigurationError(
@@ -321,10 +323,6 @@ class ExecutionBackend:
                     telemetry = run.telemetry.finalize(
                         f, out.fleet, actions=out.actions, batch=out.batch
                     )
-                    if metrics.path:
-                        run.telemetry.write_jsonl(
-                            metrics.resolve_path(scenario.name, policy.name, seed)
-                        )
             for key, n in out.counters.items():
                 profile.count(key, n)
             if tracer is not None:
@@ -343,7 +341,7 @@ class ExecutionBackend:
             )
         finally:
             if run.telemetry is not None:
-                run.telemetry.close_stream()
+                run.telemetry.close()
             if owns_bus and tracer is not None:
                 tracer.close()
 
@@ -385,24 +383,21 @@ class ExecutionBackend:
     def start_telemetry(self, run: RunState, **sources) -> RunTelemetry:
         """Build the run's :class:`~repro.obs.metrics.RunTelemetry`.
 
-        Snapshots every ``metrics.interval`` seconds, falling back to
-        the scenario's control epoch; ``sources`` are the backend's
+        Snapshots once per control epoch (the scenario's
+        ``update_interval``), streaming to the config's resolved
+        ``path`` when it has one; ``sources`` are the backend's
         ``collector``/``fleet_size_fn``/``cache_fn`` readers.
         """
         metrics, scenario = run.metrics, run.scenario
         run.telemetry = RunTelemetry(
-            metrics,
             scenario.qos.max_response_time,
-            metrics.interval if metrics.interval is not None else scenario.update_interval,
+            scenario.update_interval,
+            path=metrics.resolve_path(scenario.name, run.policy.name, run.seed)
+            if metrics.path
+            else None,
             tracer=run.tracer,
             **sources,
         )
-        if metrics.path and not metrics.history:
-            # History off + path on: stream each snapshot to disk as it
-            # is taken.
-            run.telemetry.open_stream(
-                metrics.resolve_path(scenario.name, run.policy.name, run.seed)
-            )
         return run.telemetry
 
     def build(self, run: RunState) -> None:  # pragma: no cover - abstract

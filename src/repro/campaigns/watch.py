@@ -16,8 +16,9 @@ the owning worker per in-flight cell and an active-worker footer.
 
 The watcher is a pure *reader*: it never touches the store's manifest
 or artifacts beyond reads, so it can run next to a live campaign
-process (atomic writes mean it never sees torn files, and a snapshot
-stream is valid JSONL line by line).
+process.  A running cell writes and flushes each snapshot to its
+stream as it is taken; the watcher reads the last complete line and
+skips a torn tail.
 """
 
 from __future__ import annotations

@@ -93,6 +93,16 @@ class PriorityAdmissionControl:
             inst.capacity - inst.occupancy for inst in fleet.active_instances
         )
 
+    def _free_exceeds_reserve(self) -> bool:
+        """Whether :meth:`free_slots` > ``reserved_slots``; stops summing
+        at the first instance that takes the total past the reserve."""
+        free, reserve = 0, self.reserved_slots
+        for inst in self._fleet.active_instances:
+            free += inst.capacity - inst.occupancy
+            if free > reserve:
+                return True
+        return False
+
     def _stats(self, klass: object) -> PriorityClassStats:
         stats = self.per_class.get(klass)
         if stats is None:
@@ -102,7 +112,7 @@ class PriorityAdmissionControl:
     def submit(self, arrival_time: float, klass: object = HIGH) -> bool:
         """Admit or reject one request of class ``klass``."""
         stats = self._stats(klass)
-        if klass not in self.privileged and self.free_slots() <= self.reserved_slots:
+        if klass not in self.privileged and not self._free_exceeds_reserve():
             stats.rejected += 1
             self._metrics.record_rejection()
             return False

@@ -110,9 +110,9 @@ def run_replications(
         (picklable, for the parallel path) backend instance.
     metrics:
         Optional picklable :class:`~repro.obs.metrics.MetricsConfig`
-        forwarded to every replication; per-worker registries come back
-        inside each result's ``telemetry`` field and combine losslessly
-        with :func:`repro.obs.metrics.merge_telemetry`.
+        forwarded to every replication; each run's registry and
+        snapshot series come back inside its result's ``telemetry``
+        field, the same with any ``workers``.
     """
     return resolve_backend(backend).run_seeds(
         scenario,

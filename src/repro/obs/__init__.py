@@ -19,33 +19,25 @@ every emission with one identity check.
 * :mod:`repro.obs.render` — JSONL traces → timeline + summary tables
   (the ``repro trace`` subcommand).
 * :mod:`repro.obs.log` — namespaced structured logging helpers.
-* :mod:`repro.obs.metrics` — the typed metrics registry (counters,
-  gauges, mergeable log-bucket histograms), the picklable
-  :class:`MetricsConfig`, and the per-run :class:`RunTelemetry`
-  snapshot sampler (ISSUE 7's tentpole).
-* :mod:`repro.obs.exporters` — Prometheus text exposition and JSONL
-  time-series export/validation for the snapshot stream.
+* :mod:`repro.obs.metrics` — the picklable :class:`MetricsConfig`,
+  the per-run :class:`RunTelemetry` snapshot sampler that streams to
+  the run's JSONL file, and its log-bucket response-time
+  :class:`Histogram`.
+* :mod:`repro.obs.exporters` — Prometheus text exposition and
+  validated loading of the snapshot stream.
 """
 
 from .audit import DecisionAuditLog, DecisionRecord, explain_record
 from .bus import JsonlSink, NullSink, RingBufferSink, TraceBus, TraceConfig, TraceSink
-from .exporters import (
-    export_jsonl,
-    load_snapshots,
-    parse_prometheus_text,
-    snapshot_to_prometheus,
-)
+from .exporters import load_snapshots, parse_prometheus_text, snapshot_to_prometheus
 from .log import get_logger, kv
 from .metrics import (
     METRIC_NAMES,
-    Counter,
-    Gauge,
+    SLO_QUANTILE,
     Histogram,
     MetricsConfig,
-    MetricsRegistry,
     RunTelemetry,
     log_bucket_bounds,
-    merge_telemetry,
     response_time_bounds,
 )
 from .profile import RunProfile, aggregate_profiles
@@ -92,20 +84,16 @@ __all__ = [
     "explain_decision",
     # metrics
     "METRIC_NAMES",
-    "Counter",
-    "Gauge",
+    "SLO_QUANTILE",
     "Histogram",
-    "MetricsRegistry",
     "MetricsConfig",
     "RunTelemetry",
     "log_bucket_bounds",
     "response_time_bounds",
-    "merge_telemetry",
     # exporters
     "snapshot_to_prometheus",
     "parse_prometheus_text",
     "load_snapshots",
-    "export_jsonl",
     # logging
     "get_logger",
     "kv",

@@ -42,6 +42,7 @@ __all__ = [
     "NullSink",
     "TraceConfig",
     "narrowed",
+    "resolve_run_path",
 ]
 
 
@@ -210,9 +211,26 @@ def narrowed(tracer: Optional[object], *event_types: str) -> Optional[object]:
     return None
 
 
-def _filename_component(label: str) -> str:
-    """Collapse path separators and whitespace into underscores."""
-    return re.sub(r"[/\\\s]+", "_", label.strip()) or "unnamed"
+def resolve_run_path(raw: object, scenario: str, policy: str, seed: int) -> Path:
+    """The concrete JSONL path of one (scenario, policy, seed) run.
+
+    ``raw`` may contain ``{scenario}``, ``{policy}`` and ``{seed}``
+    placeholders; a path ending in ``/`` (or an existing directory)
+    gets one ``<scenario>-<policy>-s<seed>.jsonl`` file per run.
+    Scenario/policy labels are sanitized into single filename
+    components (``web@1/5000`` → ``web@1_5000``) so a rate-scaled
+    scenario name cannot nest surprise subdirectories.
+    """
+    scenario, policy = (
+        re.sub(r"[/\\\s]+", "_", label.strip()) or "unnamed" for label in (scenario, policy)
+    )
+    raw = str(raw)
+    if "{" in raw:
+        return Path(raw.format(scenario=scenario, policy=policy, seed=seed))
+    p = Path(raw)
+    if raw.endswith(("/", "\\")) or p.is_dir():
+        return p / f"{scenario}-{policy}-s{seed}.jsonl"
+    return p
 
 
 @dataclass(frozen=True)
@@ -251,21 +269,8 @@ class TraceConfig:
             raise ConfigurationError("jsonl trace sink needs a path")
 
     def resolve_path(self, scenario: str, policy: str, seed: int) -> Path:
-        """The concrete JSONL path for one (scenario, policy, seed).
-
-        Scenario/policy labels are sanitized into single filename
-        components (``web@1/5000`` → ``web@1_5000``) so a rate-scaled
-        scenario name cannot nest surprise subdirectories.
-        """
-        scenario = _filename_component(scenario)
-        policy = _filename_component(policy)
-        raw = str(self.path)
-        if "{" in raw:
-            return Path(raw.format(scenario=scenario, policy=policy, seed=seed))
-        p = Path(raw)
-        if raw.endswith(("/", "\\")) or p.is_dir():
-            return p / f"{scenario}-{policy}-s{seed}.jsonl"
-        return p
+        """The concrete JSONL path for one (scenario, policy, seed)."""
+        return resolve_run_path(self.path, scenario, policy, seed)
 
     def build(self, scenario: str, policy: str, seed: int) -> TraceBus:
         """Construct the bus (and sink) for one run."""

@@ -8,8 +8,8 @@ Two export surfaces for the telemetry produced by
   Prometheus text exposition format (version 0.0.4): ``# HELP`` /
   ``# TYPE`` headers, ``_total`` counters, gauges, and a cumulative
   ``le``-labelled histogram.
-* :func:`load_snapshots` / :func:`export_jsonl` — validated JSONL time
-  series (each line is a schema-checked ``metrics.snapshot`` event).
+* :func:`load_snapshots` — reads a validated JSONL time series (each
+  line is a schema-checked ``metrics.snapshot`` event).
 
 :func:`parse_prometheus_text` is the matching format validator: it
 parses an exposition document back into families and enforces the
@@ -21,19 +21,17 @@ through both directions.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Dict, List, Mapping, Union
 
 from ..errors import ConfigurationError, TraceSchemaError
-from .schema import validate_event
+from .schema import iter_trace, validate_event
 
 __all__ = [
     "snapshot_to_prometheus",
     "parse_prometheus_text",
     "load_snapshots",
-    "export_jsonl",
 ]
 
 
@@ -224,36 +222,15 @@ def _check_histograms(families: Dict[str, dict]) -> None:
 
 def load_snapshots(path: Union[str, Path]) -> List[dict]:
     """Read and schema-validate a ``metrics.snapshot`` JSONL stream."""
-    path = Path(path)
     snapshots: List[dict] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceSchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-            try:
-                validate_event(event)
-            except TraceSchemaError as exc:
-                raise TraceSchemaError(f"{path}:{lineno}: {exc}") from None
-            if event.get("type") != "metrics.snapshot":
-                raise TraceSchemaError(
-                    f"{path}:{lineno}: expected metrics.snapshot, got {event.get('type')!r}"
-                )
-            snapshots.append(event)
+    for lineno, event in enumerate(iter_trace(path), start=1):
+        try:
+            validate_event(event)
+        except TraceSchemaError as exc:
+            raise TraceSchemaError(f"{path}:{lineno}: {exc}") from None
+        if event.get("type") != "metrics.snapshot":
+            raise TraceSchemaError(
+                f"{path}:{lineno}: expected metrics.snapshot, got {event.get('type')!r}"
+            )
+        snapshots.append(event)
     return snapshots
-
-
-def export_jsonl(snapshots: List[dict], path: Union[str, Path]) -> Path:
-    """Write a validated snapshot series to a JSONL file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    for event in snapshots:
-        validate_event(event)
-    with path.open("w", encoding="utf-8") as fh:
-        for event in snapshots:
-            fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-    return path

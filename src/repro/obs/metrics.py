@@ -1,35 +1,29 @@
-"""Typed metrics registry — counters, gauges, mergeable histograms.
+"""Run telemetry — the response-time histogram and the snapshot series.
 
 The trace bus (:mod:`repro.obs.bus`) transports *events*; this module
-aggregates them into *metrics*: monotone :class:`Counter` totals,
-last-value :class:`Gauge` readings, and a deterministic fixed-boundary
-log-bucket :class:`Histogram` whose percentile queries return exact
-bucket bounds.  The design rules mirror the bus:
+turns a run into *metrics*: a periodic ``metrics.snapshot`` series and
+a final registry dump.  The design rules mirror the bus:
 
 * **zero cost when disabled** — no simulation component holds a
-  registry: :class:`RunTelemetry` assembles it at finalize from state
-  the run already keeps, and only the response-time histogram is live
-  (fed from the monitor's completion sinks), so a run without metrics
-  executes exactly the seed code path;
+  metric: :class:`RunTelemetry` reads the counters and gauges at
+  finalize from totals the run already keeps, and only the
+  response-time :class:`Histogram` is live (fed from the monitor's
+  completion sinks), so a run without metrics executes exactly the
+  seed code path;
 * **no wall clocks, no randomness** — every value is a function of the
   simulation, never of the host (the :mod:`repro.lint` determinism rule
   applies to this module like any other);
 * **picklable config** — :class:`MetricsConfig` is the frozen recipe
   the experiment runner threads through process pools, exactly like
-  :class:`~repro.obs.bus.TraceConfig`;
-* **lossless merge** — per-worker registries from
-  ``run_replications(workers=N)`` combine with
-  :meth:`MetricsRegistry.merge`: counters and histogram bucket counts
-  add exactly; the histogram moments use Chan's parallel mean/M2
-  combination, the same update the bulk
-  :class:`~repro.metrics.collector.MetricsCollector` path uses.
+  :class:`~repro.obs.bus.TraceConfig`.
 
 :class:`RunTelemetry` is the per-run session object the backends build
-from a :class:`MetricsConfig`: it samples periodic ``metrics.snapshot``
-events (SLA violation fraction and burn rate against the scenario's QoS
-target, admission/rejection rates, fleet size, decision-cache hit
-ratio, response-time histogram state) on the engine's clock, and
-finalizes the registry into the ``telemetry`` field of
+from a :class:`MetricsConfig`: once per monitor epoch it samples a
+``metrics.snapshot`` event (SLA violation fraction and burn rate
+against the scenario's QoS target, admission/rejection rates, fleet
+size, decision-cache hit ratio, response-time histogram state) on the
+engine's clock, streams it to the run's JSONL file when the config has
+a ``path``, and finalizes the ``telemetry`` field of
 :class:`~repro.backends.base.RunMetrics`.
 
 Snapshots carry only integers and exactly-derived ratios — never an
@@ -40,9 +34,7 @@ backends on jitterless scenarios (``tests/test_metrics_xbackend.py``).
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -50,25 +42,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from .bus import JsonlSink, resolve_run_path
 
 __all__ = [
     "METRIC_NAMES",
-    "Counter",
-    "Gauge",
+    "SLO_QUANTILE",
     "Histogram",
-    "MetricsRegistry",
     "MetricsConfig",
     "RunTelemetry",
     "log_bucket_bounds",
     "response_time_bounds",
-    "merge_telemetry",
 ]
 
 
-#: Every metric the library may record: name → (kind, help).  Creating
-#: an undeclared name raises at run time (:class:`MetricsRegistry`), and
-#: the census test ``tests/test_census.py`` checks that its metered runs
-#: create exactly these names, so the table and the instrumentation
+#: Every metric a run's registry may report: name → (kind, help).  The
+#: census test ``tests/test_census.py`` checks that its metered runs
+#: report exactly these names, so the table and :meth:`RunTelemetry.finalize`
 #: cannot drift apart silently.
 METRIC_NAMES: Dict[str, Tuple[str, str]] = {
     "requests.arrived": ("counter", "arrivals offered to admission control"),
@@ -91,6 +80,12 @@ METRIC_NAMES: Dict[str, Tuple[str, str]] = {
     "economy.spot_vm_hours": ("gauge", "VM-hours billed at the discounted spot rate"),
     "economy.revocations": ("counter", "spot instances reclaimed by the revocation injector"),
 }
+
+#: The SLA objective the burn rate is measured against: the fraction of
+#: completed requests that must meet ``T_s`` (error budget = ``1 -
+#: SLO_QUANTILE``).  The paper's QoS contract has no explicit
+#: percentile, so this is the conventional 95th-percentile objective.
+SLO_QUANTILE = 0.95
 
 
 def log_bucket_bounds(
@@ -128,58 +123,8 @@ def response_time_bounds(qos_response_time: float) -> Tuple[float, ...]:
     )
 
 
-class Counter:
-    """A run total.  Merge = exact integer/float addition."""
-
-    __slots__ = ("name", "value")
-    kind = "counter"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def set_total(self, value: float) -> None:
-        """Overwrite the total — how :meth:`RunTelemetry.finalize`
-        builds every counter from a total the run already keeps."""
-        self.value = value
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
-    def to_dict(self) -> dict:
-        return {"kind": "counter", "value": self.value}
-
-    def load(self, data: dict) -> None:
-        self.value = data["value"]
-
-
-class Gauge:
-    """Last observed value.  Merge keeps the maximum (documented choice:
-    cross-replication gauges answer "how big did it get")."""
-
-    __slots__ = ("name", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def merge(self, other: "Gauge") -> None:
-        if other.value > self.value:
-            self.value = other.value
-
-    def to_dict(self) -> dict:
-        return {"kind": "gauge", "value": self.value}
-
-    def load(self, data: dict) -> None:
-        self.value = data["value"]
-
-
 class Histogram:
-    """Fixed-boundary histogram with Chan-mergeable moments.
+    """Fixed-boundary histogram with Chan-combined moments.
 
     Bucket ``i`` covers ``[bounds[i-1], bounds[i])`` (bucket 0 is
     everything below ``bounds[0]``); one final overflow bucket catches
@@ -192,23 +137,19 @@ class Histogram:
     buffer at the next read).
 
     Besides the bucket counts the histogram keeps count/mean/M2 moment
-    accumulators; :meth:`merge` combines them with Chan's parallel
-    update, making per-worker histograms combine losslessly (counts are
-    exact; moments are exact up to float associativity, the same
-    guarantee the run's :class:`~repro.metrics.collector.MetricsCollector`
-    documents).
+    accumulators, folding each batch in with Chan's parallel update —
+    the same update the bulk
+    :class:`~repro.metrics.collector.MetricsCollector` path uses.
     """
 
-    __slots__ = ("name", "bounds", "_counts", "_count", "_mean", "_m2", "_pending")
-    kind = "histogram"
+    __slots__ = ("bounds", "_counts", "_count", "_mean", "_m2", "_pending")
 
-    def __init__(self, name: str, bounds: Sequence[float]) -> None:
+    def __init__(self, bounds: Sequence[float]) -> None:
         b = tuple(float(x) for x in bounds)
         if not b or any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
             raise ConfigurationError(
                 f"histogram bounds must be strictly increasing and non-empty, got {b!r}"
             )
-        self.name = name
         self.bounds = b
         self._counts = [0] * (len(b) + 1)
         self._count = 0
@@ -244,18 +185,15 @@ class Histogram:
                 counts[i] += c
         batch_mean = float(arr.mean())
         batch_m2 = float(np.sum((arr - batch_mean) ** 2))
-        self._combine(n, batch_mean, batch_m2)
-
-    def _combine(self, n: int, mean: float, m2: float) -> None:
         prior = self._count
         total = prior + n
         if prior == 0:
-            self._mean = mean
-            self._m2 = m2
+            self._mean = batch_mean
+            self._m2 = batch_m2
         else:
-            delta = mean - self._mean
+            delta = batch_mean - self._mean
             self._mean += delta * n / total
-            self._m2 += m2 + delta * delta * prior * n / total
+            self._m2 += batch_m2 + delta * delta * prior * n / total
         self._count = total
 
     # -- queries --------------------------------------------------------
@@ -269,24 +207,6 @@ class Histogram:
         """Per-bucket counts (flushes the pending buffer first)."""
         self._flush()
         return list(self._counts)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations."""
-        self._flush()
-        return self._mean
-
-    @property
-    def sum(self) -> float:
-        """Σ observations (mean × count — consistent with the moments)."""
-        self._flush()
-        return self._mean * self._count
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (0 with fewer than 2 observations)."""
-        self._flush()
-        return self._m2 / (self._count - 1) if self._count > 1 else 0.0
 
     def cumulative_counts(self) -> List[int]:
         """Prometheus-style cumulative bucket counts (last = total)."""
@@ -321,19 +241,6 @@ class Histogram:
                 return self.bounds[i] if i < len(self.bounds) else float("inf")
         return float("inf")  # pragma: no cover - counts always sum to count
 
-    # -- merge / persistence -------------------------------------------
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ConfigurationError(
-                f"cannot merge histograms with different bounds ({self.name})"
-            )
-        self._flush()
-        other._flush()
-        for i, c in enumerate(other._counts):
-            self._counts[i] += c
-        if other._count:
-            self._combine(other._count, other._mean, other._m2)
-
     def to_dict(self) -> dict:
         self._flush()
         return {
@@ -345,184 +252,28 @@ class Histogram:
             "m2": self._m2,
         }
 
-    def load(self, data: dict) -> None:
-        if tuple(data["bounds"]) != self.bounds:
-            self.bounds = tuple(data["bounds"])
-        self._counts = list(data["counts"])
-        self._count = int(data["count"])
-        self._mean = float(data["mean"])
-        self._m2 = float(data["m2"])
-        self._pending = []
-
-
-class MetricsRegistry:
-    """Name → metric map, validated against :data:`METRIC_NAMES`.
-
-    Creation is get-or-create: the first call for a name (in a run,
-    :class:`RunTelemetry`, which knows the scenario's QoS target)
-    fixes histogram boundaries.  Unknown names or kind mismatches
-    raise, so a misspelled instrument fails its first metered run.
-    """
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
-
-    def _declare(self, name: str, kind: str):
-        spec = METRIC_NAMES.get(name)
-        if spec is None:
-            raise ConfigurationError(
-                f"unregistered metric name {name!r}; add it to "
-                "repro.obs.metrics.METRIC_NAMES"
-            )
-        if spec[0] != kind:
-            raise ConfigurationError(
-                f"metric {name!r} is registered as a {spec[0]}, not a {kind}"
-            )
-        existing = self._metrics.get(name)
-        if existing is not None and existing.kind != kind:  # pragma: no cover
-            raise ConfigurationError(f"metric {name!r} already exists as {existing.kind}")
-        return existing
-
-    def counter(self, name: str) -> Counter:
-        existing = self._declare(name, "counter")
-        if existing is None:
-            existing = self._metrics[name] = Counter(name)
-        return existing
-
-    def gauge(self, name: str) -> Gauge:
-        existing = self._declare(name, "gauge")
-        if existing is None:
-            existing = self._metrics[name] = Gauge(name)
-        return existing
-
-    def histogram(self, name: str, bounds: Optional[Sequence[float]] = None) -> Histogram:
-        existing = self._declare(name, "histogram")
-        if existing is None:
-            if bounds is None:
-                bounds = log_bucket_bounds(1e-3, 1e4)
-            existing = self._metrics[name] = Histogram(name, bounds)
-        return existing
-
-    def get(self, name: str):
-        """The live metric, or ``None`` if nothing created it yet."""
-        return self._metrics.get(name)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self):
-        return iter(sorted(self._metrics))
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (counters add, gauges max,
-        histograms Chan-merge).  Metrics absent here are deep-copied in
-        via their dict form."""
-        for name in other:
-            theirs = other.get(name)
-            mine = self._metrics.get(name)
-            if mine is None:
-                if theirs.kind == "histogram":
-                    mine = self.histogram(name, bounds=theirs.bounds)
-                elif theirs.kind == "gauge":
-                    mine = self.gauge(name)
-                else:
-                    mine = self.counter(name)
-            mine.merge(theirs)
-
-    def to_dict(self) -> Dict[str, dict]:
-        return {name: self.get(name).to_dict() for name in self}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, dict]) -> "MetricsRegistry":
-        reg = cls()
-        for name, payload in data.items():
-            kind = payload.get("kind")
-            if kind == "counter":
-                reg.counter(name).load(payload)
-            elif kind == "gauge":
-                reg.gauge(name).load(payload)
-            elif kind == "histogram":
-                reg.histogram(name, bounds=payload["bounds"]).load(payload)
-            else:
-                raise ConfigurationError(f"unknown metric kind {kind!r} for {name!r}")
-        return reg
-
-
-def merge_telemetry(telemetries: Sequence[dict]) -> Dict[str, dict]:
-    """Merge the registry dumps of several runs' ``telemetry`` fields.
-
-    Accepts the ``RunMetrics.telemetry`` dicts of a replication set
-    (empty ones — metrics-off runs — are skipped) and returns one
-    combined registry dump: the lossless cross-worker merge promised by
-    the parallel runner.
-    """
-    merged = MetricsRegistry()
-    for t in telemetries:
-        if t and t.get("registry"):
-            merged.merge(MetricsRegistry.from_dict(t["registry"]))
-    return merged.to_dict()
-
-
-def _filename_component(label: str) -> str:
-    return re.sub(r"[/\\\s]+", "_", label.strip()) or "unnamed"
-
 
 @dataclass(frozen=True)
 class MetricsConfig:
     """Picklable recipe for one run's telemetry (mirror of TraceConfig).
 
+    Snapshots are taken once per monitor epoch (the scenario's
+    ``update_interval``) and kept in ``RunMetrics.telemetry``.
+
     Parameters
     ----------
-    interval:
-        Snapshot cadence in simulation seconds.  ``None`` samples once
-        per monitor epoch (the scenario's ``update_interval``).
     path:
-        Optional JSONL destination for the snapshot stream.  Same
-        placeholder/directory semantics as
+        Optional JSONL destination the snapshots stream to as they are
+        taken.  Same placeholder/directory semantics as
         :class:`~repro.obs.bus.TraceConfig.path`; each run writes
         ``<scenario>-<policy>-s<seed>.jsonl``.
-    slo_quantile:
-        The SLA objective the burn rate is measured against: the
-        fraction of completed requests that must meet ``T_s``
-        (error budget = ``1 - slo_quantile``).  The paper's QoS
-        contract has no explicit percentile, so the conventional
-        95th-percentile objective is the default.
-    history:
-        Keep the snapshot series in memory (returned inside
-        ``RunMetrics.telemetry``); disable for very long runs streamed
-        to ``path`` — the backends then stream each snapshot straight
-        to the JSONL file as it is taken, so nothing accumulates in
-        memory and nothing is lost.
     """
 
-    interval: Optional[float] = None
     path: Optional[str] = None
-    slo_quantile: float = 0.95
-    history: bool = True
-
-    def __post_init__(self) -> None:
-        if self.interval is not None and self.interval <= 0.0:
-            raise ConfigurationError(
-                f"snapshot interval must be > 0, got {self.interval!r}"
-            )
-        if not 0.0 < self.slo_quantile < 1.0:
-            raise ConfigurationError(
-                f"slo_quantile must be in (0, 1), got {self.slo_quantile!r}"
-            )
 
     def resolve_path(self, scenario: str, policy: str, seed: int) -> Path:
         """Concrete JSONL path for one (scenario, policy, seed)."""
-        scenario = _filename_component(scenario)
-        policy = _filename_component(policy)
-        raw = str(self.path)
-        if "{" in raw:
-            return Path(raw.format(scenario=scenario, policy=policy, seed=seed))
-        p = Path(raw)
-        if raw.endswith(("/", "\\")) or p.is_dir():
-            return p / f"{scenario}-{policy}-s{seed}.jsonl"
-        return p
+        return resolve_run_path(self.path, scenario, policy, seed)
 
 
 class RunTelemetry:
@@ -533,20 +284,24 @@ class RunTelemetry:
     low-priority engine event that calls :meth:`sample` and feeds the
     response-time histogram from the run's monitor; the fluid backend
     computes the same series from its integration grid via
-    :meth:`sample_grid`.  Either way :meth:`finalize` assembles the
-    registry from the run's final state and returns the ``telemetry``
-    dict attached to :class:`~repro.backends.base.RunMetrics`.
+    :meth:`sample_grid`.  With a ``path`` every snapshot is written and
+    flushed to that file the moment it is taken, so a reader (``repro
+    campaign watch``) sees a live run's progress and a failed run
+    leaves its partial series; :meth:`close` ends the file.
+    :meth:`finalize` assembles the registry from the run's final state
+    and returns the ``telemetry`` dict attached to
+    :class:`~repro.backends.base.RunMetrics`.
 
     The ``qos.response_time`` histogram (:attr:`response_time`, buckets
     centered on the QoS target) is the only instrument live during the
-    run; every counter and gauge is created at :meth:`finalize`.
+    run; every counter and gauge is read at :meth:`finalize`.
     """
 
     def __init__(
         self,
-        config: MetricsConfig,
         qos_response_time: float,
         interval: float,
+        path: Optional[Path] = None,
         collector=None,
         fleet_size_fn: Optional[Callable[[], int]] = None,
         cache_fn: Optional[Callable[[], Tuple[int, int]]] = None,
@@ -554,11 +309,7 @@ class RunTelemetry:
     ) -> None:
         if interval <= 0.0:
             raise ConfigurationError(f"snapshot interval must be > 0, got {interval!r}")
-        self.registry = MetricsRegistry()
-        self.response_time = self.registry.histogram(
-            "qos.response_time", bounds=response_time_bounds(qos_response_time)
-        )
-        self.config = config
+        self.response_time = Histogram(response_time_bounds(qos_response_time))
         self.qos_response_time = float(qos_response_time)
         self.interval = float(interval)
         self.collector = collector
@@ -566,10 +317,7 @@ class RunTelemetry:
         self.cache_fn = cache_fn
         self.tracer = tracer
         self.snapshots: List[dict] = []
-        # Incremental JSONL stream (history-off mode); see open_stream.
-        self._stream = None
-        self._stream_tmp: Optional[Path] = None
-        self._stream_target: Optional[Path] = None
+        self._sink = JsonlSink(path) if path is not None else None
         # Previous-window counters for the burn-rate delta.
         self._prev_completed = 0
         self._prev_violations = 0
@@ -626,7 +374,7 @@ class RunTelemetry:
             window_violations = violations - self._prev_violations
             self._prev_completed = completed
             self._prev_violations = violations
-        budget = 1.0 - self.config.slo_quantile
+        budget = 1.0 - SLO_QUANTILE
         hist = self.response_time
         if self.cache_fn is not None:
             hits, misses = self.cache_fn()
@@ -662,10 +410,10 @@ class RunTelemetry:
             "bounds": list(hist.bounds),
             "buckets": hist.cumulative_counts(),
         }
-        if self.config.history:
-            self.snapshots.append(snapshot)
-        if self._stream is not None:
-            self._stream.write(json.dumps(snapshot, separators=(",", ":")) + "\n")
+        self.snapshots.append(snapshot)
+        if self._sink is not None:
+            self._sink.write(snapshot)
+            self._sink.flush()
         if self.tracer is not None:
             fields = {k: v for k, v in snapshot.items() if k not in ("t", "type")}
             self.tracer.emit("metrics.snapshot", now, **fields)
@@ -723,7 +471,7 @@ class RunTelemetry:
         """Assemble the registry from the run's state and dump the telemetry.
 
         Every counter and gauge is a view of a number the run already
-        keeps, set once here rather than incremented on the hot path:
+        keeps, read once here rather than incremented on the hot path:
 
         * ``fields`` — the backend's
           :class:`~repro.backends.base.RunMetrics` fields: request
@@ -736,89 +484,39 @@ class RunTelemetry:
           policies without a control plane;
         * ``batch`` — the vectorized data plane's ``(spans, flushed
           requests)``; ``None`` off ``des-vec``.
-
-        Each run contributes its own final totals, so the dumps still
-        merge correctly across replications.
         """
-        reg = self.registry
-        reg.counter("requests.arrived").set_total(fields["total_requests"])
-        reg.counter("requests.accepted").set_total(fields["accepted"])
-        reg.counter("requests.rejected").set_total(fields["rejected"])
-        reg.counter("requests.completed").set_total(fields["completed"])
-        reg.counter("qos.violations").set_total(fields["qos_violations"])
-        reg.counter("control.cache_hits").set_total(fields["cache_hits"])
-        reg.counter("control.cache_misses").set_total(fields["cache_misses"])
-        reg.gauge("fleet.size").set(int(fleet))
+        values = {
+            "requests.arrived": fields["total_requests"],
+            "requests.accepted": fields["accepted"],
+            "requests.rejected": fields["rejected"],
+            "requests.completed": fields["completed"],
+            "qos.violations": fields["qos_violations"],
+            "control.cache_hits": fields["cache_hits"],
+            "control.cache_misses": fields["cache_misses"],
+            "fleet.size": int(fleet),
+        }
         if actions is not None:
-            reg.counter("control.decisions").set_total(len(actions))
-            reg.gauge("fleet.target").set(actions[-1].target if actions else 0.0)
+            values["control.decisions"] = len(actions)
+            values["fleet.target"] = actions[-1].target if actions else 0.0
         if batch is not None:
-            reg.counter("batch.spans").set_total(batch[0])
-            reg.counter("batch.flushed_requests").set_total(batch[1])
+            values["batch.spans"], values["batch.flushed_requests"] = batch
         if "revenue" in fields:
-            reg.gauge("economy.revenue").set(fields["revenue"])
-            reg.gauge("economy.cost").set(fields["cost"])
-            reg.gauge("economy.penalty").set(fields["penalty"])
-            reg.gauge("economy.profit").set(fields["profit"])
-            reg.gauge("economy.spot_vm_hours").set(fields["spot_vm_hours"])
-            reg.counter("economy.revocations").set_total(fields["revocations"])
+            for key in ("revenue", "cost", "penalty", "profit", "spot_vm_hours", "revocations"):
+                values[f"economy.{key}"] = fields[key]
+        registry = {
+            name: {"kind": METRIC_NAMES[name][0], "value": v} for name, v in values.items()
+        }
+        registry["qos.response_time"] = self.response_time.to_dict()
         return {
             "version": 1,
             "interval": self.interval,
-            "slo_quantile": self.config.slo_quantile,
+            "slo_quantile": SLO_QUANTILE,
             "qos_target": self.qos_response_time,
-            "registry": reg.to_dict(),
+            "registry": dict(sorted(registry.items())),
             "snapshots": list(self.snapshots),
         }
 
-    # -- persistence ----------------------------------------------------
-    def open_stream(self, path: Path) -> Path:
-        """Stream every subsequent snapshot straight to ``path``.
-
-        Backends call this before the run when the config has a
-        ``path`` but ``history`` is disabled: each snapshot is appended
-        to a ``.tmp`` sibling the moment it is taken (nothing
-        accumulates in memory), and :meth:`close_stream` atomically
-        renames it into place.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._stream_target = path
-        self._stream_tmp = path.with_suffix(path.suffix + ".tmp")
-        self._stream = self._stream_tmp.open("w", encoding="utf-8")
-        return path
-
-    def close_stream(self) -> Optional[Path]:
-        """Flush and publish a stream opened by :meth:`open_stream`.
-
-        Idempotent; returns the published path, or ``None`` when no
-        stream is open.  Publishes whatever was streamed so far, so an
-        interrupted run still keeps its partial series.
-        """
-        if self._stream is None:
-            return None
-        self._stream.close()
-        self._stream = None
-        self._stream_tmp.replace(self._stream_target)
-        self._stream_tmp = None
-        return self._stream_target
-
-    def write_jsonl(self, path: Path) -> Path:
-        """Write the snapshot series as one JSONL file (each line is a
-        ``metrics.snapshot`` event that passes
-        :func:`~repro.obs.schema.validate_event`; the census test
-        ``tests/test_census.py`` checks every event a run emits).
-
-        In streaming mode (``open_stream`` active) the series is
-        already on disk — this just closes and publishes the stream.
-        """
-        if self._stream is not None:
-            return self.close_stream()
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for snap in self.snapshots:
-                fh.write(json.dumps(snap, separators=(",", ":")) + "\n")
-        tmp.replace(path)
-        return path
+    def close(self) -> None:
+        """End the snapshot file (no-op without a ``path``; idempotent)."""
+        if self._sink is not None:
+            self._sink.close()

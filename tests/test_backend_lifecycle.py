@@ -48,10 +48,10 @@ def built_buses(monkeypatch):
     return buses
 
 
-class FailsAfterFirst(ArrivalRatePredictor):
-    """Delegates the first prediction, then raises."""
+class FailsAfterThird(ArrivalRatePredictor):
+    """Delegates the first three predictions, then raises."""
 
-    name = "fails-after-first"
+    name = "fails-after-third"
 
     def __init__(self, inner: ArrivalRatePredictor) -> None:
         self.inner = inner
@@ -59,7 +59,7 @@ class FailsAfterFirst(ArrivalRatePredictor):
 
     def predict(self, t0: float, t1: float) -> float:
         self.calls += 1
-        if self.calls > 1:
+        if self.calls > 3:
             raise RuntimeError("predictor failed")
         return self.inner.predict(t0, t1)
 
@@ -91,12 +91,10 @@ def test_failed_run_closes_bus_and_publishes_partial_stream(
     backend, tmp_path, built_buses
 ):
     policy = AdaptivePolicy(
-        predictor_factory=lambda ctx: FailsAfterFirst(default_predictor(ctx))
+        predictor_factory=lambda ctx: FailsAfterThird(default_predictor(ctx))
     )
     trace = TraceConfig(sink="jsonl", path=str(tmp_path / "trace") + "/")
-    metrics = MetricsConfig(
-        interval=60.0, history=False, path=str(tmp_path / "metrics") + "/"
-    )
+    metrics = MetricsConfig(path=str(tmp_path / "metrics") + "/")
     with pytest.raises(RuntimeError, match="predictor failed"):
         resolve_backend(backend).run(
             small_scenario(), policy, trace=trace, metrics=metrics

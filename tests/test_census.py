@@ -74,7 +74,7 @@ def _traced_runs(bus: TraceBus, metered: Set[str]) -> None:
     )
     priced = web.with_updates(pricing=_PRICING)
     saturated = web_scenario(scale=400.0, horizon=3600.0)
-    metrics = MetricsConfig(interval=900.0)
+    metrics = MetricsConfig()
 
     def run(scenario, policy, backend):
         result = run_policy(scenario, policy, backend=backend, trace=bus, metrics=metrics)

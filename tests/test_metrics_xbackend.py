@@ -6,8 +6,9 @@ series is **bit-identical** between the scalar ``des`` and vectorized
 floats, so any divergence in bucketing, counter sync, or tick placement
 shows up as a hard failure here, not as drift.  Around that sit the
 fluid backend's grid-sampled series, the metrics-off zero-cost path,
-the parallel-merge contract, the campaign watch surface, and the
-interrupt-path flush guarantee.
+the workers=1 ≡ workers=2 telemetry contract, the campaign watch
+surface (including a live run's stream), and the interrupt-path flush
+guarantee.
 """
 
 from __future__ import annotations
@@ -92,21 +93,6 @@ def test_fluid_snapshot_stream_is_schema_valid(tmp_path, web_jitterless):
     assert last["p95"] == 0.0
 
 
-def test_history_off_stream_matches_in_memory_series(tmp_path, web_jitterless):
-    """history=False + path streams every snapshot to disk (regression:
-    the combination used to produce an empty JSONL file)."""
-    on = run_policy(
-        web_jitterless, AdaptivePolicy(), seed=0, backend="des", metrics=METRICS
-    )
-    cfg = MetricsConfig(history=False, path=str(tmp_path) + "/")
-    off = run_policy(
-        web_jitterless, AdaptivePolicy(), seed=0, backend="des", metrics=cfg
-    )
-    assert off.telemetry["snapshots"] == []
-    streamed = load_snapshots(cfg.resolve_path(web_jitterless.name, "Adaptive", 0))
-    assert streamed == on.telemetry["snapshots"]
-
-
 def test_metrics_off_is_the_seed_code_path(web_jitterless):
     off = run_policy(web_jitterless, AdaptivePolicy(), seed=0, backend="des")
     on = run_policy(
@@ -132,23 +118,26 @@ def test_metrics_off_is_the_seed_code_path(web_jitterless):
 
 
 def test_parallel_and_sequential_telemetry_merge_identically():
+    """Pool workers return each run's telemetry unchanged: ``workers=1``
+    and ``workers=2`` give equal per-run registries and series."""
     from repro.experiments import PolicySpec
     from repro.experiments.runner import run_replications
-    from repro.obs.metrics import merge_telemetry
 
     scenario = web_scenario(scale=5000.0, horizon=2 * 3600.0)
-    cfg = MetricsConfig(interval=1800.0)
     seq = run_replications(
-        scenario, PolicySpec(AdaptivePolicy), seeds=(0, 1), workers=1, metrics=cfg
+        scenario, PolicySpec(AdaptivePolicy), seeds=(0, 1), workers=1, metrics=METRICS
     )
     par = run_replications(
-        scenario, PolicySpec(AdaptivePolicy), seeds=(0, 1), workers=2, metrics=cfg
+        scenario, PolicySpec(AdaptivePolicy), seeds=(0, 1), workers=2, metrics=METRICS
     )
-    m_seq = merge_telemetry([r.telemetry for r in seq])
-    m_par = merge_telemetry([r.telemetry for r in par])
-    assert json.dumps(m_seq, sort_keys=True) == json.dumps(m_par, sort_keys=True)
-    assert m_seq["requests.arrived"]["value"] == sum(r.total_requests for r in seq)
-    assert m_seq["qos.response_time"]["count"] == sum(r.completed for r in seq)
+    for s, p in zip(seq, par):
+        assert s.telemetry["snapshots"], "no snapshots sampled"
+        assert json.dumps(s.telemetry, sort_keys=True) == json.dumps(
+            p.telemetry, sort_keys=True
+        )
+        reg = s.telemetry["registry"]
+        assert reg["requests.arrived"]["value"] == s.total_requests
+        assert reg["qos.response_time"]["count"] == s.completed
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +241,40 @@ def test_watch_reads_live_stream_with_torn_tail(tmp_path):
     assert p.status == "running"
     assert p.fraction == pytest.approx(0.5)
     assert p.snapshot["fleet"] == 9
+
+
+def test_metered_run_snapshot_is_on_disk_when_emitted(tmp_path):
+    """``campaign watch`` sees a running cell: each snapshot is at the
+    cell's final stream path, complete, when the run emits it."""
+    from repro.backends import resolve_backend
+    from repro.campaigns import ResultStore, snapshot_progress
+    from repro.obs.bus import TraceSink
+
+    spec = _spec(tmp_path / "store")
+    store = ResultStore(spec.store_path(None))
+    cell = spec.expanded()[0]
+    horizon = 2 * 3600.0
+    seen = []
+
+    class WatchingSink(TraceSink):
+        def write(self, event: dict) -> None:
+            if event["type"] == "metrics.snapshot":
+                p = snapshot_progress(store, cell, horizon=horizon)
+                seen.append((event["t"], p.status, p.snapshot and p.snapshot["t"]))
+
+    cfg = MetricsConfig(path=str(store.root / "telemetry") + "/")
+    result = resolve_backend(cell.backend).run(
+        cell.build_scenario(),
+        cell.policy_factory()(),
+        seed=cell.seed,
+        trace=TraceBus(WatchingSink(), events=("metrics.snapshot",)),
+        metrics=cfg,
+    )
+    assert len(seen) == len(result.telemetry["snapshots"]) > 0
+    assert seen == [(t, "running", t) for t, _, _ in seen]
+    stream = cfg.resolve_path(cell.scenario_label(), cell.policy_label, cell.seed)
+    assert load_snapshots(stream) == result.telemetry["snapshots"]
+    assert not list(store.root.rglob("*.tmp"))
 
 
 def test_campaign_interrupt_flushes_borrowed_bus(tmp_path, monkeypatch):

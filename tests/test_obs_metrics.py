@@ -1,11 +1,11 @@
-"""Unit + property tests of the typed metrics registry (repro.obs.metrics).
+"""Unit + property tests of the run telemetry (repro.obs.metrics).
 
-Covers the instrument semantics (counter add, gauge max, histogram
-Chan-merge), the hypothesis-checked merge associativity and
-percentile-bound exactness guarantees, the picklable
-:class:`MetricsConfig`, the Prometheus exposition round-trip, and the
-interrupt-safety contract of the trace sinks (flush/close + context
-managers) the JSONL streams rely on.
+Covers the response-time histogram (scalar/bulk bucketing, the
+hypothesis-checked Chan-moment associativity and percentile-bound
+exactness guarantees), the picklable :class:`MetricsConfig`, snapshot
+fields, the finalized registry, the live snapshot file, the Prometheus
+exposition round-trip, and the interrupt-safety contract of the trace
+sinks (flush/close + context managers) the JSONL streams rely on.
 """
 
 from __future__ import annotations
@@ -21,22 +21,13 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs.bus import JsonlSink, RingBufferSink, TraceBus
-from repro.obs.exporters import (
-    export_jsonl,
-    load_snapshots,
-    parse_prometheus_text,
-    snapshot_to_prometheus,
-)
+from repro.obs.exporters import load_snapshots, parse_prometheus_text, snapshot_to_prometheus
 from repro.obs.metrics import (
     METRIC_NAMES,
-    Counter,
-    Gauge,
     Histogram,
     MetricsConfig,
-    MetricsRegistry,
     RunTelemetry,
     log_bucket_bounds,
-    merge_telemetry,
     response_time_bounds,
 )
 
@@ -72,34 +63,6 @@ def test_response_time_bounds_bracket_the_qos_target():
 
 
 # ---------------------------------------------------------------------------
-# counters / gauges
-# ---------------------------------------------------------------------------
-
-
-def test_counter_semantics_and_merge():
-    c = Counter("requests.arrived")
-    assert c.value == 0
-    c.set_total(100)
-    other = Counter("requests.arrived")
-    other.set_total(11)
-    c.merge(other)
-    assert c.value == 111
-    assert c.to_dict() == {"kind": "counter", "value": 111}
-
-
-def test_gauge_merge_keeps_maximum():
-    g = Gauge("fleet.size")
-    g.set(40)
-    other = Gauge("fleet.size")
-    other.set(25)
-    g.merge(other)
-    assert g.value == 40  # merge is documented as max, not last-wins
-    other.set(90)
-    g.merge(other)
-    assert g.value == 90
-
-
-# ---------------------------------------------------------------------------
 # histogram
 # ---------------------------------------------------------------------------
 
@@ -107,15 +70,16 @@ def test_gauge_merge_keeps_maximum():
 def test_histogram_scalar_and_bulk_bucket_identically():
     bounds = log_bucket_bounds(1e-2, 1e2)
     values = np.array([0.005, 0.01, 0.37, 1.0, 42.0, 500.0])
-    scalar = Histogram("qos.response_time", bounds)
+    scalar = Histogram(bounds)
     for v in values.tolist():
         scalar.observe(v)
-    bulk = Histogram("qos.response_time", bounds)
+    bulk = Histogram(bounds)
     bulk.observe_many(values)
     assert scalar.counts == bulk.counts
     assert scalar.count == bulk.count == values.size
-    assert scalar.mean == pytest.approx(bulk.mean)
-    assert scalar.variance == pytest.approx(bulk.variance)
+    s, b = scalar.to_dict(), bulk.to_dict()
+    assert s["mean"] == pytest.approx(b["mean"])
+    assert s["m2"] == pytest.approx(b["m2"])
     # boundary landing: a value exactly on a bound goes to the bucket
     # above it on both paths (bisect_right == searchsorted side="right")
     assert scalar.counts[0] == 1  # 0.005 < bounds[0]
@@ -123,7 +87,7 @@ def test_histogram_scalar_and_bulk_bucket_identically():
 
 
 def test_histogram_counts_returns_a_copy():
-    hist = Histogram("qos.response_time", log_bucket_bounds(1e-2, 1e2))
+    hist = Histogram(log_bucket_bounds(1e-2, 1e2))
     hist.observe(0.5)
     leaked = hist.counts
     leaked[0] += 99
@@ -131,15 +95,11 @@ def test_histogram_counts_returns_a_copy():
     assert sum(hist.counts) == hist.count == 1
 
 
-def test_histogram_rejects_bad_bounds_and_merge_mismatch():
+def test_histogram_rejects_bad_bounds():
     with pytest.raises(ConfigurationError):
-        Histogram("qos.response_time", [])
+        Histogram([])
     with pytest.raises(ConfigurationError):
-        Histogram("qos.response_time", [1.0, 1.0, 2.0])
-    a = Histogram("qos.response_time", [1.0, 2.0])
-    b = Histogram("qos.response_time", [1.0, 3.0])
-    with pytest.raises(ConfigurationError):
-        a.merge(b)
+        Histogram([1.0, 1.0, 2.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,34 +114,26 @@ def test_histogram_rejects_bad_bounds_and_merge_mismatch():
     )
 )
 def test_histogram_merge_is_associative(chunks):
-    """((a+b)+c) == (a+(b+c)) == sequential feed: counts exactly,
-    moments up to float associativity."""
+    """Chan-combining batches is associative: a chunk-by-chunk feed,
+    (first chunk + the rest as one batch) and one flat batch agree —
+    counts exactly, moments up to float associativity."""
     bounds = log_bucket_bounds(1e-3, 1e3, per_decade=4)
 
-    def hist_of(values):
-        h = Histogram("qos.response_time", bounds)
-        for v in values:
-            h.observe(v)
-        return h
+    def hist_of(*batches):
+        h = Histogram(bounds)
+        for batch in batches:
+            h.observe_many(np.array(batch, dtype=np.float64))
+        return h.to_dict()
 
-    left = hist_of([])
-    for chunk in chunks:
-        left.merge(hist_of(chunk))
-
-    right = hist_of([])
-    rest = hist_of([])
-    for chunk in chunks[1:]:
-        rest.merge(hist_of(chunk))
-    right.merge(hist_of(chunks[0]))
-    right.merge(rest)
-
+    left = hist_of(*chunks)
+    right = hist_of(chunks[0], [v for chunk in chunks[1:] for v in chunk])
     flat = hist_of([v for chunk in chunks for v in chunk])
 
-    assert left.counts == right.counts == flat.counts  # exact
-    assert left.count == right.count == flat.count
-    assert left.mean == pytest.approx(right.mean, rel=1e-9, abs=1e-12)
-    assert left.mean == pytest.approx(flat.mean, rel=1e-9, abs=1e-9)
-    assert left.variance == pytest.approx(flat.variance, rel=1e-6, abs=1e-9)
+    assert left["counts"] == right["counts"] == flat["counts"]  # exact
+    assert left["count"] == right["count"] == flat["count"]
+    assert left["mean"] == pytest.approx(right["mean"], rel=1e-9, abs=1e-12)
+    assert left["mean"] == pytest.approx(flat["mean"], rel=1e-9, abs=1e-9)
+    assert left["m2"] == pytest.approx(flat["m2"], rel=1e-6, abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +149,7 @@ def test_percentile_bound_exactly_brackets_the_rank_statistic(values, q):
     """percentile_bound(q) is an exact bracket of the ⌈q·n⌉-th smallest
     observation: lower bound ≤ v < upper bound."""
     bounds = log_bucket_bounds(1e-3, 1e3, per_decade=4)
-    h = Histogram("qos.response_time", bounds)
+    h = Histogram(bounds)
     for v in values:
         h.observe(v)
     rank = max(1, math.ceil(q * len(values)))
@@ -213,7 +165,7 @@ def test_percentile_bound_exactly_brackets_the_rank_statistic(values, q):
 
 
 def test_percentile_bound_edges():
-    h = Histogram("qos.response_time", [1.0, 2.0])
+    h = Histogram([1.0, 2.0])
     assert h.percentile_bound(0.95) == 0.0  # empty
     with pytest.raises(ConfigurationError):
         h.percentile_bound(0.0)
@@ -222,73 +174,12 @@ def test_percentile_bound_edges():
 
 
 # ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-
-def test_registry_rejects_unknown_names_and_kind_mismatch():
-    reg = MetricsRegistry()
-    with pytest.raises(ConfigurationError):
-        reg.counter("not.a.metric")
-    with pytest.raises(ConfigurationError):
-        reg.gauge("requests.arrived")  # declared as a counter
-
-
-def test_registry_get_or_create_returns_same_instrument():
-    reg = MetricsRegistry()
-    c1 = reg.counter("requests.arrived")
-    c2 = reg.counter("requests.arrived")
-    assert c1 is c2
-    assert reg.get("requests.arrived") is c1
-    assert reg.get("requests.rejected") is None
-
-
-def test_registry_roundtrip_and_merge():
-    reg = MetricsRegistry()
-    reg.counter("requests.accepted").set_total(7)
-    reg.gauge("fleet.size").set(12)
-    reg.histogram("qos.response_time", bounds=[0.1, 1.0]).observe(0.5)
-
-    clone = MetricsRegistry.from_dict(reg.to_dict())
-    assert clone.to_dict() == reg.to_dict()
-
-    clone.merge(reg)
-    assert clone.get("requests.accepted").value == 14
-    assert clone.get("fleet.size").value == 12
-    assert clone.get("qos.response_time").count == 2
-
-
-def test_merge_telemetry_skips_metrics_off_runs():
-    reg = MetricsRegistry()
-    reg.counter("requests.accepted").set_total(3)
-    dump = {"registry": reg.to_dict()}
-    merged = merge_telemetry([{}, dump, {}, dump])
-    assert merged["requests.accepted"]["value"] == 6
-
-
-def test_every_declared_metric_kind_is_buildable():
-    reg = MetricsRegistry()
-    for name, (kind, _help) in METRIC_NAMES.items():
-        instrument = getattr(reg, kind)(name)
-        assert instrument.kind == kind
-
-
-# ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
 
 
-def test_metrics_config_validation():
-    with pytest.raises(ConfigurationError):
-        MetricsConfig(interval=0.0)
-    with pytest.raises(ConfigurationError):
-        MetricsConfig(slo_quantile=1.0)
-    with pytest.raises(ConfigurationError):
-        MetricsConfig(slo_quantile=0.0)
-
-
 def test_metrics_config_is_picklable():
-    cfg = MetricsConfig(interval=600.0, path="tel/", slo_quantile=0.99)
+    cfg = MetricsConfig(path="tel/")
     clone = pickle.loads(pickle.dumps(cfg))
     assert clone == cfg
 
@@ -303,9 +194,10 @@ def test_metrics_config_resolve_path(tmp_path):
 
 
 def test_run_telemetry_centers_histogram_on_qos_target():
-    tel = RunTelemetry(MetricsConfig(), 0.25, interval=100.0)
-    assert tel.registry.get("qos.response_time") is tel.response_time
+    tel = RunTelemetry(0.25, interval=100.0)
     assert tel.response_time.bounds == response_time_bounds(0.25)
+    with pytest.raises(ConfigurationError):
+        RunTelemetry(0.25, interval=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +214,7 @@ class _FakeCollector:
 
 
 def _telemetry(collector, **kwargs):
-    return RunTelemetry(MetricsConfig(), 1.0, interval=100.0, collector=collector, **kwargs)
+    return RunTelemetry(1.0, interval=100.0, collector=collector, **kwargs)
 
 
 def test_snapshot_fields_are_integer_ratios():
@@ -347,7 +239,8 @@ def test_snapshot_fields_are_integer_ratios():
 
 def test_finalize_syncs_registry_and_dumps_history(tmp_path):
     m = _FakeCollector()
-    tel = _telemetry(m, cache_fn=lambda: (5, 3))
+    path = tmp_path / "tel.jsonl"
+    tel = _telemetry(m, cache_fn=lambda: (5, 3), path=path)
     m.accepted = m.completed = 10
     tel.sample(100.0)
     fields = dict(
@@ -355,58 +248,67 @@ def test_finalize_syncs_registry_and_dumps_history(tmp_path):
         qos_violations=1, cache_hits=5, cache_misses=3,
     )
     out = tel.finalize(fields, fleet=4)
+    tel.close()
     reg = out["registry"]
     assert out["version"] == 1
-    assert reg["requests.arrived"]["value"] == 12
+    assert out["slo_quantile"] == 0.95
+    assert reg["requests.arrived"] == {"kind": "counter", "value": 12}
     assert reg["qos.violations"]["value"] == 1
     assert reg["control.cache_hits"]["value"] == 5
-    assert reg["fleet.size"]["value"] == 4
+    assert reg["fleet.size"] == {"kind": "gauge", "value": 4}
     # No control plane, batch plane or pricing: none of their instruments.
-    assert sorted(reg) == [
+    assert list(reg) == [
         "control.cache_hits", "control.cache_misses", "fleet.size",
         "qos.response_time", "qos.violations", "requests.accepted",
         "requests.arrived", "requests.completed", "requests.rejected",
     ]
     assert len(out["snapshots"]) == 1
 
-    stream = tel.write_jsonl(tmp_path / "tel.jsonl")
-    snapshots = load_snapshots(stream)  # schema-validates every line
-    assert len(snapshots) == 1
+    snapshots = load_snapshots(path)  # schema-validates every line
+    assert snapshots == out["snapshots"]
     assert snapshots[0]["cache_hits"] == 5
 
 
-def test_history_false_keeps_no_snapshots():
-    cfg = MetricsConfig(history=False)
-    tel = RunTelemetry(cfg, 1.0, interval=50.0, collector=_FakeCollector())
-    tel.sample(50.0)
-    assert tel.snapshots == []
+def test_every_declared_metric_kind_is_buildable():
+    """A priced, batched, controlled run reports every declared metric,
+    each with its declared kind."""
+    tel = _telemetry(_FakeCollector())
+    fields = dict(
+        total_requests=12, accepted=10, rejected=2, completed=10,
+        qos_violations=1, cache_hits=5, cache_misses=3, revenue=1.0,
+        cost=0.5, penalty=0.0, profit=0.5, spot_vm_hours=2.0, revocations=1,
+    )
+    action = type("Action", (), {"target": 6})()
+    reg = tel.finalize(fields, fleet=4, actions=[action], batch=(3, 40))["registry"]
+    assert list(reg) == sorted(METRIC_NAMES)
+    assert {name: v["kind"] for name, v in reg.items()} == {
+        name: kind for name, (kind, _help) in METRIC_NAMES.items()
+    }
+    assert reg["fleet.target"]["value"] == 6
+    assert reg["batch.flushed_requests"]["value"] == 40
 
 
-def test_history_false_streams_snapshots_to_path(tmp_path):
-    """history=False + path must not lose the series: snapshots are
-    streamed to disk as they are taken (regression: write_jsonl used to
-    dump the empty in-memory list)."""
+def test_snapshots_stream_to_path_as_taken(tmp_path):
+    """Each snapshot is on disk at the final path the moment it is
+    taken, and still kept in memory."""
     path = tmp_path / "tel.jsonl"
-    cfg = MetricsConfig(history=False, path=str(path))
-    tel = RunTelemetry(cfg, 1.0, interval=50.0, collector=_FakeCollector())
-    tel.open_stream(path)
+    tel = _telemetry(_FakeCollector(), path=path)
     tel.sample(50.0)
+    assert [s["t"] for s in load_snapshots(path)] == [50.0]
     tel.sample(100.0)
-    out = tel.write_jsonl(path)
-    assert out == path
-    assert tel.snapshots == []  # still nothing retained in memory
     assert [s["t"] for s in load_snapshots(path)] == [50.0, 100.0]
-    assert tel.close_stream() is None  # idempotent after write_jsonl
+    assert load_snapshots(path) == tel.snapshots
+    tel.close()
+    tel.close()  # idempotent
+    assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_close_stream_publishes_partial_series_on_interrupt(tmp_path):
+def test_close_keeps_partial_series_on_interrupt(tmp_path):
     path = tmp_path / "tel.jsonl"
-    cfg = MetricsConfig(history=False, path=str(path))
-    tel = RunTelemetry(cfg, 1.0, interval=50.0, collector=_FakeCollector())
-    tel.open_stream(path)
+    tel = _telemetry(_FakeCollector(), path=path)
     tel.sample(50.0)
-    # The backend's finally path: close without finalize/write_jsonl.
-    assert tel.close_stream() == path
+    # The backend's finally path: close without finalize.
+    tel.close()
     assert [s["t"] for s in load_snapshots(path)] == [50.0]
 
 
@@ -444,15 +346,6 @@ def test_prometheus_parser_rejects_non_cumulative_buckets():
     )
     with pytest.raises(ConfigurationError):
         parse_prometheus_text(bad)
-
-
-def test_export_jsonl_round_trip(tmp_path):
-    m = _FakeCollector()
-    tel = _telemetry(m)
-    tel.sample(100.0)
-    tel.sample(200.0)
-    out = export_jsonl(tel.snapshots, tmp_path / "series.jsonl")
-    assert [s["t"] for s in load_snapshots(out)] == [100.0, 200.0]
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,18 @@ def test_free_slots_accounting():
     assert pac.free_slots() == 5
 
 
+@pytest.mark.parametrize("reserved", range(7))
+def test_low_priority_gate_matches_free_slots_at_every_fill(reserved):
+    """The gate stops summing early, but decides as ``free_slots() >
+    reserved_slots`` would at every fleet fill level."""
+    for fill in range(7):
+        env, pac = make_priority_env(instances=3, capacity=2, reserved=reserved)
+        for _ in range(fill):
+            pac.submit(0.0, HIGH)
+        expected = pac.free_slots() > reserved
+        assert pac.submit(0.0, LOW) is expected, (fill, reserved)
+
+
 def test_global_metrics_still_recorded():
     env, pac = make_priority_env(instances=1, capacity=1, reserved=0)
     pac.submit(0.0, LOW)
