@@ -38,10 +38,14 @@ DES_VEC_WEB_DAY_MAX_S = 3 * 0.172
 #: fired arrivals in place (27.5-35.0x while it kept one heap entry per
 #: arrival).
 DES_VEC_MIN_SPEEDUP = 20.0
-#: How much faster des-vec must run the saturated Static-75 cell than
-#: scalar des (measured 3.4-5.1x on the host above with in-place arrivals,
-#: 5.6-7.2x without; 2.2-2.4x with one span per arrival window).
+#: How much faster des-vec must run the saturated Static-75 day than
+#: scalar des: measured 3.0-3.3x over five runs on the host above with
+#: the event path's state kept across a span's pieces, 2.0-2.1x without.
+#: (The gate's 6-h night window, which rejected 2.5% of its arrivals,
+#: read 3.4-5.1x.)
 DES_VEC_MIN_SATURATED_SPEEDUP = 2.0
+# 3x the fastest of five des-vec saturated Static-75 days on that host.
+DES_VEC_SATURATED_MAX_S = 3 * 0.19
 
 
 def _chained_ticks(count: int) -> int:
@@ -147,13 +151,14 @@ def test_vec_backend_end_to_end_speedup():
 def test_vec_backend_end_to_end_saturated_speedup():
     """des-vec must run a rejecting fleet at least 2x faster than scalar des.
 
-    Jitterless web at scale 400 for 6 h on an undersized Static-75: all
-    instances are full for long stretches, so spans meet full stations
-    and the fleet runs them on its event-granular path.  Counts and
-    series must match scalar des exactly.
+    Jitterless web day at scale 400 on an undersized Static-75: from the
+    morning ramp to the evening every instance is full for long
+    stretches, so most spans run on the fleet's event-granular path
+    (about 13% of the arrivals are rejected).  Counts and series must
+    match scalar des exactly.
     """
     scale = 400.0
-    base = web_scenario(scale=scale, horizon=6 * 3600.0, track_fleet_series=True)
+    base = web_scenario(scale=scale, horizon=24 * 3600.0, track_fleet_series=True)
     scenario = base.with_updates(workload=WebWorkload(service_jitter=0.0).scaled(scale))
 
     des, t_des = norm_cpu(lambda: run_policy(scenario, StaticPolicy(75), seed=0, backend="des"))
@@ -162,7 +167,9 @@ def test_vec_backend_end_to_end_saturated_speedup():
     print(
         f"\nend-to-end saturated Static-75 scale=400 (normalised CPU s): des={t_des:.2f}s "
         f"des-vec={t_vec:.2f}s speedup={t_des / t_vec:.1f}x, "
-        f"{des.rejected} of {des.total_requests} rejected"
+        f"{des.rejected} of {des.total_requests} rejected, "
+        f"{vec.profile['counters']['event_spans']} of {vec.profile['counters']['spans']} "
+        "spans on the event path"
     )
     assert des.rejected > 0
     for name in ("total_requests", "accepted", "completed", "rejected", "vm_hours"):
@@ -170,6 +177,7 @@ def test_vec_backend_end_to_end_saturated_speedup():
     assert vec.control_series == des.control_series
     assert vec.fleet_series == des.fleet_series
     assert t_des >= DES_VEC_MIN_SATURATED_SPEEDUP * t_vec, t_des / t_vec
+    assert t_vec <= DES_VEC_SATURATED_MAX_S, t_vec
 
 
 WEB_PEAK_QOS = QoSTarget(max_response_time=0.250, min_utilization=0.80)

@@ -142,6 +142,8 @@ def run_group(
     """
     seeds = [c.seed for c in batch]
     by_seed = {c.seed: c for c in batch}
+    if metrics is not None and metrics.path is None:
+        metrics = dataclasses.replace(metrics, path=store.telemetry_path(head.backend))
     if bus is not None:
         for cell in batch:
             bus.emit(

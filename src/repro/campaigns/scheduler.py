@@ -29,7 +29,6 @@ byte-identical in manifest and cell payloads to a sequential run.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import socket
 import threading
@@ -363,8 +362,10 @@ def run_campaign(
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsConfig` forwarded to
         every executed cell.  A config without a ``path`` is pointed at
-        the store's ``telemetry/`` directory, which is where
-        ``repro campaign watch`` reads live snapshot streams from.
+        the store's ``telemetry/<backend>/`` directory
+        (:meth:`~repro.campaigns.store.ResultStore.telemetry_path`),
+        which is where ``repro campaign watch`` reads live snapshot
+        streams from.
     shard:
         ``None`` (own the whole grid, work-stealing with any concurrent
         workers) or a static partition — ``"i/N"`` text or an
@@ -392,10 +393,6 @@ def run_campaign(
     if workers == 0:  # 0 = auto: one worker per CPU
         workers = os.cpu_count() or 1
     pool_workers = max(1, int(workers))
-    if metrics is not None and metrics.path is None:
-        metrics = dataclasses.replace(
-            metrics, path=str(store.root / "telemetry") + "/"
-        )
     if isinstance(shard, str):
         shard = parse_shard(shard)
     if shard is not None:

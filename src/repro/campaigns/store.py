@@ -185,6 +185,15 @@ class ResultStore:
         """The lease path guarding one cell key (may not exist)."""
         return self.leases_root / f"{key}.json"
 
+    def telemetry_path(self, backend: str) -> str:
+        """The directory, as a ``MetricsConfig.path``, that a campaign
+        streams one backend's cell telemetry to by default.
+
+        A stream is named after the cell's scenario, policy and seed
+        only, so each backend gets its own directory.
+        """
+        return str(self.root / "telemetry" / backend) + "/"
+
     # ------------------------------------------------------------------
     # Filesystem clock
     # ------------------------------------------------------------------

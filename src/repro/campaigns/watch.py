@@ -3,14 +3,14 @@
 ``repro campaign watch`` renders one table row per cell of a campaign
 grid: the cell's store status (``cached`` / ``failed`` / ``screened`` /
 ``running`` / ``claimed`` / ``pending``), its live progress when a
-``metrics.snapshot`` stream exists under the store's ``telemetry/``
-directory (written by :func:`repro.campaigns.scheduler.run_campaign`
-when invoked with a :class:`~repro.obs.metrics.MetricsConfig`), and a
-campaign ETA extrapolated from the wall time of the cells already in
-the store.
+``metrics.snapshot`` stream exists under the store's
+``telemetry/<backend>/`` directory (written by
+:func:`repro.campaigns.scheduler.run_campaign` when invoked with a
+:class:`~repro.obs.metrics.MetricsConfig`), and a campaign ETA
+extrapolated from the wall time of the cells already in the store.
 
 With several workers sharing one store, each worker streams its own
-cells' telemetry into the same ``telemetry/`` directory, so a single
+cells' telemetry into the same ``telemetry/`` tree, so a single
 watcher aggregates progress across the whole fleet; lease records add
 the owning worker per in-flight cell and an active-worker footer.
 
@@ -90,7 +90,7 @@ def snapshot_progress(
     # whatever telemetry that worker has streamed so far.
     lease = store.lease_of(cell, fs_now=0.0)
     owner = lease.owner if lease is not None else None
-    config = MetricsConfig(path=str(store.root / "telemetry") + "/")
+    config = MetricsConfig(path=store.telemetry_path(cell.backend))
     stream = config.resolve_path(cell.scenario_label(), cell.policy_label, cell.seed)
     snap = _last_snapshot(stream)
     if snap is None:

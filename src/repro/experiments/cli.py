@@ -226,9 +226,10 @@ def _perf_summary(data: "figures.FigureData") -> List[str]:
 
 
 def _trace_files(path: Path) -> List[Path]:
-    """The JSONL files a ``trace`` invocation covers (sorted)."""
+    """The JSONL files a ``trace`` invocation covers (sorted), in
+    subdirectories too: a campaign's telemetry has one per backend."""
     if path.is_dir():
-        files = sorted(path.glob("*.jsonl"))
+        files = sorted(path.rglob("*.jsonl"))
         if not files:
             raise SystemExit(f"no .jsonl traces found in {path}")
         return files
@@ -285,7 +286,8 @@ def _metrics_command(args: argparse.Namespace) -> int:
         snapshot_to_prometheus,
     )
 
-    files = _trace_files(Path(args.path))
+    root = Path(args.path)
+    files = _trace_files(root)
     if args.metrics_command == "export" and len(files) != 1:
         raise SystemExit(
             f"metrics export needs exactly one stream, got {len(files)}; "
@@ -338,7 +340,8 @@ def _metrics_command(args: argparse.Namespace) -> int:
                 ["t", "fleet", "acc", "rej", "done", "viol",
                  "rej%", "viol%", "burn", "p95<="],
                 rows,
-                title=f"metrics: {stream.name} ({len(snapshots)} snapshot(s), "
+                title=f"metrics: {stream.relative_to(root) if root.is_dir() else stream.name} "
+                f"({len(snapshots)} snapshot(s), "
                 f"Ts={snapshots[-1]['qos_target']}s)",
             )
         )
@@ -429,8 +432,8 @@ def _campaign_command(args: argparse.Namespace) -> int:
         if args.metrics:
             from ..obs.metrics import MetricsConfig
 
-            # Path defaults to <store>/telemetry/ inside run_campaign,
-            # which is where `campaign watch` looks for live streams.
+            # Path defaults to <store>/telemetry/<backend>/ for each
+            # cell, which is where `campaign watch` looks for live streams.
             metrics = MetricsConfig()
         try:
             result = run_campaign(
@@ -690,7 +693,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "--metrics",
                 action="store_true",
                 help="write one metrics.snapshot JSONL stream per cell under "
-                "<store>/telemetry/ (what `campaign watch` reads live)",
+                "<store>/telemetry/<backend>/ (what `campaign watch` reads live)",
             )
             cp.add_argument(
                 "--shard",

@@ -30,8 +30,9 @@ Exactness invariants (documented in ``docs/performance.md``):
   :meth:`SoAQueues.assign` lays a whole span out cyclically and checks
   that with one vectorised compare; :meth:`SoAQueues.drain` commits the
   prefix before the first full station.
-* **One arithmetic, two granularities** — :func:`event_span` replays a
-  span arrival by arrival over plain floats with the very operations
+* **One arithmetic, two granularities** — :class:`EventState` (and
+  its one-piece form :func:`event_span`) replays a span arrival by
+  arrival over plain floats with the very operations
   the one-pass kernel applies to arrays (``arr + svc/speed`` at an idle
   start, ``max(dep, head_arr) + head_svc/speed`` behind a busy one), so
   the two leave bitwise-identical departures behind and a span may be
@@ -41,7 +42,7 @@ Exactness invariants (documented in ``docs/performance.md``):
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -51,6 +52,7 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "EventSpan",
+    "EventState",
     "SoAQueues",
     "SpanPlan",
     "event_span",
@@ -428,6 +430,175 @@ class EventSpan(NamedTuple):
     clean: int
 
 
+class EventState:
+    """The event path's view of a set of stations, as plain Python floats.
+
+    The state of the ``dispatch`` and ``drain_only`` stations is read
+    out of ``soa`` once, when the object is built; :meth:`run` admits
+    arrivals against it one at a time, as often as the caller likes, and
+    :meth:`store` writes it back once.  Nothing else may touch those
+    stations of ``soa`` between the load and the store.
+
+    * a heap of ``(svc_end, position)`` completes what is due before
+      each arrival;
+    * ``free`` is the sorted list of the dispatch positions that are not
+      full, so "all full?" is ``not free`` and the round-robin walk to
+      the first non-full station at or after the pointer is one
+      ``bisect``;
+    * ``drain_only`` stations only complete, never admit.
+    """
+
+    __slots__ = (
+        "soa",
+        "idx",
+        "na",
+        "stations",
+        "end",
+        "cur_arr",
+        "cur_svc",
+        "speed",
+        "qa",
+        "qs",
+        "occ",
+        "free",
+        "heap",
+    )
+
+    def __init__(self, soa: SoAQueues, dispatch: Sequence[int], drain_only: Sequence[int]) -> None:
+        k = soa.capacity
+        self.soa = soa
+        self.na = len(dispatch)
+        self.idx = idx = np.concatenate((dispatch, drain_only)).astype(np.intp, copy=False)
+        self.stations = idx.tolist()
+        inf = math.inf
+        self.end = end = soa.svc_end[idx].tolist()
+        self.cur_arr = soa.cur_arr[idx].tolist()
+        self.cur_svc = soa.cur_svc[idx].tolist()
+        self.speed = soa.speed[idx].tolist()
+        qlen = soa.qlen[idx].tolist()
+        self.qa = [row[len(row) - n :] for row, n in zip(soa.q_arr[idx].tolist(), qlen)]
+        self.qs = [row[len(row) - n :] for row, n in zip(soa.q_svc[idx].tolist(), qlen)]
+        self.occ = occ = [n + (e != inf) for n, e in zip(qlen, end)]
+        self.free = [p for p in range(self.na) if occ[p] < k]
+        self.heap = heap = [(e, p) for p, e in enumerate(end) if e != inf]
+        heapify(heap)
+
+    def run(
+        self,
+        times: np.ndarray,
+        services: np.ndarray,
+        start: int,
+        t_end: float,
+        strict: bool,
+        rr: int,
+    ) -> EventSpan:
+        """Admit ``times[start:]`` up to ``t_end`` one arrival at a time.
+
+        * an arrival goes to the first non-full station of ``dispatch``
+          at or after position ``rr``, cyclically (the round-robin
+          balancer's walk), and the pointer moves past it;
+        * while every dispatch station is full, arrivals are rejected in
+          bulk up to the next completion with one bisection;
+        * completions are those with ``svc_end <= t_end`` — ``< t_end``
+          when ``strict``.
+
+        ``services`` are raw draws, divided by the station speed at
+        service start.
+        """
+        k, na, stations = self.soa.capacity, self.na, self.stations
+        end, cur_arr, cur_svc, speed = self.end, self.cur_arr, self.cur_svc, self.speed
+        qa, qs, occ, free, heap = self.qa, self.qs, self.occ, self.free, self.heap
+        inf = math.inf
+        stop = int(np.searchsorted(times, t_end, side="left"))
+        tl = times[start:stop].tolist()
+        sl = services[start:stop].tolist()
+        n = len(tl)
+        # The last drain bound: "< t_end" is "<= the float just below t_end".
+        t_last = math.nextafter(t_end, -inf) if strict else t_end
+        done_rows: List[Tuple[float, float, float]] = []
+        record = done_rows.append
+        push, pop = heappush, heappop
+        emptied: List[Tuple[float, int]] = []
+        rejected: List[Tuple[int, int]] = []
+        clean = None
+        i = 0
+        while True:
+            t = tl[i] if i < n else t_last
+            while heap and heap[0][0] <= t:
+                done, p = pop(heap)
+                record((done, cur_arr[p], cur_svc[p]))
+                if occ[p] == k and p < na:
+                    insort(free, p)
+                occ[p] -= 1
+                q = qa[p]
+                if q:
+                    a = q.pop(0)
+                    s = qs[p].pop(0) / speed[p]
+                    cur_arr[p] = a
+                    cur_svc[p] = s
+                    e = (done if done > a else a) + s
+                    end[p] = e
+                    push(heap, (e, p))
+                else:
+                    end[p] = inf
+                    if p >= na:
+                        emptied.append((done, stations[p]))
+            if i == n:
+                break
+            if not free:
+                # The paper's rejection condition: reject in bulk up to the
+                # next completion (all of the span when nothing can admit).
+                j = bisect_left(tl, heap[0][0], i) if heap and na else n
+                if rejected and rejected[-1][1] == start + i:
+                    rejected[-1] = (rejected[-1][0], start + j)
+                else:
+                    rejected.append((start + i, start + j))
+                if clean is None:
+                    clean = i
+                i = j
+                continue
+            f = bisect_left(free, rr)
+            if f == len(free):
+                f = 0
+            p = free[f]
+            if p != rr and clean is None:
+                clean = i
+            o = occ[p]
+            if o == 0:
+                s = sl[i] / speed[p]
+                cur_arr[p] = t
+                cur_svc[p] = s
+                e = t + s
+                end[p] = e
+                push(heap, (e, p))
+            else:
+                qa[p].append(t)
+                qs[p].append(sl[i])
+            o += 1
+            occ[p] = o
+            if o == k:
+                del free[f]
+            rr = p + 1 if p + 1 < na else 0
+            i += 1
+        completions = tuple(np.array(done_rows).T) if done_rows else None
+        return EventSpan(start + n, rr, rejected, completions, emptied, n if clean is None else clean)
+
+    def store(self) -> None:
+        """Write the state back into the ``SoAQueues`` it was read from."""
+        if not self.stations:
+            return
+        soa, idx, qa, k = self.soa, self.idx, self.qa, self.soa.capacity
+        soa.svc_end[idx] = self.end
+        soa.cur_arr[idx] = self.cur_arr
+        soa.cur_svc[idx] = self.cur_svc
+        soa.qlen[idx] = [len(q) for q in qa]
+        if k > 1:
+            nan = [math.nan] * (k - 1)
+            zero = [0.0] * (k - 1)
+            soa.q_arr[idx] = [nan[len(q) :] + q for q in qa]
+            soa.q_svc[idx] = [zero[len(q) :] + q for q in self.qs]
+
+
 def event_span(
     soa: SoAQueues,
     dispatch: Sequence[int],
@@ -442,125 +613,14 @@ def event_span(
     """Admit ``times[start:]`` up to ``t_end`` one arrival at a time.
 
     The event-granular twin of the one-pass kernel, for spans where
-    arrivals find full stations.  The state of the ``dispatch`` and
-    ``drain_only`` stations is read into plain Python floats once, a
-    heap of ``(svc_end, position)`` completes what is due before each
-    arrival, and the state is written back once at the end:
-
-    * an arrival goes to the first non-full station of ``dispatch`` at
-      or after position ``rr``, cyclically (the round-robin balancer's
-      walk), and the pointer moves past it;
-    * while every dispatch station is full (a live count, so the test
-      is O(1)) arrivals are rejected in bulk up to the next completion
-      with one bisection;
-    * completions are those with ``svc_end <= t_end`` — ``< t_end``
-      when ``strict`` — and ``drain_only`` stations only complete,
-      never admit.
-
-    ``services`` are raw draws, divided by the station speed at service
-    start.
+    arrivals find full stations: :class:`EventState` loaded from
+    ``soa``, run over the span (see :meth:`EventState.run`), and stored
+    back.
     """
-    k = soa.capacity
-    na = len(dispatch)
-    idx = np.concatenate((dispatch, drain_only)).astype(np.intp, copy=False)
-    stations = idx.tolist()
-    inf = math.inf
-    end = soa.svc_end[idx].tolist()
-    cur_arr = soa.cur_arr[idx].tolist()
-    cur_svc = soa.cur_svc[idx].tolist()
-    speed = soa.speed[idx].tolist()
-    qlen = soa.qlen[idx].tolist()
-    qa = [row[len(row) - n :] for row, n in zip(soa.q_arr[idx].tolist(), qlen)]
-    qs = [row[len(row) - n :] for row, n in zip(soa.q_svc[idx].tolist(), qlen)]
-    occ = [n + (e != inf) for n, e in zip(qlen, end)]
-    nfull = sum(o >= k for o in occ[:na])
-    heap = [(e, p) for p, e in enumerate(end) if e != inf]
-    heapify(heap)
-
-    stop = int(np.searchsorted(times, t_end, side="left"))
-    tl = times[start:stop].tolist()
-    sl = services[start:stop].tolist()
-    n = len(tl)
-    # The last drain bound: "< t_end" is "<= the float just below t_end".
-    t_last = math.nextafter(t_end, -inf) if strict else t_end
-    done_rows: List[Tuple[float, float, float]] = []
-    record = done_rows.append
-    push, pop = heappush, heappop
-    emptied: List[Tuple[float, int]] = []
-    rejected: List[Tuple[int, int]] = []
-    clean = None
-    i = 0
-    while True:
-        t = tl[i] if i < n else t_last
-        while heap and heap[0][0] <= t:
-            done, p = pop(heap)
-            record((done, cur_arr[p], cur_svc[p]))
-            if occ[p] == k and p < na:
-                nfull -= 1
-            occ[p] -= 1
-            q = qa[p]
-            if q:
-                a = q.pop(0)
-                s = qs[p].pop(0) / speed[p]
-                cur_arr[p] = a
-                cur_svc[p] = s
-                e = (done if done > a else a) + s
-                end[p] = e
-                push(heap, (e, p))
-            else:
-                end[p] = inf
-                if p >= na:
-                    emptied.append((done, stations[p]))
-        if i == n:
-            break
-        if nfull == na:
-            # The paper's rejection condition: reject in bulk up to the
-            # next completion (all of the span when nothing can admit).
-            j = bisect_left(tl, heap[0][0], i) if heap and na else n
-            if rejected and rejected[-1][1] == start + i:
-                rejected[-1] = (rejected[-1][0], start + j)
-            else:
-                rejected.append((start + i, start + j))
-            if clean is None:
-                clean = i
-            i = j
-            continue
-        p = rr
-        if occ[p] >= k:
-            if clean is None:
-                clean = i
-            while occ[p] >= k:
-                p = p + 1 if p + 1 < na else 0
-        o = occ[p]
-        if o == 0:
-            s = sl[i] / speed[p]
-            cur_arr[p] = t
-            cur_svc[p] = s
-            e = t + s
-            end[p] = e
-            push(heap, (e, p))
-        else:
-            qa[p].append(t)
-            qs[p].append(sl[i])
-        o += 1
-        occ[p] = o
-        if o == k:
-            nfull += 1
-        rr = p + 1 if p + 1 < na else 0
-        i += 1
-
-    if stations:
-        soa.svc_end[idx] = end
-        soa.cur_arr[idx] = cur_arr
-        soa.cur_svc[idx] = cur_svc
-        soa.qlen[idx] = [len(q) for q in qa]
-        if k > 1:
-            nan = [math.nan] * (k - 1)
-            zero = [0.0] * (k - 1)
-            soa.q_arr[idx] = [nan[len(q) :] + q for q in qa]
-            soa.q_svc[idx] = [zero[len(q) :] + q for q in qs]
-    completions = tuple(np.array(done_rows).T) if done_rows else None
-    return EventSpan(start + n, rr, rejected, completions, emptied, n if clean is None else clean)
+    state = EventState(soa, dispatch, drain_only)
+    span = state.run(times, services, start, t_end, strict, rr)
+    state.store()
+    return span
 
 
 def one_pass_span(

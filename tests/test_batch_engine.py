@@ -5,9 +5,10 @@ are a *performance* change and not a *semantics* change:
 
 1. Kernel unit tests — every array kernel (Lindley unroll, grouped
    rows, round-robin reshape, the one-pass span's assign/drain)
-   checked against a brute-force scalar loop, and the one-pass span
+   checked against a brute-force scalar loop, the one-pass span
    checked bit for bit against the event-granular span over generated
-   states.
+   states, and the event-granular span against the scalar round-robin
+   balancer and against itself carried across window bounds.
 2. Backend cross-checks — ``des-vec`` vs ``des`` on jitterless web and
    scientific scenarios must agree **bit-for-bit** on the control
    trajectory and exactly on every count; the fluid backend ties in as
@@ -27,6 +28,7 @@ import copy
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -34,8 +36,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloud import vecfleet
 from repro.cloud.datacenter import Datacenter
 from repro.cloud.failures import FailureInjector
+from repro.cloud.loadbalancer import RoundRobinBalancer
 from repro.cloud.monitor import Monitor
 from repro.cloud.vecfleet import MAX_SPAN_WINDOWS, VectorFleet
 from repro.core import AdaptivePolicy, StaticPolicy
@@ -53,7 +57,7 @@ from repro.sim import (
     fifo_departures_grouped,
     round_robin_departures,
 )
-from repro.sim.batch import one_pass_span
+from repro.sim.batch import EventState, one_pass_span
 from repro.workloads import ScientificWorkload, WebWorkload
 
 # ---------------------------------------------------------------------------
@@ -227,27 +231,34 @@ def _quarters(lo, hi):
 def _span_cases(draw):
     """A reachable ``SoAQueues`` state and one span of arrivals over it."""
     k = draw(st.integers(min_value=1, max_value=5))
-    n_dispatch = draw(st.integers(min_value=0, max_value=5))
+    # Up to a dozen dispatch stations, so that the round-robin walk from
+    # the pointer to the next free station often passes several full
+    # ones and wraps around the end of the dispatch order.
+    n_dispatch = draw(st.integers(min_value=0, max_value=12))
     n_drain = draw(st.integers(min_value=0, max_value=3))
     soa = SoAQueues(capacity=k, initial_slots=2)
     slots = [soa.alloc() for _ in range(n_dispatch + n_drain)]
     for slot in slots:
         soa.speed[slot] = draw(st.sampled_from([0.5, 0.75, 1.5, 2.0, 3.0]))
+    # Many arrivals with long services keep most stations full.
+    longest = draw(st.sampled_from([3, 12]))
+
+    def stream(lo, hi, shortest):
+        n = draw(st.integers(min_value=0, max_value=60))
+        times = sorted(draw(st.lists(_quarters(lo, hi), min_size=n, max_size=n)))
+        services = draw(st.lists(_quarters(shortest, longest), min_size=n, max_size=n))
+        return np.array(times), np.array(services)
+
     # Warm every station up through the event path, then hand some of
     # them over to draining.
-    warm = sorted(draw(st.lists(_quarters(0, 10), max_size=30)))
-    warm_services = draw(st.lists(_quarters(0.25, 3), min_size=len(warm), max_size=len(warm)))
-    event_span(
-        soa, slots, [], np.array(warm), np.array(warm_services), 0, 10.0, draw(st.booleans()), 0
-    )
-    times = sorted(draw(st.lists(_quarters(10, 16), max_size=40)))
-    services = draw(st.lists(_quarters(0, 3), min_size=len(times), max_size=len(times)))
+    event_span(soa, slots, [], *stream(0, 10, 0.25), 0, 10.0, draw(st.booleans()), 0)
+    times, services = stream(10, 16, 0)
     return dict(
         soa=soa,
         dispatch=np.array(slots[:n_dispatch], dtype=np.intp),
         drain_only=np.array(slots[n_dispatch:], dtype=np.intp),
-        times=np.array(times),
-        services=np.array(services),
+        times=times,
+        services=services,
         start=0,
         t_end=draw(st.sampled_from([12.0, 14.0, 15.5, 16.0])),
         strict=draw(st.booleans()),
@@ -318,6 +329,73 @@ def test_one_pass_span_matches_event_span_bit_for_bit(case):
     assert _completion_bytes(got) == _completion_bytes(want)
     assert sorted(got.emptied) == sorted(want.emptied)
     assert _state_bytes(one_pass_soa) == _state_bytes(event_soa)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_span_cases())
+def test_event_span_walk_is_the_round_robin_balancer(case):
+    """The event path sends every arrival where the scalar balancer's
+    linear walk sends it.  Replayed arrival by arrival with the array
+    kernel (complete what is due, ask ``RoundRobinBalancer.select``,
+    admit there), the span leaves the same rejections, pointer and
+    queue state."""
+    soa = case.pop("soa")
+    want_soa = copy.deepcopy(soa)
+    want = event_span(want_soa, **case)
+    dispatch, times, services = case["dispatch"], case["times"], case["services"]
+    every = np.concatenate((dispatch, case["drain_only"]))
+    nothing = np.empty(0)
+    balancer = RoundRobinBalancer()
+    balancer._next = case["rr"]
+    rejected = []
+    stop = int(np.searchsorted(times, case["t_end"], side="left"))
+    for i in range(case["start"], stop):
+        soa.drain(soa.assign(every, 0, nothing, nothing), times[i])
+        picked = balancer.select(
+            [
+                SimpleNamespace(occupancy=o, capacity=soa.capacity, position=p)
+                for p, o in enumerate(soa.occupancy(dispatch).tolist())
+            ]
+        )
+        if picked is None:
+            rejected.append(i)
+            continue
+        station = dispatch[picked.position : picked.position + 1]
+        soa.drain(soa.assign(station, 1, times[i : i + 1], services[i : i + 1]), times[i])
+    soa.drain(soa.assign(every, 0, nothing, nothing), case["t_end"], case["strict"])
+    assert [i for lo, hi in want.rejected for i in range(lo, hi)] == rejected
+    assert want.rr == balancer._next
+    assert _state_bytes(soa) == _state_bytes(want_soa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_span_cases(), cuts=st.lists(_quarters(10, 16), max_size=5))
+def test_event_state_carried_across_pieces_matches_event_span(case, cuts):
+    """One ``EventState`` run over a span cut at window bounds (each
+    piece ending strictly at its bound, as ``VectorFleet`` cuts them)
+    leaves exactly what one ``event_span`` call per piece leaves: each
+    piece's stop, pointer, rejections, clean prefix, emptied stations
+    and completions, and every byte of the queue state once stored."""
+    soa = case.pop("soa")
+    t_end, strict, start, rr = (case.pop(key) for key in ("t_end", "strict", "start", "rr"))
+    stations = dict(dispatch=case.pop("dispatch"), drain_only=case.pop("drain_only"))
+    ends = [(b, True) for b in sorted(set(cuts)) if b < t_end] + [(t_end, strict)]
+    apart, carried = copy.deepcopy(soa), copy.deepcopy(soa)
+    state = EventState(carried, **stations)
+    for end, end_strict in ends:
+        want = event_span(apart, **stations, **case, start=start, t_end=end, strict=end_strict, rr=rr)
+        got = state.run(**case, start=start, t_end=end, strict=end_strict, rr=rr)
+        assert (got.stop, got.rr, got.rejected, got.clean, got.emptied) == (
+            want.stop,
+            want.rr,
+            want.rejected,
+            want.clean,
+            want.emptied,
+        )
+        assert _completion_bytes(got) == _completion_bytes(want)
+        start, rr = want.stop, want.rr
+    state.store()
+    assert _state_bytes(carried) == _state_bytes(apart)
 
 
 def test_engine_peek_skips_cancelled_and_reports_next_time():
@@ -523,17 +601,18 @@ def test_jitterless_web_spans_complete_in_one_pass():
     scenario = web_scenario(scale=scale, horizon=24 * 3600.0).with_updates(
         workload=WebWorkload(service_jitter=0.0).scaled(scale)
     )
-    with mock.patch(
-        "repro.sim.batch.event_span", side_effect=event_span
-    ) as handed_off, mock.patch(
-        "repro.cloud.vecfleet.event_span", side_effect=event_span
-    ) as routed:
+    # Both routes into the event path, straight and by hand-off, build
+    # an EventState in the fleet and run it.
+    assert vecfleet.EventState is EventState
+    with mock.patch.object(
+        EventState, "run", autospec=True, side_effect=EventState.run
+    ) as event_path:
         result = run_policy(scenario, AdaptivePolicy(), seed=0, backend="des-vec")
     counters = result.profile["counters"]
     assert result.rejected == 0
     assert counters["arrivals"] == result.total_requests > 0
     assert counters["spans"] > 0 and counters["event_spans"] == 0
-    assert handed_off.call_count == routed.call_count == 0
+    assert event_path.call_count == 0
 
 
 def _normalized(metrics):

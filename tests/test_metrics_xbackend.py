@@ -169,7 +169,7 @@ def test_desvec_batch_spans_render_in_timeline(web_jitterless):
 # ---------------------------------------------------------------------------
 
 
-def _spec(store_root):
+def _spec(store_root, backends=("des",)):
     from repro.campaigns import CampaignSpec
 
     return CampaignSpec.from_dict(
@@ -182,7 +182,7 @@ def _spec(store_root):
                     "scale": 5000.0,
                     "horizon": 2 * 3600.0,
                     "policies": ["adaptive"],
-                    "backends": ["des"],
+                    "backends": list(backends),
                     "seeds": "0-1",
                 }
             ],
@@ -207,7 +207,7 @@ def test_campaign_metrics_and_watch(tmp_path):
     assert before.status == "pending" and before.fraction == 0.0
 
     run_campaign(spec, store=store, workers=1, metrics=MetricsConfig())
-    streams = sorted((store.root / "telemetry").glob("*.jsonl"))
+    streams = sorted((store.root / "telemetry" / "des").glob("*.jsonl"))
     assert len(streams) == len(cells)
     for stream in streams:
         assert load_snapshots(stream)  # schema-valid series on disk
@@ -224,13 +224,59 @@ def test_campaign_metrics_and_watch(tmp_path):
     assert lines and "finished" in lines[0]
 
 
+def test_campaign_streams_one_file_per_backend(tmp_path, capsys):
+    """Cells that differ only in backend share a stream name, so each
+    backend streams under its own ``telemetry/<backend>/`` directory:
+    one stream per executed cell, and the watcher reads each cell's own
+    stream."""
+    from repro.campaigns import ResultStore, run_campaign, snapshot_progress
+    from repro.experiments.cli import main
+
+    spec = _spec(tmp_path / "store", backends=("des", "des-vec"))
+    store = ResultStore(spec.store_path(None))
+    cells = spec.expanded()
+    assert len(cells) == 4
+    # What `repro campaign run --metrics` passes.
+    run_campaign(spec, store=store, workers=1, metrics=MetricsConfig())
+    streams = {
+        cell: MetricsConfig(path=store.telemetry_path(cell.backend)).resolve_path(
+            cell.scenario_label(), cell.policy_label, cell.seed
+        )
+        for cell in cells
+    }
+    assert sorted(streams.values()) == sorted((store.root / "telemetry").rglob("*.jsonl"))
+    # Cut every des-vec stream back to its first snapshot and forget
+    # every result, as if each cell were still running: each cell's
+    # progress is read off its own stream.
+    horizon = 2 * 3600.0
+    for cell, stream in streams.items():
+        snapshots = load_snapshots(stream)
+        assert snapshots
+        if cell.backend == "des-vec":
+            stream.write_text(stream.read_text().splitlines()[0] + "\n")
+            snapshots = snapshots[:1]
+        assert store.delete(cell)
+        p = snapshot_progress(store, cell, horizon=horizon)
+        assert p.status == "running"
+        assert p.snapshot == snapshots[-1]
+        assert p.fraction == pytest.approx(snapshots[-1]["t"] / horizon)
+    fractions = {cell.backend: snapshot_progress(store, cell, horizon).fraction for cell in cells}
+    assert fractions["des-vec"] < fractions["des"]
+    # `repro metrics show <store>/telemetry/` still tabulates them all.
+    assert main(["metrics", "show", str(store.root / "telemetry")]) == 0
+    titles = [line for line in capsys.readouterr().out.splitlines() if line.startswith("metrics: ")]
+    assert sorted(title.split()[1] for title in titles) == sorted(
+        stream.relative_to(store.root / "telemetry").as_posix() for stream in streams.values()
+    )
+
+
 def test_watch_reads_live_stream_with_torn_tail(tmp_path):
     from repro.campaigns import ResultStore, snapshot_progress
 
     spec = _spec(tmp_path / "store")
     store = ResultStore(spec.store_path(None))
     cell = spec.expanded()[0]
-    cfg = MetricsConfig(path=str(store.root / "telemetry") + "/")
+    cfg = MetricsConfig(path=store.telemetry_path(cell.backend))
     stream = cfg.resolve_path(cell.scenario_label(), cell.policy_label, cell.seed)
     stream.parent.mkdir(parents=True, exist_ok=True)
     snap = {"t": 3600.0, "type": "metrics.snapshot", "fleet": 9}
@@ -262,7 +308,7 @@ def test_metered_run_snapshot_is_on_disk_when_emitted(tmp_path):
                 p = snapshot_progress(store, cell, horizon=horizon)
                 seen.append((event["t"], p.status, p.snapshot and p.snapshot["t"]))
 
-    cfg = MetricsConfig(path=str(store.root / "telemetry") + "/")
+    cfg = MetricsConfig(path=store.telemetry_path(cell.backend))
     result = resolve_backend(cell.backend).run(
         cell.build_scenario(),
         cell.policy_factory()(),
