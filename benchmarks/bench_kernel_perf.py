@@ -46,6 +46,13 @@ DES_VEC_MIN_SPEEDUP = 20.0
 DES_VEC_MIN_SATURATED_SPEEDUP = 2.0
 # 3x the fastest of five des-vec saturated Static-75 days on that host.
 DES_VEC_SATURATED_MAX_S = 3 * 0.19
+#: Bound on des-vec's normalised CPU per request for the adaptive web
+#: day at scale 20 (5x the requests, 5x longer spans) over the day at
+#: scale 100, best of three each, on the host above (one BLAS thread,
+#: which conftest.py sets).
+#: It read 0.61-0.82 over eight runs with the T_m weights cached in the
+#: monitor, and 1.34-1.39 over three when they were rebuilt per span.
+DES_VEC_SCALE_20_MAX_RATIO = 1.0
 
 
 def _chained_ticks(count: int) -> int:
@@ -178,6 +185,48 @@ def test_vec_backend_end_to_end_saturated_speedup():
     assert vec.fleet_series == des.fleet_series
     assert t_des >= DES_VEC_MIN_SATURATED_SPEEDUP * t_vec, t_des / t_vec
     assert t_vec <= DES_VEC_SATURATED_MAX_S, t_vec
+
+
+def _assert_accounting(r) -> None:
+    """Request conservation of one DES run, on its metrics and counters."""
+    counters = r.profile["counters"]
+    assert r.total_requests == r.accepted + r.rejected == counters["arrivals"]
+    assert r.completed == counters["completions"]
+    assert 0 <= r.accepted - r.completed - r.lost_requests
+    assert r.rejection_rate == r.rejected / r.total_requests
+
+
+def test_vec_backend_cost_per_request_flat_in_scale():
+    """des-vec's cost per request must not grow with span size.
+
+    The adaptive web day at scale 20 holds 5x the requests of the day at
+    scale 100 in the same 102 spans, so every span is 5x longer.  Work
+    per request that grows with the span (such as a T_m fold that builds
+    its weights per span, where each power past the underflow length is
+    slow) shows as a higher normalised CPU per request.  Best of 3 days
+    on each side.
+    """
+    per_request = {}
+    for scale in (100.0, 20.0):
+        scenario = web_scenario(scale=scale, horizon=24 * 3600.0)
+        runs = []
+
+        def day():
+            r = run_policy(scenario, AdaptivePolicy(), seed=0, backend="des-vec")
+            runs.append(r)
+            return r
+
+        best = best_norm_cpu_of(day, repeats=3)
+        for r in runs:
+            _assert_accounting(r)
+        per_request[scale] = best / runs[0].total_requests
+    ratio = per_request[20.0] / per_request[100.0]
+    print(
+        f"\ndes-vec adaptive web day, normalised CPU per request: scale 100 "
+        f"{per_request[100.0] * 1e9:.0f} ns, scale 20 {per_request[20.0] * 1e9:.0f} ns, "
+        f"ratio {ratio:.2f}"
+    )
+    assert ratio <= DES_VEC_SCALE_20_MAX_RATIO, ratio
 
 
 WEB_PEAK_QOS = QoSTarget(max_response_time=0.250, min_utilization=0.80)

@@ -22,6 +22,14 @@ import os
 import time
 from pathlib import Path
 
+# One BLAS thread, as bench/run.py runs its ops, set before anything
+# below imports numpy.  With more, OpenBLAS splits the T_m dot of a span
+# past 10,000 completions across threads whose spinning between calls
+# lands in the process CPU time that norm_cpu and the host-speed probe
+# read, so the timing gates would measure the thread pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import pytest
 
 from repro.obs.profile import Stopwatch
@@ -59,18 +67,33 @@ def best_of(fn, repeats: int = 5) -> float:
     return best
 
 
+#: Shortest wall time of one probed lap of :func:`norm_cpu`, in probe
+#: periods: a shorter op is repeated within the lap until it spans them.
+LAP_PERIODS = 5
+
+
 def norm_cpu(fn):
-    """Run ``fn`` once: ``(its result, its CPU seconds at the nominal host
-    speed)``.
+    """Run ``fn``: ``(its result, its CPU seconds per call at the nominal
+    host speed)``.
 
     Timed under ``bench/hostspeed.py``'s probe, as ``bench/run.py``
     times its ops, so a gate on it does not move with how busy the
-    host's other tenants are.
+    host's other tenants are.  The probe samples once per
+    ``hostspeed.PERIOD_S`` of wall time, so an op shorter than a few
+    periods would be scaled by one or two samples: such an op is called
+    again within the same probed lap until the lap has lasted
+    :data:`LAP_PERIODS` periods, and the lap's time is divided by the
+    number of calls.  The result is the first call's.
     """
-    start = time.process_time()
+    calls = 1
+    lap = LAP_PERIODS * hostspeed.PERIOD_S
+    start, wall = time.process_time(), time.perf_counter()
     with hostspeed.Probe() as probe:
         result = fn()
-    return result, hostspeed.normalise(time.process_time() - start, probe.samples)
+        while time.perf_counter() - wall < lap:
+            fn()
+            calls += 1
+    return result, hostspeed.normalise(time.process_time() - start, probe.samples) / calls
 
 
 def best_norm_cpu_of(fn, repeats: int = 5) -> float:

@@ -92,6 +92,9 @@ class Monitor:
         self._tm = float(default_service_time)
         self._alpha = float(ewma_alpha)
         self._seen_completion = False
+        # (1-α)**(size-1), ..., (1-α)**0: the T_m fold's weights, grown
+        # by record_responses.
+        self._weights = np.empty(0, dtype=np.float64)
         self.observer = None
         self._tracer = narrowed(tracer, "monitor.sample")
         self._completion_tracer = narrowed(tracer, "request.completed")
@@ -147,6 +150,15 @@ class Monitor:
         skipped outright — keeping ``T_m`` bit-identical to the scalar
         path where the cross-backend tests require it.
 
+        The weights ``(1-α)^(n-1), …, (1-α)^0`` are the last ``n``
+        entries of a table kept by the monitor, so the dot sees the
+        same contiguous values that ``(1-α) ** arange(n-1, -1, -1)``
+        would build.  Building them per batch would cost time that grows
+        faster than the batch: past the length where the powers go
+        subnormal and then to zero (about 14.5k at α = 0.05), each power
+        is slow.  The table doubles when a longer batch arrives, so a
+        run computes each power once.
+
         The batch is not traced here: the caller traces it, in trace
         order, with :meth:`trace_completions`.
         """
@@ -160,19 +172,28 @@ class Monitor:
             self._seen_completion = True
             start = 1
         tail = services[start:]
-        if tail.size and not (
-            float(tail.min()) == self._tm and float(tail.max()) == self._tm
-        ):
-            alpha = self._alpha
-            weights = (1.0 - alpha) ** np.arange(
-                tail.size - 1, -1, -1, dtype=np.float64
-            )
+        n = tail.size
+        if n and not (float(tail.min()) == self._tm and float(tail.max()) == self._tm):
+            weights = self._weights
+            if weights.size < n:
+                weights = self._weights = self._grow_weights(n)
             self._tm = float(
-                (1.0 - alpha) ** tail.size * self._tm
-                + alpha * float(np.dot(weights, tail))
+                (1.0 - self._alpha) ** n * self._tm
+                + self._alpha * float(np.dot(weights[weights.size - n :], tail))
             )
         if self.observer is not None:
             self.observer.observe_many(response_times)
+
+    def _grow_weights(self, n: int) -> np.ndarray:
+        """The weight table doubled until it holds ``n`` entries."""
+        old = self._weights
+        size = max(old.size, 1)
+        while size < n:
+            size *= 2
+        head = (1.0 - self._alpha) ** np.arange(
+            size - 1, old.size - 1, -1, dtype=np.float64
+        )
+        return np.concatenate((head, old))
 
     def trace_completions(
         self,

@@ -515,8 +515,7 @@ class EventState:
         n = len(tl)
         # The last drain bound: "< t_end" is "<= the float just below t_end".
         t_last = math.nextafter(t_end, -inf) if strict else t_end
-        done_rows: List[Tuple[float, float, float]] = []
-        record = done_rows.append
+        done_rows: List[float] = []  # (done, arrival, service) per completion
         push, pop = heappush, heappop
         emptied: List[Tuple[float, int]] = []
         rejected: List[Tuple[int, int]] = []
@@ -526,7 +525,7 @@ class EventState:
             t = tl[i] if i < n else t_last
             while heap and heap[0][0] <= t:
                 done, p = pop(heap)
-                record((done, cur_arr[p], cur_svc[p]))
+                done_rows += (done, cur_arr[p], cur_svc[p])
                 if occ[p] == k and p < na:
                     insort(free, p)
                 occ[p] -= 1
@@ -580,7 +579,7 @@ class EventState:
                 del free[f]
             rr = p + 1 if p + 1 < na else 0
             i += 1
-        completions = tuple(np.array(done_rows).T) if done_rows else None
+        completions = tuple(np.array(done_rows).reshape(-1, 3).T) if done_rows else None
         return EventSpan(start + n, rr, rejected, completions, emptied, n if clean is None else clean)
 
     def store(self) -> None:

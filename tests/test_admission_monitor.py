@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import AdmissionControl, Monitor
 from repro.errors import ConfigurationError
@@ -174,6 +177,119 @@ def test_monitor_observed_rate_none_without_sampling():
     engine = Engine()
     m = Monitor(engine, MetricsCollector(), default_service_time=1.0)
     assert m.observed_rate() is None
+
+
+# ----------------------------------------------------------------------
+# bulk T_m fold
+# ----------------------------------------------------------------------
+def _closed_form_fold(tm, seen, alpha, services):
+    """``record_responses``' T_m update with its weights built per batch
+    as ``(1-α) ** arange(n-1, -1, -1)``: the reference the weight table
+    must match bit for bit.  Returns ``(tm, seen)``."""
+    services = np.asarray(services, dtype=np.float64)
+    if services.size == 0:
+        return tm, seen
+    start = 0
+    if not seen:
+        tm, seen, start = float(services[0]), True, 1
+    tail = services[start:]
+    if tail.size and not (float(tail.min()) == tm and float(tail.max()) == tm):
+        weights = (1.0 - alpha) ** np.arange(tail.size - 1, -1, -1, dtype=np.float64)
+        tm = float((1.0 - alpha) ** tail.size * tm + alpha * float(np.dot(weights, tail)))
+    return tm, seen
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+#: Batch sizes around the table's doublings and past the length where
+#: (1-α)**i underflows to 0.0 (about 14.5k at α = 0.05, 7.1k at 0.1,
+#: 1.1k at 0.5).
+_EDGE_SIZES = [
+    1, 2, 3, 1023, 1024, 1025, 1075, 7065, 7066, 8193, 14511, 14512, 14513, 16384, 16385, 40000
+]
+
+_ALPHAS = st.one_of(
+    st.sampled_from([0.05, 0.1, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+
+
+def _assert_fold_matches_closed_form(alpha, batches, seed_first=None):
+    metrics = MetricsCollector(qos_response_time=0.2)
+    reference = MetricsCollector(qos_response_time=0.2)
+    m = Monitor(Engine(), metrics, default_service_time=0.105, ewma_alpha=alpha)
+    tm, seen = 0.105, False
+    if seed_first is not None:
+        m.record_response(seed_first, seed_first)
+        reference.record_response(seed_first, seed_first)
+        tm, seen = seed_first, True
+    for services in batches:
+        responses = services * 1.5
+        m.record_responses(responses, services)
+        reference.record_responses(responses, services)
+        tm, seen = _closed_form_fold(tm, seen, alpha, services)
+        assert _bits(m.mean_service_time()) == _bits(tm), (alpha, services.size)
+        assert vars(metrics) == vars(reference)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("order", ["growing", "shrinking"])
+def test_record_responses_weight_table_edges_bit_for_bit(alpha, order):
+    rng = np.random.default_rng(7)
+    sizes = _EDGE_SIZES if order == "growing" else _EDGE_SIZES[::-1]
+    _assert_fold_matches_closed_form(alpha, [rng.exponential(0.1, n) for n in sizes])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=_ALPHAS,
+    sizes=st.lists(
+        st.one_of(st.integers(0, 80), st.sampled_from(_EDGE_SIZES), st.integers(0, 20000)),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    jitterless=st.booleans(),
+    seeded=st.booleans(),
+)
+def test_record_responses_matches_closed_form_bit_for_bit(alpha, sizes, seed, jitterless, seeded):
+    """One stream split into batches at random (empty ones included):
+    T_m and the collector equal the closed form's after every batch,
+    whether the first completion seeds T_m inside a batch or before it,
+    and on the jitterless skip path (every service equal to T_m)."""
+    rng = np.random.default_rng(seed)
+    stream = np.full(sum(sizes), 0.25) if jitterless else rng.exponential(0.1, sum(sizes))
+    batches = np.split(stream, np.cumsum(sizes)[:-1])
+    _assert_fold_matches_closed_form(alpha, batches, seed_first=0.25 if seeded else None)
+
+
+#: Relative distance allowed between the closed-form fold and the
+#: sequential ``record_response`` loop: both round each step, the loop
+#: n times over, the dot in blocks (measured below 4e-15 over 300 random
+#: streams of up to 12k completions with α >= 0.01).
+_FOLD_VS_LOOP_RTOL = 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.one_of(
+        st.sampled_from([0.05, 0.1, 0.5, 1.0]), st.floats(min_value=0.01, max_value=1.0)
+    ),
+    sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_record_responses_tracks_scalar_loop(alpha, sizes, seed):
+    services = np.random.default_rng(seed).exponential(0.1, sum(sizes))
+    bulk = Monitor(Engine(), MetricsCollector(), default_service_time=0.105, ewma_alpha=alpha)
+    loop = Monitor(Engine(), MetricsCollector(), default_service_time=0.105, ewma_alpha=alpha)
+    for batch in np.split(services, np.cumsum(sizes)[:-1]):
+        bulk.record_responses(batch, batch)
+        for s in batch.tolist():
+            loop.record_response(s, s)
+        expected = loop.mean_service_time()
+        assert bulk.mean_service_time() == pytest.approx(expected, rel=_FOLD_VS_LOOP_RTOL)
 
 
 def test_monitor_validation():
