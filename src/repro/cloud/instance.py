@@ -138,11 +138,6 @@ class AppInstance:
         """Whether the instance holds no requests at all."""
         return self.occupancy == 0
 
-    @property
-    def accepting(self) -> bool:
-        """Whether the dispatcher may route requests here."""
-        return self.state is InstanceState.ACTIVE
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -161,10 +156,6 @@ class AppInstance:
         self.state = InstanceState.DRAINING
         if self.is_idle:
             self._on_drained(self)
-
-    def mark_destroyed(self) -> None:
-        """Terminal transition; the fleet destroys the backing VM."""
-        self.state = InstanceState.DESTROYED
 
     def crash(self) -> int:
         """Hard-kill the instance; returns the number of requests lost.
@@ -188,9 +179,9 @@ class AppInstance:
     def accept(self, arrival_time: float) -> None:
         """Take responsibility for a request that arrived at ``arrival_time``.
 
-        The dispatcher guarantees ``not self.is_full`` and
-        ``self.accepting``; violating that is a programming error and
-        raises immediately rather than corrupting the queue invariant.
+        The dispatcher guarantees the instance is ACTIVE and not full;
+        violating that is a programming error and raises immediately
+        rather than corrupting the queue invariant.
         """
         occupancy = self.occupancy
         if occupancy >= self.capacity or self.state is not InstanceState.ACTIVE:

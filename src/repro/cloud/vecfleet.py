@@ -1,11 +1,12 @@
 """Vectorized application fleet — the batched DES data plane.
 
-:class:`VectorFleet` is the array twin of
-:class:`~repro.cloud.fleet.ApplicationFleet`: same instance lifecycle
-(revive-first growth, cancel-booting / idle-first / graceful-drain
-shrink, round-robin dispatch), but the per-request hot loop runs on the
-structure-of-arrays kernel in :mod:`repro.sim.batch` instead of one
-engine event per arrival and completion.
+:class:`VectorFleet` is the second data plane of the one instance
+lifecycle, :class:`~repro.cloud.fleet.FleetLifecycle` (revive-first
+growth, cancel-booting / idle-first / graceful-drain shrink, crashes).
+Its members are station indices into the structure-of-arrays kernel in
+:mod:`repro.sim.batch`, and its per-request hot loop runs there, with
+round-robin dispatch, instead of one engine event per arrival and
+completion as on :class:`~repro.cloud.fleet.ApplicationFleet`.
 
 Epoch model
 -----------
@@ -68,22 +69,28 @@ Fidelity to the scalar fleet, and the two documented deviations:
 * simultaneous events of measure zero (an arrival or completion at
   exactly a control epoch) resolve in a fixed documented order rather
   than by engine sequence number.
+
+A crash or revocation fires at ``PRIORITY_HIGH``, after the epoch
+loop's strict drain up to *now*, so a request that would complete at
+the kill instant is still aboard and is lost, as on the scalar engine
+(where the kill cancels the pending completion).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, PlacementError
+from ..errors import ConfigurationError
 from ..metrics.collector import MetricsCollector
 from ..obs.bus import narrowed
 from ..sim.batch import EventState, SoAQueues, one_pass_span
 from ..sim.engine import Engine
 from ..workloads.base import ServiceTimeSampler
 from .datacenter import Datacenter
+from .fleet import FleetLifecycle
 from .loadbalancer import LoadBalancer, RoundRobinBalancer
 from .monitor import Monitor
 from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec
@@ -99,8 +106,9 @@ __all__ = ["MAX_SPAN_WINDOWS", "VectorFleet"]
 #: come every 15 windows, so its adaptive spans are never cut.
 MAX_SPAN_WINDOWS = 16
 
-class VectorFleet:
-    """Array-backed instance fleet satisfying the FleetActuator protocol.
+class VectorFleet(FleetLifecycle):
+    """The batched data plane: station-index members over one
+    :class:`~repro.sim.batch.SoAQueues`.
 
     Parameters mirror :class:`~repro.cloud.fleet.ApplicationFleet`;
     additionally ``count_arrivals`` enables the monitor's arrival-rate
@@ -125,33 +133,19 @@ class VectorFleet:
         tracer: Optional[object] = None,
         count_arrivals: bool = False,
     ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"queue capacity k must be >= 1, got {capacity}")
-        if boot_delay < 0.0:
-            raise ConfigurationError(f"boot delay must be >= 0, got {boot_delay}")
+        super().__init__(
+            engine, datacenter, sampler, monitor, metrics, capacity, vm_spec, boot_delay, tracer
+        )
         if balancer is not None and not isinstance(balancer, RoundRobinBalancer):
             raise ConfigurationError(
                 "the vectorized fleet implements round-robin dispatch only; "
                 f"use backend='des' for {type(balancer).__name__}"
             )
-        self._engine = engine
-        self._datacenter = datacenter
-        self._sampler = sampler
-        self._monitor = monitor
-        self._metrics = metrics
-        self.capacity = int(capacity)
-        self.vm_spec = vm_spec
-        self.boot_delay = float(boot_delay)
-        self._tracer = tracer
         self._request_tracer = narrowed(tracer, "request.admitted", "request.rejected")
         self._count_arrivals = bool(count_arrivals)
         self._last_span_t = 0.0
         # -- station state ---------------------------------------------
         self._soa = SoAQueues(self.capacity)
-        self._vms: Dict[int, VirtualMachine] = {}
-        self._active: List[int] = []
-        self._booting: List[int] = []
-        self._draining: List[int] = []
         self._active_idx = np.empty(0, dtype=np.intp)
         self._draining_idx = np.empty(0, dtype=np.intp)
         self._rr = 0
@@ -170,168 +164,31 @@ class VectorFleet:
         self.spans = 0
         self.event_spans = 0
 
-    def _emit_vm(self, event_type: str, idx: int, t: Optional[float] = None, **fields: object) -> None:
-        """Trace one instance lifecycle transition (no-op untraced)."""
-        if self._tracer is not None:
-            when = self._engine.now if t is None else t
-            self._tracer.emit(event_type, when, instance=idx, **fields)
+    # -- lifecycle hooks (station indices are allocated monotonically and
+    #    never reused, so an index is its own member id) ----------------
+    def _new_member(self, vm: VirtualMachine) -> int:
+        return self._soa.alloc()
 
-    # ------------------------------------------------------------------
-    # census (FleetActuator surface + scalar-fleet parity)
-    # ------------------------------------------------------------------
-    @property
-    def active_count(self) -> int:
-        """Instances currently accepting requests."""
-        return len(self._active)
-
-    @property
-    def serving_count(self) -> int:
-        """Instances provisioned for service (active + still booting)."""
-        return len(self._active) + len(self._booting)
-
-    @property
-    def live_count(self) -> int:
-        """All non-destroyed instances (includes draining)."""
-        return len(self._active) + len(self._booting) + len(self._draining)
-
-    def occupancy(self, idx: int) -> int:
-        """Requests on board one station (in service + queued)."""
+    def _occupancy(self, idx: int) -> int:
         return int(self._soa.qlen[idx]) + int(self._soa.svc_end[idx] != np.inf)
+
+    def _clear(self, idx: int) -> None:
+        self._soa.clear(idx)
+
+    def _membership_changed(self) -> None:
+        n = len(self._active)
+        self._rr = self._rr % n if n else 0
+        self._refresh_index_cache()
+
+    def _refresh_index_cache(self) -> None:
+        self._active_idx = np.array(self._active, dtype=np.intp)
+        self._draining_idx = np.array(self._draining, dtype=np.intp)
 
     @property
     def in_flight(self) -> int:
         """Admitted requests not yet completed across the fleet."""
         live = np.concatenate((self._active_idx, self._draining_idx))
         return int(self._soa.occupancy(live).sum())
-
-    # ------------------------------------------------------------------
-    # scaling (identical ordering semantics to ApplicationFleet)
-    # ------------------------------------------------------------------
-    def scale_to(self, target: int) -> int:
-        """Adjust the serving fleet toward ``target`` instances."""
-        if target < 0:
-            raise ConfigurationError(f"target fleet size must be >= 0, got {target}")
-        current = self.serving_count
-        if target > current:
-            self._grow(target - current)
-        elif target < current:
-            self._shrink(current - target)
-        return self.serving_count
-
-    def _grow(self, count: int) -> None:
-        # 1. Revive draining instances, most recently drained first.
-        while count > 0 and self._draining:
-            self._active.append(self._draining.pop())
-            count -= 1
-        # 2. Create fresh VMs.
-        while count > 0:
-            if self._create_instance() is None:
-                break  # quota/capacity reached; serve with what we have
-            count -= 1
-        self._after_membership_change()
-
-    def _create_instance(self) -> Optional[int]:
-        now = self._engine.now
-        try:
-            vm = self._datacenter.create_vm(now, self.vm_spec)
-        except PlacementError:
-            return None
-        idx = self._soa.alloc()
-        self._vms[idx] = vm
-        if self.boot_delay > 0.0:
-            self._booting.append(idx)
-            self._engine.schedule(self.boot_delay, lambda i=idx: self._boot_done(i))
-        else:
-            vm.boot_completed()
-            self._active.append(idx)
-        self._emit_vm("vm.created", idx, booting=self.boot_delay > 0.0)
-        return idx
-
-    def _boot_done(self, idx: int) -> None:
-        if idx not in self._booting:
-            return  # cancelled while booting
-        self._booting.remove(idx)
-        self._vms[idx].boot_completed()
-        self._active.append(idx)
-        self._after_membership_change()
-
-    def _shrink(self, count: int) -> None:
-        now = self._engine.now
-        # 1. Cancel instances that have not even booted yet.
-        while count > 0 and self._booting:
-            idx = self._booting.pop()
-            self._destroy(idx, now, "cancelled")
-            count -= 1
-        if count <= 0:
-            self._after_membership_change()
-            return
-        # 2. Destroy idle actives immediately.
-        occ = {i: self.occupancy(i) for i in self._active}
-        idle = [i for i in self._active if occ[i] == 0]
-        for idx in idle[:count]:
-            self._active.remove(idx)
-            self._destroy(idx, now, "idle")
-        count -= min(count, len(idle))
-        if count <= 0:
-            self._after_membership_change()
-            return
-        # 3. Drain the least-loaded remaining actives.
-        victims = sorted(self._active, key=lambda i: (occ[i], i))[:count]
-        for idx in victims:
-            self._active.remove(idx)
-            self._draining.append(idx)
-            self._emit_vm("vm.draining", idx)
-        self._after_membership_change()
-
-    def _destroy(self, idx: int, t: float, reason: str) -> None:
-        self._soa.clear(idx)
-        self._datacenter.destroy_vm(self._vms.pop(idx), t)
-        self._emit_vm("vm.destroyed", idx, t=t, reason=reason)
-
-    @property
-    def live_instances(self) -> List[int]:
-        """Every non-destroyed station index (a fresh list).
-
-        Scalar-fleet parity surface for the failure/revocation
-        injectors: station indices are allocated monotonically and
-        never reused, so index order *is* creation order — the same
-        ordering the scalar fleet's ``instance_id`` carries.
-        """
-        return self._active + self._booting + self._draining
-
-    def kill(self, idx: int, reason: str = "crashed") -> int:
-        """Crash one station (failure/revocation); returns requests lost.
-
-        Mirrors :meth:`ApplicationFleet.kill` exactly: queued and
-        in-service requests die with the station and are recorded as
-        losses, not rejections.  The injector fires at
-        ``PRIORITY_HIGH``, i.e. after the epoch loop's strict drain up
-        to *now* — so a request that would complete at the kill instant
-        is still aboard and is lost, matching the scalar engine's
-        event ordering (kill cancels the pending completion).
-        """
-        for bucket in (self._active, self._booting, self._draining):
-            if idx in bucket:
-                bucket.remove(idx)
-                break
-        else:
-            return 0  # already destroyed
-        lost = self._soa.clear(idx)
-        self._datacenter.destroy_vm(self._vms.pop(idx), self._engine.now)
-        self._emit_vm("vm.destroyed", idx, reason=reason, lost=lost)
-        self._metrics.record_loss(lost)
-        self._after_membership_change()
-        return lost
-
-    def _after_membership_change(self) -> None:
-        n = len(self._active)
-        self._rr = self._rr % n if n else 0
-        self._refresh_index_cache()
-        self._metrics.record_fleet_size(self._engine.now, self.live_count)
-
-    def _refresh_index_cache(self) -> None:
-        self._active_idx = np.array(self._active, dtype=np.intp)
-        self._draining_idx = np.array(self._draining, dtype=np.intp)
 
     # ------------------------------------------------------------------
     # arrival windows (pulled from the broker)
@@ -560,7 +417,8 @@ class VectorFleet:
                     monitor.trace_completions(resp[c:k], svc[c:k], dep[c:k])
                     c = k
             while e < len(emptied) and (last or emptied[e][0] < t0):
-                self._drained(*emptied[e])
+                t_done, idx = emptied[e]
+                self._retire_drained(idx, t_done)
                 e += 1
             if tracer is not None and not last:
                 tracer.emit("window.generated", t0, t0=t0, arrivals=int(times.size))
@@ -585,12 +443,6 @@ class VectorFleet:
             for t0, times in windows[inside:]:
                 tracer.emit("window.generated", t0, t0=t0, arrivals=int(times.size))
 
-    def _drained(self, t_done: float, idx: int) -> None:
-        """Destroy a draining station that emptied at ``t_done``."""
-        self._draining.remove(idx)
-        self._destroy(idx, t_done, "drained")
-        self._metrics.record_fleet_size(t_done, self.live_count)
-
     def _trace_admissions(self, runs: List[Tuple[int, int, bool]], i: int, j: int) -> None:
         """Trace the admission (or rejection) of buffered arrivals
         ``[i, j)``, with an ``admission.state`` event when the gate
@@ -608,10 +460,3 @@ class VectorFleet:
                 kind = "request.admitted" if admitted else "request.rejected"
                 for t in times[lo:hi].tolist():
                     requests.emit(kind, t)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<VectorFleet active={len(self._active)} "
-            f"booting={len(self._booting)} draining={len(self._draining)} "
-            f"buffered={self.buffered}>"
-        )

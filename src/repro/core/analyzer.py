@@ -91,8 +91,8 @@ class WorkloadAnalyzer:
             raise ConfigurationError(
                 f"update interval must be finite and > 0, got {update_interval!r}"
             )
-        if lead_time < 0.0:
-            raise ConfigurationError(f"lead time must be >= 0, got {lead_time!r}")
+        if not 0.0 <= lead_time < math.inf:
+            raise ConfigurationError(f"lead time must be finite and >= 0, got {lead_time!r}")
         if horizon <= 0.0:
             raise ConfigurationError(f"horizon must be > 0, got {horizon!r}")
         self._engine = engine

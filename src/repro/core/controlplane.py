@@ -254,8 +254,8 @@ class ControlPlane:
             raise ConfigurationError(
                 f"update interval must be finite and > 0, got {update_interval!r}"
             )
-        if lead_time < 0.0:
-            raise ConfigurationError(f"lead time must be >= 0, got {lead_time!r}")
+        if not 0.0 <= lead_time < math.inf:
+            raise ConfigurationError(f"lead time must be finite and >= 0, got {lead_time!r}")
         if initial_instances < 0:
             raise ConfigurationError(
                 f"initial fleet size must be >= 0, got {initial_instances}"

@@ -173,6 +173,8 @@ class AdaptivePolicy(ProvisioningPolicy):
             raise ConfigurationError(
                 f"update interval must be finite and > 0, got {update_interval!r}"
             )
+        if not 0.0 <= lead_time < math.inf:
+            raise ConfigurationError(f"lead time must be finite and >= 0, got {lead_time!r}")
         self.update_interval = float(update_interval)
         self.lead_time = float(lead_time)
         self.rho_max = float(rho_max)

@@ -88,6 +88,14 @@ class ScenarioConfig:
             raise ConfigurationError(f"horizon must be finite and > 0, got {self.horizon!r}")
         if self.scale <= 0.0:
             raise ConfigurationError(f"scale must be > 0, got {self.scale!r}")
+        for name in ("num_hosts", "cores_per_host", "ram_per_host_mb"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("boot_delay", "lead_time"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)!r}"
+                )
         if self.pricing is not None and not isinstance(self.pricing, PricingModel):
             object.__setattr__(self, "pricing", PricingModel.coerce(self.pricing))
 

@@ -214,7 +214,7 @@ class SoAQueues:
 
     Slots are allocated monotonically (:meth:`alloc`) so the slot index
     doubles as the instance id, identical to the scalar fleet's
-    ``_next_instance_id`` numbering.
+    creation-order numbering.
     """
 
     __slots__ = (

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Union
 
 from repro.cloud import (
     AdmissionControl,
     ApplicationFleet,
     Datacenter,
     Monitor,
+    VectorFleet,
 )
 from repro.metrics import MetricsCollector
 from repro.sim import Engine, RandomStreams
@@ -23,8 +25,9 @@ class Env:
     datacenter: Datacenter
     monitor: Monitor
     metrics: MetricsCollector
-    fleet: ApplicationFleet
-    admission: AdmissionControl
+    fleet: Union[ApplicationFleet, VectorFleet]
+    #: ``None`` on the vectorized plane, whose span kernel is the gate.
+    admission: Optional[AdmissionControl]
 
 
 def make_env(
@@ -38,8 +41,13 @@ def make_env(
     exponential_service: bool = False,
     seed: int = 0,
     track_fleet_series: bool = False,
+    vectorized: bool = False,
 ) -> Env:
-    """Build an engine + data center + fleet with a simple service law."""
+    """Build an engine + data center + fleet with a simple service law.
+
+    ``vectorized=True`` builds a :class:`VectorFleet` (the ``des-vec``
+    data plane) instead of an :class:`ApplicationFleet`.
+    """
     streams = RandomStreams(seed)
     engine = Engine()
     metrics = MetricsCollector(
@@ -55,7 +63,7 @@ def make_env(
     if not exponential_service:
         workload.service_jitter = jitter
     sampler = workload.service_sampler(streams.get("service"))
-    fleet = ApplicationFleet(
+    fleet = (VectorFleet if vectorized else ApplicationFleet)(
         engine=engine,
         datacenter=datacenter,
         sampler=sampler,
@@ -65,5 +73,5 @@ def make_env(
         balancer=balancer,
         boot_delay=boot_delay,
     )
-    admission = AdmissionControl(fleet, monitor)
+    admission = None if vectorized else AdmissionControl(fleet, monitor)
     return Env(engine, datacenter, monitor, metrics, fleet, admission)

@@ -114,10 +114,11 @@ def test_analyzer_validation():
     pred = ConstantPredictor(1.0)
     with pytest.raises(ConfigurationError):
         WorkloadAnalyzer(engine, pred, lambda r: None, horizon=10.0, update_interval=0.0)
-    with pytest.raises(ConfigurationError):
-        WorkloadAnalyzer(
-            engine, pred, lambda r: None, horizon=10.0, update_interval=1.0, lead_time=-1.0
-        )
+    for lead_time in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            WorkloadAnalyzer(
+                engine, pred, lambda r: None, horizon=10.0, update_interval=1.0, lead_time=lead_time
+            )
     with pytest.raises(ConfigurationError):
         WorkloadAnalyzer(engine, pred, lambda r: None, horizon=0.0)
 

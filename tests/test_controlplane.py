@@ -103,8 +103,9 @@ def _plane(**overrides):
 def test_control_plane_validates_parameters():
     with pytest.raises(ConfigurationError):
         _plane(update_interval=0.0)
-    with pytest.raises(ConfigurationError):
-        _plane(lead_time=-1.0)
+    for lead_time in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            _plane(lead_time=lead_time)
     with pytest.raises(ConfigurationError):
         _plane(initial_instances=-1)
 

@@ -1,4 +1,9 @@
-"""Unit tests of fleet lifecycle mechanics (paper §IV-C)."""
+"""Unit tests of fleet lifecycle mechanics (paper §IV-C).
+
+The tests that only count run on both data planes (:func:`each_plane`):
+the lifecycle is one implementation, and these pin that both fleets
+reach it.  Tests that seat requests on a named instance are scalar.
+"""
 
 from __future__ import annotations
 
@@ -10,19 +15,24 @@ from repro.errors import ConfigurationError
 from helpers import make_env
 
 
+def each_plane(**kwargs):
+    """One wired env per data plane: ``des``, then ``des-vec``."""
+    return [make_env(vectorized=vectorized, **kwargs) for vectorized in (False, True)]
+
+
 def test_scale_up_creates_vms():
-    env = make_env()
-    assert env.fleet.scale_to(5) == 5
-    assert env.fleet.active_count == 5
-    assert env.datacenter.live_vms == 5
+    for env in each_plane():
+        assert env.fleet.scale_to(5) == 5
+        assert env.fleet.active_count == 5
+        assert env.datacenter.live_vms == 5
 
 
 def test_scale_down_destroys_idle_immediately():
-    env = make_env()
-    env.fleet.scale_to(5)
-    env.fleet.scale_to(2)
-    assert env.fleet.live_count == 2
-    assert env.datacenter.live_vms == 2
+    for env in each_plane():
+        env.fleet.scale_to(5)
+        env.fleet.scale_to(2)
+        assert env.fleet.live_count == 2
+        assert env.datacenter.live_vms == 2
 
 
 def test_scale_down_drains_busiest_last():
@@ -55,29 +65,29 @@ def test_scale_up_revives_draining_before_creating():
 
 
 def test_boot_delay_defers_activation():
-    env = make_env(boot_delay=30.0)
-    env.fleet.scale_to(2)
-    assert env.fleet.active_count == 0
-    assert env.fleet.serving_count == 2
-    env.engine.run(until=30.0)
-    assert env.fleet.active_count == 2
+    for env in each_plane(boot_delay=30.0):
+        env.fleet.scale_to(2)
+        assert env.fleet.active_count == 0
+        assert env.fleet.serving_count == 2
+        env.engine.run(until=30.0)
+        assert env.fleet.active_count == 2
 
 
 def test_scale_down_cancels_booting_first():
-    env = make_env(boot_delay=30.0)
-    env.fleet.scale_to(2)
-    env.fleet.scale_to(0)
-    assert env.fleet.live_count == 0
-    env.engine.run(until=60.0)  # boot events are no-ops after cancellation
-    assert env.fleet.active_count == 0
-    assert env.datacenter.live_vms == 0
+    for env in each_plane(boot_delay=30.0):
+        env.fleet.scale_to(2)
+        env.fleet.scale_to(0)
+        assert env.fleet.live_count == 0
+        env.engine.run(until=60.0)  # boot events are no-ops after cancellation
+        assert env.fleet.active_count == 0
+        assert env.datacenter.live_vms == 0
 
 
 def test_growth_capped_by_datacenter():
-    env = make_env(num_hosts=1)  # max 8 VMs
-    reached = env.fleet.scale_to(20)
-    assert reached == 8
-    assert env.fleet.active_count == 8
+    for env in each_plane(num_hosts=1):  # max 8 VMs
+        reached = env.fleet.scale_to(20)
+        assert reached == 8
+        assert env.fleet.active_count == 8
 
 
 def test_dispatch_false_when_empty():
@@ -94,26 +104,33 @@ def test_dispatch_false_when_all_full():
 
 
 def test_fleet_size_metrics_recorded():
-    env = make_env(track_fleet_series=True)
-    env.fleet.scale_to(4)
-    env.fleet.scale_to(1)
-    assert env.metrics.max_instances == 4
-    assert env.metrics.min_instances == 1
+    for env in each_plane(track_fleet_series=True):
+        env.fleet.scale_to(4)
+        env.fleet.scale_to(1)
+        assert env.metrics.max_instances == 4
+        assert env.metrics.min_instances == 1
 
 
 def test_negative_target_rejected():
-    env = make_env()
-    with pytest.raises(ConfigurationError):
-        env.fleet.scale_to(-1)
+    for env in each_plane():
+        with pytest.raises(ConfigurationError):
+            env.fleet.scale_to(-1)
 
 
 def test_vm_hours_match_lifetimes():
-    env = make_env()
-    env.fleet.scale_to(2)
-    env.engine.schedule_at(3600.0, lambda: env.fleet.scale_to(1))
-    env.engine.run(until=7200.0)
-    # 2 VMs for 1 h, then 1 VM for 1 h → 3 VM-hours.
-    assert env.datacenter.vm_hours(7200.0) == pytest.approx(3.0)
+    for env in each_plane():
+        env.fleet.scale_to(2)
+        env.engine.schedule_at(3600.0, lambda: env.fleet.scale_to(1))
+        env.engine.run(until=7200.0)
+        # 2 VMs for 1 h, then 1 VM for 1 h → 3 VM-hours.
+        assert env.datacenter.vm_hours(7200.0) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["des", "des-vec"])
+@pytest.mark.parametrize("boot_delay", [float("nan"), float("inf"), -1.0])
+def test_bad_boot_delay_rejected(vectorized, boot_delay):
+    with pytest.raises(ConfigurationError, match="boot delay"):
+        make_env(boot_delay=boot_delay, vectorized=vectorized)
 
 
 def test_drained_instance_destroyed_after_completion():

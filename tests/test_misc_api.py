@@ -67,6 +67,36 @@ def test_scaled_scientific_adaptive_run():
     assert 300.0 <= r.mean_response_time <= 700.0
 
 
+@pytest.mark.parametrize("lead_time", [float("nan"), float("inf"), -1.0])
+def test_bad_lead_time_rejected_before_any_run(lead_time):
+    """An infinite lead time used to hang the alert walk, and NaN to fail
+    deep in the run; both now fail where they are given."""
+    from repro import AdaptivePolicy, web_scenario
+
+    with pytest.raises(ConfigurationError, match="lead time"):
+        AdaptivePolicy(lead_time=lead_time)
+    with pytest.raises(ConfigurationError, match="lead_time"):
+        web_scenario(scale=400.0, lead_time=lead_time)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("boot_delay", float("nan")),
+        ("boot_delay", float("inf")),
+        ("boot_delay", -1.0),
+        ("num_hosts", 0),
+        ("cores_per_host", 0),
+        ("ram_per_host_mb", 0),
+    ],
+)
+def test_scenario_rejects_bad_boot_delay_and_geometry(field, value):
+    from repro import web_scenario
+
+    with pytest.raises(ConfigurationError, match=field):
+        web_scenario(scale=400.0, **{field: value})
+
+
 def test_event_handle_layout_constants():
     from repro.sim import Engine
     from repro.sim.events import CALLBACK, CANCELLED, PRIORITY, SEQ, TIME
