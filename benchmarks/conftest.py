@@ -23,10 +23,11 @@ import time
 from pathlib import Path
 
 # One BLAS thread, as bench/run.py runs its ops, set before anything
-# below imports numpy.  With more, OpenBLAS splits the T_m dot of a span
-# past 10,000 completions across threads whose spinning between calls
-# lands in the process CPU time that norm_cpu and the host-speed probe
-# read, so the timing gates would measure the thread pool.
+# below imports numpy.  A BLAS call long enough to split across threads
+# leaves them spinning between calls, and that lands in the process CPU
+# time that norm_cpu and the host-speed probe read.  The T_m fold keeps
+# its dots short enough never to split; this keeps any other call from
+# doing so.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

@@ -18,6 +18,7 @@ Cloud monitoring services such as Amazon CloudWatch" (paper §IV-B).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Optional, Tuple
 
@@ -30,6 +31,10 @@ from ..sim.engine import Engine
 from ..sim.events import PRIORITY_LOW
 
 __all__ = ["Monitor"]
+
+#: Longest slice of the T_m fold handed to one ``np.dot`` call; shorter
+#: dots run on one thread whatever the BLAS thread count.
+_DOT_CHUNK = 8192
 
 
 class Monitor:
@@ -103,9 +108,9 @@ class Monitor:
         self._arrivals_in_window = 0
         self.rate_history: Deque[Tuple[float, float]] = deque(maxlen=history_length)
         if rate_sample_interval is not None:
-            if rate_sample_interval <= 0.0:
+            if not 0.0 < rate_sample_interval < math.inf:
                 raise ConfigurationError(
-                    f"rate sample interval must be > 0, got {rate_sample_interval}"
+                    f"rate sample interval must be finite and > 0, got {rate_sample_interval}"
                 )
             engine.schedule(rate_sample_interval, self._sample_rate, PRIORITY_LOW)
 
@@ -159,6 +164,10 @@ class Monitor:
         is slow.  The table doubles when a longer batch arrives, so a
         run computes each power once.
 
+        A batch longer than ``_DOT_CHUNK`` is dotted in chunks of that
+        length, summed in order: BLAS may split one long dot across
+        threads, and its rounding would then depend on the thread count.
+
         The batch is not traced here: the caller traces it, in trace
         order, with :meth:`trace_completions`.
         """
@@ -177,10 +186,14 @@ class Monitor:
             weights = self._weights
             if weights.size < n:
                 weights = self._weights = self._grow_weights(n)
-            self._tm = float(
-                (1.0 - self._alpha) ** n * self._tm
-                + self._alpha * float(np.dot(weights[weights.size - n :], tail))
-            )
+            weights = weights[weights.size - n :]
+            if n <= _DOT_CHUNK:
+                dot = float(np.dot(weights, tail))
+            else:
+                dot = 0.0
+                for i in range(0, n, _DOT_CHUNK):
+                    dot += float(np.dot(weights[i : i + _DOT_CHUNK], tail[i : i + _DOT_CHUNK]))
+            self._tm = float((1.0 - self._alpha) ** n * self._tm + self._alpha * dot)
         if self.observer is not None:
             self.observer.observe_many(response_times)
 

@@ -5,7 +5,8 @@ observed system performance and predicted load to decide the number of
 VM instances that should be allocated to an application".  The model is
 the Figure-2 queueing network (:class:`repro.queueing.ProvisioningNetwork`):
 an M/M/∞ dispatch station feeding ``m`` parallel M/M/1/k instances,
-each offered ``λ/m``.
+each offered ``λ/m``.  Dispatch takes no time, in the simulator and in
+the model alike, so ``T_q`` is the instance sojourn.
 
 Algorithm 1 (reproduced faithfully, with two documented fixes):
 
@@ -103,9 +104,7 @@ class PerformanceModeler:
         Explicit override of the predicted-blocking tolerance.
     instance_model:
         Queue-model factory ``(lam, mu, k) -> QueueModel`` for each
-        instance station (ablations swap in M/D/1/K etc.).
-    dispatch_time:
-        Mean delay of the M/M/∞ dispatch station (default 0).
+        instance station (the queue-model ablation swaps in M/D/1/K).
     response_percentile:
         When set (e.g. 0.95), the QoS check requires the *percentile*
         of the per-instance sojourn distribution — not just its mean —
@@ -151,7 +150,6 @@ class PerformanceModeler:
         rho_max: float = 0.85,
         rejection_tolerance: Optional[float] = None,
         instance_model: Callable[[float, float, int], object] = MM1KQueue,
-        dispatch_time: float = 0.0,
         response_percentile: Optional[float] = None,
         decision_cache_size: int = 256,
         cache_significant_digits: int = 3,
@@ -199,7 +197,6 @@ class PerformanceModeler:
             )
         self.response_percentile = response_percentile
         self._instance_model = instance_model
-        self._dispatch_time = float(dispatch_time)
         if tracer is not None and time_fn is None:
             raise ConfigurationError(
                 "a modeler with a tracer needs time_fn "
@@ -247,7 +244,6 @@ class PerformanceModeler:
         return ProvisioningNetwork(
             service_time=service_time,
             capacity=self.capacity,
-            dispatch_time=self._dispatch_time,
             instance_model=self._instance_model,
         )
 

@@ -16,6 +16,7 @@ Factory functions build the paper's scenarios:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -86,11 +87,17 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.horizon <= 0.0 or not math.isfinite(self.horizon):
             raise ConfigurationError(f"horizon must be finite and > 0, got {self.horizon!r}")
-        if self.scale <= 0.0:
-            raise ConfigurationError(f"scale must be > 0, got {self.scale!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ConfigurationError(f"scale must be finite and > 0, got {self.scale!r}")
+        interval = self.rate_sample_interval
+        if interval is not None and not 0.0 < interval < math.inf:
+            raise ConfigurationError(
+                f"rate_sample_interval must be None or finite and > 0, got {interval!r}"
+            )
         for name in ("num_hosts", "cores_per_host", "ram_per_host_mb"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("boot_delay", "lead_time"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ConfigurationError(

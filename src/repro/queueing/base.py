@@ -5,23 +5,24 @@ Every model in :mod:`repro.queueing` exposes the same small surface:
 * construction from an arrival rate ``lam`` (requests/s) and either a
   service rate ``mu`` (requests/s) or a mean service time;
 * steady-state quantities as properties — utilization, blocking
-  probability, mean number in system ``L``, mean response time ``W``,
-  mean queue length ``Lq``, mean waiting time ``Wq``;
-* a ``state_probability(n)`` method for the stationary distribution.
+  probability, mean number in system ``L`` and mean response time
+  ``W``;
+* a ``state_probability(n)`` method for the stationary distribution,
+  where the model has one.
 
 The load predictor & performance modeler (paper §IV-B) consumes exactly
-this interface, which is what lets tests swap an M/M/1/K queue for an
-M/M/c or M/D/1 approximation when probing the sensitivity of
-Algorithm 1 to the queueing abstraction.
+this interface, which is what lets the queue-model ablation swap the
+M/D/1/K approximation for the M/M/1/K queue when probing the
+sensitivity of Algorithm 1 to the queueing abstraction.
 
 Numerical conventions
 ---------------------
 * Rates must be non-negative; service rates strictly positive.
 * ``rho`` is the *offered* load ``lam / mu`` (per server where
   applicable), which may exceed 1 for loss systems.
-* Little's-law identities are used for derived quantities so each model
-  only implements its primitive formulas; the test-suite checks the
-  identities independently against simulation.
+* Little's law gives the mean response time, so each model only
+  implements its primitive formulas; the test-suite checks the
+  identity independently against simulation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from abc import ABC, abstractmethod
 
 from ..errors import QueueingModelError
 
-__all__ = ["QueueModel", "validate_rates", "validate_capacity"]
+__all__ = ["QueueModel"]
 
 
 def validate_rates(lam: float, mu: float) -> None:
@@ -59,8 +60,8 @@ def validate_capacity(capacity: int) -> int:
 class QueueModel(ABC):
     """Abstract steady-state queueing model.
 
-    Subclasses store ``lam`` and ``mu`` and implement the primitive
-    quantities; the derived Little's-law quantities are provided here.
+    Subclasses implement blocking and the mean number in system; the
+    derived quantities are provided here.
 
     Parameters
     ----------
@@ -87,16 +88,16 @@ class QueueModel(ABC):
     @property
     @abstractmethod
     def blocking_probability(self) -> float:
-        """Probability an arriving request is rejected (0 for ∞ buffers)."""
+        """Probability an arriving request is rejected."""
 
     @property
     @abstractmethod
     def mean_number_in_system(self) -> float:
         """Steady-state mean number of requests in the system, L."""
 
-    @abstractmethod
     def state_probability(self, n: int) -> float:
         """Stationary probability of exactly ``n`` requests in system."""
+        raise QueueingModelError(f"{self.kind} does not expose a stationary distribution")
 
     # -- derived (Little's law) -----------------------------------------
     @property
@@ -105,46 +106,21 @@ class QueueModel(ABC):
         return self.lam * (1.0 - self.blocking_probability)
 
     @property
-    def throughput(self) -> float:
-        """Steady-state departure rate; equals the effective arrival rate."""
-        return self.effective_arrival_rate
-
-    @property
     def mean_response_time(self) -> float:
         """Mean time an *accepted* request spends in the system, W = L/λ_eff.
 
-        Returns ``inf`` when the queue is unstable (infinite-buffer queue
-        with ρ ≥ 1) and ``0`` when no traffic is accepted.
+        Returns ``0`` when no traffic is accepted.
         """
         lam_eff = self.effective_arrival_rate
         if lam_eff <= 0.0:
             return 0.0
-        L = self.mean_number_in_system
-        if math.isinf(L):
-            return math.inf
-        return L / lam_eff
+        return self.mean_number_in_system / lam_eff
 
     @property
     def utilization(self) -> float:
         """Fraction of time a server is busy (carried load per server)."""
-        # Default single-server definition; multi-server models override.
+        # Single-server definition; M/M/c/K overrides it.
         return min(1.0, self.effective_arrival_rate / self.mu)
-
-    @property
-    def mean_queue_length(self) -> float:
-        """Mean number waiting (not in service), Lq = L − λ_eff/μ·servers."""
-        L = self.mean_number_in_system
-        if math.isinf(L):
-            return math.inf
-        return max(0.0, L - self.effective_arrival_rate / self.mu)
-
-    @property
-    def mean_waiting_time(self) -> float:
-        """Mean time an accepted request waits before service, Wq."""
-        W = self.mean_response_time
-        if math.isinf(W):
-            return math.inf
-        return max(0.0, W - 1.0 / self.mu)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{self.kind} lam={self.lam:.6g} mu={self.mu:.6g} rho={self.rho:.4f}>"

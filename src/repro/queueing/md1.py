@@ -1,79 +1,31 @@
-"""M/D/1 and M/D/1/K — deterministic-service companions.
+"""M/D/1/K — the deterministic-service companion of M/M/1/K.
 
 The simulated workloads give each request a service time of
 ``base·U(1.00, 1.10)`` — almost deterministic.  The paper still models
-instances as M/M/1/k, which *over*-estimates blocking and delay; these
-deterministic-service models bracket reality from the optimistic side.
-The ablation benchmark ``bench_ablation_queue_model`` swaps them into
+instances as M/M/1/k, which *over*-estimates blocking and delay; this
+deterministic-service model brackets reality from the optimistic side.
+The ablation benchmark ``bench_ablation_queue_model`` swaps it into
 Algorithm 1 to show how the provisioned fleet size reacts to the
 modeling assumption.
 
-* M/D/1 waiting time is the Pollaczek–Khinchine formula with zero
-  service-time variance: Wq = ρ/(2μ(1 − ρ)).
-* M/D/1/K has no simple closed form; we use the standard approximation
-  that transforms the M/M/1/K blocking through the peakedness factor
-  (Smith, 2003 style two-moment interpolation): blocking is roughly
-  halved relative to M/M/1/K at moderate load.  The test-suite checks
-  it against the DES within a tolerance band rather than exactly.
+M/D/1/K has no simple closed form; we use the standard approximation
+that transforms the M/M/1/K blocking through the peakedness factor
+(Smith, 2003 style two-moment interpolation): blocking is roughly
+halved relative to M/M/1/K at moderate load.  It is a bound, not a
+point estimate: ``tests/test_integration_des_vs_theory.py::
+test_single_instance_deterministic_service_bracketed`` checks, at three
+moderate loads, that a one-instance DES with Poisson arrivals and
+constant service lies strictly between it and M/M/1/K, in blocking and
+in mean response time.
 """
 
 from __future__ import annotations
 
-import math
-
 from ..errors import QueueingModelError
 from .base import QueueModel, validate_capacity
-from .mm1k import mm1k_blocking
+from .mm1k import mm1k_blocking, mm1k_mean_number
 
-__all__ = ["MD1Queue", "MD1KQueue"]
-
-
-class MD1Queue(QueueModel):
-    """M/D/1: Poisson arrivals, constant service time 1/μ, one server.
-
-    Examples
-    --------
-    >>> q = MD1Queue(lam=5.0, mu=10.0)
-    >>> round(q.mean_waiting_time, 6)   # half the M/M/1 wait
-    0.05
-    """
-
-    kind = "M/D/1"
-
-    @property
-    def stable(self) -> bool:
-        return self.rho < 1.0
-
-    @property
-    def blocking_probability(self) -> float:
-        return 0.0
-
-    @property
-    def mean_waiting_time(self) -> float:
-        if not self.stable:
-            return math.inf
-        rho = self.rho
-        return rho / (2.0 * self.mu * (1.0 - rho))
-
-    @property
-    def mean_response_time(self) -> float:
-        Wq = self.mean_waiting_time
-        return math.inf if math.isinf(Wq) else Wq + 1.0 / self.mu
-
-    @property
-    def mean_number_in_system(self) -> float:
-        W = self.mean_response_time
-        return math.inf if math.isinf(W) else self.lam * W
-
-    def state_probability(self, n: int) -> float:
-        """Exact state probabilities require transform inversion; only
-        P(0) = 1 − ρ is provided, other states raise."""
-        if n == 0:
-            return max(0.0, 1.0 - self.rho) if self.stable else 0.0
-        raise QueueingModelError(
-            "M/D/1 state probabilities beyond P(0) are not implemented; "
-            "use MM1Queue for a full stationary distribution"
-        )
+__all__ = ["MD1KQueue"]
 
 
 class MD1KQueue(QueueModel):
@@ -109,14 +61,7 @@ class MD1KQueue(QueueModel):
     def mean_number_in_system(self) -> float:
         # Scale the M/M/1/K backlog by the same variability factor applied
         # above the deterministic floor of ρ (the in-service mass).
-        from .mm1k import mm1k_mean_number
-
         mm = mm1k_mean_number(self.rho, self.capacity)
         carried = min(1.0, self.rho * (1.0 - self.blocking_probability))
         waiting = max(0.0, mm - min(1.0, self.rho)) * (1.0 + self.scv) / 2.0
         return carried + waiting
-
-    def state_probability(self, n: int) -> float:
-        raise QueueingModelError(
-            "the M/D/1/K approximation does not expose a stationary distribution"
-        )

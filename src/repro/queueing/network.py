@@ -7,12 +7,17 @@ The data-center model is a two-stage open network:
    instances), each receiving λ/m of the accepted flow because the
    provisioner balances round-robin.
 
+An M/M/∞ station never queues, so its mean sojourn is just its mean
+routing time.  The simulator routes instantly, and so does this model:
+the first stage adds nothing, and only the instance stations are
+evaluated.
+
 :class:`ProvisioningNetwork` evaluates the end-to-end steady state of
 that network for a candidate fleet size ``m`` — exactly the computation
 the load predictor & performance modeler performs on every iteration of
 Algorithm 1.  Keeping it here, independent of the control logic, lets the tests
 pin the numbers against hand calculations and lets ablations swap the
-per-instance model (M/M/1/k, M/D/1/K, pooled M/M/m/mk).
+per-instance model (M/M/1/k or the M/D/1/K approximation).
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from typing import Callable
 from ..errors import QueueingModelError
 from .base import QueueModel
 from .mm1k import MM1KQueue
-from .mminf import MMInfQueue
 
 __all__ = ["NetworkPerformance", "ProvisioningNetwork"]
 
@@ -44,8 +48,8 @@ class NetworkPerformance:
     blocking_probability:
         Probability an arrival is rejected by admission control.
     response_time:
-        Mean end-to-end time of an *accepted* request (dispatch +
-        instance sojourn), seconds.
+        Mean end-to-end time of an *accepted* request (its instance
+        sojourn; dispatch takes no time), seconds.
     utilization:
         Carried load per instance (fraction of busy time).
     throughput:
@@ -70,9 +74,6 @@ class ProvisioningNetwork:
         Mean request service time at one instance, Tm (seconds).
     capacity:
         Per-instance system capacity k (Eq. 1).
-    dispatch_time:
-        Mean routing delay at the M/M/∞ provisioner station.  The
-        default of 0 collapses the first stage, matching the simulator.
     instance_model:
         Factory ``(lam, mu, capacity) -> QueueModel`` used for each
         instance station; defaults to :class:`MM1KQueue`.
@@ -89,20 +90,14 @@ class ProvisioningNetwork:
         self,
         service_time: float,
         capacity: int,
-        dispatch_time: float = 0.0,
         instance_model: Callable[[float, float, int], QueueModel] = MM1KQueue,
     ) -> None:
         if not (service_time > 0.0 and math.isfinite(service_time)):
             raise QueueingModelError(
                 f"service time must be finite and > 0, got {service_time!r}"
             )
-        if dispatch_time < 0.0 or not math.isfinite(dispatch_time):
-            raise QueueingModelError(
-                f"dispatch time must be finite and >= 0, got {dispatch_time!r}"
-            )
         self.service_time = float(service_time)
         self.capacity = int(capacity)
-        self.dispatch_time = float(dispatch_time)
         self.instance_model = instance_model
 
     def evaluate(self, arrival_rate: float, instances: int) -> NetworkPerformance:
@@ -124,19 +119,13 @@ class ProvisioningNetwork:
         mu = 1.0 / self.service_time
         lam_i = arrival_rate / instances
         station = self.instance_model(lam_i, mu, self.capacity)
-
-        dispatch_delay = 0.0
-        if self.dispatch_time > 0.0 and arrival_rate > 0.0:
-            dispatch_delay = MMInfQueue(arrival_rate, 1.0 / self.dispatch_time).mean_response_time
-
         blocking = station.blocking_probability
-        response = station.mean_response_time + dispatch_delay
         return NetworkPerformance(
             instances=instances,
             per_instance_lambda=lam_i,
             rho=lam_i / mu,
             blocking_probability=blocking,
-            response_time=response,
+            response_time=station.mean_response_time,
             utilization=station.utilization,
             throughput=arrival_rate * (1.0 - blocking),
         )

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cloud import AdmissionControl, Monitor
 from repro.errors import ConfigurationError
 from repro.metrics import MetricsCollector
@@ -182,10 +188,15 @@ def test_monitor_observed_rate_none_without_sampling():
 # ----------------------------------------------------------------------
 # bulk T_m fold
 # ----------------------------------------------------------------------
+#: Longest dot of the fold (the monitor's ``_DOT_CHUNK``).
+_CHUNK = 8192
+
+
 def _closed_form_fold(tm, seen, alpha, services):
     """``record_responses``' T_m update with its weights built per batch
-    as ``(1-α) ** arange(n-1, -1, -1)``: the reference the weight table
-    must match bit for bit.  Returns ``(tm, seen)``."""
+    as ``(1-α) ** arange(n-1, -1, -1)``, dotted in order in chunks of
+    ``_CHUNK``: the reference the weight table must match bit for bit.
+    Returns ``(tm, seen)``."""
     services = np.asarray(services, dtype=np.float64)
     if services.size == 0:
         return tm, seen
@@ -195,7 +206,10 @@ def _closed_form_fold(tm, seen, alpha, services):
     tail = services[start:]
     if tail.size and not (float(tail.min()) == tm and float(tail.max()) == tm):
         weights = (1.0 - alpha) ** np.arange(tail.size - 1, -1, -1, dtype=np.float64)
-        tm = float((1.0 - alpha) ** tail.size * tm + alpha * float(np.dot(weights, tail)))
+        dot = 0.0
+        for i in range(0, tail.size, _CHUNK):
+            dot += float(np.dot(weights[i : i + _CHUNK], tail[i : i + _CHUNK]))
+        tm = float((1.0 - alpha) ** tail.size * tm + alpha * dot)
     return tm, seen
 
 
@@ -292,13 +306,51 @@ def test_record_responses_tracks_scalar_loop(alpha, sizes, seed):
         assert bulk.mean_service_time() == pytest.approx(expected, rel=_FOLD_VS_LOOP_RTOL)
 
 
+_FOLD_CHILD = """
+import numpy as np
+from repro.cloud import Monitor
+from repro.metrics import MetricsCollector
+from repro.sim import Engine
+
+for seed in range(8):
+    m = Monitor(Engine(), MetricsCollector(), default_service_time=0.105, ewma_alpha=0.001)
+    services = np.random.default_rng(seed).exponential(0.1, 20_000)
+    m.record_responses(services, services)
+    print(m.mean_service_time().hex())
+"""
+
+
+def test_record_responses_fold_is_independent_of_blas_threads():
+    """Folds of 20k completions give the same T_m bits with one and with
+    two BLAS threads.  OpenBLAS splits a dot of more than 10k entries
+    across its threads, which changes its rounding; at α = 0.001 the
+    weights stay far from underflow, so a single long dot would show
+    it in the last bit of most of these eight folds."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _FOLD_CHILD],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        results.append(out.stdout.strip())
+    assert results[0] == results[1]
+
+
 def test_monitor_validation():
     engine = Engine()
     with pytest.raises(ConfigurationError):
         Monitor(engine, MetricsCollector(), default_service_time=0.0)
     with pytest.raises(ConfigurationError):
         Monitor(engine, MetricsCollector(), default_service_time=1.0, ewma_alpha=0.0)
-    with pytest.raises(ConfigurationError):
-        Monitor(
-            engine, MetricsCollector(), default_service_time=1.0, rate_sample_interval=0.0
-        )
+    for interval in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            Monitor(
+                engine, MetricsCollector(), default_service_time=1.0, rate_sample_interval=interval
+            )

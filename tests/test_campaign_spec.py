@@ -97,12 +97,19 @@ def test_bad_scenario_params_rejected_at_load_time():
 
 @pytest.mark.parametrize(
     "param, literal",
-    [("lead_time", "inf"), ("lead_time", "nan"), ("boot_delay", "nan"), ("num_hosts", "0")],
+    [
+        ("lead_time", "inf"),
+        ("lead_time", "nan"),
+        ("boot_delay", "nan"),
+        ("num_hosts", "0"),
+        ("rate_sample_interval", "nan"),
+    ],
 )
 def test_non_finite_timing_and_empty_datacenter_rejected_at_load_time(tmp_path, param, literal):
     """A TOML ``inf``/``nan`` timing value or an empty data center fails
     at spec load; an infinite lead time would otherwise hang the cell's
-    worker, and a zero-host data center fail every attempt."""
+    worker, a NaN sampling cadence fail its des run, and a zero-host
+    data center fail every attempt."""
     path = tmp_path / "c.toml"
     path.write_text(
         '[campaign]\nname = "t"\n\n[[scenarios]]\nscenario = "web"\nscale = 5000.0\n'

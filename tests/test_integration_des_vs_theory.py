@@ -4,7 +4,8 @@ With genuinely Poisson arrivals and exponential service, each
 application instance is a true M/M/1/k queue, so simulated blocking and
 sojourn must converge to the closed forms — this pins the entire
 request path (broker → admission → balancer → instance → monitor →
-metrics) against theory.
+metrics) against theory.  With constant service the instance is an
+M/D/1/k queue, which the M/D/1/K approximation and M/M/1/K bracket.
 """
 
 from __future__ import annotations
@@ -12,17 +13,19 @@ from __future__ import annotations
 import pytest
 
 from repro.cloud import WorkloadSource
-from repro.queueing import MM1KQueue, MMCKQueue
+from repro.queueing import MD1KQueue, MM1KQueue, MMCKQueue
 from repro.workloads import PoissonWorkload
 
 from helpers import make_env
 
 
-def run_poisson_system(instances: int, rate: float, capacity: int, horizon: float, seed=0):
+def run_poisson_system(
+    instances: int, rate: float, capacity: int, horizon: float, seed=0, exponential_service=True
+):
     env = make_env(
         capacity=capacity,
         service_time=1.0,
-        exponential_service=True,
+        exponential_service=exponential_service,
         num_hosts=64,
         seed=seed,
     )
@@ -59,6 +62,20 @@ def test_single_instance_overload_blocking():
     metrics = run_poisson_system(instances=1, rate=2.0, capacity=2, horizon=100_000.0)
     theory = MM1KQueue(lam=2.0, mu=1.0, capacity=2)
     assert metrics.rejection_rate == pytest.approx(theory.blocking_probability, rel=0.04)
+
+
+@pytest.mark.parametrize("rho, k", [(0.5, 2), (0.7, 2), (0.85, 3)])
+def test_single_instance_deterministic_service_bracketed(rho, k):
+    # Constant service has less variance than exponential, so a real
+    # M/D/1/k loses and delays less than M/M/1/k; the M/D/1/K
+    # approximation (blocking about half of M/M/1/K's) is optimistic.
+    metrics = run_poisson_system(
+        instances=1, rate=rho, capacity=k, horizon=100_000.0, exponential_service=False
+    )
+    approx = MD1KQueue(lam=rho, mu=1.0, capacity=k)
+    markov = MM1KQueue(lam=rho, mu=1.0, capacity=k)
+    assert approx.blocking_probability < metrics.rejection_rate < markov.blocking_probability
+    assert approx.mean_response_time < metrics.mean_response_time < markov.mean_response_time
 
 
 def test_fleet_blocking_bracketed_by_pooled_and_independent_models():

@@ -88,13 +88,28 @@ def test_bad_lead_time_rejected_before_any_run(lead_time):
         ("num_hosts", 0),
         ("cores_per_host", 0),
         ("ram_per_host_mb", 0),
+        ("num_hosts", float("nan")),
+        ("num_hosts", float("inf")),
+        ("num_hosts", 2.5),
+        ("cores_per_host", 2.5),
+        ("ram_per_host_mb", True),
+        ("scale", float("nan")),
+        ("scale", float("inf")),
+        ("scale", 0.0),
+        ("rate_sample_interval", float("nan")),
+        ("rate_sample_interval", float("inf")),
+        ("rate_sample_interval", 0.0),
+        ("rate_sample_interval", -1.0),
     ],
 )
 def test_scenario_rejects_bad_boot_delay_and_geometry(field, value):
+    """Bad values fail at construction.  A NaN sampling cadence or a
+    non-integer host count used to fail mid-run, and a non-finite scale
+    to report a NaN or zero response time."""
     from repro import web_scenario
 
     with pytest.raises(ConfigurationError, match=field):
-        web_scenario(scale=400.0, **{field: value})
+        web_scenario(scale=400.0).with_updates(**{field: value})
 
 
 def test_event_handle_layout_constants():

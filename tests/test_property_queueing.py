@@ -7,20 +7,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.queueing import (
-    MM1KQueue,
-    MM1Queue,
-    MMCKQueue,
-    MMCQueue,
-    erlang_b,
-    erlang_c,
-    mm1k_blocking,
-)
+from repro.queueing import MM1KQueue, MMCKQueue, mm1k_blocking
 
-rates = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 loads = st.floats(min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 capacities = st.integers(min_value=1, max_value=64)
-servers = st.integers(min_value=1, max_value=64)
 
 
 @given(rho=loads, K=capacities)
@@ -58,39 +48,9 @@ def test_mm1k_blocking_monotone_in_capacity(rho, K1, K2):
     assert mm1k_blocking(rho, hi) <= mm1k_blocking(rho, lo) + 1e-12
 
 
-@given(lam=rates, mu=rates)
-def test_mm1_stability_dichotomy(lam, mu):
-    q = MM1Queue(lam=lam, mu=mu)
-    if lam < mu:
-        assert math.isfinite(q.mean_response_time)
-        assert q.mean_response_time >= 1.0 / mu - 1e-12
-    else:
-        assert math.isinf(q.mean_response_time)
-
-
-@given(c=servers, a=loads)
-def test_erlang_b_is_probability_and_monotone_in_servers(c, a):
-    b1 = erlang_b(c, a)
-    b2 = erlang_b(c + 1, a)
-    assert 0.0 <= b1 <= 1.0
-    assert b2 <= b1 + 1e-12
-
-
-@given(c=servers, a=loads)
-def test_erlang_c_dominates_erlang_b(c, a):
-    assert erlang_c(c, a) >= erlang_b(c, a) - 1e-12
-
-
 @settings(max_examples=50)
 @given(c=st.integers(min_value=1, max_value=16), extra=st.integers(min_value=0, max_value=32), a=loads)
 def test_mmck_blocking_is_probability(c, extra, a):
     q = MMCKQueue(lam=a, mu=1.0, servers=c, capacity=c + extra)
     assert 0.0 <= q.blocking_probability <= 1.0
     assert 0.0 <= q.utilization <= 1.0 + 1e-12
-
-
-@settings(max_examples=50)
-@given(c=st.integers(min_value=2, max_value=16), a=st.floats(min_value=0.01, max_value=15.0))
-def test_mmc_wait_probability_bounds(c, a):
-    q = MMCQueue(lam=a, mu=1.0, servers=c)
-    assert 0.0 <= q.probability_of_wait <= 1.0

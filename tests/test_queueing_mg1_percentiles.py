@@ -1,4 +1,4 @@
-"""Tests of M/G/1 and the M/M/1/K response-time distribution."""
+"""Tests of the M/M/1/K response-time distribution."""
 
 from __future__ import annotations
 
@@ -8,64 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QueueingModelError
-from repro.queueing import (
-    MD1Queue,
-    MG1Queue,
-    MM1KQueue,
-    MM1Queue,
-    uniform_jitter_scv,
-)
-
-
-# ----------------------------------------------------------------------
-# M/G/1
-# ----------------------------------------------------------------------
-def test_mg1_scv1_equals_mm1():
-    mg1 = MG1Queue(lam=7.0, mu=10.0, scv=1.0)
-    mm1 = MM1Queue(lam=7.0, mu=10.0)
-    assert mg1.mean_waiting_time == pytest.approx(mm1.mean_waiting_time)
-    assert mg1.mean_number_in_system == pytest.approx(mm1.mean_number_in_system)
-
-
-def test_mg1_scv0_equals_md1():
-    mg1 = MG1Queue(lam=7.0, mu=10.0, scv=0.0)
-    md1 = MD1Queue(lam=7.0, mu=10.0)
-    assert mg1.mean_waiting_time == pytest.approx(md1.mean_waiting_time)
-
-
-def test_mg1_wait_monotone_in_scv():
-    waits = [MG1Queue(5.0, 10.0, scv=s).mean_waiting_time for s in (0.0, 0.5, 1.0, 2.0)]
-    assert waits == sorted(waits)
-
-
-def test_paper_jitter_scv():
-    # U(1.00, 1.10): var = 0.1²/12, mean = 1.05.
-    scv = uniform_jitter_scv(0.10)
-    assert scv == pytest.approx((0.1**2 / 12) / 1.05**2)
-    # Verify against Monte Carlo.
-    rng = np.random.default_rng(0)
-    draws = 1.0 + rng.uniform(0.0, 0.10, size=500_000)
-    assert scv == pytest.approx(draws.var() / draws.mean() ** 2, rel=0.02)
-
-
-def test_mg1_low_variance_wait_near_deterministic_floor():
-    # The paper's service law sits essentially at the M/D/1 floor —
-    # half the M/M/1 wait, within 0.04 %.
-    mm1 = MG1Queue(8.0, 10.0, scv=1.0)
-    md1 = MG1Queue(8.0, 10.0, scv=0.0)
-    paper = MG1Queue(8.0, 10.0, scv=uniform_jitter_scv(0.10))
-    assert paper.mean_waiting_time == pytest.approx(md1.mean_waiting_time, rel=1e-3)
-    assert paper.mean_waiting_time == pytest.approx(0.5 * mm1.mean_waiting_time, rel=1e-3)
-
-
-def test_mg1_unstable_and_validation():
-    assert math.isinf(MG1Queue(10.0, 10.0, scv=0.5).mean_response_time)
-    with pytest.raises(QueueingModelError):
-        MG1Queue(1.0, 2.0, scv=-0.1)
-    with pytest.raises(QueueingModelError):
-        MG1Queue(1.0, 2.0).state_probability(1)
-    with pytest.raises(QueueingModelError):
-        uniform_jitter_scv(-1.0)
+from repro.queueing import MM1KQueue
 
 
 # ----------------------------------------------------------------------

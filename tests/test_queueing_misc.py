@@ -1,66 +1,17 @@
-"""Unit tests of M/M/∞, M/D/1(/K), and the Figure-2 network."""
+"""Unit tests of the M/D/1/K approximation and the Figure-2 network."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
 from repro.errors import QueueingModelError
 from repro.queueing import (
     MD1KQueue,
-    MD1Queue,
     MM1KQueue,
-    MM1Queue,
-    MMInfQueue,
     NetworkPerformance,
     ProvisioningNetwork,
     mm1k_blocking,
 )
-
-
-# ----------------------------------------------------------------------
-# M/M/∞
-# ----------------------------------------------------------------------
-def test_mminf_no_waiting():
-    q = MMInfQueue(lam=100.0, mu=50.0)
-    assert q.mean_response_time == pytest.approx(1.0 / 50.0)
-    assert q.mean_waiting_time == 0.0
-    assert q.blocking_probability == 0.0
-
-
-def test_mminf_poisson_occupancy():
-    q = MMInfQueue(lam=20.0, mu=10.0)
-    assert q.mean_number_in_system == pytest.approx(2.0)
-    total = sum(q.state_probability(n) for n in range(100))
-    assert total == pytest.approx(1.0, abs=1e-12)
-    assert q.state_probability(0) == pytest.approx(math.exp(-2.0))
-
-
-def test_mminf_zero_load():
-    q = MMInfQueue(lam=0.0, mu=10.0)
-    assert q.state_probability(0) == 1.0
-
-
-# ----------------------------------------------------------------------
-# M/D/1
-# ----------------------------------------------------------------------
-def test_md1_wait_is_half_of_mm1():
-    md1 = MD1Queue(lam=5.0, mu=10.0)
-    mm1 = MM1Queue(lam=5.0, mu=10.0)
-    assert md1.mean_waiting_time == pytest.approx(mm1.mean_waiting_time / 2.0)
-
-
-def test_md1_unstable():
-    q = MD1Queue(lam=10.0, mu=10.0)
-    assert math.isinf(q.mean_response_time)
-
-
-def test_md1_p0():
-    q = MD1Queue(lam=4.0, mu=10.0)
-    assert q.state_probability(0) == pytest.approx(0.6)
-    with pytest.raises(QueueingModelError):
-        q.state_probability(1)
 
 
 # ----------------------------------------------------------------------
@@ -95,14 +46,6 @@ def test_network_even_split():
     assert perf.blocking_probability == pytest.approx(station.blocking_probability)
     assert perf.response_time == pytest.approx(station.mean_response_time)
     assert perf.throughput == pytest.approx(1200.0 * (1 - station.blocking_probability))
-
-
-def test_network_dispatch_delay_added():
-    base = ProvisioningNetwork(service_time=0.1, capacity=2)
-    delayed = ProvisioningNetwork(service_time=0.1, capacity=2, dispatch_time=0.005)
-    p0 = base.evaluate(100.0, 20)
-    p1 = delayed.evaluate(100.0, 20)
-    assert p1.response_time == pytest.approx(p0.response_time + 0.005)
 
 
 def test_network_more_instances_less_blocking():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import QueueingModelError
-from repro.queueing import MM1KQueue, MMCKQueue, erlang_b
+from repro.queueing import MM1KQueue, MMCKQueue
 
 
 def test_c1_matches_mm1k():
@@ -21,10 +23,23 @@ def test_c1_matches_mm1k():
 
 
 def test_k_equals_c_matches_erlang_b():
-    # M/M/c/c loss system blocking is Erlang B.
+    # M/M/c/c loss system blocking is Erlang B, by its recurrence
+    # B(0) = 1, B(n) = a·B(n−1) / (n + a·B(n−1)).
     c, a = 4, 3.0
+    b = 1.0
+    for n in range(1, c + 1):
+        b = a * b / (n + a * b)
     q = MMCKQueue(lam=a, mu=1.0, servers=c, capacity=c)
-    assert q.blocking_probability == pytest.approx(erlang_b(c, a), rel=1e-10)
+    assert q.blocking_probability == pytest.approx(b, rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [1, 2, 5, 10])
+@pytest.mark.parametrize("a", [0.1, 1.0, 3.0, 9.5])
+def test_loss_system_matches_direct_erlang_b(c, a):
+    # M/M/c/c blocking against the factorial form of Erlang B.
+    direct = (a**c / math.factorial(c)) / sum(a**j / math.factorial(j) for j in range(c + 1))
+    q = MMCKQueue(lam=a, mu=1.0, servers=c, capacity=c)
+    assert q.blocking_probability == pytest.approx(direct, rel=1e-12)
 
 
 def test_distribution_normalized():
@@ -60,7 +75,7 @@ def test_pooled_blocking_below_split_blocking():
 def test_mean_busy_servers_vs_throughput():
     q = MMCKQueue(lam=20.0, mu=10.0, servers=3, capacity=6)
     # Work conservation: E[busy] * mu = accepted throughput.
-    assert q.mean_busy_servers * q.mu == pytest.approx(q.throughput, rel=1e-9)
+    assert q.mean_busy_servers * q.mu == pytest.approx(q.effective_arrival_rate, rel=1e-9)
 
 
 def test_capacity_below_servers_rejected():
