@@ -187,12 +187,9 @@ class Monitor:
             if weights.size < n:
                 weights = self._weights = self._grow_weights(n)
             weights = weights[weights.size - n :]
-            if n <= _DOT_CHUNK:
-                dot = float(np.dot(weights, tail))
-            else:
-                dot = 0.0
-                for i in range(0, n, _DOT_CHUNK):
-                    dot += float(np.dot(weights[i : i + _DOT_CHUNK], tail[i : i + _DOT_CHUNK]))
+            dot = 0.0
+            for i in range(0, n, _DOT_CHUNK):
+                dot += float(np.dot(weights[i : i + _DOT_CHUNK], tail[i : i + _DOT_CHUNK]))
             self._tm = float((1.0 - self._alpha) ** n * self._tm + self._alpha * dot)
         if self.observer is not None:
             self.observer.observe_many(response_times)

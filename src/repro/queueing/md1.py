@@ -3,7 +3,7 @@
 The simulated workloads give each request a service time of
 ``base·U(1.00, 1.10)`` — almost deterministic.  The paper still models
 instances as M/M/1/k, which *over*-estimates blocking and delay; this
-deterministic-service model brackets reality from the optimistic side.
+deterministic-service model is meant to bracket it from the optimistic side.
 The ablation benchmark ``bench_ablation_queue_model`` swaps it into
 Algorithm 1 to show how the provisioned fleet size reacts to the
 modeling assumption.
@@ -11,12 +11,16 @@ modeling assumption.
 M/D/1/K has no simple closed form; we use the standard approximation
 that transforms the M/M/1/K blocking through the peakedness factor
 (Smith, 2003 style two-moment interpolation): blocking is roughly
-halved relative to M/M/1/K at moderate load.  It is a bound, not a
-point estimate: ``tests/test_integration_des_vs_theory.py::
+halved relative to M/M/1/K at moderate load.
+``tests/test_integration_des_vs_theory.py::
 test_single_instance_deterministic_service_bracketed`` checks, at three
-moderate loads, that a one-instance DES with Poisson arrivals and
-constant service lies strictly between it and M/M/1/K, in blocking and
-in mean response time.
+points (ρ, k) = (0.5, 2), (0.7, 2) and (0.85, 3), that a one-instance
+DES with Poisson arrivals and constant service lies strictly between it
+and M/M/1/K, in blocking and in mean response time.  That it brackets
+the DES from below elsewhere is not established: ``mean_number_in_system``
+subtracts the offered load ``min(1, ρ)`` rather than the carried load,
+so its mean response time falls as load rises (1.077 at (0.5, 2),
+1.054 at (0.7, 2), with μ = 1) while the DES's rises.
 """
 
 from __future__ import annotations

@@ -312,11 +312,12 @@ from repro.cloud import Monitor
 from repro.metrics import MetricsCollector
 from repro.sim import Engine
 
+weights = 0.999 ** np.arange(19_998, -1, -1, dtype=np.float64)
 for seed in range(8):
     m = Monitor(Engine(), MetricsCollector(), default_service_time=0.105, ewma_alpha=0.001)
     services = np.random.default_rng(seed).exponential(0.1, 20_000)
     m.record_responses(services, services)
-    print(m.mean_service_time().hex())
+    print(m.mean_service_time().hex(), float(np.dot(weights, services[1:])).hex())
 """
 
 
@@ -324,8 +325,11 @@ def test_record_responses_fold_is_independent_of_blas_threads():
     """Folds of 20k completions give the same T_m bits with one and with
     two BLAS threads.  OpenBLAS splits a dot of more than 10k entries
     across its threads, which changes its rounding; at α = 0.001 the
-    weights stay far from underflow, so a single long dot would show
-    it in the last bit of most of these eight folds."""
+    weights stay far from underflow, so a single long dot shows it in
+    the last bit of most of these eight folds.  Each child also prints
+    that single dot: when its bits do not change with the thread count
+    (another BLAS, or one that ignores ``OPENBLAS_NUM_THREADS``) the
+    test cannot tell a chunked fold from an unchunked one, and skips."""
     src = str(Path(repro.__file__).resolve().parents[1])
     results = []
     for threads in ("1", "2"):
@@ -339,8 +343,12 @@ def test_record_responses_fold_is_independent_of_blas_threads():
             check=True,
             timeout=120,
         )
-        results.append(out.stdout.strip())
-    assert results[0] == results[1]
+        results.append([line.split() for line in out.stdout.splitlines()])
+    folds = [[row[0] for row in rows] for rows in results]
+    dots = [[row[1] for row in rows] for rows in results]
+    if dots[0] == dots[1]:
+        pytest.skip("this BLAS gives one long dot the same bits with 1 and 2 threads")
+    assert folds[0] == folds[1]
 
 
 def test_monitor_validation():
