@@ -2,8 +2,9 @@
 
 Infrastructure (paper §V-A):
 
-* :class:`Datacenter` — 1000 hosts × (8 cores, 16 GB), VM placement via
-  :class:`LeastLoadedPlacement` (alternatives for ablations).
+* :class:`Datacenter` — 1000 hosts × (8 cores, 16 GB); each new VM goes
+  to the host with the fewest running VMs (:class:`LeastLoadedPlacement`,
+  the paper's rule).
 * :class:`Host`, :class:`VirtualMachine`, :class:`VMSpec` — physical and
   virtual resources; one core per VM, no time-sharing.
 
@@ -35,12 +36,7 @@ from .loadbalancer import (
 )
 from .monitor import Monitor
 from .priority import HIGH, LOW, PriorityAdmissionControl, PriorityClassStats
-from .placement import (
-    FirstFitPlacement,
-    LeastLoadedPlacement,
-    PlacementPolicy,
-    RandomPlacement,
-)
+from .placement import LeastLoadedPlacement
 from .vecfleet import VectorFleet
 from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec, VMState
 
@@ -67,8 +63,5 @@ __all__ = [
     "RandomBalancer",
     "Monitor",
     "WorkloadSource",
-    "PlacementPolicy",
     "LeastLoadedPlacement",
-    "FirstFitPlacement",
-    "RandomPlacement",
 ]

@@ -9,11 +9,11 @@ ledger used by Figures 5(c) and 6(c).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import PlacementError
 from .host import Host
-from .placement import LeastLoadedPlacement, PlacementPolicy
+from .placement import LeastLoadedPlacement
 from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec
 
 __all__ = ["Datacenter"]
@@ -28,9 +28,6 @@ class Datacenter:
         Number of physical hosts (paper: 1000).
     cores_per_host, ram_per_host_mb:
         Host capacity (paper: 8 cores, 16 GB).
-    placement:
-        :class:`PlacementPolicy` deciding VM→host mapping; defaults to
-        the paper's least-loaded policy.
     name:
         Label used in reports (``c_i`` in the paper's notation).
     """
@@ -40,7 +37,6 @@ class Datacenter:
         num_hosts: int = 1000,
         cores_per_host: int = 8,
         ram_per_host_mb: int = 16_384,
-        placement: Optional[PlacementPolicy] = None,
         name: str = "dc-0",
     ) -> None:
         if num_hosts < 1:
@@ -49,7 +45,7 @@ class Datacenter:
         self.hosts: List[Host] = [
             Host(i, cores_per_host, ram_per_host_mb) for i in range(num_hosts)
         ]
-        self.placement = placement if placement is not None else LeastLoadedPlacement()
+        self.placement = LeastLoadedPlacement()
         self._vms: Dict[int, VirtualMachine] = {}
         self._next_vm_id = 0
         self._vm_seconds_closed = 0.0  # lifetime of already-destroyed VMs

@@ -202,18 +202,18 @@ class FleetLifecycle:
             self._serve(self._draining.pop())
             count -= 1
         # 2. Create fresh VMs until quota/capacity stops us.
-        while count > 0 and self._create_instance(self.vm_spec) is not None:
+        while count > 0 and self._create_instance() is not None:
             count -= 1
         self._after_membership_change()
 
-    def _create_instance(self, spec: VMSpec):
-        """Place one VM of ``spec`` and make it a member.
+    def _create_instance(self):
+        """Place one VM of :attr:`vm_spec` and make it a member.
 
         Returns ``None`` when the data center refuses placement.
         Callers are responsible for :meth:`_after_membership_change`.
         """
         try:
-            vm = self._datacenter.create_vm(self._engine.now, spec)
+            vm = self._datacenter.create_vm(self._engine.now, self.vm_spec)
         except PlacementError:
             return None
         member = self._new_member(vm)
@@ -380,27 +380,8 @@ class ApplicationFleet(FleetLifecycle):
         return True
 
     # ------------------------------------------------------------------
-    # per-instance operations (heterogeneous and vertical policies)
+    # vertical scaling
     # ------------------------------------------------------------------
-    def grow_with_spec(self, spec: VMSpec):
-        """Add one instance backed by an arbitrary VM class.
-
-        Used by heterogeneous-fleet policies (§IV-B future work); the
-        caller may adjust the returned instance's ``speed`` and
-        ``capacity`` to reflect the class.  Returns ``None`` when no
-        host can fit the spec.
-        """
-        inst = self._create_instance(spec)
-        if inst is not None:
-            self._after_membership_change()
-        return inst
-
-    def scale_down_instance(self, inst: AppInstance) -> None:
-        """Retire one specific instance (booting → cancel, idle →
-        destroy, busy → drain)."""
-        self._step_down(inst)
-        self._after_membership_change()
-
     def set_speed(self, inst: AppInstance, speed: int) -> bool:
         """Vertically scale one instance to ``speed`` cores.
 

@@ -57,7 +57,7 @@ class Host:
         Raises
         ------
         CapacityError
-            If the host cannot fit the VM (placement policies must call
+            If the host cannot fit the VM (placement must call
             :meth:`can_fit` first; this is a consistency backstop).
         """
         if not self.can_fit(vm.spec):

@@ -1,13 +1,10 @@
-"""VM-to-host placement policies (the IaaS *resource provisioner*).
+"""VM-to-host placement (the IaaS *resource provisioner*).
 
 The paper treats resource provisioning as out of scope and assumes a
 "simple load-balance policy ... where new VMs are created, if possible,
 in the host with fewer running virtualized application instances"
-(§V-A).  :class:`LeastLoadedPlacement` implements exactly that;
-:class:`FirstFitPlacement` and :class:`RandomPlacement` exist for the
-placement-sensitivity ablation (they must not change any application-
-level metric, because instances are homogeneous — a property the test
-suite asserts).
+(§V-A).  :class:`LeastLoadedPlacement` implements exactly that, and
+:class:`~repro.cloud.datacenter.Datacenter` places every VM with it.
 
 Implementation note: least-loaded selection uses a lazy min-heap keyed
 by VM count rather than a linear scan, so placing the 150th VM into a
@@ -17,34 +14,15 @@ by VM count rather than a linear scan, so placing the 150th VM into a
 from __future__ import annotations
 
 import heapq
-from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from .host import Host
 from .vm import VMSpec
 
-__all__ = [
-    "PlacementPolicy",
-    "LeastLoadedPlacement",
-    "FirstFitPlacement",
-    "RandomPlacement",
-]
+__all__ = ["LeastLoadedPlacement"]
 
 
-class PlacementPolicy(ABC):
-    """Chooses a host for a new VM, or ``None`` when nothing fits."""
-
-    @abstractmethod
-    def select(self, hosts: Sequence[Host], spec: VMSpec) -> Optional[Host]:
-        """Return a host with room for ``spec``, or ``None``."""
-
-    def notify_detach(self, host: Host) -> None:
-        """Hook invoked when a VM leaves ``host`` (default: no-op)."""
-
-
-class LeastLoadedPlacement(PlacementPolicy):
+class LeastLoadedPlacement:
     """Paper's policy: host with the fewest running VMs wins.
 
     Maintains a lazy heap of ``(vm_count, host_id)`` entries; stale
@@ -62,6 +40,8 @@ class LeastLoadedPlacement(PlacementPolicy):
         self._initialized = True
 
     def select(self, hosts: Sequence[Host], spec: VMSpec) -> Optional[Host]:
+        """Return the least-loaded host with room for ``spec``, or
+        ``None`` when nothing fits."""
         if not self._initialized:
             self._rebuild(hosts)
         heap = self._heap
@@ -87,35 +67,6 @@ class LeastLoadedPlacement(PlacementPolicy):
         return chosen
 
     def notify_detach(self, host: Host) -> None:
+        """A VM left (or resized on) ``host``: re-rank it."""
         if self._initialized:
             heapq.heappush(self._heap, (host.vm_count, host.host_id, host))
-
-
-class FirstFitPlacement(PlacementPolicy):
-    """Scan hosts in id order and take the first with room."""
-
-    def select(self, hosts: Sequence[Host], spec: VMSpec) -> Optional[Host]:
-        for host in hosts:
-            if host.can_fit(spec):
-                return host
-        return None
-
-
-class RandomPlacement(PlacementPolicy):
-    """Uniformly random host among those with room.
-
-    Parameters
-    ----------
-    rng:
-        Dedicated random stream (see :class:`repro.sim.RandomStreams`)
-        so placement randomness never perturbs workload randomness.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-
-    def select(self, hosts: Sequence[Host], spec: VMSpec) -> Optional[Host]:
-        candidates = [h for h in hosts if h.can_fit(spec)]
-        if not candidates:
-            return None
-        return candidates[int(self._rng.integers(len(candidates)))]

@@ -14,8 +14,8 @@ Components (paper §IV, Figure 1):
   rule;
 * :class:`AdaptivePolicy` / :class:`StaticPolicy` — the evaluated
   provisioning policies, attachable to a :class:`SimulationContext`;
-  :class:`VerticalScalingPolicy` and :class:`MixedFleetPolicy` are
-  adaptive policies whose actuators resize cores.
+  :class:`VerticalScalingPolicy` is an adaptive policy whose actuator
+  resizes cores.
 """
 
 from .analyzer import WorkloadAnalyzer
@@ -29,7 +29,6 @@ from .controlplane import (
     alert_schedule,
     next_alert_time,
 )
-from .mixed import MixedFleetPolicy
 from .modeler import PerformanceModeler, ProvisioningDecision
 from .policies import AdaptivePolicy, ProvisioningPolicy, StaticPolicy, default_predictor
 from .qos import QoSTarget
@@ -52,6 +51,5 @@ __all__ = [
     "StaticPolicy",
     "AdaptivePolicy",
     "VerticalScalingPolicy",
-    "MixedFleetPolicy",
     "default_predictor",
 ]

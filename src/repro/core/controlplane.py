@@ -16,7 +16,7 @@ implementation both drive:
   be scaled (``serving_count`` + ``scale_to``);
   :class:`repro.cloud.fleet.ApplicationFleet` implements it with real
   instance mechanics, :class:`RecordingActuator` with a counter, and
-  the vertical and mixed policies' actuators in cores;
+  the vertical policy's actuator in cores per instance;
 * :class:`ControlPlane` — predictor → Algorithm-1 modeler → actuator,
   recording every actuation as a :class:`ScalingAction`.
 
@@ -54,8 +54,8 @@ class FleetActuator(Protocol):
     :class:`repro.cloud.fleet.ApplicationFleet` satisfies this with the
     full instance lifecycle (revive / create / graceful drain);
     :class:`RecordingActuator` satisfies it with a counter, which is
-    all the fluid backend needs.  The vertical and mixed actuators
-    count cores instead of instances.
+    all the fluid backend needs.  The vertical actuator counts cores
+    per instance instead of instances.
     """
 
     @property
@@ -109,8 +109,8 @@ class ScalingAction:
     before, target, after:
         Serving size before the action, the modeler's target, and the
         size actually reached (placement limits may cap growth), all in
-        the actuator's unit: instances, total cores (mixed fleets), or
-        cores per instance (vertical scaling).
+        the actuator's unit: instances, or cores per instance (vertical
+        scaling).
     decision:
         The full Algorithm-1 outcome.
     """

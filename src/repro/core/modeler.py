@@ -50,11 +50,16 @@ from .qos import QoSTarget
 __all__ = ["ProvisioningDecision", "PerformanceModeler"]
 
 
-def _round_sig(x: float, sig: int) -> float:
-    """Round ``x`` to ``sig`` significant digits (scale-free grid)."""
+#: Significant digits of ``λ`` and ``T_m`` in a decision-cache key.
+_CACHE_SIG = 3
+
+
+def _round_sig(x: float) -> float:
+    """Round ``x`` to :data:`_CACHE_SIG` significant digits (a
+    scale-free grid)."""
     if x == 0.0:
         return 0.0
-    return round(x, sig - 1 - int(math.floor(math.log10(abs(x)))))
+    return round(x, _CACHE_SIG - 1 - int(math.floor(math.log10(abs(x)))))
 
 
 @dataclass(frozen=True)
@@ -98,30 +103,20 @@ class PerformanceModeler:
         Floor on the fleet size (≥ 1).
     rho_max:
         Maximum acceptable per-instance offered load; the blocking
-        tolerance is ``mm1k_blocking(rho_max, k)`` unless
-        ``rejection_tolerance`` is given explicitly.
-    rejection_tolerance:
-        Explicit override of the predicted-blocking tolerance.
+        tolerance is ``mm1k_blocking(rho_max, k)``.
     instance_model:
         Queue-model factory ``(lam, mu, k) -> QueueModel`` for each
         instance station (the queue-model ablation swaps in M/D/1/K).
-    response_percentile:
-        When set (e.g. 0.95), the QoS check requires the *percentile*
-        of the per-instance sojourn distribution — not just its mean —
-        to stay within ``Ts``.  A §VII-style richer QoS target; needs
-        an instance model exposing ``response_time_quantile`` (the
-        default M/M/1/K does).
     decision_cache_size:
         Capacity of the quantized LRU decision cache (0 disables it).
         Analyzer ticks under steady load re-pose the same
         ``(λ, T_m, m)`` point every interval; caching skips the whole
-        grow/shrink search on those hits.
-    cache_significant_digits:
-        ``λ`` and ``T_m`` are rounded to this many significant digits
-        to form the cache key, so near-identical monitored inputs
-        (e.g. an EWMA ``T_m`` wobbling in its last digits) collapse
-        onto one cache line.  The grid is scale-free; 3 digits keeps
-        key collisions well inside the search's own ±1-instance noise.
+        grow/shrink search on those hits.  ``λ`` and ``T_m`` are
+        rounded to three significant digits to form the key, so
+        near-identical monitored inputs (e.g. an EWMA ``T_m`` wobbling
+        in its last digits) collapse onto one cache line; the grid is
+        scale-free and keeps key collisions well inside the search's
+        own ±1-instance noise.
     tracer:
         Optional :class:`repro.obs.bus.TraceBus`; every invocation of
         :meth:`decide` then emits a ``decision`` event carrying the
@@ -148,11 +143,8 @@ class PerformanceModeler:
         max_vms: int,
         min_vms: int = 1,
         rho_max: float = 0.85,
-        rejection_tolerance: Optional[float] = None,
         instance_model: Callable[[float, float, int], object] = MM1KQueue,
-        response_percentile: Optional[float] = None,
         decision_cache_size: int = 256,
-        cache_significant_digits: int = 3,
         tracer: Optional[object] = None,
         time_fn: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -160,13 +152,8 @@ class PerformanceModeler:
             raise ConfigurationError(
                 f"decision cache size must be >= 0, got {decision_cache_size}"
             )
-        if cache_significant_digits < 1:
-            raise ConfigurationError(
-                f"cache significant digits must be >= 1, got {cache_significant_digits}"
-            )
         self._cache: "OrderedDict[Tuple[float, float, int], ProvisioningDecision]" = OrderedDict()
         self._cache_size = int(decision_cache_size)
-        self._cache_sig = int(cache_significant_digits)
         #: Decision-cache hit counter (observability).
         self.cache_hits = 0
         #: Decision-cache miss counter (observability).
@@ -184,18 +171,8 @@ class PerformanceModeler:
         self.max_vms = int(max_vms)
         self.min_vms = int(min_vms)
         self.rho_max = float(rho_max)
-        if rejection_tolerance is None:
-            rejection_tolerance = mm1k_blocking(rho_max, capacity)
-        if not 0.0 <= rejection_tolerance <= 1.0:
-            raise ConfigurationError(
-                f"rejection tolerance must be in [0, 1], got {rejection_tolerance!r}"
-            )
-        self.rejection_tolerance = float(rejection_tolerance)
-        if response_percentile is not None and not 0.0 < response_percentile < 1.0:
-            raise ConfigurationError(
-                f"response percentile must be in (0, 1), got {response_percentile!r}"
-            )
-        self.response_percentile = response_percentile
+        #: Predicted-blocking tolerance of the QoS check.
+        self.rejection_tolerance = mm1k_blocking(rho_max, capacity)
         self._instance_model = instance_model
         if tracer is not None and time_fn is None:
             raise ConfigurationError(
@@ -236,8 +213,7 @@ class PerformanceModeler:
     def _cache_key(
         self, arrival_rate: float, service_time: float, m: int
     ) -> Tuple[float, float, int]:
-        sig = self._cache_sig
-        return (_round_sig(arrival_rate, sig), _round_sig(service_time, sig), m)
+        return (_round_sig(arrival_rate), _round_sig(service_time), m)
 
     # ------------------------------------------------------------------
     def _network(self, service_time: float) -> ProvisioningNetwork:
@@ -249,28 +225,11 @@ class PerformanceModeler:
 
     def meets_qos(self, perf: NetworkPerformance) -> bool:
         """The paper's line-9 test: do ``Pr(S_k)`` and ``T_q`` meet QoS?"""
-        if not (
+        return (
             perf.blocking_probability <= self.rejection_tolerance
             and perf.response_time <= self.qos.max_response_time
             and perf.rho <= self.rho_max
-        ):
-            return False
-        if self.response_percentile is not None:
-            if perf.per_instance_lambda <= 0.0 or perf.rho <= 0.0:
-                return True  # no traffic: nothing can be late
-            # Recover the service rate from the performance record so
-            # this check needs no hidden state: mu = lam_i / rho.
-            mu = perf.per_instance_lambda / perf.rho
-            station = self._instance_model(perf.per_instance_lambda, mu, self.capacity)
-            quantile = getattr(station, "response_time_quantile", None)
-            if quantile is None:
-                raise ConfigurationError(
-                    f"{type(station).__name__} does not expose "
-                    "response_time_quantile; percentile QoS needs it"
-                )
-            if quantile(self.response_percentile) > self.qos.max_response_time:
-                return False
-        return True
+        )
 
     def predicted_utilization(self, perf: NetworkPerformance) -> float:
         """Offered per-instance load capped at 1 (see module docstring)."""

@@ -6,7 +6,7 @@ A policy contributes the *control plane* of a deployment:
   load predictor & performance modeler (Algorithm 1) → application
   provisioner, run as one :class:`~repro.core.controlplane.ControlPlane`.
   Subclasses change the modeler (profit), the fleet (spot) or the
-  actuator (vertical and mixed) and keep the loop.
+  actuator (vertical) and keep the loop.
 * :class:`StaticPolicy` — the baseline: a fixed fleet deployed at time
   zero and never changed ("a fixed number of instances is made
   available to execute the same workloads"), with the *same* admission
@@ -144,8 +144,6 @@ class AdaptivePolicy(ProvisioningPolicy):
     predictor_factory:
         ``(ctx) -> ArrivalRatePredictor``; defaults to the paper's
         analyzer for the workload type.
-    rejection_tolerance:
-        Explicit override of the modeler's blocking tolerance.
     deviation_threshold, deviation_safety:
         Enable corrective alerts when the monitored arrival rate
         deviates from the issued estimate (see
@@ -165,7 +163,6 @@ class AdaptivePolicy(ProvisioningPolicy):
         min_instances: int = 1,
         max_instances: Optional[int] = None,
         predictor_factory: Callable[[SimulationContext], ArrivalRatePredictor] = default_predictor,
-        rejection_tolerance: Optional[float] = None,
         deviation_threshold: Optional[float] = None,
         deviation_safety: float = 1.1,
     ) -> None:
@@ -182,7 +179,6 @@ class AdaptivePolicy(ProvisioningPolicy):
         self.min_instances = int(min_instances)
         self.max_instances = max_instances
         self.predictor_factory = predictor_factory
-        self.rejection_tolerance = rejection_tolerance
         self.deviation_threshold = deviation_threshold
         self.deviation_safety = float(deviation_safety)
 
@@ -202,7 +198,6 @@ class AdaptivePolicy(ProvisioningPolicy):
             max_vms=max_vms,
             min_vms=self.min_instances,
             rho_max=self.rho_max,
-            rejection_tolerance=self.rejection_tolerance,
             tracer=tracer,
             time_fn=time_fn,
         )
@@ -257,7 +252,7 @@ class AdaptivePolicy(ProvisioningPolicy):
     ) -> Tuple[FleetActuator, Callable[[], float]]:
         """The ``(actuator, service_time_fn)`` pair the DES control plane
         drives: the fleet, sized in instances, against the monitored
-        ``T_m``.  Vertical and mixed policies size in cores instead."""
+        ``T_m``.  The vertical policy sizes in cores instead."""
         return ctx.fleet, ctx.monitor.mean_service_time
 
     def attach(self, ctx: SimulationContext) -> None:

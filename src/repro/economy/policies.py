@@ -215,7 +215,6 @@ class ProfitPolicy(AdaptivePolicy):
             max_vms=max_vms,
             min_vms=self.min_instances,
             rho_max=self.rho_max,
-            rejection_tolerance=self.rejection_tolerance,
             tracer=tracer,
             time_fn=time_fn,
         )

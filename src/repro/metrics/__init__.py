@@ -6,13 +6,13 @@
 * :func:`summarize` / :class:`Summary` — replication statistics.
 * :func:`format_table` / :func:`format_markdown_table` — paper-style
   result tables.
-* time-series helpers for figure regeneration.
+* :func:`bin_counts` — the arrival-rate series of Figures 3 and 4.
 """
 
 from .collector import MetricsCollector
 from .report import format_markdown_table, format_table
 from .stats import Summary, summarize
-from .timeseries import bin_counts, step_series_extrema, step_series_time_average
+from .timeseries import bin_counts
 
 __all__ = [
     "MetricsCollector",
@@ -21,6 +21,4 @@ __all__ = [
     "format_table",
     "format_markdown_table",
     "bin_counts",
-    "step_series_extrema",
-    "step_series_time_average",
 ]

@@ -159,15 +159,6 @@ class MetricsCollector:
         return self.accepted - self.completed - self.lost_requests
 
     @property
-    def loss_rate(self) -> float:
-        """Fraction of offered requests that never completed service:
-        front-gate rejections and crash losses."""
-        total = self.total_requests
-        if total == 0:
-            return 0.0
-        return (self.rejected + self.lost_requests) / total
-
-    @property
     def rejection_rate(self) -> float:
         """Fraction of arrivals rejected (0 when no traffic)."""
         total = self.total_requests

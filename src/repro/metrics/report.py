@@ -20,7 +20,6 @@ __all__ = [
     "format_table",
     "format_markdown_table",
     "summary_cells",
-    "summary_table_rows",
 ]
 
 
@@ -42,22 +41,6 @@ def summary_cells(
         else:
             cells.append(s.mean)
     return cells
-
-
-def summary_table_rows(
-    results_by_name: Sequence[tuple],
-    fields: Sequence[str],
-    ci: bool = False,
-) -> List[List[object]]:
-    """One summary row per ``(label, replications)`` pair.
-
-    The bulk form of :func:`summary_cells`: each row starts with the
-    label followed by the per-field summaries.
-    """
-    return [
-        [label] + summary_cells(results, fields, ci=ci)
-        for label, results in results_by_name
-    ]
 
 
 def _stringify(cell: object) -> str:

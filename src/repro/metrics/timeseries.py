@@ -1,17 +1,16 @@
-"""Time-series helpers for figure regeneration.
+"""Time-series helper for figure regeneration.
 
-Figures 3 and 4 plot arrival-rate curves; Figures 5(a)/6(a) derive
-min/max fleet sizes from the instance-count trajectory.  These helpers
-turn event-level records into fixed-bin series with numpy.
+Figures 3 and 4 plot arrival-rate curves; :func:`bin_counts` turns
+event times into a fixed-bin rate series with numpy.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["bin_counts", "step_series_extrema", "step_series_time_average"]
+__all__ = ["bin_counts"]
 
 
 def bin_counts(times: Sequence[float], t0: float, t1: float, bin_width: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -25,35 +24,3 @@ def bin_counts(times: Sequence[float], t0: float, t1: float, bin_width: float) -
     edges = np.arange(t0, t1 + bin_width, bin_width)
     counts, _ = np.histogram(np.asarray(times, dtype=np.float64), bins=edges)
     return edges[:-1], counts / bin_width
-
-
-def step_series_extrema(series: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
-    """Min and max value of a step series of ``(time, value)`` points."""
-    if not series:
-        raise ValueError("empty step series")
-    values = np.asarray([v for _, v in series], dtype=np.float64)
-    return float(values.min()), float(values.max())
-
-
-def step_series_time_average(
-    series: Sequence[Tuple[float, float]], t_end: float
-) -> float:
-    """Time-weighted average of a right-continuous step series.
-
-    The series holds ``(time, value)`` change points; the last value
-    persists until ``t_end``.  Used to compute the "equivalent to N
-    instances active 24/7" quantity from a fleet-size trajectory.
-    """
-    if not series:
-        raise ValueError("empty step series")
-    times = np.asarray([t for t, _ in series], dtype=np.float64)
-    values = np.asarray([v for _, v in series], dtype=np.float64)
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("step series times must be non-decreasing")
-    if t_end < times[-1]:
-        raise ValueError(f"t_end={t_end} precedes last change point {times[-1]}")
-    spans = np.diff(np.concatenate([times, [t_end]]))
-    total = float(times[-1] - times[0] + spans[-1])
-    if total <= 0.0:
-        return float(values[-1])
-    return float((values * spans).sum() / spans.sum())

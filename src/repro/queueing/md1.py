@@ -11,16 +11,17 @@ modeling assumption.
 M/D/1/K has no simple closed form; we use the standard approximation
 that transforms the M/M/1/K blocking through the peakedness factor
 (Smith, 2003 style two-moment interpolation): blocking is roughly
-halved relative to M/M/1/K at moderate load.
+halved relative to M/M/1/K at moderate load, and so is the M/M/1/K
+waiting line (its backlog above its own carried load ``ρ(1 − B)``).
+The mean response time then rises with load and stays at or below
+M/M/1/K's (``tests/test_queueing_misc.py`` checks both for k ∈ {2, 3}
+over ρ ∈ [0.1, 1.2]).
 ``tests/test_integration_des_vs_theory.py::
 test_single_instance_deterministic_service_bracketed`` checks, at three
 points (ρ, k) = (0.5, 2), (0.7, 2) and (0.85, 3), that a one-instance
 DES with Poisson arrivals and constant service lies strictly between it
-and M/M/1/K, in blocking and in mean response time.  That it brackets
-the DES from below elsewhere is not established: ``mean_number_in_system``
-subtracts the offered load ``min(1, ρ)`` rather than the carried load,
-so its mean response time falls as load rises (1.077 at (0.5, 2),
-1.054 at (0.7, 2), with μ = 1) while the DES's rises.
+and M/M/1/K, in blocking and in mean response time (μ = 1, k = 2:
+1.154 < 1.213 < 1.333 at ρ = 0.5, 1.180 < 1.281 < 1.412 at ρ = 0.7).
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ class MD1KQueue(QueueModel):
 
     @property
     def mean_number_in_system(self) -> float:
-        # Scale the M/M/1/K backlog by the same variability factor applied
-        # above the deterministic floor of ρ (the in-service mass).
+        # Scale the M/M/1/K waiting line (its backlog above its carried
+        # load) by the same variability factor as the blocking.
         mm = mm1k_mean_number(self.rho, self.capacity)
         carried = min(1.0, self.rho * (1.0 - self.blocking_probability))
-        waiting = max(0.0, mm - min(1.0, self.rho)) * (1.0 + self.scv) / 2.0
+        mm_carried = self.rho * (1.0 - mm1k_blocking(self.rho, self.capacity))
+        waiting = max(0.0, mm - mm_carried) * (1.0 + self.scv) / 2.0
         return carried + waiting

@@ -33,20 +33,6 @@ __all__ = ["MM1KQueue", "mm1k_blocking", "mm1k_mean_number"]
 _RHO_EPS = 1e-9
 
 
-def _erlang_cdf(stages: int, rate: float, t: float) -> float:
-    """CDF of an Erlang(stages, rate) sum at ``t`` (stable recurrence)."""
-    if t <= 0.0:
-        return 0.0
-    x = rate * t
-    # P(Erlang ≤ t) = 1 − Σ_{j<stages} e^{−x} x^j / j!
-    term = math.exp(-x)
-    tail = term
-    for j in range(1, stages):
-        term *= x / j
-        tail += term
-    return max(0.0, 1.0 - tail)
-
-
 def mm1k_blocking(rho: float, capacity: int) -> float:
     """Blocking probability of an M/M/1/K queue with offered load ``rho``.
 
@@ -134,46 +120,6 @@ class MM1KQueue(QueueModel):
     def utilization(self) -> float:
         """Probability the server is busy, 1 − P(0) = carried load."""
         return 1.0 - self.state_probability(0)
-
-    def response_time_cdf(self, t: float) -> float:
-        """P(sojourn ≤ t) for an *accepted* request.
-
-        An accepted arrival finding ``n < K`` requests present waits
-        behind them and then serves — an Erlang(n+1, μ) total.  By
-        PASTA the accepted-arrival state law is the stationary law
-        conditioned on ``n < K``.  Enables percentile QoS targets
-        (e.g. "95 % of requests within Ts") beyond the paper's
-        mean-based check.
-        """
-        if t < 0.0:
-            return 0.0
-        accept_mass = 1.0 - self.blocking_probability
-        if accept_mass <= 0.0:
-            return 1.0
-        total = 0.0
-        for n in range(self.capacity):
-            weight = self.state_probability(n) / accept_mass
-            total += weight * _erlang_cdf(n + 1, self.mu, t)
-        return min(1.0, total)
-
-    def response_time_quantile(self, p: float) -> float:
-        """Inverse of :meth:`response_time_cdf` (bisection)."""
-        if not 0.0 <= p < 1.0:
-            raise QueueingModelError(f"quantile level must be in [0, 1), got {p!r}")
-        if p == 0.0:
-            return 0.0
-        lo, hi = 0.0, self.capacity / self.mu
-        while self.response_time_cdf(hi) < p:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.response_time_cdf(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
 
     @property
     def max_response_time(self) -> float:

@@ -33,8 +33,8 @@ Exactness invariants (documented in ``docs/performance.md``):
 * **One arithmetic, two granularities** — :class:`EventState` (and
   its one-piece form :func:`event_span`) replays a span arrival by
   arrival over plain floats with the very operations
-  the one-pass kernel applies to arrays (``arr + svc/speed`` at an idle
-  start, ``max(dep, head_arr) + head_svc/speed`` behind a busy one), so
+  the one-pass kernel applies to arrays (``arr + svc`` at an idle
+  start, ``max(dep, head_arr) + head_svc`` behind a busy one), so
   the two leave bitwise-identical departures behind and a span may be
   handed from one to the other at any arrival.
 """
@@ -78,7 +78,7 @@ def fifo_departures(
     arrivals:
         Sorted arrival times of the server's request sequence.
     services:
-        Matching service times (already divided by the server speed).
+        Matching service times.
     ready:
         Time the server frees up from earlier work (the in-service
         request's departure); defaults to "idle forever".
@@ -170,7 +170,7 @@ class SpanPlan(NamedTuple):
     the requests already on board, in-service one first; place
     ``capacity + r`` holds the station's arrival of dispatch round
     ``r``.  Padding is NaN before a station's requests and ``inf``
-    after them (``raw = eff = 0``), so the admitted requests are
+    after them (``svc = 0``), so the admitted requests are
     exactly the finite ``dep`` entries.
     """
 
@@ -183,10 +183,9 @@ class SpanPlan(NamedTuple):
     first: np.ndarray
     #: Arrival times.
     arr: np.ndarray
-    #: Raw service draws (what a queue slot stores).
-    raw: np.ndarray
-    #: Effective service times: ``raw / speed``, or ``cur_svc`` in service.
-    eff: np.ndarray
+    #: Service times (an in-service request's own at its place, where
+    #: the Lindley pass read 0: its departure is ``svc_end``).
+    svc: np.ndarray
     #: Departure times.
     dep: np.ndarray
     #: Leading arrivals that found their station not full; the later
@@ -203,14 +202,14 @@ class SoAQueues:
 
     * ``svc_end[i]`` — departure time of the in-service request
       (``inf`` when idle);
-    * ``cur_arr[i]`` / ``cur_svc[i]`` — arrival and *effective* service
-      time of the in-service request;
+    * ``cur_arr[i]`` / ``cur_svc[i]`` — arrival and service time of the
+      in-service request;
     * ``q_arr[i]`` / ``q_svc[i]`` / ``qlen[i]`` — the waiting queue,
       right-aligned: its ``qlen`` requests fill the last slots of the
-      row and the slots before hold NaN / ``0.0`` (service times stored
-      *raw*; divided by ``speed`` at service start, matching the scalar
-      instance's semantics);
-    * ``speed[i]`` — linear service speedup factor.
+      row and the slots before hold NaN / ``0.0``.
+
+    Every station serves at unit speed: ``des-vec`` runs no policy that
+    resizes an instance (vertical scaling is ``des``-only).
 
     Slots are allocated monotonically (:meth:`alloc`) so the slot index
     doubles as the instance id, identical to the scalar fleet's
@@ -222,7 +221,6 @@ class SoAQueues:
         "svc_end",
         "cur_arr",
         "cur_svc",
-        "speed",
         "qlen",
         "q_arr",
         "q_svc",
@@ -238,7 +236,6 @@ class SoAQueues:
         self.svc_end = np.full(n, np.inf)
         self.cur_arr = np.zeros(n)
         self.cur_svc = np.zeros(n)
-        self.speed = np.ones(n)
         self.qlen = np.zeros(n, dtype=np.intp)
         self.q_arr = np.full((n, width), np.nan)
         self.q_svc = np.zeros((n, width))
@@ -254,7 +251,6 @@ class SoAQueues:
             self._grow()
         self.svc_end[idx] = np.inf
         self.qlen[idx] = 0
-        self.speed[idx] = 1.0
         self.allocated = idx + 1
         return idx
 
@@ -263,7 +259,6 @@ class SoAQueues:
         self.svc_end = np.concatenate((self.svc_end, np.full(n, np.inf)))
         self.cur_arr = np.concatenate((self.cur_arr, np.zeros(n)))
         self.cur_svc = np.concatenate((self.cur_svc, np.zeros(n)))
-        self.speed = np.concatenate((self.speed, np.ones(n)))
         self.qlen = np.concatenate((self.qlen, np.zeros(n, dtype=np.intp)))
         width = self.q_arr.shape[1]
         self.q_arr = np.concatenate((self.q_arr, np.full((n, width), np.nan)))
@@ -297,7 +292,7 @@ class SoAQueues:
         already on board that station; stations past the first ``na``
         take no arrivals, only complete.  Every departure follows from
         the Lindley recursion ``max(previous departure, arrival) +
-        raw/speed``, one place of the FIFO order at a time across all
+        service``, one place of the FIFO order at a time across all
         stations; the in-service request keeps its ``svc_end``.
         Nothing is written back: :meth:`drain` commits the plan.
 
@@ -305,7 +300,6 @@ class SoAQueues:
         places ahead of it on that station departs after it arrives;
         :attr:`SpanPlan.clean` counts the arrivals before the first such
         one, the prefix a round-robin balancer dispatches exactly so.
-        ``services`` are raw draws.
         """
         ns, m, k = stations.size, arrivals.size, self.capacity
         rounds = -(-m // na) if na else 0
@@ -319,10 +313,10 @@ class SoAQueues:
         # svc_end exactly), then the queue.  Earlier places are NaN
         # padding, which fmax skips and no comparison counts.
         arr = np.full((k + rounds, ns), np.nan)
-        raw = np.zeros((k + rounds, ns))
+        svc = np.zeros((k + rounds, ns))
         if k > 1:
             arr[1:k] = self.q_arr[stations].T
-            raw[1:k] = self.q_svc[stations].T
+            svc[1:k] = self.q_svc[stations].T
         head = first[busy] * ns + busy
         arr.put(head, end[busy])
         if rounds:
@@ -331,17 +325,18 @@ class SoAQueues:
             block[:m] = arrivals
             arr[k:, :na] = block.reshape(rounds, na)
             block[:m] = services
-            raw[k:, :na] = block.reshape(rounds, na)
-        eff = raw / self.speed[stations]
-        dep = arr + eff
+            svc[k:, :na] = block.reshape(rounds, na)
+        dep = arr + svc
         prev = dep[0]
-        for d, a, e in zip(dep[1:], arr[1:], eff[1:]):
+        for d, a, s in zip(dep[1:], arr[1:], svc[1:]):
             np.fmax(prev, a, out=d)
-            d += e
+            d += s
             prev = d
+        # The in-service places now carry that request's own arrival and
+        # service, which drain hands on and reports.
         on = stations[busy]
         arr.put(head, self.cur_arr[on])
-        eff.put(head, self.cur_svc[on])
+        svc.put(head, self.cur_svc[on])
         clean = m if na else 0
         if rounds:
             full = (dep[:rounds] > arr[k:]).ravel()
@@ -352,7 +347,7 @@ class SoAQueues:
                 # Arrivals from the first full station on stay out.
                 dep[k + r, c:na] = np.inf
                 dep[k + r + 1 :] = np.inf
-        return SpanPlan(stations, na, first, arr, raw, eff, dep, clean)
+        return SpanPlan(stations, na, first, arr, svc, dep, clean)
 
     def drain(
         self, plan: SpanPlan, t: float, strict: bool = False
@@ -366,11 +361,11 @@ class SoAQueues:
         become each station's in-service request and queue.
 
         Returns ``(completions, emptied)`` as :class:`EventSpan` does:
-        ``(departures, arrivals, effective_services)`` of the completed
+        ``(departures, arrivals, services)`` of the completed
         requests (``None`` when none), and ``(departure, station)`` of
         every drain-only station that emptied.
         """
-        stations, na, first, arr, raw, eff, dep, _ = plan
+        stations, na, first, arr, svc, dep, _ = plan
         k, ns = self.capacity, stations.size
         done = (dep < t) if strict else (dep <= t)
         n_done = done.sum(axis=0)
@@ -384,7 +379,7 @@ class SoAQueues:
         self.svc_end[stations] = np.inf
         self.svc_end[busy] = dep.take(at)
         self.cur_arr[busy] = arr.take(at)
-        self.cur_svc[busy] = eff.take(at)
+        self.cur_svc[busy] = svc.take(at)
         self.qlen[stations] = np.maximum(left - 1, 0)
         if k > 1:
             # The queue is places (head, end), right-aligned.
@@ -392,10 +387,10 @@ class SoAQueues:
             queued = places > head
             at = places * ns + np.arange(ns)
             self.q_arr[stations] = np.where(queued, arr.take(at), np.nan).T
-            self.q_svc[stations] = np.where(queued, raw.take(at), 0.0).T
+            self.q_svc[stations] = np.where(queued, svc.take(at), 0.0).T
         completions = None
         if done.any():
-            completions = (dep[done], arr[done], eff[done])
+            completions = (dep[done], arr[done], svc[done])
         emptied: List[Tuple[float, int]] = []
         if na < stations.size:
             gone = np.flatnonzero((left[na:] == 0) & (n_done[na:] > 0)) + na
@@ -420,8 +415,8 @@ class EventSpan(NamedTuple):
     #: ``(i, j)`` index ranges of rejected arrivals, in time order and
     #: never adjacent; every other arrival in ``[start, stop)`` was admitted.
     rejected: List[Tuple[int, int]]
-    #: ``(departures, arrivals, effective_services)`` of the completed
-    #: requests, or ``None`` when nothing completed.
+    #: ``(departures, arrivals, services)`` of the completed requests,
+    #: or ``None`` when nothing completed.
     completions: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     #: ``(departure, station)`` of every drain-only station that emptied.
     emptied: List[Tuple[float, int]]
@@ -456,7 +451,6 @@ class EventState:
         "end",
         "cur_arr",
         "cur_svc",
-        "speed",
         "qa",
         "qs",
         "occ",
@@ -474,7 +468,6 @@ class EventState:
         self.end = end = soa.svc_end[idx].tolist()
         self.cur_arr = soa.cur_arr[idx].tolist()
         self.cur_svc = soa.cur_svc[idx].tolist()
-        self.speed = soa.speed[idx].tolist()
         qlen = soa.qlen[idx].tolist()
         self.qa = [row[len(row) - n :] for row, n in zip(soa.q_arr[idx].tolist(), qlen)]
         self.qs = [row[len(row) - n :] for row, n in zip(soa.q_svc[idx].tolist(), qlen)]
@@ -501,12 +494,9 @@ class EventState:
           bulk up to the next completion with one bisection;
         * completions are those with ``svc_end <= t_end`` — ``< t_end``
           when ``strict``.
-
-        ``services`` are raw draws, divided by the station speed at
-        service start.
         """
         k, na, stations = self.soa.capacity, self.na, self.stations
-        end, cur_arr, cur_svc, speed = self.end, self.cur_arr, self.cur_svc, self.speed
+        end, cur_arr, cur_svc = self.end, self.cur_arr, self.cur_svc
         qa, qs, occ, free, heap = self.qa, self.qs, self.occ, self.free, self.heap
         inf = math.inf
         stop = int(np.searchsorted(times, t_end, side="left"))
@@ -532,7 +522,7 @@ class EventState:
                 q = qa[p]
                 if q:
                     a = q.pop(0)
-                    s = qs[p].pop(0) / speed[p]
+                    s = qs[p].pop(0)
                     cur_arr[p] = a
                     cur_svc[p] = s
                     e = (done if done > a else a) + s
@@ -564,7 +554,7 @@ class EventState:
                 clean = i
             o = occ[p]
             if o == 0:
-                s = sl[i] / speed[p]
+                s = sl[i]
                 cur_arr[p] = t
                 cur_svc[p] = s
                 e = t + s

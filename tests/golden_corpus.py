@@ -10,8 +10,8 @@ output with ``tests/golden/corpus.json``.  The grid is:
 * a saturated Static-20 at web@1/400 on des and des-vec (most of its
   des-vec spans take the event-granular path);
 * scientific Adaptive on all three backends;
-* Vertical-20 and Mixed-4c on des (the only backend that runs them)
-  on the same web scenario and seeds.
+* Vertical-20 on des (the only backend that runs it) on the same web
+  scenario and seeds.
 
 Every run is metered and traced (control-plane events, as ``repro run
 --trace`` writes them).  Per run the corpus records the
@@ -44,7 +44,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List
 
-from repro.core import AdaptivePolicy, MixedFleetPolicy, StaticPolicy, VerticalScalingPolicy
+from repro.core import AdaptivePolicy, StaticPolicy, VerticalScalingPolicy
 from repro.economy import PricingModel, ProfitPolicy, SpotPolicy
 from repro.experiments import (
     PolicySpec,
@@ -96,10 +96,7 @@ def cells() -> List[tuple]:
         out.append(
             (backend, scientific, PolicySpec(AdaptivePolicy, update_interval=1800.0), SEEDS)
         )
-    out += [
-        ("des", web, PolicySpec(VerticalScalingPolicy, 20), SEEDS),
-        ("des", web, PolicySpec(MixedFleetPolicy), SEEDS),
-    ]
+    out.append(("des", web, PolicySpec(VerticalScalingPolicy, 20), SEEDS))
     return out
 
 

@@ -12,7 +12,6 @@ from repro.backends import (
 )
 from repro.cloud.loadbalancer import RoundRobinBalancer
 from repro.core import AdaptivePolicy, StaticPolicy
-from repro.core.mixed import MixedFleetPolicy
 from repro.core.vertical import VerticalScalingPolicy
 from repro.economy import PricingModel, ProfitPolicy, SpotPolicy
 from repro.errors import ConfigurationError
@@ -167,7 +166,6 @@ _POLICY_MATRIX = {
     "Profit": (lambda: ProfitPolicy(pricing=_MATRIX_PRICING), True, ()),
     "Spot": (lambda: SpotPolicy(0.3, pricing=_MATRIX_PRICING), True, ()),
     "Vertical": (lambda: VerticalScalingPolicy(20), False, ("des-vec", "fluid")),
-    "Mixed": (MixedFleetPolicy, False, ("des-vec", "fluid")),
 }
 
 
@@ -205,9 +203,9 @@ def test_policy_backend_matrix_runs_or_fails_at_the_boundary(label, backend, tmp
     assert result.total_requests > 0
 
 
-@pytest.mark.parametrize("label", ["Vertical", "Mixed"])
+@pytest.mark.parametrize("label", ["Vertical"])
 def test_core_resizing_policy_decisions_reach_the_trace(label):
-    """Vertical and mixed decide through the control plane, so a traced
+    """Vertical scaling decides through the control plane, so a traced
     des run explains each actuation like any adaptive run's."""
     bus = TraceBus(RingBufferSink(maxlen=1 << 20))
     scenario = web_scenario(scale=2000.0, horizon=6 * 3600.0)

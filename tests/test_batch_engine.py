@@ -182,19 +182,6 @@ def test_soa_assign_overflow_guard():
     assert soa.svc_end[idx] == 10.0
 
 
-def test_soa_speed_divides_service_at_start():
-    soa = SoAQueues(capacity=3)
-    idx = soa.alloc()
-    station = np.array([idx], dtype=np.intp)
-    soa.speed[idx] = 2.0
-    # In-service request: effective time 10/2 = 5.  The queued request
-    # is stored raw and divided when it starts.
-    soa.drain(soa.assign(station, 1, np.array([0.0, 1.0]), np.array([10.0, 10.0])), 1.0)
-    assert (soa.svc_end[idx], soa.q_svc[idx, -1]) == (5.0, 10.0)
-    completions, _ = soa.drain(soa.assign(station, 1, *_no_arrivals()), 100.0)
-    np.testing.assert_array_equal(completions[0], [5.0, 10.0])
-
-
 def test_event_span_matches_one_pass_and_respects_strictness():
     """One full station, two arrivals: the first is queued, the second
     rejected; the span end decides whether the completion at exactly
@@ -238,15 +225,22 @@ def _span_cases(draw):
     n_drain = draw(st.integers(min_value=0, max_value=3))
     soa = SoAQueues(capacity=k, initial_slots=2)
     slots = [soa.alloc() for _ in range(n_dispatch + n_drain)]
-    for slot in slots:
-        soa.speed[slot] = draw(st.sampled_from([0.5, 0.75, 1.5, 2.0, 3.0]))
     # Many arrivals with long services keep most stations full.
     longest = draw(st.sampled_from([3, 12]))
 
     def stream(lo, hi, shortest):
         n = draw(st.integers(min_value=0, max_value=60))
         times = sorted(draw(st.lists(_quarters(lo, hi), min_size=n, max_size=n)))
-        services = draw(st.lists(_quarters(shortest, longest), min_size=n, max_size=n))
+        # Dividing a grid service by a factor puts some services off the
+        # grid (÷ 0.75, ÷ 3) while departures still tie with arrivals.
+        factors = st.sampled_from([0.5, 0.75, 1.5, 2.0, 3.0])
+        services = draw(
+            st.lists(
+                st.tuples(_quarters(shortest, longest), factors).map(lambda q: q[0] / q[1]),
+                min_size=n,
+                max_size=n,
+            )
+        )
         return np.array(times), np.array(services)
 
     # Warm every station up through the event path, then hand some of

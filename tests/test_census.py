@@ -13,7 +13,7 @@ One module-scoped fixture runs a small, deliberate set of library
 scenarios that together reach every stream-draw and ``emit`` site of
 the library: traced and metered web runs on all three backends
 (adaptive with corrective alerts, a saturated static fleet, priced
-Profit and Spot runs with revocations, a mixed-VM fleet), a boot
+Profit and Spot runs with revocations), a boot
 cancelled by hand, an engine whose heap compacts, a campaign that
 executes, caches, screens, fails, steals a stale lease and loses a
 race to a peer, and the stream users outside the
@@ -36,7 +36,6 @@ import pytest
 from repro.backends import build_context
 from repro.campaigns import CampaignSpec, ResultStore, run_campaign
 from repro.core import AdaptivePolicy, StaticPolicy
-from repro.core.mixed import MixedFleetPolicy
 from repro.core.qos import QoSTarget
 from repro.economy import PricingModel, ProfitPolicy, SpotPolicy
 from repro.experiments import figures, run_policy, web_scenario
@@ -87,17 +86,17 @@ def _traced_runs(bus: TraceBus, metered: Set[str]) -> None:
     run(web, AdaptivePolicy(), "fluid")
     run(priced, ProfitPolicy(pricing=_PRICING), "fluid")
     run(priced, SpotPolicy(0.5, pricing=_PRICING), "fluid")
-    run(web, MixedFleetPolicy(), "des")
 
 
 def _cancelled_boot(bus: TraceBus) -> None:
-    """Retire an instance that is still booting (no policy does this)."""
+    """Retire an instance that is still booting: scaling to zero
+    cancels its boot."""
     ctx = build_context(
         web_scenario(scale=2000.0, horizon=60.0, boot_delay=30.0), tracer=bus
     )
     ctx.fleet.scale_to(1)
-    (booting,) = ctx.fleet.live_instances
-    ctx.fleet.scale_down_instance(booting)
+    assert (ctx.fleet.live_count, ctx.fleet.active_count) == (1, 0)
+    ctx.fleet.scale_to(0)
     assert ctx.fleet.live_count == 0
 
 

@@ -105,8 +105,6 @@ def test_cache_disabled_never_counts():
 def test_cache_config_validation():
     with pytest.raises(ConfigurationError):
         modeler(decision_cache_size=-1)
-    with pytest.raises(ConfigurationError):
-        modeler(cache_significant_digits=0)
 
 
 def test_zero_rate_short_circuit_is_cached_too():

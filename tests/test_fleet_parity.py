@@ -24,13 +24,11 @@ from repro.cloud.vecfleet import VectorFleet
 from repro.experiments import web_scenario
 
 #: ApplicationFleet members with no vectorized analogue by design: the
-#: per-instance dispatch/shaping surface (single requests, named
-#: instances, speed knobs) that the array plane replaces wholesale.
+#: per-instance dispatch/shaping surface (single requests, the
+#: balancer, the vertical speed knob) that the array plane replaces wholesale.
 SCALAR_ONLY = frozenset(
     {
         "dispatch",
-        "grow_with_spec",
-        "scale_down_instance",
         "set_speed",
         "balancer",
     }

@@ -11,8 +11,6 @@ from repro.metrics import (
     bin_counts,
     format_markdown_table,
     format_table,
-    step_series_extrema,
-    step_series_time_average,
     summarize,
 )
 
@@ -145,22 +143,3 @@ def test_bin_counts():
 def test_bin_counts_validation():
     with pytest.raises(ValueError):
         bin_counts([1.0], 0.0, 0.0, 1.0)
-
-
-def test_step_series_extrema():
-    assert step_series_extrema([(0.0, 3), (1.0, 7), (2.0, 1)]) == (1.0, 7.0)
-    with pytest.raises(ValueError):
-        step_series_extrema([])
-
-
-def test_step_series_time_average():
-    series = [(0.0, 10.0), (10.0, 20.0)]
-    # 10 s at 10 + 10 s at 20 → 15 average over [0, 20].
-    assert step_series_time_average(series, t_end=20.0) == pytest.approx(15.0)
-
-
-def test_step_series_time_average_validation():
-    with pytest.raises(ValueError):
-        step_series_time_average([(5.0, 1.0), (1.0, 2.0)], 10.0)
-    with pytest.raises(ValueError):
-        step_series_time_average([(0.0, 1.0)], -1.0)

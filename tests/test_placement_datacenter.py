@@ -1,22 +1,15 @@
-"""Unit tests of placement policies and the data center."""
+"""Unit tests of least-loaded placement and the data center."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.cloud import (
-    DEFAULT_VM_SPEC,
-    Datacenter,
-    FirstFitPlacement,
-    LeastLoadedPlacement,
-    RandomPlacement,
-)
+from repro.cloud import DEFAULT_VM_SPEC, Datacenter
 from repro.errors import PlacementError
 
 
 # ----------------------------------------------------------------------
-# placement policies
+# least-loaded placement
 # ----------------------------------------------------------------------
 def test_least_loaded_spreads_evenly():
     dc = Datacenter(num_hosts=10)
@@ -36,22 +29,6 @@ def test_least_loaded_prefers_freed_host():
         dc.destroy_vm(vm, 1.0)
     new = [dc.create_vm(2.0) for _ in range(2)]
     assert {vm.host_id for vm in new} == {1}
-
-
-def test_first_fit_fills_in_order():
-    dc = Datacenter(num_hosts=3, placement=FirstFitPlacement())
-    vms = [dc.create_vm(0.0) for _ in range(10)]
-    # First 8 land on host 0 (8 cores), rest on host 1.
-    assert [vm.host_id for vm in vms[:8]] == [0] * 8
-    assert [vm.host_id for vm in vms[8:]] == [1, 1]
-
-
-def test_random_placement_uses_only_fitting_hosts():
-    rng = np.random.default_rng(0)
-    dc = Datacenter(num_hosts=4, placement=RandomPlacement(rng))
-    hosts_used = {dc.create_vm(0.0).host_id for _ in range(16)}
-    assert hosts_used <= {0, 1, 2, 3}
-    assert len(hosts_used) > 1  # spreads with overwhelming probability
 
 
 # ----------------------------------------------------------------------

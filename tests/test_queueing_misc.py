@@ -28,6 +28,20 @@ def test_md1k_overload_blocking_matches_flow_excess():
     assert q.blocking_probability >= 1.0 - 1.0 / 2.0
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_md1k_response_time_rises_with_load_below_mm1k(k):
+    # Less service variance can only shorten the wait, and more load can
+    # only lengthen it: over ρ ∈ [0.1, 1.2] the mean response time never
+    # falls and never exceeds M/M/1/K's.
+    times = []
+    for step in range(10, 121):
+        rho = step / 100
+        approx = MD1KQueue(lam=rho, mu=1.0, capacity=k).mean_response_time
+        assert approx <= MM1KQueue(lam=rho, mu=1.0, capacity=k).mean_response_time, rho
+        times.append(approx)
+    assert all(b >= a for a, b in zip(times, times[1:]))
+
+
 def test_md1k_no_distribution():
     q = MD1KQueue(lam=0.5, mu=1.0, capacity=2)
     with pytest.raises(QueueingModelError):
