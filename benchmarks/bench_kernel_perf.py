@@ -34,13 +34,15 @@ DES_WEB_DAY_MAX_S = 3 * 3.5709
 # replaced took 0.42-0.50 s.
 DES_VEC_WEB_DAY_MAX_S = 3 * 0.172
 #: How much faster des-vec must run the adaptive web day than scalar des:
-#: measured 24.4-32.8x over 18 runs on a 2-vCPU Xeon host once scalar des
-#: fired arrivals in place (27.5-35.0x while it kept one heap entry per
-#: arrival).
+#: measured 20.1-23.3x over five runs on a 2-vCPU Xeon host once scalar
+#: des merged its arrival stream into the event loop (25.3-28.5x over two
+#: runs while it fired half the arrivals from the heap; 27.5-35.0x while it
+#: kept one heap entry per arrival).  A faster scalar des lowers the ratio.
 DES_VEC_MIN_SPEEDUP = 20.0
 #: How much faster des-vec must run the saturated Static-75 day than
-#: scalar des: measured 3.0-3.3x over five runs on the host above with
-#: the event path's state kept across a span's pieces, 2.0-2.1x without.
+#: scalar des: measured 2.3-2.9x over five runs on the host above with
+#: scalar des's merged arrival stream (3.2-3.3x before it), with the event
+#: path's state kept across a span's pieces (2.0-2.1x without).
 #: (The gate's 6-h night window, which rejected 2.5% of its arrivals,
 #: read 3.4-5.1x.)
 DES_VEC_MIN_SATURATED_SPEEDUP = 2.0

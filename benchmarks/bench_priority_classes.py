@@ -36,8 +36,8 @@ def run_mix(reserved_slots: int, seed: int = 0):
             return pac.submit(arrival_time, klass)
 
     # Route the arrivals through the priority gate with a 30 % HIGH mix.
-    # A source's front door is fixed at construction, so build one on
-    # the context's (not yet started) arrival stream.
+    # A source's front door is fixed at construction, so build one and
+    # start it instead of the context's: an engine takes one stream.
     source = WorkloadSource(
         engine=ctx.engine,
         workload=scenario.workload,

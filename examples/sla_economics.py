@@ -37,8 +37,8 @@ def run(reserved_slots: int) -> PriorityAdmissionControl:
             klass = "gold" if rng.random() < GOLD_SHARE else "bronze"
             return admission.submit(arrival_time, klass)
 
-    # A source's front door is fixed at construction, so build one on
-    # the context's (not yet started) arrival stream.
+    # A source's front door is fixed at construction, so build one and
+    # start it instead of the context's: an engine takes one stream.
     source = WorkloadSource(
         engine=ctx.engine,
         workload=scenario.workload,

@@ -23,6 +23,7 @@ from ..cloud.fleet import ApplicationFleet
 from ..cloud.loadbalancer import LoadBalancer
 from ..cloud.monitor import Monitor
 from ..cloud.vecfleet import VectorFleet
+from ..cloud.vm import DEFAULT_VM_SPEC
 from ..core.context import SimulationContext
 from ..economy.ledger import ProfitLedger
 from ..metrics.collector import MetricsCollector
@@ -147,7 +148,7 @@ class DESBackend(ExecutionBackend):
             run.ledger = ProfitLedger(
                 scenario.pricing,
                 interval=scenario.update_interval,
-                cores_per_vm=float(ctx.fleet.vm_spec.cores),
+                cores_per_vm=float(DEFAULT_VM_SPEC.cores),
                 spot_fraction=float(getattr(run.policy, "spot_fraction", 0.0)),
                 collector=ctx.metrics,
                 vm_hours_fn=ctx.datacenter.vm_hours,

@@ -12,8 +12,12 @@ expectation — "requests are either rejected or served in a time
 acceptable by clients".
 
 :class:`AdmissionControl` is the front door of the whole deployment:
-every arrival passes through :meth:`submit`, which dispatches through
-the fleet's balancer or records a rejection.
+every arrival passes through :meth:`submit`, which asks the fleet's
+balancer for a non-full instance and hands the request to it, or
+records a rejection.  The hop costs one frame per component — the
+gate, the balancer's ``select``, the instance's ``accept`` — with the
+counters bumped inline; :class:`~repro.cloud.priority.PriorityAdmissionControl`
+admits through the same :meth:`submit`.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ class AdmissionControl:
     count_arrivals:
         When true, every arrival is also reported to the monitor's
         rate sampler (needed by reactive predictors; costs one method
-        call per request, so benchmarks that use model-informed
-        predictors leave it off).
+        call per request, a frame the paper's Adaptive policy, which
+        predicts from the workload model, does without).
     tracer:
         Optional :class:`repro.obs.bus.TraceBus`.  When set, every
         submission emits ``request.admitted`` / ``request.rejected``
@@ -52,7 +56,8 @@ class AdmissionControl:
     """
 
     __slots__ = (
-        "_fleet",
+        "_active",
+        "_select",
         "_monitor",
         "_metrics",
         "_count_arrivals",
@@ -68,7 +73,9 @@ class AdmissionControl:
         count_arrivals: bool = False,
         tracer: Optional["object"] = None,
     ) -> None:
-        self._fleet = fleet
+        # The fleet's live ACTIVE list and its balancer's rule, bound once.
+        self._active = fleet.active_instances
+        self._select = fleet.balancer.select
         self._monitor = monitor
         self._metrics = monitor._metrics
         self._count_arrivals = bool(count_arrivals)
@@ -83,7 +90,10 @@ class AdmissionControl:
         """
         if self._count_arrivals:
             self._monitor.record_arrival()
-        accepted = self._fleet.dispatch(arrival_time)
+        inst = self._select(self._active)
+        accepted = inst is not None
+        if accepted:
+            inst.accept(arrival_time)
         if self._tracer is not None and accepted is not self._accepting:
             self._accepting = accepted
             self._tracer.emit("admission.state", arrival_time, accepting=accepted)
@@ -92,7 +102,7 @@ class AdmissionControl:
                 "request.admitted" if accepted else "request.rejected", arrival_time
             )
         if accepted:
-            self._metrics.record_acceptance()
+            self._metrics.accepted += 1
             return True
-        self._metrics.record_rejection()
+        self._metrics.rejected += 1
         return False

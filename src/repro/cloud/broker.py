@@ -8,16 +8,14 @@ them to admission control.  Windowed generation keeps the future-event
 list small even for the multi-million-request web scenario.
 
 Arrival dispatch is *batched*: a window's timestamps are sampled as one
-numpy block, horizon-clipped vectorized, and walked by a single rolling
-cursor event instead of one ``schedule()`` per request.  At the web
-peak a 60-s window holds tens of thousands of arrivals; the cursor
-keeps all but the next one out of the heap, so heap pushes operate on a
-list of in-flight completions (hundreds) rather than a full window —
-an O(log n) win per event on exactly the hottest path.  Each time the
-cursor fires it also submits, in place, every following arrival that
-is still the next event (:meth:`~repro.sim.engine.Engine.fire_in_place`),
-and schedules itself only at the first arrival that is not: on the web
-day half the arrivals never touch the heap.
+numpy block, horizon-clipped vectorized, and handed to the engine's
+arrival stream (:meth:`~repro.sim.engine.Engine.load_arrivals`) instead
+of one ``schedule()`` per request.  The engine merges that sorted list
+with its future-event list and calls admission control at each arrival
+time, so no arrival ever takes a heap entry: at the web peak a 60-s
+window holds tens of thousands of arrivals, while the heap holds only
+the in-flight completions (hundreds) and a few control events.  An
+engine takes one stream, so one source feeds each engine.
 
 The vectorized data plane takes no events at all: given a ``sink``,
 the source schedules nothing, and the sink pulls each window
@@ -28,7 +26,7 @@ engine-event-per-window plane would have generated it.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,63 +37,6 @@ from ..workloads.base import Workload
 from .admission import AdmissionControl
 
 __all__ = ["WorkloadSource"]
-
-
-class _ArrivalCursor:
-    """Rolling dispatcher over one window's sorted arrival batch.
-
-    One reusable callable walks the batch: each firing submits the
-    arrival at the current index, then every following arrival that is
-    the next event anyway (fired in place by the engine), and schedules
-    itself at the first one that is not.  At most one heap entry exists
-    per window at any time, and no per-arrival closure is allocated.
-    """
-
-    __slots__ = ("_engine", "_submit", "_times", "_idx", "_pending")
-
-    def __init__(self, engine: Engine, admission: AdmissionControl) -> None:
-        self._engine = engine
-        self._submit = admission.submit
-        self._times: List[float] = []
-        self._idx = 0
-        self._pending = None
-
-    @property
-    def remaining(self) -> int:
-        """Arrivals of the current batch not yet dispatched."""
-        return len(self._times) - self._idx
-
-    def load(self, times) -> None:
-        """Start dispatching a new batch of sorted timestamps.
-
-        Accepts a numpy array (the broker's sampled window) or a list.
-        A window's batch always drains before the next window is
-        generated (arrivals live in ``[t0, t0 + window)`` and the next
-        generation fires at ``t0 + window``); any leftovers — a
-        misbehaving workload model — are merged rather than dropped.
-        """
-        if isinstance(times, np.ndarray):
-            times = times.tolist()
-        if self._idx < len(self._times):
-            times = sorted(self._times[self._idx :] + times)
-            if self._pending is not None:
-                self._engine.discard(self._pending)
-        self._times = times
-        self._idx = 0
-        self._pending = None
-        if times:
-            self._pending = self._engine.schedule_at(times[0], self)
-
-    def __call__(self) -> None:
-        engine = self._engine
-        times = self._times
-        idx = self._idx
-        self._submit(times[idx])  # the engine's clock: this entry's time
-        idx = self._idx = engine.fire_in_place(times, idx + 1, self._submit)
-        if idx < len(times):
-            self._pending = engine.schedule_at(times[idx], self)
-        else:
-            self._pending = None
 
 
 class WorkloadSource:
@@ -110,8 +51,9 @@ class WorkloadSource:
     rng:
         Dedicated random stream for arrival sampling.
     admission:
-        The deployment's front door.  The default sink is a rolling
-        cursor that submits each arrival to it at its timestamp.
+        The deployment's front door.  :meth:`start` makes its
+        ``submit`` the engine's arrival callback, so each arrival is
+        submitted to it at its timestamp.
     horizon:
         Generation stops at this simulation time (arrivals beyond it
         are discarded).
@@ -169,16 +111,14 @@ class WorkloadSource:
             raise ConfigurationError(f"horizon must be finite and > 0, got {horizon!r}")
         if (admission is None) == (sink is None):
             raise ConfigurationError(
-                "provide exactly one of admission= (scalar cursor dispatch) "
+                "provide exactly one of admission= (the engine's arrival stream) "
                 "or sink= (windows pulled by the sink)"
             )
         self._engine = engine
         self._workload = workload
         self._rng = rng
         self._pulled = sink is not None
-        if sink is None:
-            sink = _ArrivalCursor(engine, admission)
-        self._sink = sink
+        self._sink = admission if sink is None else sink
         self._next = math.inf
         self._mark = 0
         self.horizon = float(horizon)
@@ -189,16 +129,20 @@ class WorkloadSource:
         self._tracer = tracer
 
     def start(self) -> None:
-        """Schedule generation of the first window (call before run).
+        """Feed the engine and schedule the first window (call before run).
 
         With a sink, nothing is scheduled: the first window starts now
-        and the sink is told to pull it.
+        and the sink is told to pull it.  Otherwise the admission gate
+        becomes the engine's arrival callback, which raises
+        :class:`~repro.errors.EngineStateError` if another source
+        already feeds the engine.
         """
         self._next = self._engine.now
         if self._pulled:
             self._mark = self._engine.scheduled
             self._sink.pull_from(self)
         else:
+            self._engine.feed(self._sink.submit)
             self._engine.schedule_at(self._next, self._generate_window, PRIORITY_HIGH)
 
     # ------------------------------------------------------------------
@@ -251,6 +195,6 @@ class WorkloadSource:
                 "window.generated", self._engine.now, t0=t0, arrivals=int(arrivals.size)
             )
         if arrivals.size:
-            self._sink.load(arrivals)
+            self._engine.load_arrivals(arrivals)
         if self._next != math.inf:
             self._engine.schedule_at(self._next, self._generate_window, PRIORITY_HIGH)

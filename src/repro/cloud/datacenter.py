@@ -84,14 +84,16 @@ class Datacenter:
     # ------------------------------------------------------------------
     # VM lifecycle
     # ------------------------------------------------------------------
-    def create_vm(self, now: float, spec: VMSpec = DEFAULT_VM_SPEC) -> VirtualMachine:
-        """Place and return a new VM (state PROVISIONING).
+    def create_vm(self, now: float) -> VirtualMachine:
+        """Place and return a new VM of :data:`~repro.cloud.vm.DEFAULT_VM_SPEC`
+        (state PROVISIONING).
 
         Raises
         ------
         PlacementError
-            If no host can fit the requested spec.
+            If no host can fit another VM of that spec.
         """
+        spec = DEFAULT_VM_SPEC
         host = self.placement.select(self.hosts, spec)
         if host is None:
             raise PlacementError(

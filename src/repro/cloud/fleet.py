@@ -47,7 +47,7 @@ from .datacenter import Datacenter
 from .instance import AppInstance
 from .loadbalancer import LoadBalancer, RoundRobinBalancer
 from .monitor import Monitor
-from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec
+from .vm import VirtualMachine
 
 __all__ = ["FleetLifecycle", "ApplicationFleet"]
 
@@ -70,8 +70,6 @@ class FleetLifecycle:
         here).
     capacity:
         Per-instance queue capacity ``k`` (Eq. 1).
-    vm_spec:
-        VM class for new instances.
     boot_delay:
         Seconds between VM placement and the instance turning ACTIVE.
         The paper's simulations provision ahead of demand via the
@@ -102,7 +100,6 @@ class FleetLifecycle:
         monitor: Monitor,
         metrics: MetricsCollector,
         capacity: int,
-        vm_spec: VMSpec = DEFAULT_VM_SPEC,
         boot_delay: float = 0.0,
         tracer: Optional[object] = None,
     ) -> None:
@@ -116,7 +113,6 @@ class FleetLifecycle:
         self._monitor = monitor
         self._metrics = metrics
         self.capacity = int(capacity)
-        self.vm_spec = vm_spec
         self.boot_delay = float(boot_delay)
         self._tracer = tracer
         self._active: List = []
@@ -207,13 +203,13 @@ class FleetLifecycle:
         self._after_membership_change()
 
     def _create_instance(self):
-        """Place one VM of :attr:`vm_spec` and make it a member.
+        """Place one VM of the default spec and make it a member.
 
         Returns ``None`` when the data center refuses placement.
         Callers are responsible for :meth:`_after_membership_change`.
         """
         try:
-            vm = self._datacenter.create_vm(self._engine.now, self.vm_spec)
+            vm = self._datacenter.create_vm(self._engine.now)
         except PlacementError:
             return None
         member = self._new_member(vm)
@@ -333,12 +329,11 @@ class ApplicationFleet(FleetLifecycle):
         metrics: MetricsCollector,
         capacity: int,
         balancer: Optional[LoadBalancer] = None,
-        vm_spec: VMSpec = DEFAULT_VM_SPEC,
         boot_delay: float = 0.0,
         tracer: Optional[object] = None,
     ) -> None:
         super().__init__(
-            engine, datacenter, sampler, monitor, metrics, capacity, vm_spec, boot_delay, tracer
+            engine, datacenter, sampler, monitor, metrics, capacity, boot_delay, tracer
         )
         self.balancer = balancer if balancer is not None else RoundRobinBalancer()
         self._instance_ids = itertools.count()
@@ -363,21 +358,6 @@ class ApplicationFleet(FleetLifecycle):
 
     def _membership_changed(self) -> None:
         self.balancer.notify_membership_change(len(self._active))
-
-    # ------------------------------------------------------------------
-    # dispatch (hot path)
-    # ------------------------------------------------------------------
-    def dispatch(self, arrival_time: float) -> bool:
-        """Route one request; ``False`` means every instance is full.
-
-        The ``False`` case is exactly the paper's admission-control
-        rejection condition.
-        """
-        inst = self.balancer.select(self._active)
-        if inst is None:
-            return False
-        inst.accept(arrival_time)
-        return True
 
     # ------------------------------------------------------------------
     # vertical scaling

@@ -5,9 +5,9 @@ for each application instance ... via regular monitoring tools or by
 Cloud monitoring services such as Amazon CloudWatch" (paper §IV-B).
 :class:`Monitor` is that service:
 
-* it is the single sink for request completions (forwarding them to
-  the run's :class:`~repro.metrics.collector.MetricsCollector`;
-  admission control counts acceptances and rejections on that
+* it is the single sink for request completions: each one is folded
+  into the run's :class:`~repro.metrics.collector.MetricsCollector`
+  (admission control counts acceptances and rejections on that
   collector directly),
 * it keeps an exponentially-weighted estimate of the mean request
   service time ``T_m`` — the monitored quantity Algorithm 1 consumes,
@@ -118,8 +118,20 @@ class Monitor:
     # hot-path sinks
     # ------------------------------------------------------------------
     def record_response(self, response_time: float, service_time: float) -> None:
-        """Observe one completed request (called by instances)."""
-        self._metrics.record_response(response_time, service_time)
+        """Observe one completed request (called by instances).
+
+        The scalar data plane's whole completion hop in one frame: the
+        collector's counters and Welford response-time accumulators,
+        the ``T_m`` EWMA, the trace event and the observer.
+        """
+        m = self._metrics
+        m.completed = completed = m.completed + 1
+        if response_time > m.qos_response_time:
+            m.violations += 1
+        m.busy_seconds += service_time
+        delta = response_time - m._resp_mean
+        m._resp_mean += delta / completed
+        m._resp_m2 += delta * (response_time - m._resp_mean)
         if self._seen_completion:
             self._tm += self._alpha * (service_time - self._tm)
         else:

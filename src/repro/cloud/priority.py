@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..errors import ConfigurationError
+from .admission import AdmissionControl
 from .fleet import ApplicationFleet
 from .monitor import Monitor
 
@@ -62,6 +63,9 @@ class PriorityAdmissionControl:
     monitor:
         Monitoring sink; acceptances and rejections are counted on its
         metrics collector, so global metrics still see every request.
+        A request that passes the reservation is admitted by a plain
+        :class:`~repro.cloud.admission.AdmissionControl` over the same
+        fleet and monitor.
     reserved_slots:
         Number of request slots (across the whole fleet) kept free for
         privileged classes: a request of a *non*-privileged class is
@@ -80,6 +84,7 @@ class PriorityAdmissionControl:
         if reserved_slots < 0:
             raise ConfigurationError(f"reserved slots must be >= 0, got {reserved_slots}")
         self._fleet = fleet
+        self._gate = AdmissionControl(fleet, monitor)
         self._metrics = monitor._metrics
         self.reserved_slots = int(reserved_slots)
         self.privileged = frozenset(privileged)
@@ -114,12 +119,10 @@ class PriorityAdmissionControl:
         stats = self._stats(klass)
         if klass not in self.privileged and not self._free_exceeds_reserve():
             stats.rejected += 1
-            self._metrics.record_rejection()
+            self._metrics.rejected += 1
             return False
-        if self._fleet.dispatch(arrival_time):
+        if self._gate.submit(arrival_time):
             stats.accepted += 1
-            self._metrics.record_acceptance()
             return True
         stats.rejected += 1
-        self._metrics.record_rejection()
         return False

@@ -93,7 +93,7 @@ from .datacenter import Datacenter
 from .fleet import FleetLifecycle
 from .loadbalancer import LoadBalancer, RoundRobinBalancer
 from .monitor import Monitor
-from .vm import DEFAULT_VM_SPEC, VirtualMachine, VMSpec
+from .vm import VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
     from .broker import WorkloadSource
@@ -128,13 +128,12 @@ class VectorFleet(FleetLifecycle):
         metrics: MetricsCollector,
         capacity: int,
         balancer: Optional[LoadBalancer] = None,
-        vm_spec: VMSpec = DEFAULT_VM_SPEC,
         boot_delay: float = 0.0,
         tracer: Optional[object] = None,
         count_arrivals: bool = False,
     ) -> None:
         super().__init__(
-            engine, datacenter, sampler, monitor, metrics, capacity, vm_spec, boot_delay, tracer
+            engine, datacenter, sampler, monitor, metrics, capacity, boot_delay, tracer
         )
         if balancer is not None and not isinstance(balancer, RoundRobinBalancer):
             raise ConfigurationError(

@@ -25,6 +25,7 @@ from typing import Callable, FrozenSet, Optional, Tuple
 
 from types import SimpleNamespace
 
+from ..cloud.vm import DEFAULT_VM_SPEC
 from ..errors import ConfigurationError
 from ..prediction.base import ArrivalRatePredictor
 from ..prediction.timebased import ModelInformedPredictor, ScientificModePredictor
@@ -258,7 +259,7 @@ class AdaptivePolicy(ProvisioningPolicy):
     def attach(self, ctx: SimulationContext) -> None:
         max_vms = self.max_instances
         if max_vms is None:
-            max_vms = ctx.datacenter.max_vms(ctx.fleet.vm_spec)
+            max_vms = ctx.datacenter.max_vms(DEFAULT_VM_SPEC)
         engine = ctx.engine
         modeler = self._build_modeler(
             ctx.qos,

@@ -53,7 +53,10 @@ class MetricsCollector:
         # -- failure injection ------------------------------------------
         self.failures = 0  # instance crashes observed
         self.lost_requests = 0  # admitted requests that died in a crash
-        # Welford accumulators for response time.
+        # Welford accumulators for response time.  The scalar data
+        # plane's one completion sink, Monitor.record_response, updates
+        # them (with ``completed``, ``violations`` and ``busy_seconds``)
+        # in place; record_responses merges a batch.
         self._resp_mean = 0.0
         self._resp_m2 = 0.0
         # -- service accounting ----------------------------------------
@@ -68,28 +71,9 @@ class MetricsCollector:
         self.horizon = 0.0
 
     # ------------------------------------------------------------------
-    # hot-path recording
-    # ------------------------------------------------------------------
-    def record_acceptance(self) -> None:
-        """Record one request admitted by admission control."""
-        self.accepted += 1
-
-    def record_response(self, response_time: float, service_time: float) -> None:
-        """Record one completed request (Welford update)."""
-        self.completed += 1
-        if response_time > self.qos_response_time:
-            self.violations += 1
-        self.busy_seconds += service_time
-        delta = response_time - self._resp_mean
-        self._resp_mean += delta / self.completed
-        self._resp_m2 += delta * (response_time - self._resp_mean)
-
-    def record_rejection(self) -> None:
-        """Record one request rejected by admission control."""
-        self.rejected += 1
-
-    # ------------------------------------------------------------------
-    # bulk recording (vectorized data plane)
+    # bulk recording (vectorized data plane; the scalar plane counts in
+    # its own frames: admission control bumps accepted / rejected and
+    # Monitor.record_response folds in each response)
     # ------------------------------------------------------------------
     def record_acceptances(self, count: int) -> None:
         """Record ``count`` admitted requests at once."""
@@ -107,8 +91,8 @@ class MetricsCollector:
         Violation counting and busy-time accumulation are exact; the
         running mean/M2 merge is the standard pairwise-combination
         update, algebraically identical to feeding the batch through
-        :meth:`record_response` one by one (floating-point rounding may
-        differ in the last ulp, which is why cross-backend tests
+        the monitor's scalar sink one by one (floating-point rounding
+        may differ in the last ulp, which is why cross-backend tests
         compare the derived statistics with tolerances while counters
         compare exactly).
         """

@@ -133,8 +133,9 @@ class Histogram:
     observations are buffered in a plain list and bulk-ingested through
     the same kernel as :meth:`observe_many`, so scalar and vectorized
     feeds bucket identically *and* the scalar hot path is a single
-    ``list.append`` (the deferred work is amortized over the whole
-    buffer at the next read).
+    ``list.append``: :meth:`observe` *is* the buffer's bound ``append``,
+    so recording one value enters no Python frame (the deferred work is
+    amortized over the whole buffer at the next read).
 
     Besides the bucket counts the histogram keeps count/mean/M2 moment
     accumulators, folding each batch in with Chan's parallel update —
@@ -142,7 +143,7 @@ class Histogram:
     :class:`~repro.metrics.collector.MetricsCollector` path uses.
     """
 
-    __slots__ = ("bounds", "_counts", "_count", "_mean", "_m2", "_pending")
+    __slots__ = ("bounds", "_counts", "_count", "_mean", "_m2", "_pending", "observe")
 
     def __init__(self, bounds: Sequence[float]) -> None:
         b = tuple(float(x) for x in bounds)
@@ -156,12 +157,20 @@ class Histogram:
         self._mean = 0.0
         self._m2 = 0.0
         self._pending: List[float] = []
+        #: Record one observation: the buffer's ``append`` itself (the
+        #: buffer is flushed in place, never rebound).
+        self.observe: Callable[[float], None] = self._pending.append
+
+    # A copy or an unpickled histogram must append to its own buffer.
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name != "observe"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.observe = self._pending.append
 
     # -- observation ----------------------------------------------------
-    def observe(self, value: float) -> None:
-        """Record one observation (hot path: a single list append)."""
-        self._pending.append(value)
-
     def observe_many(self, values: np.ndarray) -> None:
         """Record a batch (vectorized bucketing + Chan moment merge)."""
         self._flush()
@@ -169,9 +178,10 @@ class Histogram:
 
     def _flush(self) -> None:
         """Fold buffered scalar observations into the accumulators."""
-        if self._pending:
-            pending, self._pending = self._pending, []
+        pending = self._pending
+        if pending:
             self._ingest(np.asarray(pending, dtype=np.float64))
+            pending.clear()
 
     def _ingest(self, arr: np.ndarray) -> None:
         n = arr.size

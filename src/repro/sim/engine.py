@@ -16,18 +16,24 @@ the heap compares C-level list entries, and :meth:`schedule` pushes
 inline rather than delegating to :meth:`schedule_at` (measure first,
 then shave only the measured hot path).
 
-In-place firing
----------------
-A caller holding a sorted list of times of its own (the broker's
-arrival cursor) need not push one heap entry per item:
-:meth:`fire_in_place` fires items while each would be the next event
-anyway — before the heap's head, or at the head's instant when the
-head has a lower priority than :data:`~repro.sim.events.PRIORITY_NORMAL`
-— and within :meth:`run`'s horizon.  That is exactly the order a
-fresh ``PRIORITY_NORMAL`` entry would have taken (a newly scheduled
-entry has the largest ``seq``), and each fired item advances the clock
-and counts in :attr:`events_fired` like any event; on the web day half
-the arrivals skip the heap this way.
+Arrival stream
+--------------
+The broker's arrivals do not enter the heap.  The engine holds them as
+one sorted list with an index (:meth:`feed` installs the callback that
+receives each arrival time, :meth:`load_arrivals` hands over a window's
+times) and merges that list with the heap as it runs.  The next arrival
+has the key ``(t, PRIORITY_NORMAL, seq)``, ``seq`` taken from the
+event counter when the stream was last *armed*: when it was loaded, or
+when its next arrival last lost to the heap's head.  It fires when that
+key sorts before the live head, which is exactly where one
+``PRIORITY_NORMAL`` heap entry per arrival, scheduled as the previous
+arrival fired, would have fired.  An arrival that follows a fired one
+is unarmed (its ``seq`` would be the newest) and keeps firing inline
+while it stays ahead of the head, so a burst of arrivals costs no heap
+operation and no frame but the callback's.  :meth:`step`,
+:meth:`peek` and :meth:`peek_key` see the stream too.  Each fired
+arrival advances the clock and counts in :attr:`events_fired` like any
+event.
 
 Heap hygiene
 ------------
@@ -51,6 +57,9 @@ from ..errors import EngineStateError, SchedulingInPastError
 from .events import CANCELLED, PRIORITY_NORMAL, EventHandle
 
 __all__ = ["Engine"]
+
+#: The seq of an unarmed arrival: later than any event's.
+_UNARMED = math.inf
 
 
 class Engine:
@@ -83,9 +92,15 @@ class Engine:
         self._seq = 0
         self._running = False
         self._finished = False
-        #: Horizon of the running :meth:`run`; ``-inf`` outside it, so
-        #: :meth:`fire_in_place` fires nothing under :meth:`step`.
-        self._horizon = -math.inf
+        # The arrival stream (see the module docstring): the callback,
+        # the sorted times, the index of the next arrival, its seq
+        # (_UNARMED inside run() after an arrival fired) and a count of
+        # loads, by which run() notices a load made by an event.
+        self._submit: Optional[Callable[[float], object]] = None
+        self._arrivals: List[float] = []
+        self._next_arrival = 0
+        self._arrival_seq: float = _UNARMED
+        self._loads = 0
         self._events_fired = 0
         self._cancelled = 0
         #: Number of heap compactions performed (observability).
@@ -133,6 +148,11 @@ class Engine:
         the live events.
         """
         return len(self._heap)
+
+    @property
+    def arrivals_pending(self) -> int:
+        """Loaded arrivals not yet fired (exact outside arrival callbacks)."""
+        return len(self._arrivals) - self._next_arrival
 
     @property
     def cancelled_pending(self) -> int:
@@ -198,6 +218,61 @@ class Engine:
         _heappush(self._heap, entry)
         return entry
 
+    def feed(self, submit: Callable[[float], object]) -> None:
+        """Install the arrival stream's callback (once per engine).
+
+        Each arrival loaded with :meth:`load_arrivals` is passed to
+        ``submit(t)`` at its time ``t``, with :attr:`now` equal to ``t``.
+        ``submit`` must not load arrivals itself: inside :meth:`run` the
+        stream's index is kept in a local while arrivals fire.
+
+        Raises
+        ------
+        EngineStateError
+            If the engine already has a feeder: an engine takes one
+            stream, so every caller builds one source per engine.
+        """
+        if self._submit is not None:
+            raise EngineStateError(
+                "engine already has an arrival stream; build one source per engine"
+            )
+        self._submit = submit
+
+    def load_arrivals(self, times) -> None:
+        """Hand the stream a sorted batch of arrival times.
+
+        Accepts a numpy array (the broker's sampled window) or a list.
+        A window's batch normally drains before the next one is loaded;
+        arrivals still pending — a misbehaving workload model — are
+        merged with the new batch rather than dropped.  Loading arms
+        the stream: its first arrival orders after every event already
+        scheduled at the same instant and priority.
+
+        Raises
+        ------
+        EngineStateError
+            If no callback was installed with :meth:`feed`, or the engine
+            already finished its run.
+        SchedulingInPastError
+            If the first arrival is earlier than the current clock.
+        """
+        if self._submit is None:
+            raise EngineStateError("no arrival stream: call feed() before load_arrivals()")
+        if self._finished:
+            raise EngineStateError("cannot load arrivals on a finished engine")
+        if not isinstance(times, list):
+            times = times.tolist()
+        idx = self._next_arrival
+        if idx < len(self._arrivals):
+            times = sorted(self._arrivals[idx:] + times)
+        if times and not times[0] >= self._now:  # also catches NaN
+            raise SchedulingInPastError(self._now, times[0])
+        self._arrivals = times
+        self._next_arrival = 0
+        self._loads += 1
+        if times:
+            self._seq = self._arrival_seq = self._seq + 1
+
     @staticmethod
     def cancel(entry: EventHandle) -> None:
         """Lazily cancel a scheduled event (idempotent).
@@ -247,6 +322,27 @@ class Engine:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def _live_head(self) -> Optional[EventHandle]:
+        """The heap's next live entry, popping cancelled heads."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[4]:
+                return entry
+            _heappop(heap)
+            if self._cancelled:
+                self._cancelled -= 1
+        return None
+
+    def _arrival_next(self, head: Optional[EventHandle]) -> bool:
+        """Whether the stream's next arrival fires before ``head``."""
+        if self._next_arrival >= len(self._arrivals):
+            return False
+        if head is None:
+            return True
+        t = self._arrivals[self._next_arrival]
+        return (t, PRIORITY_NORMAL, self._arrival_seq) < (head[0], head[1], head[2])
+
     def peek(self) -> Optional[float]:
         """Firing time of the next live event, or ``None`` if drained.
 
@@ -256,37 +352,34 @@ class Engine:
         backend's epoch loop: the array data plane advances to the next
         engine event's time before the event fires.
         """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[4]:
-                _heappop(heap)
-                if self._cancelled:
-                    self._cancelled -= 1
-                continue
-            return entry[0]
-        return None
+        key = self.peek_key()
+        return None if key is None else key[0]
 
     def peek_key(self) -> Optional[Tuple[float, int, int]]:
         """``(time, priority, seq)`` of the next live event, or ``None``.
 
         :meth:`peek` with the event's full firing order, for callers
         that must place work of their own among same-instant events.
+        The next arrival's key is the stream's (see the module
+        docstring).
         """
-        if self.peek() is None:
+        head = self._live_head()
+        if self._arrival_next(head):
+            return self._arrivals[self._next_arrival], PRIORITY_NORMAL, int(self._arrival_seq)
+        if head is None:
             return None
-        entry = self._heap[0]
-        return entry[0], entry[1], entry[2]
+        return head[0], head[1], head[2]
 
     def run(self, until: Optional[float] = None) -> None:
-        """Execute events in time order.
+        """Execute events and arrivals in time order.
 
         Parameters
         ----------
         until:
             Simulation horizon.  Events strictly after ``until`` are
             not fired and the clock stops exactly at ``until``.  When
-            omitted, the engine runs until the event list drains.
+            omitted, the engine runs until the event list and the
+            arrival stream drain.
 
         Raises
         ------
@@ -308,92 +401,104 @@ class Engine:
         self._running = True
         heap = self._heap
         pop = _heappop
-        self._horizon = horizon = math.inf if until is None else float(until)
+        normal = PRIORITY_NORMAL
+        unarmed = _UNARMED
+        horizon = math.inf if until is None else float(until)
+        # The stream in locals; reloaded when an event loads arrivals.
+        loads = self._loads
+        submit = self._submit
+        times = self._arrivals
+        end = len(times)
+        idx = self._next_arrival
+        aseq = self._arrival_seq
         try:
-            while heap:
-                entry = pop(heap)
-                if entry[4]:
+            while True:
+                head = heap[0] if heap else None
+                if head is not None and head[4]:
+                    pop(heap)
                     if self._cancelled:
                         self._cancelled -= 1
                     continue
-                when = entry[0]
-                if when > horizon:
-                    _heappush(heap, entry)  # keep it pending; we overshot
+                if idx < end:
+                    t = times[idx]
+                    if head is None or t < head[0] or (
+                        t == head[0]
+                        and (head[1] > normal or (head[1] == normal and aseq < head[2]))
+                    ):
+                        if t > horizon:
+                            break
+                        idx += 1
+                        aseq = unarmed
+                        self._now = t
+                        # Attributes, not locals: callbacks read them.
+                        self._events_fired += 1
+                        submit(t)
+                        continue
+                    if aseq is unarmed:
+                        # Arm: the place a heap entry scheduled now takes.
+                        self._seq = self._arrival_seq = aseq = self._seq + 1
+                elif head is None:
                     break
+                when = head[0]
+                if when > horizon:
+                    break
+                pop(heap)
+                self._next_arrival = idx
                 self._now = when
-                # An attribute, not a local: fire_in_place counts too.
                 self._events_fired += 1
-                entry[3]()
+                head[3]()
+                if self._loads != loads:
+                    loads = self._loads
+                    submit = self._submit
+                    times = self._arrivals
+                    end = len(times)
+                    idx = self._next_arrival
+                    aseq = self._arrival_seq
             if until is not None and self._now < horizon:
                 self._now = horizon
         finally:
+            # Leave the stream as step() and peek_key() expect it: armed.
+            self._next_arrival = idx
+            if aseq is unarmed and idx < end:
+                self._seq = aseq = self._seq + 1
+            self._arrival_seq = aseq
             self._running = False
             self._finished = True
-            self._horizon = -math.inf
         for hook in self.at_end:
             hook(self)
 
-    def fire_in_place(
-        self, times: List[float], idx: int, callback: Callable[[float], object]
-    ) -> int:
-        """Fire ``callback(t)`` for ``t = times[idx], times[idx + 1], ...``
-        while each ``t`` would be the next event; return the index of
-        the first item not fired.
-
-        ``times`` is sorted and starts at or after :attr:`now`.  An item
-        fires when it is before the live head of the event list, or at
-        the head's instant while the head has a lower priority than
-        :data:`~repro.sim.events.PRIORITY_NORMAL` — the place a
-        ``PRIORITY_NORMAL`` entry scheduled now would take, since its
-        ``seq`` would be the largest — and not after :meth:`run`'s
-        horizon.  Outside :meth:`run` (under :meth:`step`) nothing fires.
-        A cancelled head stops the walk; the caller schedules the rest.
-        Each fired item sets :attr:`now` and counts in
-        :attr:`events_fired` before its callback runs, as an event does.
-        """
-        heap = self._heap
-        horizon = self._horizon
-        end = len(times)
-        while idx < end:
-            t = times[idx]
-            if t > horizon:
-                break
-            if heap:
-                head = heap[0]
-                head_t = head[0]
-                if head[4] or t > head_t or (t == head_t and head[1] <= PRIORITY_NORMAL):
-                    break
-            self._now = t
-            self._events_fired += 1
-            callback(t)
-            idx += 1
-        return idx
-
     def step(self) -> bool:
-        """Fire the single next live event.
+        """Fire the single next live event or arrival.
 
-        Returns ``True`` if an event fired, ``False`` if the list is
-        empty.  Useful in tests that need to observe intermediate state.
-        Shares :meth:`run`'s accounting: ``events_fired`` is updated
-        before the callback executes.
+        Returns ``True`` if one fired, ``False`` if the event list and
+        the arrival stream are empty.  Useful in tests that need to
+        observe intermediate state.  Shares :meth:`run`'s accounting
+        and order: ``events_fired`` is updated before the callback
+        executes, and after an arrival the stream is armed again, as
+        :meth:`run` would arm it before any later event could fire.
         """
         if self._running:
             raise EngineStateError("Engine.step() is not re-entrant")
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            if entry[4]:
-                if self._cancelled:
-                    self._cancelled -= 1
-                continue
-            self._now = entry[0]
+        head = self._live_head()
+        if self._arrival_next(head):
+            t = self._arrivals[self._next_arrival]
+            self._next_arrival += 1
+            self._now = t
             self._events_fired += 1
-            entry[3]()
+            self._submit(t)
+            if self._next_arrival < len(self._arrivals):
+                self._seq = self._arrival_seq = self._seq + 1
             return True
-        return False
+        if head is None:
+            return False
+        _heappop(self._heap)
+        self._now = head[0]
+        self._events_fired += 1
+        head[3]()
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Engine t={self._now:.6g} pending={len(self._heap)} "
-            f"fired={self._events_fired}>"
+            f"arrivals={self.arrivals_pending} fired={self._events_fired}>"
         )

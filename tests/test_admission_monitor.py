@@ -237,7 +237,9 @@ def _assert_fold_matches_closed_form(alpha, batches, seed_first=None):
     tm, seen = 0.105, False
     if seed_first is not None:
         m.record_response(seed_first, seed_first)
-        reference.record_response(seed_first, seed_first)
+        Monitor(Engine(), reference, default_service_time=0.105).record_response(
+            seed_first, seed_first
+        )
         tm, seen = seed_first, True
     for services in batches:
         responses = services * 1.5

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cloud.broker import WorkloadSource, _ArrivalCursor
-from repro.errors import ConfigurationError
+from repro.cloud.broker import WorkloadSource
+from repro.errors import ConfigurationError, EngineStateError
 from repro.sim import Engine
 from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW
 
@@ -58,10 +58,10 @@ def test_heap_stays_small_despite_large_batches():
     max_pending = 0
     while eng.step():
         max_pending = max(max_pending, eng.pending)
-    # One cursor entry plus one window-generation event: the 5000-arrival
-    # batch never lands in the heap.
+    # The window-generation event alone: the 5000-arrival batch stays
+    # in the engine's arrival stream and never lands in the heap.
     assert len(admission.times) == 2 * 5000
-    assert max_pending <= 2
+    assert max_pending <= 1
 
 
 def test_arrivals_beyond_horizon_are_clipped():
@@ -75,18 +75,18 @@ def test_arrivals_beyond_horizon_are_clipped():
 
 
 def test_cursor_index_resets_between_windows():
-    # Regression: after fully draining a batch the cursor must not treat
+    # Regression: after fully draining a batch the stream must not treat
     # its last (already-dispatched) timestamp as a leftover — merging it
-    # into the next window would schedule an event in the past.
+    # into the next window would put an arrival in the past.
     eng = Engine()
     admission = RecordingAdmission()
-    cursor = _ArrivalCursor(eng, admission)
-    cursor.load([1.0, 2.0])
+    eng.feed(admission.submit)
+    eng.load_arrivals([1.0, 2.0])
 
     def reload():
         assert admission.times == [1.0, 2.0]
-        assert cursor.remaining == 0
-        cursor.load([6.0, 7.0])  # must not re-dispatch t=2.0
+        assert eng.arrivals_pending == 0
+        eng.load_arrivals([6.0, 7.0])  # must not re-dispatch t=2.0
 
     eng.schedule_at(5.0, reload)
     eng.run(until=10.0)
@@ -96,12 +96,12 @@ def test_cursor_index_resets_between_windows():
 def test_cursor_merges_genuine_leftovers():
     eng = Engine()
     admission = RecordingAdmission()
-    cursor = _ArrivalCursor(eng, admission)
-    cursor.load([5.0, 6.0, 7.0])
+    eng.feed(admission.submit)
+    eng.load_arrivals([5.0, 6.0, 7.0])
 
     def early_reload():
-        assert cursor.remaining == 2  # only t=5.0 dispatched so far
-        cursor.load([8.0])
+        assert eng.arrivals_pending == 2  # only t=5.0 dispatched so far
+        eng.load_arrivals([8.0])
 
     eng.schedule_at(5.5, early_reload)
     eng.run(until=10.0)
@@ -162,3 +162,56 @@ def test_due_orders_a_window_among_same_instant_events():
     eng.schedule_at(120.0, lambda: None, PRIORITY_HIGH)  # after window 60
     assert source.due(120.0)
     assert not source.due(90.0) and not source.due(120.0 - 1e-9)
+
+
+def test_a_second_feeder_is_refused():
+    eng = Engine()
+    with pytest.raises(EngineStateError):
+        eng.load_arrivals([1.0])  # no callback installed yet
+    first, second = (
+        WorkloadSource(eng, GridWorkload(), None, RecordingAdmission(), 120.0) for _ in range(2)
+    )  # building a source does not feed the engine
+    first.start()
+    with pytest.raises(EngineStateError):
+        second.start()
+
+
+@pytest.mark.parametrize("mode", ["step", "run"])
+def test_no_arrival_enters_the_heap_on_a_des_web_run(mode):
+    """The heap holds the completions of busy instances plus the window
+    and control events; the arrivals wait in the engine's stream."""
+    from repro import AdaptivePolicy, web_scenario
+    from repro.backends.des import build_context
+
+    scenario = web_scenario(scale=2000.0, horizon=4 * 3600.0)
+    ctx = build_context(scenario, seed=0)
+    AdaptivePolicy(
+        update_interval=scenario.update_interval, lead_time=scenario.lead_time
+    ).attach(ctx)
+    eng = ctx.engine
+    # Before the source starts: the control events (the analyzer's tick).
+    control = eng.pending
+    seen = []
+
+    def check():
+        busy = sum(1 for inst in ctx.fleet.live_instances if inst.occupancy)
+        assert eng.pending <= busy + control + 1  # + the window event
+
+    class Probe:
+        def submit(self, arrival_time):
+            check()
+            return ctx.admission.submit(arrival_time)
+
+    source = WorkloadSource(
+        eng, scenario.workload, ctx.streams.get("arrivals"), Probe(), scenario.horizon
+    )
+    source.start()
+    assert eng.pending == control + 1
+    if mode == "step":
+        while eng.step():
+            check()
+            seen.append(eng.arrivals_pending)
+        assert max(seen) > 10  # the window's batch really sat in the stream
+    else:
+        eng.run()
+    assert ctx.metrics.total_requests == source.generated > 1000

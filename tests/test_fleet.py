@@ -92,15 +92,15 @@ def test_growth_capped_by_datacenter():
 
 def test_dispatch_false_when_empty():
     env = make_env()
-    assert env.fleet.dispatch(0.0) is False
+    assert env.admission.submit(0.0) is False
 
 
 def test_dispatch_false_when_all_full():
     env = make_env(capacity=1)
     env.fleet.scale_to(2)
-    assert env.fleet.dispatch(0.0)
-    assert env.fleet.dispatch(0.0)
-    assert env.fleet.dispatch(0.0) is False
+    assert env.admission.submit(0.0)
+    assert env.admission.submit(0.0)
+    assert env.admission.submit(0.0) is False
 
 
 def test_fleet_size_metrics_recorded():

@@ -28,7 +28,6 @@ from repro.experiments import web_scenario
 #: balancer, the vertical speed knob) that the array plane replaces wholesale.
 SCALAR_ONLY = frozenset(
     {
-        "dispatch",
         "set_speed",
         "balancer",
     }

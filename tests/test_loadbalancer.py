@@ -103,6 +103,6 @@ def test_balancers_spread_load_evenly_under_symmetric_traffic():
         env = make_env(capacity=4, balancer=balancer, service_time=10.0)
         env.fleet.scale_to(4)
         for _ in range(8):
-            assert env.fleet.dispatch(0.0)
+            assert env.admission.submit(0.0)
         occ = [inst.occupancy for inst in env.fleet.active_instances]
         assert occ == [2, 2, 2, 2]

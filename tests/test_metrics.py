@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cloud.monitor import Monitor
 from repro.metrics import (
     MetricsCollector,
     Summary,
@@ -13,36 +14,45 @@ from repro.metrics import (
     format_table,
     summarize,
 )
+from repro.sim import Engine
 
 
 # ----------------------------------------------------------------------
 # collector
 # ----------------------------------------------------------------------
+def sink(collector):
+    """The scalar data plane's completion sink over ``collector``."""
+    return Monitor(Engine(), collector, default_service_time=1.0)
+
+
 def test_welford_matches_numpy():
     rng = np.random.default_rng(0)
     samples = rng.exponential(2.0, size=5000)
     c = MetricsCollector()
+    monitor = sink(c)
     for s in samples:
-        c.record_response(float(s), 0.1)
+        monitor.record_response(float(s), 0.1)
     assert c.mean_response_time == pytest.approx(float(samples.mean()), rel=1e-9)
     assert c.response_time_std == pytest.approx(float(samples.std(ddof=1)), rel=1e-9)
 
 
 def test_violation_counting():
     c = MetricsCollector(qos_response_time=1.0)
-    c.record_response(0.5, 0.5)
-    c.record_response(1.5, 0.5)
-    c.record_response(1.0, 0.5)  # exactly Ts is not a violation
+    monitor = sink(c)
+    monitor.record_response(0.5, 0.5)
+    monitor.record_response(1.5, 0.5)
+    monitor.record_response(1.0, 0.5)  # exactly Ts is not a violation
     assert c.violations == 1
     assert c.violation_rate == pytest.approx(1 / 3)
 
 
 def test_rejection_rate():
     c = MetricsCollector()
+    monitor = sink(c)
     for _ in range(3):
-        c.record_acceptance()
-        c.record_response(1.0, 1.0)
-    c.record_rejection()
+        c.record_acceptances(1)
+        monitor.record_response(1.0, 1.0)
+    c.record_rejections(1)
     assert c.total_requests == 4
     assert c.rejection_rate == pytest.approx(0.25)
     assert c.in_flight == 0
@@ -76,8 +86,9 @@ def test_series_not_tracked_by_default():
 
 def test_utilization_from_busy_and_vm_hours():
     c = MetricsCollector()
-    c.record_response(1.0, 0.5)
-    c.record_response(1.0, 0.5)
+    monitor = sink(c)
+    monitor.record_response(1.0, 0.5)
+    monitor.record_response(1.0, 0.5)
     c.finalize(now=100.0, vm_hours=2.0 / 3600.0)  # 2 VM-seconds
     assert c.utilization == pytest.approx(0.5)
 

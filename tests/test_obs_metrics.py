@@ -10,6 +10,7 @@ sinks (flush/close + context managers) the JSONL streams rely on.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import pickle
@@ -93,6 +94,15 @@ def test_histogram_counts_returns_a_copy():
     leaked[0] += 99
     leaked.append(1)
     assert sum(hist.counts) == hist.count == 1
+
+
+def test_histogram_copies_observe_into_their_own_buffer():
+    hist = Histogram([1.0, 2.0])
+    hist.observe(0.5)
+    for clone in (copy.deepcopy(hist), pickle.loads(pickle.dumps(hist))):
+        clone.observe(1.5)
+        assert (clone.count, clone.counts) == (2, [1, 1, 0])
+    assert (hist.count, hist.counts) == (1, [1, 0, 0])
 
 
 def test_histogram_rejects_bad_bounds():

@@ -130,7 +130,7 @@ def test_differentiated_loss_under_contention():
 def test_rebuilt_source_routes_every_arrival_through_the_priority_gate():
     """Regression: the priority benchmark and the SLA example rewired the
     front door by writing ``ctx.source._admission``, which the source
-    never reads (its arrival cursor keeps the gate it was built with),
+    never reads (its arrival stream keeps the gate it was built with),
     so no class ever saw an arrival.  That write now fails; a source
     built with ``admission=`` carries all the traffic."""
     scenario = web_scenario(scale=5000.0, horizon=2 * 3600.0)

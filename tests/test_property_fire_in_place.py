@@ -1,17 +1,18 @@
-"""Property test — arrivals fired in place keep the event order exactly.
+"""Property test — the engine's arrival stream keeps the event order exactly.
 
-:meth:`repro.sim.engine.Engine.fire_in_place` lets the broker's arrival
-cursor submit an arrival without a heap entry whenever the arrival is
-the next event anyway.  The reference below is the cursor it replaced:
-one ``PRIORITY_NORMAL`` heap entry per arrival, scheduled when the
-previous arrival fires.  Hypothesis generates worlds around a batch of
-arrivals on a quarter-second grid (so arrivals and events tie) —
-same-instant events at every priority, events that discard other
-events (cancelled heap heads), events and arrivals that schedule
-children, a second batch loaded mid-window — and runs each world with
-both cursors under ``run()``, ``run(until)`` cutting anywhere, and
-``step()``.  Every callback logs its label, the clock and
-``events_fired``; the two logs must be equal.
+:class:`repro.sim.engine.Engine` holds the broker's arrivals in a sorted
+list of its own (:meth:`~repro.sim.engine.Engine.load_arrivals`) and
+merges it with the heap, so no arrival takes a heap entry.  The
+reference below is the cursor the stream replaced at its simplest: one
+``PRIORITY_NORMAL`` heap entry per arrival, scheduled when the previous
+arrival fires.  Hypothesis generates worlds around a batch of arrivals
+on a quarter-second grid (so arrivals and events tie) — same-instant
+events at every priority, events that discard other events (cancelled
+heap heads), events and arrivals that schedule children, a second batch
+loaded mid-window — and runs each world with both under ``run()``,
+``run(until)`` cutting anywhere, and ``step()``.  Every callback logs
+its label, the clock and ``events_fired``; the two logs, and the
+arrivals left unfired, must be equal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.broker import _ArrivalCursor
 from repro.sim import Engine
 from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL
 
@@ -28,7 +28,7 @@ PRIORITIES = (PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW)
 
 
 class ReferenceCursor:
-    """The one-heap-entry-per-arrival cursor (no in-place firing)."""
+    """One heap entry per arrival, scheduled as the previous one fires."""
 
     def __init__(self, engine, admission):
         self._engine = engine
@@ -56,6 +56,25 @@ class ReferenceCursor:
             self._pending = engine.schedule_at(self._times[idx], self)
         else:
             self._pending = None
+
+    @property
+    def remaining(self):
+        return len(self._times) - self._idx
+
+
+class EngineStream:
+    """The engine's own arrival stream, behind the reference's interface."""
+
+    def __init__(self, engine, admission):
+        self._engine = engine
+        engine.feed(admission.submit)
+
+    def load(self, times):
+        self._engine.load_arrivals(times)
+
+    @property
+    def remaining(self):
+        return self._engine.arrivals_pending
 
 
 class World:
@@ -116,7 +135,7 @@ class World:
             engine.run()
         else:
             engine.run(until=mode * GRID)
-        return self.log, engine.events_fired, engine.now, self.cursor._idx
+        return self.log, engine.events_fired, engine.now, self.cursor.remaining
 
 
 delays = st.one_of(st.none(), st.integers(min_value=0, max_value=8))
@@ -131,7 +150,12 @@ def _event(kind, param):
 events = st.lists(
     st.one_of(
         _event("plain", st.none()),
-        _event("child", st.tuples(st.integers(min_value=0, max_value=8), priorities)),
+        # Same-instant children (delay 0) are drawn often: they tell an
+        # arrival that waited for the event apart from one that did not.
+        _event(
+            "child",
+            st.tuples(st.one_of(st.just(0), st.integers(min_value=0, max_value=8)), priorities),
+        ),
         _event("discard", st.integers(min_value=0, max_value=63)),
         _event("load", st.lists(st.integers(min_value=0, max_value=12), max_size=6)),
     ),
@@ -153,7 +177,7 @@ def test_in_place_firing_matches_one_heap_entry_per_arrival(
 ):
     world = dict(arrivals=arrivals, children=children, events=events)
     want = World(ReferenceCursor, world).drive(mode)
-    got = World(_ArrivalCursor, world).drive(mode)
+    got = World(EngineStream, world).drive(mode)
     assert got == want
 
 
@@ -169,26 +193,54 @@ class Recorder:
 
 
 def test_in_place_firing_skips_the_heap():
-    """Arrivals before the next heap event take no heap entry."""
+    """No arrival takes a heap entry, even one that waits for an event."""
     engine = Engine()
     admission = Recorder()
-    cursor = _ArrivalCursor(engine, admission)
-    cursor.load([1.0, 2.0, 3.0, 4.0])
-    engine.schedule_at(3.0, lambda: admission.fired.append("event"), PRIORITY_NORMAL)
+    engine.feed(admission.submit)
+    engine.load_arrivals([1.0, 2.0, 3.0, 4.0])
+    engine.schedule_at(
+        3.0, lambda: admission.fired.append(("event", engine.pending)), PRIORITY_NORMAL
+    )
     scheduled = engine.scheduled
+    assert engine.pending == 1
     engine.run()
-    # 1.0 fired from the heap, 2.0 in place; 3.0 ties a NORMAL event
-    # scheduled earlier, so it waits in the heap and 4.0 follows in place.
-    assert admission.fired == [1.0, 2.0, "event", 3.0, 4.0]
+    # 1.0 and 2.0 fire inline; 3.0 ties a NORMAL event scheduled before
+    # 2.0 fired, so it waits, armed: one seq taken but no heap entry
+    # (the heap is empty while the event fires); 4.0 follows inline.
+    assert admission.fired == [1.0, 2.0, ("event", 0), 3.0, 4.0]
     assert engine.scheduled == scheduled + 1
     assert engine.events_fired == 5
 
 
 def test_nothing_fires_in_place_under_step():
+    """step() fires one arrival per call."""
     engine = Engine()
     admission = Recorder()
-    cursor = _ArrivalCursor(engine, admission)
-    cursor.load([1.0, 2.0])
+    engine.feed(admission.submit)
+    engine.load_arrivals([1.0, 2.0])
     assert engine.step() and admission.fired == [1.0]
     assert engine.step() and admission.fired == [1.0, 2.0]
     assert not engine.step()
+
+
+def test_a_waiting_arrival_precedes_what_the_event_it_waits_for_schedules():
+    """An arrival that loses to a same-instant event is armed before the
+    event fires, so a NORMAL event that one schedules for the same
+    instant fires after the arrival, as after a heap entry scheduled
+    when the previous arrival fired."""
+    engine = Engine()
+    admission = Recorder()
+    engine.feed(admission.submit)
+
+    def blocker():
+        admission.fired.append("blocker")
+        engine.schedule(0.0, lambda: admission.fired.append("child"))
+
+    engine.schedule_at(2.0, blocker)
+    engine.load_arrivals([1.0, 2.0])
+    engine.schedule_at(2.0, lambda: admission.fired.append("late"))  # after the load
+    engine.run()
+    # After 1.0 fires, 2.0 loses to the blocker and "late" (both were
+    # scheduled before it was armed) and is armed before the blocker
+    # fires, so it precedes the blocker's child.
+    assert admission.fired == [1.0, "blocker", "late", 2.0, "child"]
