@@ -26,9 +26,11 @@ monolithic executor always had:
 Results land in the store *as each group finishes* via durable atomic
 writes, which is the whole resume story: kill the process at any
 point, run the same command again, and only the missing cells execute.
-Each cell's lease is released the moment its artifact (or failure
-record) lands, so cooperating workers see progress at cell - not
-campaign - granularity.
+A group's artifacts are written one by one, then indexed with one
+manifest write (:meth:`~repro.campaigns.store.ResultStore.batch`);
+each cell's lease is released after that write, so cooperating workers
+see progress at group - not campaign - granularity, and never a
+released cell that the manifest does not list.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def run_group(
     """One (scenario, policy, backend) group through ``run_replications``, with retry.
 
     ``batch`` must already be claimed by the caller; each cell's lease
-    is released as soon as its result (or failure record) is stored.
+    is released once the group's results (or failure records) are indexed.
     """
     seeds = [c.seed for c in batch]
     by_seed = {c.seed: c for c in batch}
@@ -173,9 +175,11 @@ def run_group(
                 backend=head.backend,
                 metrics=metrics,
             )
+            with store.batch():
+                for run in results:
+                    store.put(by_seed[run.seed], run)
             for run in results:
                 cell = by_seed[run.seed]
-                store.put(cell, run)
                 finish(cell, "executed")
                 if claims is not None:
                     claims.release_all([cell])
@@ -204,8 +208,10 @@ def run_group(
                 ),
             )
     error = repr(last_error)
+    with store.batch():
+        for cell in batch:
+            store.mark_failed(cell, error)
     for cell in batch:
-        store.mark_failed(cell, error)
         finish(cell, "failed", error=error)
         if claims is not None:
             claims.release_all([cell])

@@ -20,7 +20,8 @@ key with its identification, status (``cached`` / ``failed`` /
 ``screened``), and relative artifact path — used by ``repro campaign
 status`` without loading any result payloads.  Concurrent workers
 serialize manifest read-modify-write cycles through an advisory
-``manifest.lock`` file.
+``manifest.lock`` file; :meth:`ResultStore.batch` folds a whole cell
+group's entries into one such cycle, after all of its artifacts.
 
 Leases are the store-level claim protocol that lets several worker
 processes (or hosts sharing a filesystem) cooperate on one grid:
@@ -164,6 +165,8 @@ class ResultStore:
         # Cell key -> (entry, its encoded member b'"<key>": {...}') as of
         # the last manifest this store wrote; see _encode_manifest.
         self._entry_text: Dict[str, Tuple[dict, bytes]] = {}
+        # Entries queued by _update_manifest inside batch() (None outside).
+        self._queued: Optional[Dict[str, dict]] = None
 
     # ------------------------------------------------------------------
     # Paths
@@ -324,7 +327,7 @@ class ResultStore:
             doc = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if doc.get("format") != _LEASE_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != _LEASE_FORMAT:
             return None
         now = self.fs_now() if fs_now is None else fs_now
         return Lease(
@@ -509,14 +512,19 @@ class ResultStore:
 
     def _parse_manifest(self, data: bytes) -> Dict[str, dict]:
         doc = json.loads(data)
-        if doc.get("format") != _MANIFEST_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != _MANIFEST_FORMAT:
             raise ConfigurationError(f"{self.manifest_path}: not a campaign manifest")
         if doc.get("version") != _MANIFEST_VERSION:
             raise ConfigurationError(
                 f"{self.manifest_path}: unsupported manifest version "
                 f"{doc.get('version')!r} (this build reads {_MANIFEST_VERSION})"
             )
-        return dict(doc.get("cells", {}))
+        cells = doc.get("cells", {})
+        if not isinstance(cells, dict) or not all(isinstance(e, dict) for e in cells.values()):
+            raise ConfigurationError(
+                f"{self.manifest_path}: \"cells\" is not an object of entry objects"
+            )
+        return dict(cells)
 
     def _write_manifest(self, manifest: Dict[str, dict]) -> None:
         """Write ``manifest`` and keep it as the parse of the bytes written.
@@ -583,16 +591,43 @@ class ResultStore:
         return json.loads(canonical_json(entry))
 
     def _update_manifest(self, cell: Cell, status: str, **extra: object) -> None:
-        key = cell.key()
-        entry = self._entry(cell, status, **extra)
+        entries = {cell.key(): self._entry(cell, status, **extra)}
+        if self._queued is not None:
+            self._queued.update(entries)
+        else:
+            self._record(entries)
+
+    def _record(self, entries: Dict[str, dict]) -> None:
+        """Index ``entries`` (key -> entry) with one manifest mutation."""
 
         def record(manifest: Dict[str, dict]) -> bool:
-            if manifest.get(key) == entry:
-                return False
-            manifest[key] = entry
-            return True
+            changed = False
+            for key, entry in entries.items():
+                if manifest.get(key) != entry:
+                    manifest[key] = entry
+                    changed = True
+            return changed
 
         self._mutate_manifest(record)
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Index every cell the block records with one manifest write.
+
+        Inside the block, :meth:`put`, :meth:`mark_failed` and
+        :meth:`mark_screened` write their artifacts as usual but queue
+        their manifest entries; on exit, exception or not, one locked
+        read-modify-write records them all.  Nobody can see a queued
+        cell as indexed before the block ends, so a caller releases the
+        cells' leases after it.
+        """
+        self._queued = {}
+        try:
+            yield
+        finally:
+            queued, self._queued = self._queued, None
+            if queued:
+                self._record(queued)
 
     def mark_failed(self, cell: Cell, error: str) -> None:
         """Record a failed cell in the manifest (no artifact written)."""

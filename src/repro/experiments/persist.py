@@ -177,7 +177,7 @@ def load_results(path: Union[str, Path]) -> List[RunMetrics]:
     """
     path = Path(path)
     doc = json.loads(path.read_text())
-    if doc.get("format") != _FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ConfigurationError(f"{path}: not a repro results file")
     version = doc.get("version")
     if version != _VERSION:

@@ -214,3 +214,46 @@ def test_report_and_status_cover_incomplete_grids(tmp_path):
     data = campaign_report(spec, store)
     assert [r[3] for r in data.rows] == ["3/3", "0/3"]
     assert data.rows[1][4:] == ["-"] * 10
+
+
+def test_a_cold_group_writes_the_manifest_once_before_any_release(tmp_path, monkeypatch):
+    from repro.campaigns import store as store_module
+
+    spec = CampaignSpec.from_dict(
+        {
+            "campaign": {"name": "batch-test"},
+            "scenarios": [
+                {
+                    "scenario": "web",
+                    "scale": 5000.0,
+                    "horizon": 21600.0,
+                    "policies": ["adaptive"],
+                    "backends": ["fluid"],
+                    "seeds": "0-3",
+                }
+            ],
+        }
+    )
+    store = ResultStore(tmp_path)
+    events = []
+    write, release = store_module._atomic_write, ResultStore.release
+
+    def logged_write(path, data, durable=True):
+        if path == store.manifest_path:
+            events.append("manifest")
+        write(path, data, durable)
+
+    def logged_release(self, key, owner):
+        released = release(self, key, owner)
+        if released:
+            events.append(key)
+        return released
+
+    monkeypatch.setattr(store_module, "_atomic_write", logged_write)
+    monkeypatch.setattr(ResultStore, "release", logged_release)
+    result = run_campaign(spec, store=store, workers=1)
+    assert result.counts()["executed"] == 4
+    # One write indexes the group, and every lease is released after it.
+    assert events[0] == "manifest"
+    assert sorted(events[1:]) == sorted(c.key() for c in spec.expanded())
+    assert store.active_leases() == []

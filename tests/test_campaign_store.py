@@ -522,6 +522,96 @@ def test_failed_manifest_write_leaves_no_unwritten_entry_behind(
 
 
 # ---------------------------------------------------------------------------
+# batch: a group's entries land with one manifest write
+# ---------------------------------------------------------------------------
+def _count_manifest_writes(store, monkeypatch):
+    """A list that gains one item per durable write of ``store``'s manifest."""
+    from repro.campaigns import store as store_module
+
+    writes = []
+    write = store_module._atomic_write
+
+    def counting(path, data, durable=True):
+        if path == store.manifest_path:
+            writes.append(data)
+        write(path, data, durable)
+
+    monkeypatch.setattr(store_module, "_atomic_write", counting)
+    return writes
+
+
+def test_batched_puts_write_the_manifest_once(tmp_path, spec, priced_spec, metrics, monkeypatch):
+    cells = spec.expanded() + priced_spec.expanded()
+    plain = ResultStore(tmp_path / "plain")
+    for cell in cells:
+        plain.put(cell, metrics)
+    store = ResultStore(tmp_path / "batched")
+    writes = _count_manifest_writes(store, monkeypatch)
+    with store.batch():
+        for cell in cells:
+            store.put(cell, metrics)
+        assert writes == [] and not store.manifest_path.exists()
+    assert len(writes) == 1
+    assert store.manifest_path.read_bytes() == plain.manifest_path.read_bytes()
+    _assert_kept_manifest_is_the_parse(store)
+    assert all(store.status_of(cell) == "cached" for cell in cells)
+
+
+def test_exception_inside_a_batch_still_indexes_the_cells_put(tmp_path, spec, metrics, monkeypatch):
+    cells = spec.expanded()
+    store = ResultStore(tmp_path)
+    writes = _count_manifest_writes(store, monkeypatch)
+    with pytest.raises(RuntimeError, match="crashed after 2"):
+        with store.batch():
+            for cell in cells[:2]:
+                store.put(cell, metrics)
+            raise RuntimeError("crashed after 2")
+    assert len(writes) == 1
+    assert set(store.manifest()) == {cell.key() for cell in cells[:2]}
+    _assert_kept_manifest_is_the_parse(store)
+    # The store leaves batch mode: the next put writes at once.
+    store.put(cells[2], metrics)
+    assert len(writes) == 2
+
+
+# ---------------------------------------------------------------------------
+# corrupt files: valid JSON that is not an object fails at the boundary
+# ---------------------------------------------------------------------------
+def test_lease_that_is_not_an_object_reads_as_torn(tmp_path, spec):
+    cell = spec.expanded()[0]
+    store = ResultStore(tmp_path)
+    store.lease_path(cell.key()).parent.mkdir(parents=True)
+    store.lease_path(cell.key()).write_text("[]")
+    assert store.lease_of(cell) is None
+    # As for a torn lease, claim reports contention instead of raising.
+    assert not store.claim(cell, "w", ttl=60.0).acquired
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ([], "not a campaign manifest"),
+        ({"format": _MANIFEST_FORMAT, "version": _MANIFEST_VERSION, "cells": []}, '"cells" is not an object'),
+        ({"format": _MANIFEST_FORMAT, "version": _MANIFEST_VERSION, "cells": {"k": [1]}}, '"cells" is not an object'),
+    ],
+)
+def test_manifest_that_is_not_an_object_is_a_configuration_error(tmp_path, doc, error):
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    store = ResultStore(tmp_path)
+    with pytest.raises(ConfigurationError, match=f"manifest.json: {error}"):
+        store.manifest()
+
+
+def test_artifact_that_is_not_an_object_is_a_configuration_error(tmp_path, spec):
+    cell = spec.expanded()[0]
+    store = ResultStore(tmp_path)
+    store.path_for(cell).parent.mkdir(parents=True)
+    store.path_for(cell).write_text("[]")
+    with pytest.raises(ConfigurationError, match=f"{cell.key()}.json: not a repro results file"):
+        store.get(cell)
+
+
+# ---------------------------------------------------------------------------
 # golden smoke manifest and report: a cold campaigns/smoke.toml store,
 # byte for byte
 # ---------------------------------------------------------------------------
