@@ -42,7 +42,6 @@ def spike_scenario() -> ScenarioConfig:
         update_interval=900.0,
         lead_time=60.0,
         rate_sample_interval=60.0,
-        count_arrivals=True,
     )
 
 

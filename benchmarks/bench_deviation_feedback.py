@@ -41,7 +41,6 @@ def scenario() -> ScenarioConfig:
         update_interval=900.0,
         lead_time=60.0,
         rate_sample_interval=60.0,
-        count_arrivals=True,
     )
 
 

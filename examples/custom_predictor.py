@@ -75,7 +75,6 @@ def bursty_scenario() -> ScenarioConfig:
         update_interval=600.0,
         lead_time=60.0,
         rate_sample_interval=60.0,
-        count_arrivals=True,
     )
 
 

@@ -70,7 +70,6 @@ def main() -> None:
             update_interval=600.0,
             lead_time=60.0,
             rate_sample_interval=60.0,
-            count_arrivals=True,
         )
         policy = AdaptivePolicy(
             update_interval=600.0,

@@ -95,12 +95,10 @@ def build_context(
     )
     if not vectorized:
         fleet = ApplicationFleet(**plane)
-        admission = AdmissionControl(
-            fleet, monitor, count_arrivals=scenario.count_arrivals, tracer=tracer
-        )
+        admission = AdmissionControl(fleet, monitor, tracer=tracer)
         sink = None
     else:
-        fleet = sink = VectorFleet(**plane, count_arrivals=scenario.count_arrivals)
+        fleet = sink = VectorFleet(**plane)
         admission = None
     source = WorkloadSource(
         engine=engine,

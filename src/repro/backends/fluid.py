@@ -3,11 +3,11 @@
 :class:`FluidBackend` runs the same ``(scenario, policy)`` replication
 contract as the DES backend, but through the flow engine
 (:class:`~repro.sim.fluid.FluidSimulator`).  Adaptive policies are
-executed by a *self-driving* shared control plane built from the policy
-itself (:meth:`repro.core.policies.AdaptivePolicy.control_plane`), so
-the cadence and Algorithm-1 decisions are byte-for-byte the DES code —
-the engine only integrates the flow underneath the resulting fleet
-trajectory.
+executed by stepping a control plane built from the policy itself
+(:meth:`repro.core.policies.AdaptivePolicy.control_plane`) from alert
+to alert, so the cadence and Algorithm-1 decisions are byte-for-byte
+the DES code — the engine only integrates the flow underneath the
+resulting fleet trajectory.
 
 The backend draws no random numbers of its own.  A run reads its seed
 only through a Spot policy's revocation schedule
@@ -224,8 +224,8 @@ class FluidBackend(ExecutionBackend):
             events=agg.intervals,
             fleet_series=agg.fleet_series,
             control_series=control.trajectory if control is not None else agg.fleet_series,
-            cache_hits=control.cache_hits if control is not None else 0,
-            cache_misses=control.cache_misses if control is not None else 0,
+            cache_hits=control.modeler.cache_hits if control is not None else 0,
+            cache_misses=control.modeler.cache_misses if control is not None else 0,
             compactions=0,
             **economy_fields(totals),
         )

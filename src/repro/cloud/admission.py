@@ -39,13 +39,11 @@ class AdmissionControl:
     fleet:
         The application fleet requests are dispatched into.
     monitor:
-        Monitoring sink: arrivals go to its rate sampler, acceptances
-        and rejections straight to its metrics collector.
-    count_arrivals:
-        When true, every arrival is also reported to the monitor's
-        rate sampler (needed by reactive predictors; costs one method
-        call per request, a frame the paper's Adaptive policy, which
-        predicts from the workload model, does without).
+        Monitoring sink: acceptances and rejections go straight to its
+        metrics collector and, when it samples the arrival rate
+        (``rate_sample_interval`` set), every arrival to its rate
+        sampler.  That costs one method call per request, a frame a run
+        without rate sampling does without.
     tracer:
         Optional :class:`repro.obs.bus.TraceBus`.  When set, every
         submission emits ``request.admitted`` / ``request.rejected``
@@ -70,7 +68,6 @@ class AdmissionControl:
         self,
         fleet: ApplicationFleet,
         monitor: Monitor,
-        count_arrivals: bool = False,
         tracer: Optional["object"] = None,
     ) -> None:
         # The fleet's live ACTIVE list and its balancer's rule, bound once.
@@ -78,7 +75,7 @@ class AdmissionControl:
         self._select = fleet.balancer.select
         self._monitor = monitor
         self._metrics = monitor._metrics
-        self._count_arrivals = bool(count_arrivals)
+        self._count_arrivals = monitor.rate_sample_interval is not None
         self._tracer = narrowed(tracer, "admission.state")
         self._request_tracer = narrowed(tracer, "request.admitted", "request.rejected")
         self._accepting: Optional[bool] = None

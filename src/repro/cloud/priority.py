@@ -65,7 +65,8 @@ class PriorityAdmissionControl:
         metrics collector, so global metrics still see every request.
         A request that passes the reservation is admitted by a plain
         :class:`~repro.cloud.admission.AdmissionControl` over the same
-        fleet and monitor.
+        fleet and monitor; when the monitor samples the arrival rate,
+        every request is counted there, reserved-out ones included.
     reserved_slots:
         Number of request slots (across the whole fleet) kept free for
         privileged classes: a request of a *non*-privileged class is
@@ -85,6 +86,7 @@ class PriorityAdmissionControl:
             raise ConfigurationError(f"reserved slots must be >= 0, got {reserved_slots}")
         self._fleet = fleet
         self._gate = AdmissionControl(fleet, monitor)
+        self._monitor = monitor
         self._metrics = monitor._metrics
         self.reserved_slots = int(reserved_slots)
         self.privileged = frozenset(privileged)
@@ -118,6 +120,8 @@ class PriorityAdmissionControl:
         """Admit or reject one request of class ``klass``."""
         stats = self._stats(klass)
         if klass not in self.privileged and not self._free_exceeds_reserve():
+            if self._monitor.rate_sample_interval is not None:
+                self._monitor.record_arrival()
             stats.rejected += 1
             self._metrics.rejected += 1
             return False

@@ -110,9 +110,10 @@ class VectorFleet(FleetLifecycle):
     """The batched data plane: station-index members over one
     :class:`~repro.sim.batch.SoAQueues`.
 
-    Parameters mirror :class:`~repro.cloud.fleet.ApplicationFleet`;
-    additionally ``count_arrivals`` enables the monitor's arrival-rate
-    counter.
+    Parameters mirror :class:`~repro.cloud.fleet.ApplicationFleet`.
+    Arrivals are counted on the monitor's arrival-rate sampler when it
+    samples (``rate_sample_interval`` set), as admission control does on
+    the scalar path.
 
     Only round-robin dispatch is implemented: a ``balancer`` argument
     must be ``None`` or a :class:`RoundRobinBalancer` (other strategies
@@ -130,7 +131,6 @@ class VectorFleet(FleetLifecycle):
         balancer: Optional[LoadBalancer] = None,
         boot_delay: float = 0.0,
         tracer: Optional[object] = None,
-        count_arrivals: bool = False,
     ) -> None:
         super().__init__(
             engine, datacenter, sampler, monitor, metrics, capacity, boot_delay, tracer
@@ -141,7 +141,7 @@ class VectorFleet(FleetLifecycle):
                 f"use backend='des' for {type(balancer).__name__}"
             )
         self._request_tracer = narrowed(tracer, "request.admitted", "request.rejected")
-        self._count_arrivals = bool(count_arrivals)
+        self._count_arrivals = monitor.rate_sample_interval is not None
         self._last_span_t = 0.0
         # -- station state ---------------------------------------------
         self._soa = SoAQueues(self.capacity)

@@ -2,13 +2,14 @@
 
 Components (paper §IV, Figure 1):
 
-* :class:`WorkloadAnalyzer` — arrival-rate estimation and alerts;
+* :class:`WorkloadAnalyzer` — runs the control plane's alerts on the
+  DES engine and watches the monitored rate between them;
 * :class:`PerformanceModeler` — Algorithm 1 over the Figure-2 queueing
   network, returning the fleet size ``m`` that meets QoS at acceptable
   utilization;
 * :class:`ControlPlane` — the backend-agnostic analyzer-cadence →
-  modeler → actuation loop (:mod:`repro.core.controlplane`), the one
-  loop every adaptive policy decides through on every backend; the
+  modeler → actuation loop (:mod:`repro.core.controlplane`), whose
+  ``step`` every adaptive policy decides through on every backend; the
   fleet it actuates is a :class:`FleetActuator`;
 * :class:`QoSTarget` — the negotiated contract and the Eq.-1 capacity
   rule;
@@ -21,12 +22,10 @@ Components (paper §IV, Figure 1):
 from .analyzer import WorkloadAnalyzer
 from .context import SimulationContext
 from .controlplane import (
-    ControlClock,
     ControlPlane,
     FleetActuator,
     RecordingActuator,
     ScalingAction,
-    alert_schedule,
     next_alert_time,
 )
 from .modeler import PerformanceModeler, ProvisioningDecision
@@ -41,11 +40,9 @@ __all__ = [
     "WorkloadAnalyzer",
     "ScalingAction",
     "ControlPlane",
-    "ControlClock",
     "FleetActuator",
     "RecordingActuator",
     "next_alert_time",
-    "alert_schedule",
     "SimulationContext",
     "ProvisioningPolicy",
     "StaticPolicy",

@@ -1,4 +1,4 @@
-"""Workload analyzer — scheduled arrival-rate estimation.
+"""Workload analyzer — the DES scheduler of the control loop.
 
 The workload analyzer (paper §IV-A) "generates estimation (prediction)
 of request arrival rate" and "alerts the load predictor and performance
@@ -8,55 +8,49 @@ expected time for the rate to change, so the load predictor ... has
 time to calculate changes and the application provisioner has time to
 deploy or release the required VMs."
 
-:class:`WorkloadAnalyzer` realizes that contract inside the DES:
+The alert itself — cadence, window, prediction, Algorithm 1 and
+actuation — is :meth:`repro.core.controlplane.ControlPlane.step`, the
+same code the fluid backend loops over.  :class:`WorkloadAnalyzer` adds
+only what needs the engine and the monitor:
 
-* it fires on a fixed cadence (``update_interval``) **and** at every
-  known rate-change boundary reported by its predictor (the web
-  workload's six daily periods, the scientific workload's 8 a.m. /
-  5 p.m. switches), each alert issued ``lead_time`` seconds early;
-* each alert asks the predictor for the expected rate over the window
-  that the alert governs (from this alert's effect to the next one's),
-  then invokes the provisioning callback with it;
-* before predicting, it replays any new monitored rate samples into the
-  predictor, which is how the reactive predictors learn.
+* it runs each alert as an engine event and schedules the next one at
+  the time the step returns;
+* before each step it replays any new monitored rate samples into the
+  plane's predictor, which is how the reactive predictors learn;
+* optionally it watches the monitored rate between alerts and issues a
+  corrective estimate when it strays from the last one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from ..cloud.monitor import Monitor
-from ..errors import ConfigurationError, PredictionError
-from ..prediction.base import ArrivalRatePredictor
+from ..errors import ConfigurationError
 from ..sim.engine import Engine
 from ..sim.events import PRIORITY_HIGH, PRIORITY_LOW
-from .controlplane import alert_window_end, next_alert_time
+from .controlplane import ControlPlane
 
 __all__ = ["WorkloadAnalyzer"]
 
 
 class WorkloadAnalyzer:
-    """Drives predictions on a cadence aligned with known boundaries.
+    """Runs a control plane's alerts as engine events.
 
     Parameters
     ----------
     engine:
         Simulation engine.
-    predictor:
-        The arrival-rate estimator.
-    on_estimate:
-        Callback ``(expected_rate) -> None`` — the provisioning chain.
+    plane:
+        The :class:`~repro.core.controlplane.ControlPlane` whose
+        :meth:`~repro.core.controlplane.ControlPlane.step` each alert
+        runs; it needs a predictor.
     horizon:
         Simulation end time; no alerts are scheduled beyond it.
-    update_interval:
-        Cadence of regular alerts (seconds).
-    lead_time:
-        How early an alert fires relative to the window it governs —
-        the provisioning head start for VM deployment.
     monitor:
-        Optional monitor whose sampled rate history feeds the
-        predictor's :meth:`~repro.prediction.base.ArrivalRatePredictor.observe`.
+        Optional monitor whose sampled rate history feeds the plane's
+        predictor (:meth:`~repro.prediction.base.ArrivalRatePredictor.observe`).
     deviation_threshold:
         When set (e.g. 0.3), the analyzer also *watches* the monitored
         arrival rate between scheduled alerts: if an observed sample
@@ -66,64 +60,39 @@ class WorkloadAnalyzer:
         the feedback loop that protects the system when the predictor
         is simply wrong — the paper's "resilience to uncertainties".
         Requires a monitor with rate sampling enabled.
+        :class:`~repro.core.policies.AdaptivePolicy` validates it.
     deviation_safety:
         Inflation applied to the observed rate on a corrective alert.
-    tracer:
-        Optional :class:`repro.obs.bus.TraceBus`; every alert then
-        emits a ``prediction.issued`` event (``corrective=True`` for
-        deviation-triggered ones, which also carry the observed rate).
+
+    A corrective alert emits ``prediction.issued`` with
+    ``corrective=True`` and the observed rate on the plane's tracer.
     """
 
     def __init__(
         self,
         engine: Engine,
-        predictor: ArrivalRatePredictor,
-        on_estimate: Callable[[float], None],
+        plane: ControlPlane,
         horizon: float,
-        update_interval: float = 900.0,
-        lead_time: float = 60.0,
         monitor: Optional[Monitor] = None,
         deviation_threshold: Optional[float] = None,
         deviation_safety: float = 1.1,
-        tracer: Optional[object] = None,
     ) -> None:
-        if update_interval <= 0.0 or not math.isfinite(update_interval):
-            raise ConfigurationError(
-                f"update interval must be finite and > 0, got {update_interval!r}"
-            )
-        if not 0.0 <= lead_time < math.inf:
-            raise ConfigurationError(f"lead time must be finite and >= 0, got {lead_time!r}")
         if horizon <= 0.0:
             raise ConfigurationError(f"horizon must be > 0, got {horizon!r}")
-        self._engine = engine
-        self._predictor = predictor
-        self._on_estimate = on_estimate
-        self.horizon = float(horizon)
-        self.update_interval = float(update_interval)
-        self.lead_time = float(lead_time)
-        self._monitor = monitor
-        self._tracer = tracer
-        self._last_fed = -math.inf
-        #: History of ``(alert_time, window_start, window_end, rate)``.
-        self.alerts: List[Tuple[float, float, float, float]] = []
-        # -- deviation watching -----------------------------------------
-        if deviation_threshold is not None:
-            if deviation_threshold <= 0.0:
-                raise ConfigurationError(
-                    f"deviation threshold must be > 0, got {deviation_threshold!r}"
-                )
-            if monitor is None or monitor.rate_sample_interval is None:
-                raise ConfigurationError(
-                    "deviation watching needs a monitor with rate sampling "
-                    "(set the scenario's rate_sample_interval)"
-                )
-        if deviation_safety <= 0.0:
+        if deviation_threshold is not None and (
+            monitor is None or monitor.rate_sample_interval is None
+        ):
             raise ConfigurationError(
-                f"deviation safety must be > 0, got {deviation_safety!r}"
+                "deviation watching needs a monitor with rate sampling "
+                "(set the scenario's rate_sample_interval)"
             )
+        self._engine = engine
+        self._plane = plane
+        self.horizon = float(horizon)
+        self._monitor = monitor
+        self._last_fed = -math.inf
         self.deviation_threshold = deviation_threshold
         self.deviation_safety = float(deviation_safety)
-        self._last_estimate: Optional[float] = None
         #: Times at which a corrective (deviation) alert fired.
         self.corrections: List[float] = []
 
@@ -138,74 +107,41 @@ class WorkloadAnalyzer:
             interval = self._monitor.rate_sample_interval
             self._engine.schedule(interval, self._deviation_check, PRIORITY_LOW)
 
-    def _next_alert_time(self, now: float) -> float:
-        """Shared cadence (see :func:`repro.core.controlplane.next_alert_time`)."""
-        return next_alert_time(self._predictor, now, self.update_interval, self.lead_time)
-
-    def _feed_monitor_history(self) -> None:
-        if self._monitor is None:
-            return
-        for t, rate in self._monitor.rate_history:
-            if t > self._last_fed:
-                self._predictor.observe(t, rate)
-                self._last_fed = t
-
     def _alert(self) -> None:
-        now = self._engine.now
-        nxt = self._next_alert_time(now)
-        # The window this alert governs starts *now*: the fleet chosen
-        # here serves everything until the next alert actuates, so a
-        # scale-down must still cover the tail of the current regime.
-        window_start = now
-        window_end = alert_window_end(window_start, nxt, self.lead_time)
-        self._feed_monitor_history()
-        try:
-            rate = self._predictor.predict(window_start, window_end)
-        except PredictionError:
-            # A reactive predictor with no history yet: skip this alert;
-            # the next one will have samples.
-            rate = None
-        if rate is not None:
-            self.alerts.append((now, window_start, window_end, rate))
-            self._last_estimate = rate
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "prediction.issued",
-                    now,
-                    rate=rate,
-                    window_start=window_start,
-                    window_end=window_end,
-                    corrective=False,
-                )
-            self._on_estimate(rate)
+        monitor = self._monitor
+        if monitor is not None:
+            predictor = self._plane.predictor
+            for t, rate in monitor.rate_history:
+                if t > self._last_fed:
+                    predictor.observe(t, rate)
+                    self._last_fed = t
+        nxt = self._plane.step(self._engine.now)
         if nxt < self.horizon:
             self._engine.schedule_at(nxt, self._alert, PRIORITY_HIGH)
 
     def _deviation_check(self) -> None:
         """Compare the latest observed rate with the issued estimate."""
         now = self._engine.now
+        plane = self._plane
         observed = self._monitor.observed_rate()
-        estimate = self._last_estimate
-        if observed is not None and estimate is not None:
+        if observed is not None and plane.actions:
+            estimate = plane.actions[-1].predicted_rate
             reference = max(estimate, 1e-12)
             if abs(observed - estimate) / reference > self.deviation_threshold:
                 corrected = observed * self.deviation_safety
-                self.alerts.append((now, now, now + self.update_interval, corrected))
                 self.corrections.append(now)
-                self._last_estimate = corrected
-                if self._tracer is not None:
-                    self._tracer.emit(
+                if plane.tracer is not None:
+                    plane.tracer.emit(
                         "prediction.issued",
                         now,
                         rate=corrected,
                         window_start=now,
-                        window_end=now + self.update_interval,
+                        window_end=now + plane.update_interval,
                         corrective=True,
                         observed=observed,
                         previous_estimate=estimate,
                     )
-                self._on_estimate(corrected)
-        interval = self._monitor.rate_sample_interval
-        nxt = now + interval
+                plane.on_estimate(now, corrected)
+        nxt = now + self._monitor.rate_sample_interval
         if nxt < self.horizon:
             self._engine.schedule_at(nxt, self._deviation_check, PRIORITY_LOW)

@@ -3,13 +3,15 @@
 The paper's mechanism is one loop (Figure 1): the workload analyzer
 estimates the arrival rate on a boundary-aligned cadence, the
 performance modeler runs Algorithm 1, and the application provisioner
-actuates the chosen fleet size.  The repo executes that loop on two
-very different substrates — the event-driven simulator
-(:mod:`repro.backends.des`) and the interval-analytical fluid engine
-(:mod:`repro.backends.fluid`) — and this module is the single
-implementation both drive:
+actuates the chosen fleet size.  :meth:`ControlPlane.step` is that loop's
+one step, and both substrates run it: the event-driven simulator
+(:mod:`repro.backends.des`) calls it from an engine event
+(:class:`~repro.core.analyzer.WorkloadAnalyzer`), and the
+interval-analytical fluid engine (:mod:`repro.backends.fluid`) calls it
+in a plain loop.  Each call returns the next alert time, so the two
+differ only in how they wait for it.
 
-* :func:`next_alert_time` / :func:`alert_schedule` — the analyzer
+* :func:`next_alert_time` / :func:`alert_window_end` — the analyzer
   cadence (regular interval pulled earlier by known rate boundaries,
   each boundary alerting both ``lead_time`` early and exactly on time);
 * :class:`FleetActuator` — the narrow protocol a fleet must satisfy to
@@ -18,7 +20,8 @@ implementation both drive:
   instance mechanics, :class:`RecordingActuator` with a counter, and
   the vertical policy's actuator in cores per instance;
 * :class:`ControlPlane` — predictor → Algorithm-1 modeler → actuator,
-  recording every actuation as a :class:`ScalingAction`.
+  recording every actuation as a :class:`ScalingAction` and tracing
+  each prediction, decision and actuation.
 
 Keeping this in one place is what makes the DES-vs-fluid cross-check
 (``tests/test_backend_xcheck.py``) a *correctness* tool: the two
@@ -39,10 +42,8 @@ __all__ = [
     "FleetActuator",
     "RecordingActuator",
     "ScalingAction",
-    "ControlClock",
     "ControlPlane",
     "next_alert_time",
-    "alert_schedule",
     "alert_window_end",
 ]
 
@@ -124,26 +125,20 @@ class ScalingAction:
     decision: ProvisioningDecision
 
 
-class ControlClock:
-    """Mutable time source for control-plane observability off the DES.
-
-    The modeler's tracer hook needs a ``time_fn``; inside the DES
-    that is ``lambda: engine.now``, and on analytical backends it is one
-    of these, advanced by the :class:`ControlPlane` at each decision.
-    """
-
-    __slots__ = ("now",)
-
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = float(now)
-
-    def __call__(self) -> float:
-        return self.now
-
-
 # ----------------------------------------------------------------------
-# analyzer cadence (shared by WorkloadAnalyzer and the fluid backend)
+# analyzer cadence
 # ----------------------------------------------------------------------
+def check_cadence(update_interval: float, lead_time: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``update_interval`` is
+    finite and > 0 and ``lead_time`` finite and >= 0."""
+    if update_interval <= 0.0 or not math.isfinite(update_interval):
+        raise ConfigurationError(
+            f"update interval must be finite and > 0, got {update_interval!r}"
+        )
+    if not 0.0 <= lead_time < math.inf:
+        raise ConfigurationError(f"lead time must be finite and >= 0, got {lead_time!r}")
+
+
 def next_alert_time(
     predictor,
     now: float,
@@ -166,23 +161,6 @@ def next_alert_time(
     return nxt
 
 
-def alert_schedule(
-    predictor,
-    horizon: float,
-    update_interval: float,
-    lead_time: float,
-) -> List[float]:
-    """Every alert time in ``[0, horizon)`` under the shared cadence."""
-    times = [0.0]
-    t = 0.0
-    while True:
-        nxt = next_alert_time(predictor, t, update_interval, lead_time)
-        if nxt >= horizon:
-            return times
-        times.append(nxt)
-        t = nxt
-
-
 def alert_window_end(now: float, next_alert: float, lead_time: float) -> float:
     """End of the window an alert at ``now`` governs.
 
@@ -199,14 +177,17 @@ def alert_window_end(now: float, next_alert: float, lead_time: float) -> float:
 class ControlPlane:
     """Predictor → Algorithm-1 modeler → actuator, backend-agnostic.
 
-    Inside the DES, :meth:`~repro.core.policies.AdaptivePolicy.attach`
-    builds one (by default actuator = the real
-    :class:`~repro.cloud.fleet.ApplicationFleet`, service time = the
-    monitored EWMA) and the event-scheduled
-    :class:`~repro.core.analyzer.WorkloadAnalyzer` feeds it estimates
-    through :meth:`on_estimate`.
-    On the fluid backend the plane is *self-driving*: the backend walks
-    :meth:`alert_times` and calls :meth:`step` at each one.
+    :meth:`step` is the whole loop at one alert: it predicts the rate
+    over the window the alert governs, runs Algorithm 1 on it
+    (:meth:`on_estimate`), actuates, and returns when the next alert is
+    due.  The DES schedules that time as an engine event
+    (:class:`~repro.core.analyzer.WorkloadAnalyzer`, which also feeds
+    the predictor the monitored rate history and calls
+    :meth:`on_estimate` directly for a corrective alert); the fluid
+    backend loops ``t = plane.step(t)`` to the horizon.
+    :meth:`~repro.core.policies.AdaptivePolicy.attach` and
+    :meth:`~repro.core.policies.AdaptivePolicy.control_plane` build one
+    for each.
 
     Parameters
     ----------
@@ -218,20 +199,16 @@ class ControlPlane:
         Zero-argument callable returning the current ``T_m`` estimate
         (monitored EWMA in the DES, analytic mean on the fluid path).
     predictor:
-        Arrival-rate estimator.  Only required for the self-driving
-        path (:meth:`alert_times` / :meth:`step`); the DES analyzer
-        owns its predictor and calls :meth:`on_estimate` directly.
+        Arrival-rate estimator; :meth:`step` needs one,
+        :meth:`on_estimate` does not.
     update_interval, lead_time:
         Analyzer cadence parameters (see :func:`next_alert_time`).
     initial_instances:
         Fleet deployed by :meth:`start` before the first alert.
     tracer:
-        Optional :class:`repro.obs.bus.TraceBus`; actuations then emit
-        ``scaling.actuated`` events and self-driven predictions emit
-        ``prediction.issued``.
-    clock:
-        Optional :class:`ControlClock` advanced at each decision — the
-        ``time_fn`` to hand a traced modeler off the DES.
+        Optional :class:`repro.obs.bus.TraceBus`; each step then emits
+        ``prediction.issued``, and each estimate ``decision`` and
+        ``scaling.actuated``.
 
     The :attr:`actions` log is also what a metrics-enabled run reports
     as its ``control.decisions`` counter and ``fleet.target`` gauge
@@ -248,14 +225,8 @@ class ControlPlane:
         lead_time: float = 60.0,
         initial_instances: int = 0,
         tracer: Optional[object] = None,
-        clock: Optional[ControlClock] = None,
     ) -> None:
-        if update_interval <= 0.0 or not math.isfinite(update_interval):
-            raise ConfigurationError(
-                f"update interval must be finite and > 0, got {update_interval!r}"
-            )
-        if not 0.0 <= lead_time < math.inf:
-            raise ConfigurationError(f"lead time must be finite and >= 0, got {lead_time!r}")
+        check_cadence(update_interval, lead_time)
         if initial_instances < 0:
             raise ConfigurationError(
                 f"initial fleet size must be >= 0, got {initial_instances}"
@@ -268,25 +239,10 @@ class ControlPlane:
         self.lead_time = float(lead_time)
         self.initial_instances = int(initial_instances)
         self.tracer = tracer
-        self.clock = clock if clock is not None else ControlClock()
+        #: Time of the most recent decision.
+        self.now = 0.0
         #: Actuation log in time order (both backends).
         self.actions: List[ScalingAction] = []
-
-    # -- properties shared with diagnostics consumers -------------------
-    @property
-    def now(self) -> float:
-        """Time of the most recent decision."""
-        return self.clock.now
-
-    @property
-    def cache_hits(self) -> int:
-        """Decision-cache hits of the underlying modeler."""
-        return self.modeler.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Decision-cache misses of the underlying modeler."""
-        return self.modeler.cache_misses
 
     @property
     def trajectory(self) -> Tuple[Tuple[float, int], ...]:
@@ -300,18 +256,71 @@ class ControlPlane:
         if self.initial_instances > 0:
             self.actuator.scale_to(self.initial_instances)
 
+    def step(self, now: float) -> float:
+        """One alert: predict, decide, actuate; return the next alert time.
+
+        The window this alert governs starts at ``now`` (the fleet chosen
+        here serves everything until the next alert actuates, so a
+        scale-down must still cover the tail of the current regime) and
+        ends one lead time past the next alert
+        (:func:`next_alert_time` / :func:`alert_window_end`).  A
+        predictor with no estimate yet (a reactive one without history)
+        skips the alert.
+        """
+        predictor = self.predictor
+        if predictor is None:
+            raise ConfigurationError("ControlPlane.step needs a predictor")
+        nxt = next_alert_time(predictor, now, self.update_interval, self.lead_time)
+        window_end = alert_window_end(now, nxt, self.lead_time)
+        try:
+            rate = predictor.predict(now, window_end)
+        except PredictionError:
+            return nxt
+        if self.tracer is not None:
+            self.tracer.emit(
+                "prediction.issued",
+                now,
+                rate=rate,
+                window_start=now,
+                window_end=window_end,
+                corrective=False,
+            )
+        self.on_estimate(now, rate)
+        return nxt
+
     def on_estimate(self, now: float, predicted_rate: float) -> int:
         """Run Algorithm 1 for one estimate and actuate the result.
 
         Returns the fleet size actually reached.
         """
-        self.clock.now = float(now)
+        self.now = float(now)
         tm = self.service_time_fn()
         before = self.actuator.serving_count
-        decision = self.modeler.decide(predicted_rate, tm, max(1, before))
+        current = max(1, before)
+        modeler = self.modeler
+        hits = modeler.cache_hits
+        decision = modeler.decide(predicted_rate, tm, current)
+        tracer = self.tracer
+        if tracer is not None:
+            perf = decision.predicted
+            tracer.emit(
+                "decision",
+                now,
+                arrival_rate=predicted_rate,
+                service_time=tm,
+                current=current,
+                chosen=decision.instances,
+                iterations=decision.iterations,
+                meets_qos=decision.meets_qos,
+                cache_hit=modeler.cache_hits != hits,
+                path=list(decision.trace),
+                rho=perf.rho,
+                blocking=perf.blocking_probability,
+                response=perf.response_time,
+            )
         after = self.actuator.scale_to(decision.instances)
-        if self.tracer is not None:
-            self.tracer.emit(
+        if tracer is not None:
+            tracer.emit(
                 "scaling.actuated",
                 now,
                 predicted_rate=predicted_rate,
@@ -332,48 +341,3 @@ class ControlPlane:
             )
         )
         return after
-
-    # -- self-driving path (analytical backends) ------------------------
-    def alert_times(self, horizon: float) -> List[float]:
-        """Every alert time in ``[0, horizon)`` (needs a predictor)."""
-        if self.predictor is None:
-            raise ConfigurationError(
-                "a self-driving control plane needs a predictor; "
-                "pass predictor= when constructing the ControlPlane"
-            )
-        return alert_schedule(
-            self.predictor, horizon, self.update_interval, self.lead_time
-        )
-
-    def step(self, now: float) -> Optional[int]:
-        """One self-driven control step: predict, decide, actuate.
-
-        The governed window is recomputed exactly as the DES analyzer
-        does — from ``now`` to one lead time past the *next* alert
-        (:func:`next_alert_time` / :func:`alert_window_end`) — so the
-        two backends issue identical predictions.  Returns the fleet
-        size reached, or ``None`` when the predictor has no estimate
-        yet (the DES analyzer skips such alerts too).
-        """
-        if self.predictor is None:
-            raise ConfigurationError("ControlPlane.step needs a predictor")
-        window_start = float(now)
-        nxt = next_alert_time(
-            self.predictor, window_start, self.update_interval, self.lead_time
-        )
-        window_end = alert_window_end(window_start, nxt, self.lead_time)
-        try:
-            rate = self.predictor.predict(window_start, window_end)
-        except PredictionError:
-            # A reactive predictor with no history yet: skip this alert.
-            return None
-        if self.tracer is not None:
-            self.tracer.emit(
-                "prediction.issued",
-                now,
-                rate=rate,
-                window_start=window_start,
-                window_end=window_end,
-                corrective=False,
-            )
-        return self.on_estimate(now, rate)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import ConfigurationError
 from ..queueing.mm1k import MM1KQueue, mm1k_blocking
@@ -117,15 +117,6 @@ class PerformanceModeler:
         in its last digits) collapse onto one cache line; the grid is
         scale-free and keeps key collisions well inside the search's
         own ±1-instance noise.
-    tracer:
-        Optional :class:`repro.obs.bus.TraceBus`; every invocation of
-        :meth:`decide` then emits a ``decision`` event carrying the
-        inputs, the grow/shrink search path, and whether it was a
-        cache hit.  Needs ``time_fn`` for timestamps.
-    time_fn:
-        Zero-argument callable returning the current simulation time
-        (``lambda: engine.now``); required when ``tracer`` is set,
-        ignored otherwise.
 
     Notes
     -----
@@ -145,8 +136,6 @@ class PerformanceModeler:
         rho_max: float = 0.85,
         instance_model: Callable[[float, float, int], object] = MM1KQueue,
         decision_cache_size: int = 256,
-        tracer: Optional[object] = None,
-        time_fn: Optional[Callable[[], float]] = None,
     ) -> None:
         if decision_cache_size < 0:
             raise ConfigurationError(
@@ -174,15 +163,6 @@ class PerformanceModeler:
         #: Predicted-blocking tolerance of the QoS check.
         self.rejection_tolerance = mm1k_blocking(rho_max, capacity)
         self._instance_model = instance_model
-        if tracer is not None and time_fn is None:
-            raise ConfigurationError(
-                "a modeler with a tracer needs time_fn "
-                "(e.g. lambda: engine.now) to timestamp decisions"
-            )
-        #: Optional trace bus (``decision`` events).
-        self.tracer = tracer
-        #: Simulation-clock accessor for decision timestamps.
-        self.time_fn = time_fn
 
     # ------------------------------------------------------------------
     # decision cache
@@ -268,10 +248,7 @@ class PerformanceModeler:
                 f"service time must be finite and > 0, got {service_time!r}"
             )
         if self._cache_size == 0:
-            decision = self._decide_uncached(arrival_rate, service_time, current_instances)
-            if self.tracer is not None:
-                self._observe(decision, arrival_rate, service_time, current_instances, False)
-            return decision
+            return self._decide_uncached(arrival_rate, service_time, current_instances)
         start = min(max(int(current_instances), self.min_vms), self.max_vms)
         key = self._cache_key(arrival_rate, service_time, start)
         cache = self._cache
@@ -279,47 +256,13 @@ class PerformanceModeler:
         if hit is not None:
             cache.move_to_end(key)
             self.cache_hits += 1
-            if self.tracer is not None:
-                self._observe(hit, arrival_rate, service_time, current_instances, True)
             return hit
         decision = self._decide_uncached(arrival_rate, service_time, current_instances)
         self.cache_misses += 1
         cache[key] = decision
         if len(cache) > self._cache_size:
             cache.popitem(last=False)
-        if self.tracer is not None:
-            self._observe(decision, arrival_rate, service_time, current_instances, False)
         return decision
-
-    def _observe(
-        self,
-        decision: ProvisioningDecision,
-        arrival_rate: float,
-        service_time: float,
-        current_instances: int,
-        cache_hit: bool,
-    ) -> None:
-        """Emit one invocation as a ``decision`` trace event.
-
-        Called only when a tracer is attached, so the untraced
-        :meth:`decide` path pays a single attribute check.
-        """
-        perf = decision.predicted
-        self.tracer.emit(
-            "decision",
-            self.time_fn(),
-            arrival_rate=arrival_rate,
-            service_time=service_time,
-            current=int(current_instances),
-            chosen=decision.instances,
-            iterations=decision.iterations,
-            meets_qos=decision.meets_qos,
-            cache_hit=cache_hit,
-            path=list(decision.trace),
-            rho=perf.rho,
-            blocking=perf.blocking_probability,
-            response=perf.response_time,
-        )
 
     def _decide_uncached(
         self,

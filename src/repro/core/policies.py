@@ -19,7 +19,6 @@ in a benchmark table by its name alone (``Adaptive``, ``Static-50``…).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Callable, FrozenSet, Optional, Tuple
 
@@ -32,7 +31,7 @@ from ..prediction.timebased import ModelInformedPredictor, ScientificModePredict
 from ..workloads.scientific import ScientificWorkload
 from .analyzer import WorkloadAnalyzer
 from .context import SimulationContext
-from .controlplane import ControlClock, ControlPlane, FleetActuator, RecordingActuator
+from .controlplane import ControlPlane, FleetActuator, RecordingActuator, check_cadence
 from .modeler import PerformanceModeler
 
 __all__ = ["ProvisioningPolicy", "StaticPolicy", "AdaptivePolicy", "default_predictor"]
@@ -149,7 +148,11 @@ class AdaptivePolicy(ProvisioningPolicy):
         Enable corrective alerts when the monitored arrival rate
         deviates from the issued estimate (see
         :class:`~repro.core.analyzer.WorkloadAnalyzer`); the scenario
-        must enable monitor rate sampling.
+        must enable monitor rate sampling, and the policy then runs on
+        the DES backends only.
+
+    Every parameter is checked here, so a bad value fails before a run
+    emits its first trace event.
     """
 
     name = "Adaptive"
@@ -167,12 +170,29 @@ class AdaptivePolicy(ProvisioningPolicy):
         deviation_threshold: Optional[float] = None,
         deviation_safety: float = 1.1,
     ) -> None:
-        if update_interval <= 0.0 or not math.isfinite(update_interval):
+        check_cadence(update_interval, lead_time)
+        if not 0.0 < rho_max < 1.0:
+            raise ConfigurationError(f"rho_max must be in (0, 1), got {rho_max!r}")
+        if initial_instances < 0 or min_instances < 1:
             raise ConfigurationError(
-                f"update interval must be finite and > 0, got {update_interval!r}"
+                "need initial_instances >= 0 and min_instances >= 1, got "
+                f"{initial_instances} and {min_instances}"
             )
-        if not 0.0 <= lead_time < math.inf:
-            raise ConfigurationError(f"lead time must be finite and >= 0, got {lead_time!r}")
+        if max_instances is not None and max_instances < min_instances:
+            raise ConfigurationError(
+                f"max_instances must be >= min_instances, got {max_instances}"
+            )
+        if deviation_threshold is not None:
+            if not deviation_threshold > 0.0:
+                raise ConfigurationError(
+                    f"deviation threshold must be > 0, got {deviation_threshold!r}"
+                )
+            # The deviation watch reads the DES monitor.
+            self.backends = self.backends - {"fluid"}
+        if not deviation_safety > 0.0:
+            raise ConfigurationError(
+                f"deviation safety must be > 0, got {deviation_safety!r}"
+            )
         self.update_interval = float(update_interval)
         self.lead_time = float(lead_time)
         self.rho_max = float(rho_max)
@@ -183,14 +203,7 @@ class AdaptivePolicy(ProvisioningPolicy):
         self.deviation_threshold = deviation_threshold
         self.deviation_safety = float(deviation_safety)
 
-    def _build_modeler(
-        self,
-        qos,
-        capacity: int,
-        max_vms: int,
-        tracer=None,
-        time_fn=None,
-    ) -> PerformanceModeler:
+    def _build_modeler(self, qos, capacity: int, max_vms: int) -> PerformanceModeler:
         """One Algorithm-1 modeler, identically parameterized on every
         backend — the piece that must not drift between DES and fluid."""
         return PerformanceModeler(
@@ -199,8 +212,6 @@ class AdaptivePolicy(ProvisioningPolicy):
             max_vms=max_vms,
             min_vms=self.min_instances,
             rho_max=self.rho_max,
-            tracer=tracer,
-            time_fn=time_fn,
         )
 
     def control_plane(
@@ -211,8 +222,8 @@ class AdaptivePolicy(ProvisioningPolicy):
         max_vms: int,
         tracer=None,
     ) -> ControlPlane:
-        """A self-driving :class:`~repro.core.controlplane.ControlPlane`
-        for analytical backends (no engine, monitor, or fleet).
+        """The :class:`~repro.core.controlplane.ControlPlane` an
+        analytical backend steps (no engine, monitor, or fleet).
 
         The actuator is a :class:`RecordingActuator`, the service time
         is the workload's analytic mean (what the DES monitor's EWMA
@@ -220,32 +231,17 @@ class AdaptivePolicy(ProvisioningPolicy):
         ``predictor_factory`` — so the fluid backend executes the same
         cadence/decision code as the DES, not a re-implementation.
         """
-        if self.deviation_threshold is not None:
-            raise ConfigurationError(
-                "deviation watching needs the DES monitor; "
-                "it is not available on analytical backends"
-            )
         if self.max_instances is not None:
             max_vms = self.max_instances
-        clock = ControlClock()
-        modeler = self._build_modeler(
-            qos,
-            capacity,
-            max_vms,
-            tracer=tracer,
-            time_fn=clock if tracer is not None else None,
-        )
-        predictor = self.predictor_factory(SimpleNamespace(workload=workload))
         return ControlPlane(
-            modeler=modeler,
+            modeler=self._build_modeler(qos, capacity, max_vms),
             actuator=RecordingActuator(0, max_instances=max_vms),
             service_time_fn=lambda st=workload.mean_service_time: st,
-            predictor=predictor,
+            predictor=self.predictor_factory(SimpleNamespace(workload=workload)),
             update_interval=self.update_interval,
             lead_time=self.lead_time,
             initial_instances=self.initial_instances,
             tracer=tracer,
-            clock=clock,
         )
 
     def actuation(
@@ -260,33 +256,25 @@ class AdaptivePolicy(ProvisioningPolicy):
         max_vms = self.max_instances
         if max_vms is None:
             max_vms = ctx.datacenter.max_vms(DEFAULT_VM_SPEC)
-        engine = ctx.engine
-        modeler = self._build_modeler(
-            ctx.qos,
-            ctx.capacity,
-            max_vms,
-            tracer=ctx.tracer,
-            time_fn=(lambda: engine.now) if ctx.tracer is not None else None,
-        )
+        modeler = self._build_modeler(ctx.qos, ctx.capacity, max_vms)
         actuator, service_time_fn = self.actuation(ctx)
         plane = ControlPlane(
             modeler=modeler,
             actuator=actuator,
             service_time_fn=service_time_fn,
+            predictor=self.predictor_factory(ctx),
+            update_interval=self.update_interval,
+            lead_time=self.lead_time,
             initial_instances=self.initial_instances,
             tracer=ctx.tracer,
         )
         analyzer = WorkloadAnalyzer(
-            engine=engine,
-            predictor=self.predictor_factory(ctx),
-            on_estimate=lambda rate: plane.on_estimate(engine.now, rate),
+            engine=ctx.engine,
+            plane=plane,
             horizon=ctx.horizon,
-            update_interval=self.update_interval,
-            lead_time=self.lead_time,
             monitor=ctx.monitor,
             deviation_threshold=self.deviation_threshold,
             deviation_safety=self.deviation_safety,
-            tracer=ctx.tracer,
         )
         plane.start()
         analyzer.start()

@@ -143,15 +143,13 @@ class VerticalScalingPolicy(AdaptivePolicy):
         self.max_speed = int(max_speed)
         self.name = f"Vertical-{self.instances}"
 
-    def _build_modeler(self, qos, capacity, max_vms, tracer=None, time_fn=None):
+    def _build_modeler(self, qos, capacity, max_vms):
         return VerticalModeler(
             instances=self.instances,
             max_speed=self.max_speed,
             qos=qos,
             capacity=capacity,
             rho_max=self.rho_max,
-            tracer=tracer,
-            time_fn=time_fn,
         )
 
     def actuation(self, ctx: SimulationContext):

@@ -199,14 +199,7 @@ class ProfitPolicy(AdaptivePolicy):
         self.pricing = PricingModel.coerce(pricing) or PricingModel()
         self.cores_per_vm = float(cores_per_vm)
 
-    def _build_modeler(
-        self,
-        qos,
-        capacity: int,
-        max_vms: int,
-        tracer=None,
-        time_fn=None,
-    ) -> PerformanceModeler:
+    def _build_modeler(self, qos, capacity: int, max_vms: int) -> PerformanceModeler:
         return ProfitModeler(
             pricing=self.pricing,
             cores_per_vm=self.cores_per_vm,
@@ -215,8 +208,6 @@ class ProfitPolicy(AdaptivePolicy):
             max_vms=max_vms,
             min_vms=self.min_instances,
             rho_max=self.rho_max,
-            tracer=tracer,
-            time_fn=time_fn,
         )
 
 

@@ -56,9 +56,8 @@ class ScenarioConfig:
         Analyzer cadence and head start for adaptive policies.
     rate_sample_interval:
         Monitor rate-sampling cadence (``None`` disables; reactive
-        predictors need it).
-    count_arrivals:
-        Whether admission reports every arrival to the monitor.
+        predictors and deviation watching need it).  Sampling also
+        counts every arrival on the monitor, one call per request.
     track_fleet_series:
         Record the full fleet-size trajectory (costs memory).
     pricing:
@@ -80,7 +79,6 @@ class ScenarioConfig:
     update_interval: float = 900.0
     lead_time: float = 60.0
     rate_sample_interval: Optional[float] = None
-    count_arrivals: bool = False
     track_fleet_series: bool = False
     pricing: Optional[PricingModel] = None
 

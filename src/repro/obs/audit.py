@@ -3,11 +3,13 @@
 The paper's modeler answers "how many instances?", but a black-box
 answer is useless when a run misbehaves: the operator needs the inputs
 (predicted ``λ``, monitored ``T_m``, current fleet) *and* the search
-trajectory that led to the chosen ``m``.  The modeler emits exactly
-that as ``decision`` trace events, :class:`DecisionAuditLog` rebuilds
-them from a trace (:meth:`DecisionAuditLog.from_trace`), and
-:func:`explain_record` renders one record as the step-by-step
-narrative the "explain this provisioning decision" workflow needs.
+trajectory that led to the chosen ``m``.  The control plane emits
+exactly that as one ``decision`` trace event per estimate
+(:meth:`repro.core.controlplane.ControlPlane.on_estimate`),
+:class:`DecisionAuditLog` rebuilds them from a trace
+(:meth:`DecisionAuditLog.from_trace`), and :func:`explain_record`
+renders one record as the step-by-step narrative the "explain this
+provisioning decision" workflow needs.
 
 Direction inference: Algorithm 1 only ever *grows* ``m`` when QoS is
 unmet and *bisects down* when QoS holds but predicted utilization is

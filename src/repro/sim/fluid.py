@@ -17,10 +17,10 @@ and treats demand as a *flow* through the provisioned fleet:
   of accepted requests is the station's mean sojourn.
 
 The engine is pure data plane: it knows nothing about predictors or
-Algorithm 1.  Adaptive runs are driven by a *self-driving*
+Algorithm 1.  Adaptive runs step a
 :class:`~repro.core.controlplane.ControlPlane` handed in by the caller
-(see :class:`repro.backends.fluid.FluidBackend`), which is the exact
-control-plane code the DES executes — cadence, modeler, actuation.
+(see :class:`repro.backends.fluid.FluidBackend`) through the same
+``step`` the DES executes — cadence, modeler, actuation.
 That sharing is what lets ``tests/test_backend_xcheck.py`` assert
 bit-identical control trajectories across backends, with aggregate
 rejection / utilization / VM-hours agreeing within a few percent.
@@ -209,14 +209,14 @@ class FluidSimulator:
         telemetry: Optional[object] = None,
         interventions: Optional[Sequence[float]] = None,
     ) -> FluidAggregates:
-        """Evaluate a self-driving control plane over ``[0, horizon)``.
+        """Evaluate an adaptive control plane over ``[0, horizon)``.
 
         ``control`` is a :class:`~repro.core.controlplane.ControlPlane`
         (or anything duck-compatible exposing ``start()``,
-        ``alert_times(horizon)``, ``step(now)`` and ``trajectory``).
-        The engine walks the plane's own alert schedule — the exact
-        cadence the DES analyzer follows — and integrates the flow
-        under the resulting fleet trajectory.
+        ``step(now)`` returning the next alert time, and
+        ``trajectory``).  The engine steps the plane from alert to
+        alert — the same steps the DES analyzer schedules — and
+        integrates the flow under the resulting fleet trajectory.
 
         ``interventions`` is an optional sequence of times at which one
         instance is externally reclaimed (the fluid analogue of a spot
@@ -236,14 +236,15 @@ class FluidSimulator:
 
     @staticmethod
     def control_pass(control, horizon: float) -> None:
-        """Step ``control`` through its own alert schedule over ``[0, horizon)``.
+        """Step ``control`` from alert to alert over ``[0, horizon)``.
 
         The pass reads no flow state, so one finished pass can serve any
         number of :meth:`integrate_trajectory` calls.
         """
         control.start()
-        for alert in control.alert_times(horizon):
-            control.step(alert)
+        t = 0.0
+        while t < horizon:
+            t = control.step(t)
 
     def integrate_trajectory(
         self,

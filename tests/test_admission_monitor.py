@@ -50,11 +50,14 @@ def test_rejects_with_no_fleet():
 
 
 def test_arrival_counting_optional():
+    # Admission counts arrivals exactly when the monitor samples the rate.
     env = make_env()
     env.fleet.scale_to(1)
-    counting = AdmissionControl(env.fleet, env.monitor, count_arrivals=True)
-    counting.submit(0.0)
-    assert env.monitor._arrivals_in_window == 1
+    env.admission.submit(0.0)
+    assert env.monitor._arrivals_in_window == 0
+    sampling = Monitor(env.engine, env.metrics, default_service_time=1.0, rate_sample_interval=60.0)
+    AdmissionControl(env.fleet, sampling).submit(0.0)
+    assert sampling._arrivals_in_window == 1
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,11 @@ from repro.core import (
     ControlPlane,
     PerformanceModeler,
     QoSTarget,
+    RecordingActuator,
     WorkloadAnalyzer,
 )
 from repro.errors import ConfigurationError
+from repro.obs import RingBufferSink, TraceBus
 from repro.prediction import ArrivalRatePredictor, ScientificModePredictor
 from repro.sim import Engine
 from repro.workloads import ScientificWorkload
@@ -34,93 +36,80 @@ class ConstantPredictor(ArrivalRatePredictor):
         return [b for b in self._boundaries if t0 < b < t1]
 
 
-def test_alerts_on_regular_cadence():
-    engine = Engine()
-    pred = ConstantPredictor(5.0)
-    seen = []
-    analyzer = WorkloadAnalyzer(
-        engine, pred, seen.append, horizon=1000.0, update_interval=100.0, lead_time=0.0
+def analyze(pred, horizon, update_interval, lead_time=0.0, monitor=None, engine=None):
+    """Run an analyzer over a traced recording plane; return the plane
+    and its ``prediction.issued`` events."""
+    engine = engine if engine is not None else Engine()
+    bus = TraceBus(RingBufferSink())
+    plane = ControlPlane(
+        modeler=PerformanceModeler(qos=QoSTarget(max_response_time=2.0), capacity=2, max_vms=80),
+        actuator=RecordingActuator(0),
+        service_time_fn=lambda: 1.0,
+        predictor=pred,
+        update_interval=update_interval,
+        lead_time=lead_time,
+        tracer=bus,
     )
-    analyzer.start()
-    engine.run(until=1000.0)
-    assert len(seen) == 10  # t = 0, 100, ..., 900
-    assert [a[0] for a in analyzer.alerts] == [100.0 * i for i in range(10)]
+    WorkloadAnalyzer(engine, plane, horizon=horizon, monitor=monitor).start()
+    engine.run(until=horizon)
+    return plane, bus.sink.of_type("prediction.issued")
+
+
+def test_alerts_on_regular_cadence():
+    plane, issued = analyze(ConstantPredictor(5.0), horizon=1000.0, update_interval=100.0)
+    assert len(plane.actions) == 10  # t = 0, 100, ..., 900
+    assert [e["t"] for e in issued] == [100.0 * i for i in range(10)]
 
 
 def test_alerts_align_with_boundaries():
-    engine = Engine()
     pred = ConstantPredictor(5.0, change_points=[250.0])
-    analyzer = WorkloadAnalyzer(
-        engine, pred, lambda r: None, horizon=400.0, update_interval=100.0, lead_time=10.0
-    )
-    analyzer.start()
-    engine.run(until=400.0)
-    times = [a[0] for a in analyzer.alerts]
+    _, issued = analyze(pred, horizon=400.0, update_interval=100.0, lead_time=10.0)
+    times = [e["t"] for e in issued]
     # Boundary at 250 adds alerts at 240 (lead) and 250 (exact).
     assert 240.0 in times and 250.0 in times
 
 
 def test_alert_window_starts_at_alert_time():
-    engine = Engine()
-    pred = ConstantPredictor(5.0)
-    analyzer = WorkloadAnalyzer(
-        engine, pred, lambda r: None, horizon=300.0, update_interval=100.0, lead_time=30.0
-    )
-    analyzer.start()
-    engine.run(until=300.0)
-    t0, w0, w1, _ = analyzer.alerts[0]
-    assert t0 == 0.0
-    assert w0 == 0.0  # window covers the alert's own regime
-    assert w1 == pytest.approx(130.0)  # next alert + lead
+    _, issued = analyze(ConstantPredictor(5.0), horizon=300.0, update_interval=100.0, lead_time=30.0)
+    first = issued[0]
+    assert first["t"] == 0.0
+    assert first["window_start"] == 0.0  # window covers the alert's own regime
+    assert first["window_end"] == pytest.approx(130.0)  # next alert + lead
 
 
 def test_reactive_predictor_skips_until_history(streams):
     from repro.prediction import LastValuePredictor
 
-    engine = Engine()
-    pred = LastValuePredictor()
-    seen = []
-    analyzer = WorkloadAnalyzer(
-        engine, pred, seen.append, horizon=100.0, update_interval=10.0, lead_time=0.0
-    )
-    analyzer.start()
-    engine.run(until=100.0)
-    assert seen == []  # no monitored history was ever supplied
+    plane, issued = analyze(LastValuePredictor(), horizon=100.0, update_interval=10.0)
+    assert plane.actions == [] and issued == []  # no monitored history was ever supplied
 
 
 def test_analyzer_feeds_monitor_history_to_predictor():
     from repro.prediction import LastValuePredictor
 
     env = make_env()
-    seen = []
-    pred = LastValuePredictor()
-    analyzer = WorkloadAnalyzer(
-        env.engine,
-        pred,
-        seen.append,
-        horizon=100.0,
-        update_interval=10.0,
-        lead_time=0.0,
-        monitor=env.monitor,
-    )
     env.monitor.rate_history.append((1.0, 42.0))
-    analyzer.start()
-    env.engine.run(until=25.0)
-    assert seen and seen[-1] == 42.0
+    plane, _ = analyze(
+        LastValuePredictor(), horizon=25.0, update_interval=10.0, monitor=env.monitor, engine=env.engine
+    )
+    assert plane.actions and plane.actions[-1].predicted_rate == 42.0
 
 
 def test_analyzer_validation():
     engine = Engine()
-    pred = ConstantPredictor(1.0)
+    plane = ControlPlane(
+        modeler=PerformanceModeler(qos=QoSTarget(max_response_time=2.0), capacity=2, max_vms=80),
+        actuator=RecordingActuator(0),
+        service_time_fn=lambda: 1.0,
+        predictor=ConstantPredictor(1.0),
+    )
     with pytest.raises(ConfigurationError):
-        WorkloadAnalyzer(engine, pred, lambda r: None, horizon=10.0, update_interval=0.0)
-    for lead_time in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigurationError):
-            WorkloadAnalyzer(
-                engine, pred, lambda r: None, horizon=10.0, update_interval=1.0, lead_time=lead_time
-            )
+        WorkloadAnalyzer(engine, plane, horizon=0.0)
+    # A deviation watch needs a monitor that samples the arrival rate.
     with pytest.raises(ConfigurationError):
-        WorkloadAnalyzer(engine, pred, lambda r: None, horizon=0.0)
+        WorkloadAnalyzer(engine, plane, horizon=10.0, deviation_threshold=0.3)
+    with pytest.raises(ConfigurationError):
+        WorkloadAnalyzer(engine, plane, horizon=10.0, monitor=make_env().monitor, deviation_threshold=0.3)
 
 
 # ----------------------------------------------------------------------

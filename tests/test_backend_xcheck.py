@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import AdaptivePolicy
 from repro.experiments import run_policy, web_scenario
+from repro.obs import RingBufferSink, TraceBus
 from repro.workloads import WebWorkload
 
 SCALE = 5000.0
@@ -57,6 +58,21 @@ def test_backends_report_their_tag(des, fluid):
 def test_control_trajectories_bit_identical(des, fluid):
     assert des.control_series, "DES adaptive run produced no actuations"
     assert des.control_series == fluid.control_series
+
+
+def test_prediction_events_identical(scenario):
+    # Both backends run the same ControlPlane.step, so each alert issues
+    # the same prediction at the same time over the same window.
+    issued = {}
+    for backend in ("des", "fluid"):
+        bus = TraceBus(RingBufferSink(), events=("prediction.issued",))
+        run_policy(scenario, AdaptivePolicy(), seed=0, backend=backend, trace=bus)
+        issued[backend] = [
+            (e["t"], e["rate"], e["window_start"], e["window_end"])
+            for e in bus.sink.of_type("prediction.issued")
+        ]
+    assert len(issued["des"]) >= 5
+    assert issued["des"] == issued["fluid"]
 
 
 def test_fluid_fleet_series_is_its_control_series(fluid):

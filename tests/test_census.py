@@ -14,7 +14,8 @@ scenarios that together reach every stream-draw and ``emit`` site of
 the library: traced and metered web runs on all three backends
 (adaptive with corrective alerts, a saturated static fleet, priced
 Profit and Spot runs with revocations), a boot
-cancelled by hand, an engine whose heap compacts, a campaign that
+cancelled and a busy instance drained by hand, an engine whose heap
+compacts, a campaign that
 executes, caches, screens, fails, steals a stale lease and loses a
 race to a peer, and the stream users outside the
 backends (the MMPP workload, the §V workload analysis and the
@@ -35,7 +36,7 @@ import pytest
 
 from repro.backends import build_context
 from repro.campaigns import CampaignSpec, ResultStore, run_campaign
-from repro.core import AdaptivePolicy, StaticPolicy
+from repro.core import AdaptivePolicy, StaticPolicy, default_predictor
 from repro.core.qos import QoSTarget
 from repro.economy import PricingModel, ProfitPolicy, SpotPolicy
 from repro.experiments import figures, run_policy, web_scenario
@@ -43,6 +44,7 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.obs.bus import TraceBus, TraceSink
 from repro.obs.metrics import METRIC_NAMES, MetricsConfig
 from repro.obs.schema import EVENT_TYPES, validate_event
+from repro.prediction import ArrivalRatePredictor
 from repro.sim import Engine, RandomStreams
 from repro.sim.rng import STREAM_REGISTRY, stream_registered
 from repro.workloads.synthetic import MMPPWorkload
@@ -66,6 +68,21 @@ class _CensusSink(TraceSink):
         self.types[event["type"]] += 1
 
 
+class _Doubled(ArrivalRatePredictor):
+    """Twice an inner predictor's rate, with its boundaries."""
+
+    name = "doubled"
+
+    def __init__(self, inner: ArrivalRatePredictor) -> None:
+        self.inner = inner
+
+    def predict(self, t0: float, t1: float) -> float:
+        return 2.0 * self.inner.predict(t0, t1)
+
+    def boundaries(self, t0: float, t1: float):
+        return self.inner.boundaries(t0, t1)
+
+
 def _traced_runs(bus: TraceBus, metered: Set[str]) -> None:
     """Web runs on every backend, traced (requests included) and metered."""
     web = web_scenario(
@@ -80,12 +97,25 @@ def _traced_runs(bus: TraceBus, metered: Set[str]) -> None:
         metered.update(result.telemetry["registry"])
 
     for backend in ("des", "des-vec"):
-        run(web, AdaptivePolicy(deviation_threshold=0.2), backend)
+        # Predictions twice the real rate: the deviation watch corrects them.
+        overestimating = AdaptivePolicy(
+            deviation_threshold=0.2, predictor_factory=lambda ctx: _Doubled(default_predictor(ctx))
+        )
+        run(web, overestimating, backend)
         run(saturated, StaticPolicy(20), backend)
         run(priced, SpotPolicy(0.5, pricing=_PRICING), backend)
     run(web, AdaptivePolicy(), "fluid")
     run(priced, ProfitPolicy(pricing=_PRICING), "fluid")
     run(priced, SpotPolicy(0.5, pricing=_PRICING), "fluid")
+
+
+def _drained_instance(bus: TraceBus) -> None:
+    """Retire an instance that holds a request: it drains."""
+    ctx = build_context(web_scenario(scale=2000.0, horizon=60.0), tracer=bus)
+    ctx.fleet.scale_to(1)
+    ctx.fleet.active_instances[0].accept(0.0)
+    ctx.fleet.scale_to(0)
+    assert ctx.fleet.live_count == 1 and ctx.fleet.serving_count == 0
 
 
 def _cancelled_boot(bus: TraceBus) -> None:
@@ -212,6 +242,7 @@ def census(tmp_path_factory) -> Dict[str, object]:
         mp.setattr(figures, "SECONDS_PER_WEEK", 7200.0)
         _traced_runs(bus, metered)
         _cancelled_boot(bus)
+        _drained_instance(bus)
         _compacting_engine(bus)
         _campaign(bus, tmp_path_factory.mktemp("census-store"))
         _other_stream_users()

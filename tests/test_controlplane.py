@@ -6,11 +6,9 @@ import pytest
 
 from repro.core import QoSTarget
 from repro.core.controlplane import (
-    ControlClock,
     ControlPlane,
     FleetActuator,
     RecordingActuator,
-    alert_schedule,
     alert_window_end,
     next_alert_time,
 )
@@ -72,8 +70,13 @@ def test_next_alert_pulled_in_by_boundary():
 
 
 def test_alert_schedule_covers_horizon():
-    times = alert_schedule(_Boundaries(500.0), 1900.0, 900.0, 60.0)
-    assert times == [0.0, 440.0, 500.0, 1400.0]
+    # Stepping from each returned time walks the shared cadence.
+    plane = _plane(predictor=_Boundaries(500.0))
+    times = [0.0]
+    while times[-1] < 1900.0:
+        times.append(plane.step(times[-1]))
+    assert times == [0.0, 440.0, 500.0, 1400.0, 2300.0]
+    assert [a.time for a in plane.actions] == times[:-1]
 
 
 def test_alert_window_end_floor():
@@ -112,8 +115,10 @@ def test_control_plane_validates_parameters():
 
 def test_step_records_trajectory_and_advances_clock():
     plane = _plane()
-    after = plane.step(0.0)
-    assert after is not None and after >= 1
+    nxt = plane.step(0.0)
+    assert nxt == next_alert_time(plane.predictor, 0.0, 900.0, 60.0)
+    after = plane.actuator.serving_count
+    assert after >= 1
     assert plane.now == 0.0
     assert plane.trajectory == ((0.0, after),)
     assert plane.actions[0].before == 0
@@ -124,8 +129,6 @@ def test_step_records_trajectory_and_advances_clock():
 
 def test_self_driving_needs_predictor():
     plane = _plane(predictor=None)
-    with pytest.raises(ConfigurationError):
-        plane.alert_times(3600.0)
     with pytest.raises(ConfigurationError):
         plane.step(0.0)
 
@@ -139,8 +142,9 @@ def test_start_deploys_initial_fleet():
 
 
 def test_shared_clock_tracks_decisions():
-    clock = ControlClock()
-    plane = _plane(clock=clock)
+    plane = _plane()
+    assert plane.now == 0.0
     plane.step(440.0)
-    assert clock.now == 440.0
-    assert clock() == 440.0
+    assert plane.now == 440.0
+    plane.on_estimate(500.0, 1.0)
+    assert plane.now == 500.0

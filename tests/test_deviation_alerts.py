@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import AdaptivePolicy, QoSTarget
 from repro.errors import ConfigurationError
-from repro.experiments import build_context, run_policy
+from repro.experiments import build_context, run_policy, web_scenario
+from repro.obs import RingBufferSink, TraceBus
 from repro.experiments.scenario import ScenarioConfig
 from repro.prediction import ArrivalRatePredictor
 from repro.workloads import PiecewiseRateWorkload
@@ -40,7 +41,6 @@ def surprise_scenario(**overrides) -> ScenarioConfig:
         update_interval=900.0,
         lead_time=60.0,
         rate_sample_interval=60.0,
-        count_arrivals=True,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
@@ -133,3 +133,38 @@ def test_deviation_validation():
             deviation_threshold=-0.1,
             predictor_factory=lambda c: WrongConstantPredictor(5.0),
         ).attach(ctx)
+
+
+@pytest.mark.parametrize("backend", ["des", "des-vec"])
+def test_rate_sampling_alone_observes_real_arrivals(backend):
+    # Rate sampling counts arrivals by itself: a deviation watch sees the
+    # real rate, not 0 req/s, and so leaves the predicted fleet alone.
+    web = web_scenario(scale=2000.0, horizon=6 * 3600.0, rate_sample_interval=60.0)
+    r = run_policy(web, AdaptivePolicy(deviation_threshold=0.3), seed=0, backend=backend)
+    assert r.rejection_rate < 0.01
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(rho_max=0.0),
+        dict(rho_max=1.5),
+        dict(min_instances=0),
+        dict(max_instances=0),
+        dict(initial_instances=-1),
+        dict(deviation_threshold=-1.0),
+        dict(deviation_safety=0.0),
+    ],
+)
+def test_bad_adaptive_input_fails_at_construction(kwargs):
+    with pytest.raises(ConfigurationError):
+        AdaptivePolicy(**kwargs)
+
+
+def test_fluid_rejects_deviation_watch_before_any_trace_event():
+    policy = AdaptivePolicy(deviation_threshold=0.3)
+    assert policy.backends == {"des", "des-vec"}
+    bus = TraceBus(RingBufferSink())
+    with pytest.raises(ConfigurationError):
+        run_policy(surprise_scenario(), policy, backend="fluid", trace=bus)
+    assert len(bus.sink) == 0

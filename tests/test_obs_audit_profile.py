@@ -7,9 +7,6 @@ import logging
 import pytest
 
 from repro.core import AdaptivePolicy
-from repro.errors import ConfigurationError
-from repro.core.modeler import PerformanceModeler
-from repro.core.qos import QoSTarget
 from repro.obs import (
     DecisionAuditLog,
     DecisionRecord,
@@ -33,14 +30,6 @@ def small_scenario(**overrides):
 # ----------------------------------------------------------------------
 # audit log
 # ----------------------------------------------------------------------
-def test_modeler_requires_clock_when_observed():
-    qos = QoSTarget(max_response_time=0.25, min_utilization=0.8)
-    with pytest.raises(ConfigurationError):
-        PerformanceModeler(
-            qos=qos, capacity=2, max_vms=10, tracer=TraceBus(RingBufferSink())
-        )
-
-
 def test_audit_log_rebuilt_from_trace():
     sc = small_scenario()
     bus = TraceBus(RingBufferSink())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cloud import WorkloadSource
+from repro.cloud import Monitor, WorkloadSource
 from repro.cloud.priority import HIGH, LOW, PriorityAdmissionControl
 from repro.core import StaticPolicy
 from repro.errors import ConfigurationError
@@ -44,6 +44,17 @@ def test_reservation_holds_slots_for_high_priority():
     assert not pac.submit(0.0, HIGH)  # now genuinely full
     assert pac.per_class[LOW].rejection_rate == pytest.approx(1 / 3)
     assert pac.per_class[HIGH].rejection_rate == pytest.approx(1 / 3)
+
+
+def test_rate_sampling_counts_every_class_of_arrival():
+    # Reserved-out, gate-rejected and admitted requests are all arrivals.
+    env = make_env(capacity=2, service_time=100.0)
+    env.fleet.scale_to(1)
+    monitor = Monitor(env.engine, env.metrics, default_service_time=100.0, rate_sample_interval=60.0)
+    pac = PriorityAdmissionControl(env.fleet, monitor, reserved_slots=1)
+    outcomes = [pac.submit(0.0, klass) for klass in (LOW, LOW, HIGH, HIGH)]
+    assert outcomes == [True, False, True, False]
+    assert monitor._arrivals_in_window == 4
 
 
 def test_custom_privileged_class_is_the_only_one_exempt():
