@@ -21,7 +21,9 @@ from repro.prediction import (
     EWMAPredictor,
     LastValuePredictor,
     ModelInformedPredictor,
+    MovingAveragePredictor,
     OraclePredictor,
+    QRSMPredictor,
 )
 from repro.workloads import PiecewiseRateWorkload
 
@@ -58,6 +60,8 @@ PREDICTORS: dict = {
     "last-value": lambda ctx: LastValuePredictor(safety_factor=1.1),
     "ewma": lambda ctx: EWMAPredictor(alpha=0.5, safety_factor=1.1),
     "arx": lambda ctx: ARXPredictor(order=2, history=64, safety_factor=1.1),
+    "qrsm": lambda ctx: QRSMPredictor(history=32, safety_factor=1.1),
+    "moving-average": lambda ctx: MovingAveragePredictor(safety_factor=1.1),
 }
 
 
@@ -90,7 +94,7 @@ def test_predictor_ablation(benchmark):
     assert results["oracle"].rejection_rate < 0.005
 
     # Reactive predictors lose requests while chasing it.
-    for reactive in ("last-value", "ewma"):
+    for reactive in ("last-value", "ewma", "qrsm", "moving-average"):
         assert results[reactive].rejection_rate > results["model-informed"].rejection_rate
         assert results[reactive].rejection_rate > 0.005
 

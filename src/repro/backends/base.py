@@ -102,9 +102,6 @@ class RunMetrics:
     cache_hits, cache_misses:
         Algorithm-1 decision-cache counters of the run's modeler
         (both 0 for policies without one, e.g. Static-N).
-    compactions:
-        Heap compactions the engine performed (0 on fluid — there is
-        no event heap).
     profile:
         :meth:`repro.obs.profile.RunProfile.to_dict` snapshot of the
         run's phase wall-clock and event counters.  Excluded from
@@ -155,7 +152,6 @@ class RunMetrics:
     backend: str = "des"
     cache_hits: int = 0
     cache_misses: int = 0
-    compactions: int = 0
     revenue: float = 0.0
     cost: float = 0.0
     penalty: float = 0.0
@@ -243,7 +239,8 @@ class ExecutionBackend:
       ``finalize``).
 
     :meth:`run` first checks that the policy lists the backend in its
-    ``backends`` (see :class:`repro.core.policies.ProvisioningPolicy`).
+    ``backends`` and accepts the scenario (its ``validate``; see
+    :class:`repro.core.policies.ProvisioningPolicy`).
     """
 
     #: Backend tag stamped into every :class:`RunMetrics` it produces.
@@ -263,8 +260,9 @@ class ExecutionBackend:
     ) -> RunMetrics:
         """Execute one replication and return its unified metrics.
 
-        An unsupported policy or balancer raises ``ConfigurationError``
-        before any trace event, trace file or telemetry stream exists.
+        An unsupported policy, scenario or balancer raises
+        ``ConfigurationError`` before any trace event, trace file or
+        telemetry stream exists.
 
         Parameters
         ----------
@@ -288,6 +286,7 @@ class ExecutionBackend:
                 f"the {self.name} backend cannot execute {type(policy).__name__}; "
                 f"it runs on {', '.join(sorted(policy.backends))}"
             )
+        policy.validate(scenario)
         if balancer is not None and not self.balances:
             raise ConfigurationError(
                 f"the {self.name} backend has no per-request data plane; "
@@ -327,7 +326,7 @@ class ExecutionBackend:
                 profile.count(key, n)
             if tracer is not None:
                 t_end, events = out.end
-                tracer.emit("run.end", t_end, events=events, compactions=f["compactions"])
+                tracer.emit("run.end", t_end, events=events)
                 profile.count("trace_events", tracer.emitted)
             return RunMetrics(
                 scenario=scenario.name,

@@ -62,7 +62,7 @@ def build_context(
     off.
     """
     streams = RandomStreams(seed)
-    engine = Engine(tracer=tracer)
+    engine = Engine()
     workload = scenario.workload
     metrics = MetricsCollector(
         qos_response_time=scenario.qos.max_response_time,
@@ -203,11 +203,10 @@ class DESBackend(ExecutionBackend):
             control_series=plane.trajectory if plane is not None else (),
             cache_hits=plane.modeler.cache_hits if plane is not None else 0,
             cache_misses=plane.modeler.cache_misses if plane is not None else 0,
-            compactions=engine.compactions,
             **economy_fields(totals),
         )
-        counters = {"events": engine.events_fired, "compactions": engine.compactions}
         return Collected(
-            fields, counters, ctx.fleet.serving_count, (now, engine.events_fired),
+            fields, {"events": engine.events_fired}, ctx.fleet.serving_count,
+            (now, engine.events_fired),
             actions=plane.actions if plane is not None else None,
         )

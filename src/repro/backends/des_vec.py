@@ -75,7 +75,6 @@ class DESVecBackend(DESBackend):
             "completions": plane.completions_processed,
             "spans": plane.spans,
             "event_spans": plane.event_spans,
-            "compactions": engine.compactions,
         }
         flushed = plane.arrivals_processed + plane.completions_processed
         return out._replace(counters=counters, batch=(plane.spans, flushed))

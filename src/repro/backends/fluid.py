@@ -66,9 +66,6 @@ class FluidBackend(ExecutionBackend):
     ----------
     dt:
         Integration interval in seconds (default 60).
-    flow_model:
-        ``"deterministic"`` (default) or ``"markovian"`` — see
-        :class:`~repro.sim.fluid.FluidSimulator`.
     """
 
     name = "fluid"
@@ -79,18 +76,15 @@ class FluidBackend(ExecutionBackend):
     #: in their revocation schedules.
     _shared_pass: Optional[ControlPlane] = None
 
-    def __init__(self, dt: float = 60.0, flow_model: str = "deterministic") -> None:
+    def __init__(self, dt: float = 60.0) -> None:
         self.dt = float(dt)
-        self.flow_model = flow_model
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FluidBackend(dt={self.dt!r}, flow_model={self.flow_model!r})"
+        return f"FluidBackend(dt={self.dt!r})"
 
     def build(self, run: RunState) -> None:
         scenario, policy = run.scenario, run.policy
-        run.sim = FluidSimulator(
-            scenario.workload, scenario.qos, dt=self.dt, flow_model=self.flow_model
-        )
+        run.sim = FluidSimulator(scenario.workload, scenario.qos, dt=self.dt)
         run.control = None
         if isinstance(policy, AdaptivePolicy):
             run.control = self._shared_pass
@@ -226,7 +220,6 @@ class FluidBackend(ExecutionBackend):
             control_series=control.trajectory if control is not None else agg.fleet_series,
             cache_hits=control.modeler.cache_hits if control is not None else 0,
             cache_misses=control.modeler.cache_misses if control is not None else 0,
-            compactions=0,
             **economy_fields(totals),
         )
         fleet = agg.fleet_series[-1][1] if agg.fleet_series else 0

@@ -23,7 +23,7 @@ module is the pool half of
   the execution order) — only the ``wall_seconds`` diagnostic and the
   ``profile`` timings differ, and both are excluded from
   ``RunMetrics`` equality.  Observability counters (decision-cache
-  hits/misses, heap compactions, event counts, phase profiles) are
+  hits/misses, event counts, phase profiles) are
   carried *inside* each pickled ``RunMetrics``, so nothing measured in
   a worker process is lost when the pool shuts down;
 * the backend's in-process loop is the graceful fallback whenever the

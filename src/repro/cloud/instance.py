@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 from ..sim.engine import Engine
 from ..sim.events import TIME
@@ -166,7 +166,7 @@ class AppInstance:
         """
         lost = self.occupancy
         if self._pending is not None:
-            self._engine.discard(self._pending)
+            self._engine.cancel(self._pending)
             self._pending = None
         self.occupancy = 0
         self._queue.clear()

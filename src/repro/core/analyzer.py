@@ -59,8 +59,8 @@ class WorkloadAnalyzer:
         the observed rate (inflated by ``deviation_safety``).  This is
         the feedback loop that protects the system when the predictor
         is simply wrong — the paper's "resilience to uncertainties".
-        Requires a monitor with rate sampling enabled.
-        :class:`~repro.core.policies.AdaptivePolicy` validates it.
+        Requires a monitor with rate sampling enabled, which
+        :meth:`~repro.core.policies.AdaptivePolicy.validate` checks.
     deviation_safety:
         Inflation applied to the observed rate on a corrective alert.
 
@@ -79,13 +79,6 @@ class WorkloadAnalyzer:
     ) -> None:
         if horizon <= 0.0:
             raise ConfigurationError(f"horizon must be > 0, got {horizon!r}")
-        if deviation_threshold is not None and (
-            monitor is None or monitor.rate_sample_interval is None
-        ):
-            raise ConfigurationError(
-                "deviation watching needs a monitor with rate sampling "
-                "(set the scenario's rate_sample_interval)"
-            )
         self._engine = engine
         self._plane = plane
         self.horizon = float(horizon)

@@ -86,6 +86,15 @@ class ProvisioningPolicy(ABC):
     #: other backend before the run starts.
     backends: FrozenSet[str] = frozenset({"des"})
 
+    def validate(self, scenario) -> None:
+        """Reject a scenario this policy cannot run.
+
+        :meth:`repro.backends.base.ExecutionBackend.run` calls it before
+        the run emits its first trace event; it raises
+        :class:`~repro.errors.ConfigurationError`.  The base policy
+        runs on every scenario.
+        """
+
     @abstractmethod
     def attach(self, ctx: SimulationContext) -> None:
         """Wire the policy into a built simulation context.
@@ -148,11 +157,12 @@ class AdaptivePolicy(ProvisioningPolicy):
         Enable corrective alerts when the monitored arrival rate
         deviates from the issued estimate (see
         :class:`~repro.core.analyzer.WorkloadAnalyzer`); the scenario
-        must enable monitor rate sampling, and the policy then runs on
-        the DES backends only.
+        must enable monitor rate sampling (:meth:`validate`), and the
+        policy then runs on the DES backends only.
 
-    Every parameter is checked here, so a bad value fails before a run
-    emits its first trace event.
+    Every parameter is checked here, and the scenario in
+    :meth:`validate`, so a bad value fails before a run emits its first
+    trace event.
     """
 
     name = "Adaptive"
@@ -202,6 +212,14 @@ class AdaptivePolicy(ProvisioningPolicy):
         self.predictor_factory = predictor_factory
         self.deviation_threshold = deviation_threshold
         self.deviation_safety = float(deviation_safety)
+
+    def validate(self, scenario) -> None:
+        """A deviation watch reads the monitor's sampled arrival rate."""
+        if self.deviation_threshold is not None and scenario.rate_sample_interval is None:
+            raise ConfigurationError(
+                "deviation watching needs a monitor with rate sampling "
+                "(set the scenario's rate_sample_interval)"
+            )
 
     def _build_modeler(self, qos, capacity: int, max_vms: int) -> PerformanceModeler:
         """One Algorithm-1 modeler, identically parameterized on every

@@ -6,18 +6,13 @@ MetricsCollector`; core-hours from the datacenter) into an economic
 trajectory: one immutable :class:`IntervalRecord` per accounting
 interval, and exact end-of-run totals.
 
-Determinism and mergeability are the load-bearing properties, mirroring
-the Chan-merge contract of the metrics registry:
+Determinism is the load-bearing property:
 
 * records are plain tuples of the interval's *deltas*, so a record is
   independent of every other record;
 * totals are computed with :func:`math.fsum` over the record set, so
   they are the correctly-rounded true sums — **exactly** invariant
-  under record order;
-* :meth:`ProfitLedger.merge` is multiset union plus a canonical sort,
-  which makes merge associative, commutative, and idempotent-free in
-  the same sense as concatenation (property-tested in
-  ``tests/test_economy.py``).
+  under record order (property-tested in ``tests/test_economy.py``).
 
 On the DES backends the ledger installs a low-priority periodic engine
 tick (same cadence discipline as
@@ -119,7 +114,7 @@ class EconomyTotals:
 
 
 class ProfitLedger:
-    """Interval-sampled profit accounting for one (or a merge of) runs.
+    """Interval-sampled profit accounting for one run.
 
     Parameters
     ----------
@@ -228,7 +223,7 @@ class ProfitLedger:
         return record
 
     # ------------------------------------------------------------------
-    # Totals / merge
+    # Totals
     # ------------------------------------------------------------------
     @property
     def violating_intervals(self) -> int:
@@ -250,22 +245,6 @@ class ProfitLedger:
             penalty=self.pricing.sla_penalty * self.violating_intervals,
             spot_vm_hours=self.spot_fraction * vm_hours,
             revocations=int(revocations),
-        )
-
-    def merge(self, other: "ProfitLedger") -> "ProfitLedger":
-        """Combine two ledgers' record sets (associative, order-invariant).
-
-        The merged record list is the sorted multiset union, and totals
-        are fsum-exact over it, so ``(a ∪ b) ∪ c == a ∪ (b ∪ c)`` holds
-        bit-for-bit — the same contract the registry's Chan merge keeps
-        for Welford moments.
-        """
-        return ProfitLedger(
-            pricing=self.pricing,
-            interval=self.interval,
-            cores_per_vm=self.cores_per_vm,
-            spot_fraction=self.spot_fraction,
-            records=list(self.records) + list(other.records),
         )
 
     # ------------------------------------------------------------------

@@ -27,8 +27,7 @@ Installed as ``repro``::
 Each experiment prints its table to stdout; ``--out DIR`` additionally
 writes ``<experiment>.md`` (markdown table) and ``<experiment>.csv``.
 DES experiments also print a perf summary — per-replication wall-clock,
-engine event/compaction counts and Algorithm-1 decision-cache
-hits/misses — so performance regressions show up in every run, not only
+engine event counts and Algorithm-1 decision-cache hits/misses — so performance regressions show up in every run, not only
 in the benchmark suite.
 
 ``run --trace DIR`` writes one JSONL trace per (policy, seed)
@@ -208,10 +207,7 @@ def _perf_summary(data: "figures.FigureData") -> List[str]:
         hits = sum(r.cache_hits for r in runs)
         misses = sum(r.cache_misses for r in runs)
         events = sum(r.events for r in runs)
-        compactions = sum(r.compactions for r in runs)
         line = f"  {policy:<12s} wall [{walls}]  events {events}"
-        if compactions:
-            line += f"  compactions {compactions}"
         if hits or misses:
             total = hits + misses
             line += f"  decision cache {hits}/{total} hits"
@@ -219,7 +215,7 @@ def _perf_summary(data: "figures.FigureData") -> List[str]:
     if lines:
         lines.insert(
             0,
-            "perf: per-replication wall-clock, engine events/compactions "
+            "perf: per-replication wall-clock, engine events "
             "and Algorithm-1 decision cache",
         )
     return lines

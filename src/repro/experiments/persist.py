@@ -6,9 +6,10 @@ minutes) should never have to be re-run to re-tabulate: the unified
 JSON with a format header, so saved result sets survive library
 upgrades with an explicit version check instead of a silent misparse.
 
-The format is version 2: one ``kind: "metrics"`` entry per result, the
+The format is version 3: one ``kind: "metrics"`` entry per result, the
 JSON form of :class:`RunMetrics` (backend tag included).  Any other
-version is rejected with a :class:`~repro.errors.ConfigurationError`.
+version, and an entry whose fields are not :class:`RunMetrics`' own, is
+rejected with a :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -33,10 +34,16 @@ __all__ = [
 
 #: Format identifier written into every results file.
 _FORMAT = "repro-results"
-_VERSION = 2
+_VERSION = 3
 
 #: RunMetrics field names, in declaration order.
 _FIELDS = tuple(f.name for f in dataclasses.fields(RunMetrics))
+#: The fields an entry must carry: those without a default.
+_REQUIRED = frozenset(
+    f.name
+    for f in dataclasses.fields(RunMetrics)
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+)
 
 _float_repr = float.__repr__
 _int_repr = int.__repr__
@@ -140,13 +147,32 @@ def result_to_dict(result: RunMetrics) -> dict:
 
 
 def result_from_dict(blob: dict, version: int = _VERSION) -> RunMetrics:
-    """Inverse of :func:`result_to_dict` (version-aware)."""
-    kind = blob.get("kind")
+    """Inverse of :func:`result_to_dict` (version-aware).
+
+    Raises
+    ------
+    ConfigurationError
+        If the entry is not a ``metrics`` entry of this format version,
+        or its ``data`` is not a dict of :class:`RunMetrics` fields
+        holding at least every field without a default.
+    """
+    kind = blob.get("kind") if isinstance(blob, dict) else None
     if (int(version), kind) != (_VERSION, "metrics"):
         raise ConfigurationError(
             f"unknown result kind {kind!r} for format version {version}"
         )
-    data = dict(blob["data"])
+    data = blob.get("data")
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"a metrics entry's data must be an object, got {type(data).__name__}"
+        )
+    unknown = sorted(set(data) - set(_FIELDS))
+    missing = sorted(_REQUIRED - set(data))
+    if unknown or missing:
+        problems = [f"unknown field(s) {', '.join(unknown)}"] if unknown else []
+        problems += [f"missing field(s) {', '.join(missing)}"] if missing else []
+        raise ConfigurationError(f"malformed metrics entry: {'; '.join(problems)}")
+    data = dict(data)
     for key in ("fleet_series", "control_series"):
         if key in data:
             data[key] = tuple(tuple(point) for point in data[key])
@@ -167,7 +193,7 @@ def save_results(path: Union[str, Path], results: Sequence[RunMetrics]) -> None:
 def load_results(path: Union[str, Path]) -> List[RunMetrics]:
     """Load a result set written by :func:`save_results`.
 
-    Reads the current format (version 2) only.
+    Reads the current format (version 3) only.
 
     Raises
     ------

@@ -167,11 +167,6 @@ class MetricsCollector:
             return 0.0
         return self.busy_seconds / (self.vm_hours * 3600.0)
 
-    @property
-    def violation_rate(self) -> float:
-        """Fraction of completed requests exceeding ``T_s``."""
-        return self.violations / self.completed if self.completed else 0.0
-
     # ------------------------------------------------------------------
     def finalize(self, now: float, vm_hours: float) -> None:
         """Close the books at the end of a run."""

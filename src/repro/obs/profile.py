@@ -3,7 +3,7 @@
 A replication spends its wall-clock in three phases — *build* (wire the
 data plane, attach the policy), *run* (the event loop) and *finalize*
 (metric aggregation) — and its work in a handful of kernel counters
-(events fired, heap compactions, trace events emitted).
+(events fired, trace events emitted).
 :class:`RunProfile` captures both per run, serializes to a JSON-safe
 dict that survives the process-pool pickle round-trip (the counters
 used to die with the worker process), and aggregates across

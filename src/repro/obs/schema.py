@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Union
 
 from ..errors import TraceSchemaError
 
@@ -45,7 +45,7 @@ _FLOAT = (float, int)  # JSON numbers; ints are acceptable floats
 EVENT_TYPES: Dict[str, Dict[str, tuple]] = {
     # run lifecycle (emitted by the experiment runner)
     "run.start": {"scenario": (str,), "policy": (str,), "seed": (int,)},
-    "run.end": {"events": (int,), "compactions": (int,)},
+    "run.end": {"events": (int,)},
     # workload generation (broker)
     "window.generated": {"t0": _FLOAT, "arrivals": (int,)},
     # per-request data plane (admission control / monitor)
@@ -88,8 +88,6 @@ EVENT_TYPES: Dict[str, Dict[str, tuple]] = {
         "target": (int,),
         "after": (int,),
     },
-    # engine heap hygiene
-    "engine.compacted": {"removed": (int,), "remaining": (int,)},
     # vectorized backend: one summary per non-empty epoch span (the
     # arrivals/completions the array data plane absorbed since the
     # previous engine event); ``stations`` is the active fleet size at

@@ -120,13 +120,3 @@ class MM1KQueue(QueueModel):
     def utilization(self) -> float:
         """Probability the server is busy, 1 − P(0) = carried load."""
         return 1.0 - self.state_probability(0)
-
-    @property
-    def max_response_time(self) -> float:
-        """Worst-case *mean* path: K services back-to-back, K/μ.
-
-        This is the quantity the paper's Eq. 1 bounds by ``Ts``: an
-        accepted request waits behind at most K − 1 others, so its
-        expected sojourn is at most K service times.
-        """
-        return self.capacity / self.mu

@@ -2,9 +2,10 @@
 
 This is the pooled-fleet analogue of the paper's per-instance M/M/1/k
 model: m instances each with capacity k correspond (under perfect load
-balancing) to an M/M/m/(m·k) station.  The fluid engine and the
-ablation benchmarks use it to quantify how much the paper's
-independent-queues assumption costs.
+balancing) to an M/M/m/(m·k) station.  Only the tests use it: they
+bracket the DES's blocking between the split M/M/1/k stations and this
+pooled station, which bounds what the paper's independent-queues
+assumption costs.  The fluid engine does not use it.
 
 The stationary distribution is computed from the birth–death balance
 equations with weights normalized by their maximum to avoid overflow

@@ -12,7 +12,6 @@ cross-validates the event-driven results at full paper scale.
 from .batch import (
     SoAQueues,
     event_span,
-    fifo_departures,
     fifo_departures_grouped,
     round_robin_departures,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "EventHandle",
     "SoAQueues",
     "event_span",
-    "fifo_departures",
     "fifo_departures_grouped",
     "round_robin_departures",
     "PRIORITY_HIGH",

@@ -57,45 +57,9 @@ __all__ = [
     "SpanPlan",
     "event_span",
     "one_pass_span",
-    "fifo_departures",
     "fifo_departures_grouped",
     "round_robin_departures",
 ]
-
-
-def fifo_departures(
-    arrivals: np.ndarray, services: np.ndarray, ready: float = -math.inf
-) -> np.ndarray:
-    """Departure times of one FIFO server, vectorized Lindley recursion.
-
-    ``dep[i] = max(arrivals[i], dep[i-1]) + services[i]`` computed
-    without a Python loop: with ``C = cumsum(services)`` the recursion
-    unrolls to ``dep = C + running_max(arrivals - C_shifted)``, a
-    cumulative sum plus a cumulative maximum.
-
-    Parameters
-    ----------
-    arrivals:
-        Sorted arrival times of the server's request sequence.
-    services:
-        Matching service times.
-    ready:
-        Time the server frees up from earlier work (the in-service
-        request's departure); defaults to "idle forever".
-    """
-    arrivals = np.asarray(arrivals, dtype=np.float64)
-    services = np.asarray(services, dtype=np.float64)
-    if arrivals.shape != services.shape:
-        raise ConfigurationError(
-            f"arrivals and services must align, got {arrivals.shape} vs {services.shape}"
-        )
-    if arrivals.size == 0:
-        return np.empty(0)
-    totals = np.cumsum(services)
-    floors = np.empty_like(totals)
-    floors[0] = max(float(arrivals[0]), ready)
-    floors[1:] = arrivals[1:] - totals[:-1]
-    return totals + np.maximum.accumulate(floors)
 
 
 def fifo_departures_grouped(
@@ -103,11 +67,16 @@ def fifo_departures_grouped(
     services: np.ndarray,
     ready: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Row-wise :func:`fifo_departures` for a ``(stations, n)`` matrix.
+    """Departure times of FIFO servers, vectorized Lindley recursion.
 
-    Each row is one server's request sequence; ``ready`` optionally
-    gives each server's free-up time.  This is the grouped form the
-    dispatch-group benchmarks exercise.
+    Each row of the ``(stations, n)`` matrices is one server's sorted
+    request sequence, and ``dep[i] = max(arrivals[i], dep[i-1]) +
+    services[i]`` along it is computed without a Python loop: with
+    ``C = cumsum(services)`` the recursion unrolls to
+    ``dep = C + running_max(arrivals - C_shifted)``, a cumulative sum
+    plus a cumulative maximum.  ``ready`` optionally gives each
+    server's free-up time from earlier work (the in-service request's
+    departure); by default every server starts idle.
     """
     arrivals = np.asarray(arrivals, dtype=np.float64)
     services = np.asarray(services, dtype=np.float64)

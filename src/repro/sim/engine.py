@@ -35,22 +35,17 @@ operation and no frame but the callback's.  :meth:`step`,
 arrival advances the clock and counts in :attr:`events_fired` like any
 event.
 
-Heap hygiene
+Cancellation
 ------------
-Cancellation is lazy (an O(1) flag flip), which is the right trade for
-the common case but lets crash/drain-heavy runs accumulate dead entries
-in the future-event list.  :meth:`discard` therefore tracks the count
-of live cancelled entries and *compacts* the heap in place — filtering
-dead entries and re-heapifying — whenever they exceed half of a
-non-trivially-sized heap.  Compaction is O(n) but amortized O(1) per
-cancellation, and mutates the list in place so a running event loop
-(which binds the heap to a local) never observes a stale binding.
+Cancellation is lazy: :meth:`cancel` flips the entry's flag in O(1),
+and :meth:`run`, :meth:`step` and :meth:`peek` pop cancelled entries
+when they reach the head of the heap.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Callable, List, Optional, Tuple
 
 from ..errors import EngineStateError, SchedulingInPastError
@@ -82,11 +77,7 @@ class Engine:
     [5.0]
     """
 
-    #: Compaction is skipped below this heap size — filtering a small
-    #: list costs more bookkeeping than the dead entries ever will.
-    COMPACT_MIN_SIZE = 1024
-
-    def __init__(self, start_time: float = 0.0, tracer: Optional[object] = None) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._heap: List[EventHandle] = []
         self._seq = 0
@@ -102,13 +93,6 @@ class Engine:
         self._arrival_seq: float = _UNARMED
         self._loads = 0
         self._events_fired = 0
-        self._cancelled = 0
-        #: Number of heap compactions performed (observability).
-        self.compactions = 0
-        #: Optional :class:`repro.obs.bus.TraceBus`.  Only the cold
-        #: paths (compaction) emit — the inner event loop is untouched
-        #: so tracing can never slow an untraced run.
-        self.tracer = tracer
         #: Hooks invoked (with the engine) after a clean run completes.
         self.at_end: List[Callable[["Engine"], None]] = []
 
@@ -155,15 +139,6 @@ class Engine:
         return len(self._arrivals) - self._next_arrival
 
     @property
-    def cancelled_pending(self) -> int:
-        """Tracked count of cancelled-but-unpopped entries in the heap.
-
-        Only cancellations routed through :meth:`discard` are counted;
-        the static :meth:`cancel` cannot reach the engine's counter.
-        """
-        return self._cancelled
-
-    @property
     def finished(self) -> bool:
         """Whether :meth:`run` has completed (including by exception)."""
         return self._finished
@@ -179,8 +154,7 @@ class Engine:
     ) -> EventHandle:
         """Schedule ``callback`` to fire ``delay`` seconds from now.
 
-        Returns the event handle, which may be passed to :meth:`cancel`
-        or :meth:`discard`.
+        Returns the event handle, which may be passed to :meth:`cancel`.
         """
         # Inlined schedule_at: this sits on the DES hot path (one call
         # per completion) and the extra frame is measurable.
@@ -277,47 +251,9 @@ class Engine:
     def cancel(entry: EventHandle) -> None:
         """Lazily cancel a scheduled event (idempotent).
 
-        The entry stays in the heap but is skipped when popped.  Prefer
-        :meth:`discard` when an engine reference is at hand — it also
-        feeds the compaction heuristic.
+        The entry stays in the heap but is skipped when popped.
         """
         entry[CANCELLED] = True
-
-    def discard(self, entry: EventHandle) -> None:
-        """Cancel ``entry`` and account for it (idempotent).
-
-        Identical semantics to :meth:`cancel`, plus the engine tracks
-        how many cancelled entries are still sitting in the heap and
-        compacts the future-event list when they exceed half of a
-        heap larger than :attr:`COMPACT_MIN_SIZE`.
-        """
-        if entry[CANCELLED]:
-            return
-        entry[CANCELLED] = True
-        self._cancelled += 1
-        heap = self._heap
-        if len(heap) >= self.COMPACT_MIN_SIZE and 2 * self._cancelled >= len(heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and restore the heap invariant.
-
-        In-place (slice assignment) so locals bound to the heap by a
-        running loop stay valid.
-        """
-        heap = self._heap
-        before = len(heap)
-        heap[:] = [e for e in heap if not e[CANCELLED]]
-        _heapify(heap)
-        self._cancelled = 0
-        self.compactions += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "engine.compacted",
-                self._now,
-                removed=before - len(heap),
-                remaining=len(heap),
-            )
 
     # ------------------------------------------------------------------
     # execution
@@ -330,8 +266,6 @@ class Engine:
             if not entry[4]:
                 return entry
             _heappop(heap)
-            if self._cancelled:
-                self._cancelled -= 1
         return None
 
     def _arrival_next(self, head: Optional[EventHandle]) -> bool:
@@ -416,8 +350,6 @@ class Engine:
                 head = heap[0] if heap else None
                 if head is not None and head[4]:
                     pop(heap)
-                    if self._cancelled:
-                        self._cancelled -= 1
                     continue
                 if idx < end:
                     t = times[idx]

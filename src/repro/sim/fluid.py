@@ -9,12 +9,11 @@ and treats demand as a *flow* through the provisioned fleet:
 * per interval ``Δ`` it evaluates the workload's mean rate ``λ(t)``
   against the fleet size ``m(t)`` dictated by the control trajectory,
   then
-* converts flow to metrics with a queueing model of the instances —
-  either the Markovian M/M/1/k station (``flow_model="markovian"``) or
-  a deterministic-flow bound (``flow_model="deterministic"``, default)
-  matching the low-variability simulated workloads: rejection appears
-  only when offered load exceeds fleet capacity, and the response time
-  of accepted requests is the station's mean sojourn.
+* converts flow to metrics with a deterministic-flow model of the
+  instances, matching the low-variability simulated workloads:
+  rejection appears only when offered load exceeds fleet capacity, and
+  the response time of accepted requests grows from one service time
+  (idle) toward the ``k``-deep worst case (saturated).
 
 The engine is pure data plane: it knows nothing about predictors or
 Algorithm 1.  Adaptive runs step a
@@ -40,7 +39,6 @@ import numpy as np
 
 from ..core.qos import QoSTarget
 from ..errors import ConfigurationError
-from ..queueing.mm1k import MM1KQueue
 from ..workloads.base import Workload
 
 __all__ = ["FluidAggregates", "FluidSimulator"]
@@ -116,27 +114,14 @@ class FluidSimulator:
         QoS contract (supplies ``T_s`` and the Eq.-1 capacity).
     dt:
         Evaluation interval in seconds.
-    flow_model:
-        ``"deterministic"`` (default) or ``"markovian"``.
     """
 
-    def __init__(
-        self,
-        workload: Workload,
-        qos: QoSTarget,
-        dt: float = 60.0,
-        flow_model: str = "deterministic",
-    ) -> None:
+    def __init__(self, workload: Workload, qos: QoSTarget, dt: float = 60.0) -> None:
         if dt <= 0.0 or not math.isfinite(dt):
             raise ConfigurationError(f"dt must be finite and > 0, got {dt!r}")
-        if flow_model not in ("deterministic", "markovian"):
-            raise ConfigurationError(
-                f"flow_model must be 'deterministic' or 'markovian', got {flow_model!r}"
-            )
         self.workload = workload
         self.qos = qos
         self.dt = float(dt)
-        self.flow_model = flow_model
         self.capacity = qos.queue_capacity(workload.base_service_time)
         self.service_time = workload.mean_service_time
 
@@ -144,10 +129,9 @@ class FluidSimulator:
     def _station_metrics_vec(self, lam_i: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-instance (blocking, sojourn) for each offered rate of a grid.
 
-        The deterministic flow model is pure numpy; the Markovian model
-        still builds one :class:`MM1KQueue` per *unique* offered load —
-        daily/weekly periodic scenarios repeat the same loads, so the
-        solve count collapses from one-per-interval to one-per-level.
+        Deterministic flow: rejection only above capacity; the sojourn
+        grows from one service time (idle) toward the k-deep worst case
+        (saturated).
         """
         ts = self.service_time
         mu = 1.0 / ts
@@ -157,20 +141,6 @@ class FluidSimulator:
         pos = lam_i > 0.0
         if not np.any(pos):
             return blocking, sojourn
-        if self.flow_model == "markovian":
-            levels, inverse = np.unique(lam_i[pos], return_inverse=True)
-            b = np.empty(levels.size)
-            s = np.empty(levels.size)
-            for j, level in enumerate(levels):
-                q = MM1KQueue(float(level), mu, k)
-                b[j] = q.blocking_probability
-                s[j] = q.mean_response_time
-            blocking[pos] = b[inverse]
-            sojourn[pos] = s[inverse]
-            return blocking, sojourn
-        # Deterministic flow: rejection only above capacity; the sojourn
-        # grows from one service time (idle) toward the k-deep worst
-        # case (saturated).
         rho = lam_i[pos] / mu
         over = rho >= 1.0
         b = np.where(over, 1.0 - 1.0 / np.maximum(rho, 1.0), 0.0)

@@ -12,16 +12,9 @@
   (DESIGN.md §4).
 """
 
-from .analysis import WorkloadProfile, characterize, realize_counts
+from .analysis import WorkloadProfile, characterize
 from .base import ScaledWorkload, ServiceTimeSampler, Workload
-from .distributions import (
-    poisson_process,
-    sample_weibull,
-    truncated_normal,
-    weibull_mean,
-    weibull_mode,
-    weibull_variance,
-)
+from .distributions import poisson_process, weibull_mean, weibull_mode
 from .scientific import ScientificWorkload
 from .synthetic import MMPPWorkload, PiecewiseRateWorkload, PoissonWorkload
 from .trace import TraceWorkload, load_trace, save_trace
@@ -42,11 +35,7 @@ __all__ = [
     "load_trace",
     "WorkloadProfile",
     "characterize",
-    "realize_counts",
     "weibull_mean",
     "weibull_mode",
-    "weibull_variance",
-    "sample_weibull",
-    "truncated_normal",
     "poisson_process",
 ]

@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import WorkloadError
 from .base import Workload
 
-__all__ = ["WorkloadProfile", "characterize", "realize_counts"]
+__all__ = ["WorkloadProfile", "characterize"]
 
 
 @dataclass(frozen=True)
@@ -135,27 +135,6 @@ class WorkloadProfile:
             self.index_of_dispersion_detrended > iod_threshold
             or self.batch_fraction > batch_threshold
         )
-
-
-def realize_counts(
-    workload: Workload,
-    rng: np.random.Generator,
-    horizon: float,
-    bin_width: float,
-) -> np.ndarray:
-    """Bin one realized horizon of ``workload`` into arrival counts."""
-    if horizon <= 0.0 or bin_width <= 0.0:
-        raise WorkloadError(f"bad horizon/bin ({horizon!r}, {bin_width!r})")
-    edges = np.arange(0.0, horizon + bin_width, bin_width)
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    t = 0.0
-    while t < horizon:
-        arrivals = workload.sample_window(rng, t)
-        if arrivals.size:
-            idx, _ = np.histogram(arrivals, bins=edges)
-            counts += idx
-        t += workload.window
-    return counts
 
 
 def characterize(

@@ -1,9 +1,9 @@
 """Distribution helpers used by the workload models.
 
 The workload generators draw from numpy's ``Generator`` directly; this
-module holds the *analytical* moments and modes the paper quotes (it
-parameterizes its predictors by Weibull modes) plus a couple of
-samplers that numpy does not expose in the exact form we need.
+module holds the *analytical* Weibull mean and mode the paper quotes (it
+parameterizes its predictors by Weibull modes) and the homogeneous
+Poisson process the validation workloads sample.
 
 Weibull convention: ``shape`` k and ``scale`` λ, density
 ``f(x) = (k/λ)·(x/λ)^{k−1}·exp(−(x/λ)^k)``, matching both the paper's
@@ -22,9 +22,6 @@ from ..errors import WorkloadError
 __all__ = [
     "weibull_mean",
     "weibull_mode",
-    "weibull_variance",
-    "sample_weibull",
-    "truncated_normal",
     "poisson_process",
 ]
 
@@ -63,45 +60,6 @@ def weibull_mode(shape: float, scale: float) -> float:
     if shape <= 1.0:
         return 0.0
     return scale * ((shape - 1.0) / shape) ** (1.0 / shape)
-
-
-def weibull_variance(shape: float, scale: float) -> float:
-    """Variance λ²·(Γ(1 + 2/k) − Γ(1 + 1/k)²)."""
-    _check_weibull(shape, scale)
-    g1 = math.gamma(1.0 + 1.0 / shape)
-    g2 = math.gamma(1.0 + 2.0 / shape)
-    return scale * scale * (g2 - g1 * g1)
-
-
-def sample_weibull(
-    rng: np.random.Generator, shape: float, scale: float, size: int
-) -> np.ndarray:
-    """``size`` Weibull(k=shape, λ=scale) variates."""
-    _check_weibull(shape, scale)
-    if size < 0:
-        raise WorkloadError(f"sample size must be >= 0, got {size}")
-    return rng.weibull(shape, size=size) * scale
-
-
-def truncated_normal(
-    rng: np.random.Generator, mean: float, std: float, low: float = 0.0
-) -> float:
-    """One normal draw truncated below at ``low`` by resampling.
-
-    Used for the web workload's ±5 % interval-rate noise, which must
-    never go negative.  Falls back to the bound after 100 attempts
-    (practically unreachable for the paper's parameters, where the
-    bound is 20 σ away).
-    """
-    if std < 0.0:
-        raise WorkloadError(f"std must be >= 0, got {std}")
-    if std == 0.0:
-        return max(low, mean)
-    for _ in range(100):
-        v = rng.normal(mean, std)
-        if v >= low:
-            return float(v)
-    return float(low)
 
 
 def poisson_process(

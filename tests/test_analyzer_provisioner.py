@@ -105,11 +105,6 @@ def test_analyzer_validation():
     )
     with pytest.raises(ConfigurationError):
         WorkloadAnalyzer(engine, plane, horizon=0.0)
-    # A deviation watch needs a monitor that samples the arrival rate.
-    with pytest.raises(ConfigurationError):
-        WorkloadAnalyzer(engine, plane, horizon=10.0, deviation_threshold=0.3)
-    with pytest.raises(ConfigurationError):
-        WorkloadAnalyzer(engine, plane, horizon=10.0, monitor=make_env().monitor, deviation_threshold=0.3)
 
 
 # ----------------------------------------------------------------------

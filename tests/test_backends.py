@@ -82,7 +82,7 @@ def test_runmetrics_defaults():
     m = _metrics()
     assert m.backend == "des"
     assert m.control_series == ()
-    assert m.cache_hits == 0 and m.cache_misses == 0 and m.compactions == 0
+    assert m.cache_hits == 0 and m.cache_misses == 0
     assert m.profile == {}
 
 

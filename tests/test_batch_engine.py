@@ -53,7 +53,6 @@ from repro.sim import (
     Engine,
     SoAQueues,
     event_span,
-    fifo_departures,
     fifo_departures_grouped,
     round_robin_departures,
 )
@@ -83,26 +82,29 @@ def test_fifo_departures_matches_scalar_loop():
     # is to within a few ulps, not bitwise (the SoA data plane used by
     # VectorFleet performs the scalar-ordered arithmetic and IS exact).
     np.testing.assert_allclose(
-        fifo_departures(arrivals, services),
+        fifo_departures_grouped(arrivals[None, :], services[None, :])[0],
         _lindley_loop(arrivals, services),
         rtol=1e-12,
     )
 
 
 def test_fifo_departures_respects_ready_time():
-    arrivals = np.array([1.0, 2.0, 3.0])
-    services = np.array([1.0, 1.0, 1.0])
-    # Server busy until t=10: everything queues behind it.
+    arrivals = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    services = np.ones((2, 3))
+    # Server 0 busy until t=10: everything queues behind it.  Server 1
+    # frees up before its first arrival, which starts on arrival.
     np.testing.assert_array_equal(
-        fifo_departures(arrivals, services, ready=10.0),
-        np.array([11.0, 12.0, 13.0]),
+        fifo_departures_grouped(arrivals, services, ready=np.array([10.0, 0.5])),
+        np.array([[11.0, 12.0, 13.0], [2.0, 3.0, 4.0]]),
     )
 
 
 def test_fifo_departures_empty_and_mismatch():
-    assert fifo_departures(np.empty(0), np.empty(0)).size == 0
+    assert fifo_departures_grouped(np.empty((2, 0)), np.empty((2, 0))).shape == (2, 0)
     with pytest.raises(ConfigurationError):
-        fifo_departures(np.zeros(3), np.zeros(2))
+        fifo_departures_grouped(np.zeros((1, 3)), np.zeros((1, 2)))
+    with pytest.raises(ConfigurationError):
+        fifo_departures_grouped(np.zeros(3), np.zeros(3))
 
 
 def test_fifo_departures_grouped_rows_are_independent_servers():

@@ -14,8 +14,7 @@ scenarios that together reach every stream-draw and ``emit`` site of
 the library: traced and metered web runs on all three backends
 (adaptive with corrective alerts, a saturated static fleet, priced
 Profit and Spot runs with revocations), a boot
-cancelled and a busy instance drained by hand, an engine whose heap
-compacts, a campaign that
+cancelled and a busy instance drained by hand, a campaign that
 executes, caches, screens, fails, steals a stale lease and loses a
 race to a peer, and the stream users outside the
 backends (the MMPP workload, the §V workload analysis and the
@@ -45,7 +44,7 @@ from repro.obs.bus import TraceBus, TraceSink
 from repro.obs.metrics import METRIC_NAMES, MetricsConfig
 from repro.obs.schema import EVENT_TYPES, validate_event
 from repro.prediction import ArrivalRatePredictor
-from repro.sim import Engine, RandomStreams
+from repro.sim import RandomStreams
 from repro.sim.rng import STREAM_REGISTRY, stream_registered
 from repro.workloads.synthetic import MMPPWorkload
 
@@ -128,19 +127,6 @@ def _cancelled_boot(bus: TraceBus) -> None:
     assert (ctx.fleet.live_count, ctx.fleet.active_count) == (1, 0)
     ctx.fleet.scale_to(0)
     assert ctx.fleet.live_count == 0
-
-
-def _compacting_engine(bus: TraceBus) -> None:
-    """Cancel more than half of a large heap: the engine compacts it."""
-    engine = Engine(tracer=bus)
-    handles = [
-        engine.schedule_at(1.0 + i * 1e-3, lambda: None)
-        for i in range(Engine.COMPACT_MIN_SIZE)
-    ]
-    for handle in handles:
-        engine.discard(handle)
-    engine.run()
-    assert engine.compactions >= 1
 
 
 class _RacedStore(ResultStore):
@@ -243,7 +229,6 @@ def census(tmp_path_factory) -> Dict[str, object]:
         _traced_runs(bus, metered)
         _cancelled_boot(bus)
         _drained_instance(bus)
-        _compacting_engine(bus)
         _campaign(bus, tmp_path_factory.mktemp("census-store"))
         _other_stream_users()
     return {"drawn": drawn, "events": sink.types, "metrics": metered}

@@ -7,7 +7,7 @@ import pytest
 from repro.core import AdaptivePolicy, QoSTarget
 from repro.errors import ConfigurationError
 from repro.experiments import build_context, run_policy, web_scenario
-from repro.obs import RingBufferSink, TraceBus
+from repro.obs import RingBufferSink, TraceBus, TraceConfig
 from repro.experiments.scenario import ScenarioConfig
 from repro.prediction import ArrivalRatePredictor
 from repro.workloads import PiecewiseRateWorkload
@@ -120,10 +120,29 @@ def test_downward_deviation_releases_capacity():
 
 
 def test_deviation_requires_rate_sampling():
-    scenario = surprise_scenario(rate_sample_interval=None)
-    ctx = build_context(scenario, seed=0)
-    with pytest.raises(ConfigurationError):
-        adaptive(0.3).attach(ctx)
+    # A deviation watch needs a monitor that samples the arrival rate.
+    with pytest.raises(ConfigurationError, match="rate sampling"):
+        adaptive(0.3).validate(surprise_scenario(rate_sample_interval=None))
+    adaptive(0.3).validate(surprise_scenario())
+    adaptive(None).validate(surprise_scenario(rate_sample_interval=None))
+
+
+@pytest.mark.parametrize("backend", ["des", "des-vec"])
+def test_deviation_without_rate_sampling_fails_before_any_trace_event(backend, tmp_path):
+    web = web_scenario(scale=2000.0, horizon=3600.0)
+    bus = TraceBus(RingBufferSink())
+    with pytest.raises(ConfigurationError, match="rate sampling"):
+        run_policy(web, AdaptivePolicy(deviation_threshold=0.3), backend=backend, trace=bus)
+    assert len(bus.sink) == 0
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(ConfigurationError, match="rate sampling"):
+        run_policy(
+            web,
+            AdaptivePolicy(deviation_threshold=0.3),
+            backend=backend,
+            trace=TraceConfig(sink="jsonl", path=str(path)),
+        )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deviation_validation():

@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads import (
-    poisson_process,
-    sample_weibull,
-    truncated_normal,
-    weibull_mean,
-    weibull_mode,
-    weibull_variance,
-)
+from repro.workloads import poisson_process, weibull_mean, weibull_mode
 
 
 def test_weibull_mean_known_value():
@@ -36,35 +29,15 @@ def test_weibull_mode_below_shape_one_is_zero():
 def test_weibull_moments_match_samples():
     rng = np.random.default_rng(0)
     shape, scale = 1.76, 2.11
-    draws = sample_weibull(rng, shape, scale, 200_000)
+    draws = rng.weibull(shape, size=200_000) * scale
     assert draws.mean() == pytest.approx(weibull_mean(shape, scale), rel=0.01)
-    assert draws.var() == pytest.approx(weibull_variance(shape, scale), rel=0.03)
 
 
 def test_weibull_invalid_params():
     with pytest.raises(WorkloadError):
         weibull_mean(0.0, 1.0)
     with pytest.raises(WorkloadError):
-        sample_weibull(np.random.default_rng(0), 1.0, -1.0, 10)
-    with pytest.raises(WorkloadError):
-        sample_weibull(np.random.default_rng(0), 1.0, 1.0, -1)
-
-
-def test_truncated_normal_respects_bound():
-    rng = np.random.default_rng(1)
-    draws = [truncated_normal(rng, mean=1.0, std=2.0, low=0.0) for _ in range(2000)]
-    assert min(draws) >= 0.0
-
-
-def test_truncated_normal_zero_std():
-    rng = np.random.default_rng(2)
-    assert truncated_normal(rng, mean=5.0, std=0.0) == 5.0
-    assert truncated_normal(rng, mean=-5.0, std=0.0, low=0.0) == 0.0
-
-
-def test_truncated_normal_negative_std_rejected():
-    with pytest.raises(WorkloadError):
-        truncated_normal(np.random.default_rng(0), 1.0, -1.0)
+        weibull_mode(1.0, -1.0)
 
 
 def test_poisson_process_statistics():

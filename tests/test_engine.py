@@ -244,57 +244,10 @@ def test_events_fired_includes_current_event_during_run_and_step():
     assert observed == [("run", 1), ("run", 2), ("step", 1)]
 
 
-# ----------------------------------------------------------------------
-# heap hygiene: discard + compaction
-# ----------------------------------------------------------------------
-def test_discard_cancels_and_tracks():
-    eng = Engine()
-    h = eng.schedule_at(1.0, lambda: None)
-    eng.schedule_at(2.0, lambda: None)
-    eng.discard(h)
-    eng.discard(h)  # idempotent: counted once
-    assert eng.cancelled_pending == 1
-    eng.run()
-    assert eng.events_fired == 1
-    assert eng.cancelled_pending == 0
-
-
-def test_compaction_triggers_above_cancelled_fraction():
-    eng = Engine()
-    keep = [eng.schedule_at(10.0 + i, lambda: None) for i in range(100)]
-    dead = [eng.schedule_at(1.0 + i * 1e-3, lambda: None) for i in range(Engine.COMPACT_MIN_SIZE)]
-    assert eng.pending == 100 + Engine.COMPACT_MIN_SIZE
-    for h in dead:
-        eng.discard(h)
-    # Crossing the 50 % cancelled fraction compacts the heap in place.
-    # The sweep fires mid-loop; later discards on the now-small heap do
-    # not retrigger it (the COMPACT_MIN_SIZE gate), so some cancelled
-    # entries legitimately linger — they are skipped at pop time.
-    assert eng.compactions == 1
-    assert eng.pending < 100 + Engine.COMPACT_MIN_SIZE
-    assert eng.cancelled_pending == eng.pending - 100
-    eng.run()
-    assert eng.events_fired == 100
-    assert eng.cancelled_pending == 0
-    del keep
-
-
-def test_small_heaps_are_never_compacted():
-    eng = Engine()
-    handles = [eng.schedule_at(1.0 + i, lambda: None) for i in range(10)]
-    for h in handles:
-        eng.discard(h)
-    assert eng.compactions == 0
-    assert eng.cancelled_pending == 10
-    eng.run()
-    assert eng.events_fired == 0
-
-
 def test_static_cancel_still_works_without_tracking():
     eng = Engine()
     h = eng.schedule_at(1.0, lambda: None)
-    Engine.cancel(h)  # class-level call, no engine counter involved
-    assert eng.cancelled_pending == 0
+    Engine.cancel(h)  # class-level call
     eng.run()
     assert eng.events_fired == 0
 

@@ -35,19 +35,6 @@ def test_static_overload_rejects_excess_flow():
     assert res.utilization == pytest.approx(1.0, abs=0.01)
 
 
-def test_markovian_flavor_uses_mm1k_blocking():
-    w = PoissonWorkload(rate=8.0, base_service_time=1.0, exponential_service=False)
-    qos = QoSTarget(max_response_time=2.0)
-    det = FluidSimulator(w, qos, dt=10.0, flow_model="deterministic")
-    mar = FluidSimulator(w, qos, dt=10.0, flow_model="markovian")
-    r_det = det.run_static(10, horizon=100.0)
-    r_mar = mar.run_static(10, horizon=100.0)
-    # Markovian model predicts blocking at rho=0.8 with k=2; the
-    # deterministic bound predicts none.
-    assert r_det.rejection_rate == 0.0
-    assert 0.2 < r_mar.rejection_rate < 0.3
-
-
 def test_adaptive_fluid_matches_des_fleet_trajectory_scientific():
     scenario = scientific_scenario()
     des = run_policy(scenario, AdaptivePolicy(update_interval=1800.0), seed=0)
@@ -87,8 +74,6 @@ def test_fluid_validation():
     qos = QoSTarget(max_response_time=3.0)
     with pytest.raises(ConfigurationError):
         FluidSimulator(w, qos, dt=0.0)
-    with pytest.raises(ConfigurationError):
-        FluidSimulator(w, qos, flow_model="quantum")
     fluid = FluidSimulator(w, qos)
     with pytest.raises(ConfigurationError):
         fluid.run_static(0, 100.0)

@@ -64,7 +64,6 @@ def test_traced_adaptive_run_emits_schema_valid_closed_loop():
     end = events[-1]
     assert end["type"] == "run.end"
     assert end["events"] == result.events
-    assert end["compactions"] == result.compactions
     # Every analyzer alert drove exactly one decision and one actuation.
     n_pred = sum(1 for e in events if e["type"] == "prediction.issued")
     n_dec = sum(1 for e in events if e["type"] == "decision")
@@ -147,13 +146,13 @@ def test_parallel_traced_replications_write_one_file_per_seed(tmp_path):
 
 
 def test_worker_counters_survive_the_pool():
-    # Satellite 1: cache and compaction counters must come back from
-    # worker processes inside the pickled RunMetrics.
+    # Cache and event counters must come back from worker processes
+    # inside the pickled RunMetrics.
     sc = small_scenario()
     seq = run_replications(sc, PolicySpec(AdaptivePolicy), seeds=(0, 1), workers=1)
     par = run_replications(sc, PolicySpec(AdaptivePolicy), seeds=(0, 1), workers=2)
-    assert [(r.cache_hits, r.cache_misses, r.compactions, r.events) for r in seq] == [
-        (r.cache_hits, r.cache_misses, r.compactions, r.events) for r in par
+    assert [(r.cache_hits, r.cache_misses, r.events) for r in seq] == [
+        (r.cache_hits, r.cache_misses, r.events) for r in par
     ]
     for r in par:
         assert r.profile["counters"]["events"] == r.events

@@ -1,4 +1,4 @@
-"""Tests of result persistence (the v2 schema and its rejection paths)."""
+"""Tests of result persistence (the v3 schema and its rejection paths)."""
 
 from __future__ import annotations
 
@@ -81,8 +81,9 @@ def test_rejects_foreign_files(tmp_path):
 
 
 def test_rejects_future_versions(tmp_path):
-    # Version 1 (the pre-backend "run"/"fluid" blobs) is no longer read.
-    for version in (1, 999):
+    # Version 1 (the pre-backend "run"/"fluid" blobs) is no longer read,
+    # nor version 2 (whose metrics carried a ``compactions`` field).
+    for version in (1, 2, 999):
         path = tmp_path / f"v{version}.json"
         doc = {"format": "repro-results", "version": version, "results": []}
         path.write_text(json.dumps(doc))
@@ -96,9 +97,43 @@ def test_rejects_unknown_kind():
 
 
 def test_rejects_v2_legacy_kinds():
-    # The retired v1 kinds are not valid in a v2 file.
+    # The retired v1 kinds are not valid in a current file.
     with pytest.raises(ConfigurationError):
-        result_from_dict({"kind": "run", "data": {}}, version=2)
+        result_from_dict({"kind": "run", "data": {}}, version=3)
+
+
+def test_rejects_unknown_fields():
+    with pytest.raises(ConfigurationError, match="unknown field\\(s\\) bogus"):
+        result_from_dict({"kind": "metrics", "data": {"bogus": 1}})
+
+
+def test_rejects_missing_fields(des_result):
+    blob = result_to_dict(des_result)
+    del blob["data"]["seed"], blob["data"]["events"]
+    with pytest.raises(ConfigurationError, match="missing field\\(s\\) events, seed"):
+        result_from_dict(blob)
+
+
+def test_fields_with_defaults_may_be_omitted(des_result):
+    blob = result_to_dict(des_result)
+    del blob["data"]["revenue"]
+    assert result_from_dict(blob) == des_result
+
+
+def test_rejects_a_current_file_that_carries_compactions(tmp_path, des_result):
+    path = tmp_path / "stale.json"
+    save_results(path, [des_result])
+    doc = json.loads(path.read_text())
+    doc["results"][0]["data"]["compactions"] = 0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match="unknown field\\(s\\) compactions"):
+        load_results(path)
+
+
+@pytest.mark.parametrize("data", [None, [], "metrics"])
+def test_rejects_data_that_is_not_an_object(data):
+    with pytest.raises(ConfigurationError, match="must be an object"):
+        result_from_dict({"kind": "metrics", "data": data})
 
 
 def test_rejects_non_result_objects():

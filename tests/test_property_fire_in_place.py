@@ -7,7 +7,7 @@ reference below is the cursor the stream replaced at its simplest: one
 ``PRIORITY_NORMAL`` heap entry per arrival, scheduled when the previous
 arrival fires.  Hypothesis generates worlds around a batch of arrivals
 on a quarter-second grid (so arrivals and events tie) — same-instant
-events at every priority, events that discard other events (cancelled
+events at every priority, events that cancel other events (cancelled
 heap heads), events and arrivals that schedule children, a second batch
 loaded mid-window — and runs each world with both under ``run()``,
 ``run(until)`` cutting anywhere, and ``step()``.  Every callback logs
@@ -41,7 +41,7 @@ class ReferenceCursor:
         if self._idx < len(self._times):
             times = sorted(self._times[self._idx :] + times)
             if self._pending is not None:
-                self._engine.discard(self._pending)
+                self._engine.cancel(self._pending)
         self._times = times
         self._idx = 0
         self._pending = None
@@ -114,12 +114,8 @@ class World:
             if kind == "child":
                 delay, prio = param
                 engine.schedule(delay * GRID, lambda: self._record(f"child-of-{i}"), prio)
-            elif kind == "discard":
-                target = self.handles[param % len(self.handles)]
-                if param % 2:
-                    engine.discard(target)
-                else:
-                    Engine.cancel(target)
+            elif kind == "cancel":
+                Engine.cancel(self.handles[param % len(self.handles)])
             elif kind == "load":
                 later = sorted(engine.now + k * GRID for k in param)
                 self.cursor.load(later)
@@ -156,7 +152,7 @@ events = st.lists(
             "child",
             st.tuples(st.one_of(st.just(0), st.integers(min_value=0, max_value=8)), priorities),
         ),
-        _event("discard", st.integers(min_value=0, max_value=63)),
+        _event("cancel", st.integers(min_value=0, max_value=63)),
         _event("load", st.lists(st.integers(min_value=0, max_value=12), max_size=6)),
     ),
     max_size=14,

@@ -12,7 +12,6 @@ from repro.workloads import (
     ScientificWorkload,
     WebWorkload,
     characterize,
-    realize_counts,
 )
 
 
@@ -96,18 +95,11 @@ def test_recommended_fleet_band_matches_algorithm1(sci_profile):
     assert 55 <= hi <= 110
 
 
-def test_realize_counts_total():
-    w = PoissonWorkload(rate=2.0, window=100.0)
-    counts = realize_counts(w, np.random.default_rng(2), horizon=10_000.0, bin_width=100.0)
-    assert counts.sum() == pytest.approx(20_000, rel=0.05)
-    assert counts.size == 100
-
-
 def test_validation():
     w = PoissonWorkload(rate=1.0)
     rng = np.random.default_rng(0)
     with pytest.raises(WorkloadError):
-        realize_counts(w, rng, horizon=0.0, bin_width=1.0)
+        characterize(w, rng, horizon=0.0, bin_width=1.0)
     profile = characterize(w, rng, horizon=600.0, bin_width=60.0)
     with pytest.raises(WorkloadError):
         profile.recommended_fleet(service_time=0.0)
