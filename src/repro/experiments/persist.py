@@ -166,11 +166,16 @@ def result_from_dict(blob: dict, version: int = _VERSION) -> RunMetrics:
         raise ConfigurationError(
             f"a metrics entry's data must be an object, got {type(data).__name__}"
         )
-    unknown = sorted(set(data) - set(_FIELDS))
-    missing = sorted(_REQUIRED - set(data))
-    if unknown or missing:
-        problems = [f"unknown field(s) {', '.join(unknown)}"] if unknown else []
-        problems += [f"missing field(s) {', '.join(missing)}"] if missing else []
+    fields = set(data)
+    problems = [
+        f"{what} field(s) {', '.join(sorted(names))}"
+        for what, names in (
+            ("unknown", fields.difference(_FIELDS)),
+            ("missing", _REQUIRED - fields),
+        )
+        if names
+    ]
+    if problems:
         raise ConfigurationError(f"malformed metrics entry: {'; '.join(problems)}")
     data = dict(data)
     for key in ("fleet_series", "control_series"):
