@@ -16,22 +16,26 @@ shape:
 
 from __future__ import annotations
 
-from conftest import seeds, web_scale
+from conftest import WEB_POLICIES, campaign_rows, seeds, web_scale
 
-from repro.experiments import fig5_data
 from repro.metrics import format_table
 
 
-def test_fig5_policy_panels(benchmark):
-    data = benchmark.pedantic(
-        lambda: fig5_data(scale=web_scale(), seeds=seeds()),
-        rounds=1,
-        iterations=1,
+def test_fig5_policy_panels(benchmark, tmp_path):
+    block = dict(
+        scenario="web",
+        scale=web_scale(),
+        horizon="week",
+        policies=WEB_POLICIES,
+        backends=["des"],
+        seeds=",".join(str(s) for s in seeds()),
+    )
+    data, rows = benchmark.pedantic(
+        campaign_rows, args=("fig5", block, tmp_path), rounds=1, iterations=1
     )
     print()
     print(format_table(data.headers, data.rows, title=data.title))
 
-    rows = {row[0]: dict(zip(data.headers, row)) for row in data.rows}
     adaptive = rows["Adaptive"]
 
     # (a) instance range — paper: 55 → 153.

@@ -13,18 +13,25 @@ panels' metrics per policy and asserts the paper's shape:
 
 from __future__ import annotations
 
-from repro.experiments import fig6_data
+from conftest import SCI_POLICIES, campaign_rows
+
 from repro.metrics import format_table
 
 
-def test_fig6_policy_panels(benchmark):
-    data = benchmark.pedantic(
-        lambda: fig6_data(seeds=(0, 1, 2)), rounds=1, iterations=1
+def test_fig6_policy_panels(benchmark, tmp_path):
+    block = dict(
+        scenario="scientific",
+        horizon="day",
+        policies=SCI_POLICIES,
+        backends=["des"],
+        seeds="0-2",
+    )
+    data, rows = benchmark.pedantic(
+        campaign_rows, args=("fig6", block, tmp_path), rounds=1, iterations=1
     )
     print()
     print(format_table(data.headers, data.rows, title=data.title))
 
-    rows = {row[0]: dict(zip(data.headers, row)) for row in data.rows}
     adaptive = rows["Adaptive"]
 
     # (a) instance range — paper: 13 → 80.

@@ -9,60 +9,65 @@ trajectories must agree with the rate-scaled DES results.
 
 from __future__ import annotations
 
-from repro.backends import FluidBackend
-from repro.experiments import fig5_data, fig6_data
+from conftest import SCI_POLICIES, WEB_POLICIES, campaign_rows
+
 from repro.metrics import format_table
 
 
-def test_fig5_fluid_fullscale(benchmark):
-    data = benchmark.pedantic(
-        fig5_data,
-        kwargs=dict(scale=1.0, seeds=(0,), backend=FluidBackend()),
-        rounds=1,
-        iterations=1,
+def test_fig5_fluid_fullscale(benchmark, tmp_path):
+    block = dict(
+        scenario="web", scale=1.0, horizon="week", policies=WEB_POLICIES,
+        backends=["fluid"], seeds="0",
+    )
+    data, rows = benchmark.pedantic(
+        campaign_rows, args=("fig5-fluid", block, tmp_path), rounds=1, iterations=1
     )
     print()
     print(format_table(data.headers, data.rows, title=data.title))
-    results = {name: runs[0] for name, runs in data.raw["results"].items()}
-    adaptive = results["Adaptive"]
+    adaptive = rows["Adaptive"]
 
     # Paper headline numbers at full scale.
-    assert 48 <= adaptive.min_instances <= 58  # paper: 55
-    assert 148 <= adaptive.max_instances <= 158  # paper: 153
-    assert adaptive.rejection_rate < 0.005
-    assert adaptive.utilization > 0.75
-    equiv = adaptive.vm_hours / 168.0
+    assert 48 <= adaptive["min inst"] <= 58  # paper: 55
+    assert 148 <= adaptive["max inst"] <= 158  # paper: 153
+    assert adaptive["rejection"] < 0.005
+    assert adaptive["utilization"] > 0.75
+    equiv = adaptive["VM hours"] / 168.0
     print(f"equivalent 24/7 fleet: {equiv:.1f} (paper: 111)")
     assert 104 <= equiv <= 118
 
-    saving = 1.0 - adaptive.vm_hours / results["Static-150"].vm_hours
+    saving = 1.0 - adaptive["VM hours"] / rows["Static-150"]["VM hours"]
     print(f"VM-hour saving vs Static-150: {saving:.1%} (paper: 26%)")
     assert 0.20 <= saving <= 0.32
 
-    # Total offered traffic ≈ 500.12 M requests (paper).
-    print(f"offered requests: {adaptive.total_requests/1e6:.1f} M (paper: 500.12 M)")
-    assert 4.8e8 < adaptive.total_requests < 5.6e8
+    # Total offered traffic ≈ 500.12 M requests (paper); not a report
+    # column, so read from the Adaptive run itself.
+    (run,) = data.raw["results"]["web/Adaptive/fluid"]
+    print(f"offered requests: {run.total_requests/1e6:.1f} M (paper: 500.12 M)")
+    assert 4.8e8 < run.total_requests < 5.6e8
 
     # Static sweep shape.
-    assert results["Static-50"].rejection_rate > 0.35
-    assert results["Static-150"].rejection_rate < 1e-6
-    assert results["Static-150"].utilization < 0.65
+    assert rows["Static-50"]["rejection"] > 0.35
+    assert rows["Static-150"]["rejection"] < 1e-6
+    assert rows["Static-150"]["utilization"] < 0.65
 
 
-def test_fig6_fluid_crosscheck(benchmark):
-    data = benchmark.pedantic(
-        fig6_data, kwargs=dict(seeds=(0,), backend=FluidBackend()), rounds=1, iterations=1
+def test_fig6_fluid_crosscheck(benchmark, tmp_path):
+    block = dict(
+        scenario="scientific", horizon="day", policies=SCI_POLICIES,
+        backends=["fluid"], seeds="0",
+    )
+    data, rows = benchmark.pedantic(
+        campaign_rows, args=("fig6-fluid", block, tmp_path), rounds=1, iterations=1
     )
     print()
     print(format_table(data.headers, data.rows, title=data.title))
-    results = {name: runs[0] for name, runs in data.raw["results"].items()}
-    adaptive = results["Adaptive"]
+    adaptive = rows["Adaptive"]
 
-    assert 12 <= adaptive.min_instances <= 16  # paper: 13
-    assert 75 <= adaptive.max_instances <= 88  # paper: 80
-    assert adaptive.rejection_rate < 0.01
-    saving = 1.0 - adaptive.vm_hours / results["Static-75"].vm_hours
+    assert 12 <= adaptive["min inst"] <= 16  # paper: 13
+    assert 75 <= adaptive["max inst"] <= 88  # paper: 80
+    assert adaptive["rejection"] < 0.01
+    saving = 1.0 - adaptive["VM hours"] / rows["Static-75"]["VM hours"]
     print(f"VM-hour saving vs Static-75: {saving:.1%} (paper: 46%)")
     assert 0.38 <= saving <= 0.55
     # Static-45 loses the peak flow the paper quantifies at 31.7 %.
-    assert 0.20 <= results["Static-45"].rejection_rate <= 0.40
+    assert 0.20 <= rows["Static-45"]["rejection"] <= 0.40

@@ -102,6 +102,31 @@ def best_norm_cpu_of(fn, repeats: int = 5) -> float:
     return min(norm_cpu(fn)[1] for _ in range(repeats))
 
 
+#: The policy sweeps of the paper's Figures 5 (web) and 6 (scientific).
+WEB_POLICIES = ["adaptive", "static-50", "static-75", "static-100", "static-125", "static-150"]
+SCI_POLICIES = ["adaptive", "static-15", "static-30", "static-45", "static-60", "static-75"]
+
+
+def campaign_rows(name, block, store_dir):
+    """Run one campaign scenario block into a fresh store and report it.
+
+    Returns ``(report, rows)``: the
+    :func:`~repro.campaigns.report.campaign_report` table (means over
+    the seeds, no confidence intervals) and its rows as
+    ``{policy: {header: cell}}``.  Sequential, no prescreen.
+    """
+    from repro.campaigns import CampaignSpec, ResultStore, campaign_report, run_campaign
+
+    spec = CampaignSpec.from_dict(
+        {"campaign": {"name": name}, "execution": {"workers": 1}, "scenarios": [block]}
+    )
+    store = ResultStore(store_dir)
+    assert not run_campaign(spec, store=store).failed
+    report = campaign_report(spec, store, ci=False)
+    policy = report.headers.index("policy")
+    return report, {row[policy]: dict(zip(report.headers, row)) for row in report.rows}
+
+
 @pytest.fixture(scope="session")
 def bench_seeds():
     return seeds()

@@ -3,13 +3,15 @@
 Two views over a campaign's store:
 
 * :func:`campaign_report` — the figure view: one row per
-  ``(scenario, policy, backend)`` group with the same metric columns
-  as the paper's Figure-5/6 panels, summarized across the group's
-  replication seeds by the shared
+  ``(scenario, policy, backend)`` group with the paper's Figure-5/6
+  panel metrics plus QoS attainment and profit, summarized across the
+  group's replication seeds by the shared
   :func:`~repro.metrics.report.summary_cells` helper (mean, or
   ``mean ± ci95`` with several seeds).  The result is a
   :class:`~repro.experiments.figures.FigureData`, so the experiments
-  CLI's markdown/CSV writers work on campaigns unchanged.
+  CLI's markdown/CSV writers work on campaigns unchanged.  It is also
+  the table ``repro run fig5`` / ``fig6`` and their variants print:
+  those ids run one scenario block's cells without a store.
 * :func:`campaign_status_rows` — the operational view: one row per
   cell with its store status, backing ``repro campaign status`` and
   the CI smoke job's completeness gate.
@@ -24,21 +26,32 @@ Plus the streaming composition of the two:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..backends.base import RunMetrics
-from ..experiments.figures import FigureData, _PANEL_FIELDS
+from ..experiments.figures import FigureData
 from ..metrics.report import format_markdown_table, summary_cells
 from .spec import CampaignSpec, Cell
 from .store import ResultStore
 
 __all__ = ["campaign_agg", "campaign_report", "campaign_status_rows"]
 
-#: The campaign table extends the Figure-5/6 panel columns with the
-#: paper-style QoS-attainment and economy objectives.  A separate tuple
-#: (not _PANEL_FIELDS itself) because the figure writers keep the
-#: original panel layout.
-_REPORT_FIELDS: Tuple[str, ...] = _PANEL_FIELDS + ("qos_attainment", "profit")
+#: The Figure-5/6 panel metrics, in column order — (a) min/max
+#: instances, (b) rejection and utilization, (c) VM hours, (d) response
+#: time ± σ and QoS violations — then the paper-style QoS-attainment and
+#: economy objectives.
+_REPORT_FIELDS: Tuple[str, ...] = (
+    "min_instances",
+    "max_instances",
+    "rejection_rate",
+    "utilization",
+    "vm_hours",
+    "mean_response_time",
+    "response_time_std",
+    "qos_violations",
+    "qos_attainment",
+    "profit",
+)
 
 
 def _grouped(cells: List[Cell]) -> List[Tuple[Tuple, List[Cell]]]:
@@ -55,12 +68,15 @@ def _grouped(cells: List[Cell]) -> List[Tuple[Tuple, List[Cell]]]:
 
 def campaign_report(
     spec: CampaignSpec,
-    store: ResultStore,
+    store: Union[ResultStore, Mapping[Cell, RunMetrics]],
     quick: bool = False,
     ci: bool = True,
 ) -> FigureData:
     """Aggregate every stored cell into one paper-style summary table.
 
+    ``store`` is read only through ``store.get(cell)``: a
+    :class:`~repro.campaigns.store.ResultStore`, or a run's
+    ``{Cell: RunMetrics}`` dict (what ``repro run fig5`` tabulates).
     Groups with no stored results at all are reported with dashes so
     an incomplete campaign still renders (the ``seeds`` column shows
     ``found/wanted``).

@@ -59,8 +59,10 @@ class WorkloadAnalyzer:
         the observed rate (inflated by ``deviation_safety``).  This is
         the feedback loop that protects the system when the predictor
         is simply wrong — the paper's "resilience to uncertainties".
-        Requires a monitor with rate sampling enabled, which
-        :meth:`~repro.core.policies.AdaptivePolicy.validate` checks.
+        Requires a monitor with rate sampling enabled
+        (:class:`~repro.errors.ConfigurationError` otherwise);
+        :meth:`~repro.core.policies.AdaptivePolicy.validate` checks the
+        scenario for it before a run starts.
     deviation_safety:
         Inflation applied to the observed rate on a corrective alert.
 
@@ -79,6 +81,13 @@ class WorkloadAnalyzer:
     ) -> None:
         if horizon <= 0.0:
             raise ConfigurationError(f"horizon must be > 0, got {horizon!r}")
+        if deviation_threshold is not None and (
+            monitor is None or monitor.rate_sample_interval is None
+        ):
+            raise ConfigurationError(
+                "deviation watching needs a monitor with rate sampling "
+                "(rate_sample_interval)"
+            )
         self._engine = engine
         self._plane = plane
         self.horizon = float(horizon)

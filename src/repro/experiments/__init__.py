@@ -8,20 +8,18 @@
   dispatches replications to a process pool
   (:mod:`repro.backends.pool`).
 * :class:`PolicySpec` — picklable policy factory for the pool path.
-* :mod:`repro.experiments.figures` — one function per paper artifact.
-* the ``repro`` CLI (:mod:`repro.experiments.cli`).
+* :mod:`repro.experiments.figures` — one function per workload table
+  or figure (Table II, Figures 3 and 4, the workload analysis).
+* the ``repro`` CLI (:mod:`repro.experiments.cli`), whose Figure 5/6
+  ids run a campaign scenario block's cells and print
+  :func:`~repro.campaigns.report.campaign_report`.
 """
 
 from ..backends.pool import PolicySpec
 from .figures import (
-    SCI_STATIC_SIZES,
-    WEB_STATIC_SIZES,
     FigureData,
     fig3_data,
     fig4_data,
-    fig5_data,
-    fig6_data,
-    policy_comparison,
     table2_data,
     workload_analysis_data,
 )
@@ -42,12 +40,7 @@ __all__ = [
     "table2_data",
     "fig3_data",
     "fig4_data",
-    "fig5_data",
-    "fig6_data",
-    "policy_comparison",
     "workload_analysis_data",
-    "WEB_STATIC_SIZES",
-    "SCI_STATIC_SIZES",
     "save_results",
     "load_results",
     "result_to_dict",

@@ -26,6 +26,10 @@ Installed as ``repro``::
 
 Each experiment prints its table to stdout; ``--out DIR`` additionally
 writes ``<experiment>.md`` (markdown table) and ``<experiment>.csv``.
+The Figure 5/6 ids (``fig5``, ``fig6`` and their ``-fluid`` /
+``-fullscale`` variants) build one campaign scenario block from the
+flags, run its cells without a store, and print the campaign report's
+table for them.
 DES experiments also print a perf summary — per-replication wall-clock,
 engine event counts and Algorithm-1 decision-cache hits/misses — so performance regressions show up in every run, not only
 in the benchmark suite.
@@ -64,6 +68,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import groupby
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -74,9 +79,8 @@ from ..metrics.report import format_markdown_table, format_table
 from ..obs.bus import TraceConfig
 from ..obs.render import explain_decision, render_timeline, trace_summary_table
 from ..obs.schema import CONTROL_EVENTS, load_trace, validate_trace
-from ..sim.calendar import SECONDS_PER_DAY, SECONDS_PER_WEEK
 from . import figures
-from .runner import RunMetrics
+from .runner import RunMetrics, run_replications
 from .seeds import parse_seeds
 
 __all__ = ["main", "available_experiments"]
@@ -96,33 +100,6 @@ def available_experiments() -> Dict[str, str]:
         "fig6-fullscale": "Figure 6 replications (vectorized DES)",
         "workload-analysis": "Contribution 2: workload characterization + provisioning feedback",
     }
-
-
-#: Backend variants of Figures 5 and 6: id → (figure function, fixed
-#: keyword arguments, title).  They take --seeds, --workers, --trace and
-#: --metrics like ``fig5``/``fig6``; --scale and --backend do not apply.
-_VARIANTS = {
-    "fig5-fluid": (
-        figures.fig5_data,
-        dict(backend="fluid", scale=1.0, horizon=SECONDS_PER_WEEK),
-        "Figure 5 (full scale, fluid engine): web scenario",
-    ),
-    "fig6-fluid": (
-        figures.fig6_data,
-        dict(backend="fluid"),
-        "Figure 6 (fluid engine cross-check): scientific scenario",
-    ),
-    "fig5-fullscale": (
-        figures.fig5_data,
-        dict(backend="des-vec", scale=1.0, horizon=SECONDS_PER_WEEK),
-        "Figure 5 (full scale, vectorized DES): web scenario",
-    ),
-    "fig6-fullscale": (
-        figures.fig6_data,
-        dict(backend="des-vec"),
-        "Figure 6 (vectorized DES): scientific scenario",
-    ),
-}
 
 
 def _parse_seeds(spec: str) -> List[int]:
@@ -150,64 +127,113 @@ def _metrics_config(args: argparse.Namespace):
     return MetricsConfig(path=args.metrics)
 
 
+#: Figure 5/6 captions by scenario; the run's horizon and backend
+#: complete them.
+_CAPTIONS = {
+    "web": "Figure 5: web scenario (Wikipedia workload)",
+    "scientific": "Figure 6: scientific scenario (Grid Workloads Archive BoT)",
+}
+
+
+def _figure_spec(experiment: str, args: argparse.Namespace):
+    """The one-block campaign a Figure 5/6 id runs (``None`` for other ids).
+
+    ``fig5``/``fig6`` run on ``--backend``, fig5 at ``--scale`` over a
+    week (a day under ``--quick``).  The ``-fluid`` and ``-fullscale``
+    variants fix the fluid engine or the vectorized DES, and fig5's
+    variants the paper's full rate over a week (``fig5-fullscale
+    --quick``: scale 100 over a day).  Every id takes ``--seeds``.
+    """
+    from ..campaigns import CampaignSpec
+
+    figure, _, variant = experiment.partition("-")
+    backend = {"": args.backend, "fluid": "fluid", "fullscale": "des-vec"}.get(variant)
+    if figure not in ("fig5", "fig6") or backend is None:
+        return None
+    block: Dict[str, object] = dict(figure=experiment, backends=[backend], seeds=args.seeds)
+    if figure == "fig6":
+        block.update(
+            scenario="scientific",
+            horizon="day",
+            policies=["adaptive", "static-15", "static-30", "static-45", "static-60", "static-75"],
+        )
+    else:
+        if not variant:
+            scale, horizon = args.scale, "day" if args.quick else "week"
+        elif args.quick and variant == "fullscale":
+            scale, horizon = 100.0, "day"
+        else:
+            scale, horizon = 1.0, "week"
+        block.update(
+            scenario="web",
+            scale=scale,
+            horizon=horizon,
+            policies=["adaptive", "static-50", "static-75", "static-100", "static-125", "static-150"],
+        )
+    caption = f"{_CAPTIONS[block['scenario']]}, one {block['horizon']}, {backend} backend"
+    return CampaignSpec.from_dict(
+        {"campaign": {"name": experiment, "description": caption}, "scenarios": [block]}
+    )
+
+
+def _run_figure(spec, args: argparse.Namespace) -> "figures.FigureData":
+    """Run a Figure 5/6 spec's cells and tabulate them with ``campaign_report``.
+
+    No store and no prescreen: each ``(policy, backend)`` group of the
+    one scenario is one
+    :func:`~repro.experiments.runner.run_replications` call with
+    ``--workers`` and the per-replication ``--trace`` and ``--metrics``
+    configs.  The table holds means over the seeds (``ci=False``).
+    """
+    from ..campaigns import campaign_report
+
+    trace, metrics = _trace_config(args), _metrics_config(args)
+    results: Dict[object, RunMetrics] = {}
+    for _, group in groupby(spec.expanded(), key=lambda c: (c.policy, c.backend)):
+        cells = list(group)
+        head = cells[0]
+        runs = run_replications(
+            head.build_scenario(),
+            head.policy_factory(),
+            seeds=[c.seed for c in cells],
+            workers=args.workers,
+            trace=trace,
+            backend=head.backend,
+            metrics=metrics,
+        )
+        results.update(zip(cells, runs))
+    data = campaign_report(spec, results, ci=False)
+    data.experiment_id, data.title = spec.name, spec.description
+    return data
+
+
 def _build(experiment: str, args: argparse.Namespace) -> "figures.FigureData":
     seeds = _parse_seeds(args.seeds)
-    quick = args.quick
-    trace = _trace_config(args)
-    metrics = _metrics_config(args)
     if experiment == "table2":
         return figures.table2_data()
     if experiment == "fig3":
-        return figures.fig3_data(sampled=not quick)
+        return figures.fig3_data(sampled=not args.quick)
     if experiment == "fig4":
         return figures.fig4_data(seed=seeds[0])
-    if experiment == "fig5":
-        horizon = SECONDS_PER_DAY if quick else SECONDS_PER_WEEK
-        return figures.fig5_data(
-            scale=args.scale,
-            seeds=seeds,
-            horizon=horizon,
-            workers=args.workers,
-            trace=trace,
-            backend=args.backend,
-            metrics=metrics,
-        )
-    if experiment == "fig6":
-        return figures.fig6_data(
-            seeds=seeds, workers=args.workers, trace=trace, backend=args.backend,
-            metrics=metrics,
-        )
-    if experiment in _VARIANTS:
-        figure, fixed, title = _VARIANTS[experiment]
-        if quick and experiment == "fig5-fullscale":
-            # One day at rate scale 1/100, as in the campaign quick grid.
-            fixed = dict(fixed, scale=100.0, horizon=SECONDS_PER_DAY)
-        data = figure(
-            seeds=seeds, workers=args.workers, trace=trace, metrics=metrics, **fixed
-        )
-        data.experiment_id, data.title = experiment, title
-        return data
     if experiment == "workload-analysis":
         return figures.workload_analysis_data(seed=seeds[0])
-    raise SystemExit(f"unknown experiment {experiment!r}; try 'list'")
+    spec = _figure_spec(experiment, args)
+    if spec is None:
+        raise SystemExit(f"unknown experiment {experiment!r}; try 'list'")
+    return _run_figure(spec, args)
 
 
 def _perf_summary(data: "figures.FigureData") -> List[str]:
-    """Per-replication wall-clock + decision-cache lines for DES runs."""
-    results = data.raw.get("results")
-    if not isinstance(results, dict):
-        return []
+    """Per-replication wall-clock + decision-cache lines for simulated runs."""
     lines: List[str] = []
-    for policy, runs in results.items():
-        if not isinstance(runs, (list, tuple)) or not runs:
-            continue
-        if not all(isinstance(r, RunMetrics) for r in runs):
+    for runs in data.raw.get("results", {}).values():
+        if not runs:
             continue
         walls = ", ".join(f"s{r.seed}={r.wall_seconds:.2f}s" for r in runs)
         hits = sum(r.cache_hits for r in runs)
         misses = sum(r.cache_misses for r in runs)
         events = sum(r.events for r in runs)
-        line = f"  {policy:<12s} wall [{walls}]  events {events}"
+        line = f"  {runs[0].policy:<12s} wall [{walls}]  events {events}"
         if hits or misses:
             total = hits + misses
             line += f"  decision cache {hits}/{total} hits"
@@ -516,8 +542,8 @@ def _lint_command(args: argparse.Namespace) -> int:
         return 2
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+def _parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the tables and figures of Calheiros et al., ICPP 2011.",
@@ -729,7 +755,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cp.add_argument(
                 "--out", default=None, help="directory for .md/.csv outputs"
             )
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command is None:

@@ -1,50 +1,37 @@
 """Per-figure data regeneration.
 
-One function per table/figure of the paper's evaluation section (see
-the experiment index in DESIGN.md §5).  Each returns a
+One function per workload table/figure of the paper's evaluation
+section (see the experiment index in DESIGN.md §5).  Each returns a
 :class:`FigureData` — headers plus one row per series element — which
-the benchmarks print and the CLI writes to disk.  Absolute numbers are
-compared to the paper in EXPERIMENTS.md; the *shape* contracts (who
-wins, by what factor) are asserted by the integration tests.
+the benchmarks print and the CLI writes to disk.  Figures 5 and 6 (the
+policy comparisons) are campaign scenario blocks instead: ``repro run
+fig5`` runs one block's cells and prints
+:func:`~repro.campaigns.report.campaign_report`, which also returns a
+:class:`FigureData`.  Absolute numbers are compared to the paper in
+EXPERIMENTS.md; the *shape* contracts (who wins, by what factor) are
+asserted by the integration tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from ..backends.pool import PolicySpec
-from ..core.policies import AdaptivePolicy, ProvisioningPolicy, StaticPolicy
-from ..metrics.report import summary_cells
 from ..metrics.timeseries import bin_counts
 from ..sim.calendar import SECONDS_PER_DAY, SECONDS_PER_WEEK
 from ..sim.rng import RandomStreams
 from ..workloads.scientific import ScientificWorkload
 from ..workloads.web import TABLE_II, WebWorkload
-from .runner import RunMetrics, run_replications
-from .scenario import ScenarioConfig, scientific_scenario, web_scenario
 
 __all__ = [
     "FigureData",
-    "WEB_STATIC_SIZES",
-    "SCI_STATIC_SIZES",
     "table2_data",
     "fig3_data",
     "fig4_data",
-    "policy_comparison",
-    "fig5_data",
-    "fig6_data",
     "workload_analysis_data",
 ]
-
-#: Static fleet sizes the paper sweeps in the web scenario.
-WEB_STATIC_SIZES: Tuple[int, ...] = (50, 75, 100, 125, 150)
-
-#: Static fleet sizes the paper sweeps in the scientific scenario.
-SCI_STATIC_SIZES: Tuple[int, ...] = (15, 30, 45, 60, 75)
-
 
 @dataclass
 class FigureData:
@@ -215,150 +202,4 @@ def workload_analysis_data(seed: int = 0) -> FigureData:
         headers=headers,
         rows=rows,
         raw={"web": web_profile, "scientific": sci_profile},
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 5 and 6 — the policy-comparison panels
-# ----------------------------------------------------------------------
-#: The Figure-5/6 panel metrics, in column order (see policy_comparison).
-_PANEL_FIELDS: Tuple[str, ...] = (
-    "min_instances",
-    "max_instances",
-    "rejection_rate",
-    "utilization",
-    "vm_hours",
-    "mean_response_time",
-    "response_time_std",
-    "qos_violations",
-)
-
-
-def policy_comparison(
-    scenario: ScenarioConfig,
-    policies: Sequence[Callable[[], ProvisioningPolicy]],
-    seeds: Sequence[int] = (0,),
-    experiment_id: str = "policy-comparison",
-    title: str = "",
-    workers: int = 1,
-    trace: Optional[object] = None,
-    backend: object = "des",
-    metrics: Optional[object] = None,
-) -> FigureData:
-    """Run every policy over every seed and build the four-panel table.
-
-    One row per policy with the metrics of all four sub-figures:
-    (a) min/max instances, (b) rejection & utilization rates,
-    (c) VM hours, (d) mean response time ± σ.  ``workers > 1``
-    dispatches each policy's replications to a process pool (results
-    are bit-identical to the sequential path).  ``trace`` (``None`` or
-    a :class:`~repro.obs.bus.TraceConfig`) is forwarded to every
-    replication; point its path at a directory so each (policy, seed)
-    run writes its own JSONL file.  ``backend`` selects the execution
-    backend (``"des"``, ``"fluid"``, or an
-    :class:`~repro.backends.base.ExecutionBackend` instance) for every
-    replication.  ``metrics`` (``None`` or a
-    :class:`~repro.obs.metrics.MetricsConfig`) is likewise forwarded —
-    with a path set, each (policy, seed) run writes its own
-    ``metrics.snapshot`` JSONL stream.
-    """
-    headers = [
-        "policy",
-        "min inst",
-        "max inst",
-        "rejection",
-        "utilization",
-        "VM hours",
-        "avg Tr (s)",
-        "std Tr (s)",
-        "QoS violations",
-    ]
-    rows: List[List[object]] = []
-    all_results: Dict[str, List[RunMetrics]] = {}
-    for factory in policies:
-        results = run_replications(
-            scenario, factory, seeds=seeds, workers=workers, trace=trace,
-            backend=backend, metrics=metrics,
-        )
-        name = results[0].policy
-        all_results[name] = results
-        rows.append([name] + summary_cells(results, _PANEL_FIELDS))
-    return FigureData(
-        experiment_id=experiment_id,
-        title=title or f"Policy comparison on {scenario.name}",
-        headers=headers,
-        rows=rows,
-        raw={"results": all_results, "scenario": scenario},
-    )
-
-
-def _web_policies(
-    static_sizes: Sequence[int] = WEB_STATIC_SIZES,
-) -> List[Callable[[], ProvisioningPolicy]]:
-    # PolicySpec (not lambdas) so the factories survive pickling into a
-    # process pool when the caller asks for workers > 1.
-    factories: List[Callable[[], ProvisioningPolicy]] = [PolicySpec(AdaptivePolicy)]
-    for n in static_sizes:
-        factories.append(PolicySpec(StaticPolicy, n))
-    return factories
-
-
-def fig5_data(
-    scale: float = 200.0,
-    seeds: Sequence[int] = (0,),
-    horizon: float = SECONDS_PER_WEEK,
-    static_sizes: Sequence[int] = WEB_STATIC_SIZES,
-    workers: int = 1,
-    trace: Optional[object] = None,
-    backend: object = "des",
-    metrics: Optional[object] = None,
-) -> FigureData:
-    """Figure 5 — web scenario, Adaptive vs Static-{50..150}.
-
-    The default backend runs the DES at rate scale ``1/scale``
-    (behaviour-preserving; see DESIGN.md §4) — ``scale=200`` keeps the
-    full week tractable.  ``backend="fluid"`` evaluates the identical
-    scenario analytically.
-    """
-    scenario = web_scenario(scale=scale, horizon=horizon)
-    data = policy_comparison(
-        scenario,
-        _web_policies(static_sizes),
-        seeds=seeds,
-        experiment_id="fig5",
-        title="Figure 5: web scenario (Wikipedia workload), one week",
-        workers=workers,
-        trace=trace,
-        backend=backend,
-        metrics=metrics,
-    )
-    return data
-
-
-def fig6_data(
-    seeds: Sequence[int] = (0, 1, 2),
-    horizon: float = SECONDS_PER_DAY,
-    static_sizes: Sequence[int] = SCI_STATIC_SIZES,
-    workers: int = 1,
-    trace: Optional[object] = None,
-    backend: object = "des",
-    metrics: Optional[object] = None,
-) -> FigureData:
-    """Figure 6 — scientific scenario at full paper scale, one day."""
-    scenario = scientific_scenario(horizon=horizon)
-    factories: List[Callable[[], ProvisioningPolicy]] = [
-        PolicySpec(AdaptivePolicy, update_interval=1800.0)
-    ]
-    for n in static_sizes:
-        factories.append(PolicySpec(StaticPolicy, n))
-    return policy_comparison(
-        scenario,
-        factories,
-        seeds=seeds,
-        experiment_id="fig6",
-        title="Figure 6: scientific scenario (Grid Workloads Archive BoT), one day",
-        workers=workers,
-        trace=trace,
-        backend=backend,
-        metrics=metrics,
     )

@@ -6,9 +6,10 @@ data plane, attach the policy), *run* (the event loop) and *finalize*
 (events fired, trace events emitted).
 :class:`RunProfile` captures both per run, serializes to a JSON-safe
 dict that survives the process-pool pickle round-trip (the counters
-used to die with the worker process), and aggregates across
-replications with :func:`aggregate_profiles` so the CLI perf summary
-is correct at any ``--workers`` value.
+used to die with the worker process), and sums across replications
+with :func:`aggregate_profiles`.  The CLI perf summary does not read
+profiles: it prints each run's ``wall_seconds``, ``events`` and
+decision-cache counters, which ride in ``RunMetrics`` as well.
 
 Wall-clock numbers are inherently nondeterministic, so the runner
 stores the profile in a ``compare=False`` field of ``RunMetrics`` —

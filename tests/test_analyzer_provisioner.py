@@ -105,6 +105,15 @@ def test_analyzer_validation():
     )
     with pytest.raises(ConfigurationError):
         WorkloadAnalyzer(engine, plane, horizon=0.0)
+    # A deviation watch needs a monitor, and one that samples the rate.
+    with pytest.raises(ConfigurationError, match="rate sampling"):
+        WorkloadAnalyzer(engine, plane, horizon=10.0, deviation_threshold=0.3)
+    env = make_env()
+    assert env.monitor.rate_sample_interval is None
+    with pytest.raises(ConfigurationError, match="rate sampling"):
+        WorkloadAnalyzer(
+            env.engine, plane, horizon=10.0, monitor=env.monitor, deviation_threshold=0.3
+        )
 
 
 # ----------------------------------------------------------------------

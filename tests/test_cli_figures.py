@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.backends import FluidBackend
-from repro.experiments import fig3_data, fig4_data, fig6_data, table2_data
+from repro.campaigns import CampaignSpec, ResultStore, campaign_report, run_campaign
+from repro.experiments import cli, fig3_data, fig4_data, table2_data
 from repro.experiments.cli import available_experiments, main
+from repro.metrics import format_table
 
 
 def test_table2_matches_paper_layout():
@@ -54,13 +59,20 @@ def test_fig4_realized_day():
     assert model[peak_mask].mean() > model[~peak_mask].mean()
 
 
-def test_fluid_policy_comparison_rows():
-    data = fig6_data(seeds=(0,), backend=FluidBackend())
-    names = [row[0] for row in data.rows]
+def read_rows(path):
+    """A written table as one ``{header: cell}`` dict per row."""
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_fluid_policy_comparison_rows(tmp_path, capsys):
+    assert main(["run", "fig6-fluid", "--seeds", "0", "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "fig6-fluid.csv")
+    names = [row["policy"] for row in rows]
     assert names == ["Adaptive", "Static-15", "Static-30", "Static-45", "Static-60", "Static-75"]
-    (adaptive,) = data.raw["results"]["Adaptive"]
-    assert adaptive.backend == "fluid"
-    assert adaptive.max_instances > adaptive.min_instances
+    adaptive = rows[0]
+    assert adaptive["backend"] == "fluid"
+    assert float(adaptive["max inst"]) > float(adaptive["min inst"])
 
 
 # ----------------------------------------------------------------------
@@ -97,23 +109,11 @@ def test_cli_bad_seeds():
         main(["run", "fig4", "--seeds", "a,b"])
 
 
-def test_cli_run_accepts_every_backend(monkeypatch, capsys):
-    from repro.experiments import figures
-
-    built = []
-    fig5_data = figures.fig5_data
-
-    def recording_fig5_data(**kwargs):
-        data = fig5_data(**kwargs)
-        built.append(data)
-        return data
-
-    monkeypatch.setattr(figures, "fig5_data", recording_fig5_data)
+def test_cli_run_accepts_every_backend(tmp_path, capsys):
     argv = ["run", "fig5", "--quick", "--scale", "5000", "--seeds", "0"]
-    assert main(argv + ["--backend", "des-vec"]) == 0
-    (data,) = built
-    runs = [r for rs in data.raw["results"].values() for r in rs]
-    assert runs and {r.backend for r in runs} == {"des-vec"}
+    assert main(argv + ["--backend", "des-vec", "--out", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "fig5.csv")
+    assert rows and {row["backend"] for row in rows} == {"des-vec"}
     assert "Adaptive" in capsys.readouterr().out
 
 
@@ -134,4 +134,40 @@ def test_cli_variant_ids_honour_run_flags(tmp_path, capsys):
         assert validate_trace(load_trace(path)) > 0
     assert len(list(telemetry.glob("*.jsonl"))) == len(files)
     assert (tmp_path / "fig6-fluid.csv").is_file()
-    assert "Figure 6 (fluid engine cross-check)" in capsys.readouterr().out
+    assert "Figure 6: scientific scenario (Grid Workloads Archive BoT), one day, fluid backend" in (
+        capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fig5", "--quick", "--scale", "5000", "--seeds", "0"], ["fig6-fluid", "--seeds", "0-1"]],
+    ids=["fig5-quick-des", "fig6-fluid"],
+)
+def test_figure_ids_print_the_campaign_report(argv, tmp_path, capsys):
+    # `repro run` prints the rows a stored campaign of the same spec
+    # reports: the figure ids are campaign blocks, not a second path.
+    assert main(["run", *argv]) == 0
+    out = capsys.readouterr().out
+    spec = cli._figure_spec(argv[0], cli._parser().parse_args(["run", *argv]))
+    store = ResultStore(tmp_path / "store")
+    assert not run_campaign(spec, store=store, workers=1).failed
+    data = campaign_report(spec, store, ci=False)
+    assert len(data.rows) == 6
+    assert format_table(data.headers, data.rows, title=spec.description) in out
+
+
+def test_paper_campaign_blocks_match_the_cli_blocks():
+    # Each paper.toml block with `figure = X` is the block `repro run X`
+    # builds for the block's seeds, so the campaign and the CLI cannot
+    # drift apart.
+    paper = CampaignSpec.load(Path(__file__).resolve().parent.parent / "campaigns" / "paper.toml")
+    figures_seen = []
+    for grid in paper.grids:
+        seeds = ",".join(str(s) for s in grid.seeds)
+        args = cli._parser().parse_args(["run", grid.figure, "--seeds", seeds])
+        (cli_grid,) = cli._figure_spec(grid.figure, args).grids
+        swapped = dataclasses.replace(grid, backends=cli_grid.backends)
+        assert [c.key() for c in swapped.cells()] == [c.key() for c in cli_grid.cells()], grid.figure
+        figures_seen.append(grid.figure)
+    assert sorted(figures_seen) == ["fig5", "fig5-fullscale", "fig6", "fig6-fullscale"]

@@ -145,6 +145,14 @@ def test_deviation_without_rate_sampling_fails_before_any_trace_event(backend, t
     assert list(tmp_path.iterdir()) == []
 
 
+def test_hand_wired_deviation_watch_without_rate_sampling_fails_at_attach():
+    # attach() sees the context, not the scenario, so validate() never
+    # ran: the analyzer itself must refuse a monitor that samples no rate.
+    ctx = build_context(web_scenario(scale=2000, horizon=3600))
+    with pytest.raises(ConfigurationError, match="rate sampling"):
+        AdaptivePolicy(deviation_threshold=0.3).attach(ctx)
+
+
 def test_deviation_validation():
     ctx = build_context(surprise_scenario(), seed=0)
     with pytest.raises(ConfigurationError):
